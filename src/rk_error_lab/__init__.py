@@ -40,7 +40,6 @@ from .error_analysis import (
 from .problems import (
     GROWTH_RATE,
     IVProblem,
-    OracleDivergence,
     UnknownProblem,
     builtin,
     problem_names,

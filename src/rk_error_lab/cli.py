@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controller import (
+    POLICIES,
     ControllerConfig,
     MaxRejectsExceeded,
     MaxStepsExceeded,
@@ -30,13 +31,12 @@ from .controller import (
     Trace,
     integrate,
 )
-from .error_analysis import StepRecord, inf_norm
-from .problems import OracleDivergence, UnknownProblem, builtin, problem_names
+from .error_analysis import StepRecord, inf_norm, sigma_bound
+from .problems import UnknownProblem, builtin, problem_names
 from .rk_core import MethodPair, NonFiniteStage, UnknownPair, builtin_pair, pair_names
 
 __all__ = [
     "RunSpec",
-    "UsageError",
     "MissingDiagnostics",
     "parse_args",
     "run",
@@ -54,10 +54,6 @@ CSV_COLUMNS = [
     "delta_lower", "delta_higher", "alpha_term", "cond_lhs", "cond_rhs",
     "cond_holds", "bound", "clamped",
 ]
-
-
-class UsageError(ValueError):
-    """Invalid command-line arguments."""
 
 
 class MissingDiagnostics(RuntimeError):
@@ -85,68 +81,39 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rk-error-lab",
         description="Integrate an initial-value problem with local error control "
         "via a lower/higher-order method pair and record per-step error diagnostics.",
+        argument_default=argparse.SUPPRESS,
     )
-    ap.add_argument("--problem", default="paper_exponential",
-                    help=f"problem name, one of {problem_names()}")
-    ap.add_argument("--pair", default="rk3_rk4",
-                    help=f"method pair name, one of {pair_names()}")
-    ap.add_argument("--delta", type=float, default=1e-8,
-                    help="absolute local error tolerance (default 1e-8)")
-    ap.add_argument("--sigma", type=float, default=0.8,
-                    help="stepsize safety factor in (0, 1] (default 0.8)")
-    ap.add_argument("--policy", choices=["proportional", "reject-only"],
-                    default="proportional", help="stepsize policy after acceptance")
-    ap.add_argument("--h-init", type=float, default=None,
+    ap.add_argument("--problem", help=f"problem name, one of {problem_names()} "
+                    f"(default {RunSpec.problem})")
+    ap.add_argument("--pair", help=f"method pair name, one of {pair_names()} "
+                    f"(default {RunSpec.pair})")
+    ap.add_argument("--delta", type=float,
+                    help=f"absolute local error tolerance (default {RunSpec.delta:g})")
+    ap.add_argument("--sigma", type=float,
+                    help=f"stepsize safety factor in (0, 1] (default {RunSpec.sigma:g})")
+    ap.add_argument("--policy", choices=POLICIES,
+                    help=f"stepsize policy after acceptance (default {RunSpec.policy})")
+    ap.add_argument("--h-init", type=float,
                     help="initial stepsize (default: probe-based proposal)")
-    ap.add_argument("--x-end", type=float, default=None,
-                    help="override the problem's right endpoint")
-    ap.add_argument("--max-steps", type=int, default=1_000_000,
-                    help="cap on accepted steps")
-    ap.add_argument("--csv", dest="csv_path", default=None,
+    ap.add_argument("--x-end", type=float, help="override the problem's right endpoint")
+    ap.add_argument("--max-steps", type=int, help="cap on accepted steps")
+    ap.add_argument("--csv", dest="csv_path",
                     help="write the per-step trace to this CSV file")
-    ap.add_argument("--json", dest="json_path", default=None,
+    ap.add_argument("--json", dest="json_path",
                     help="write the run summary to this JSON file")
-    ap.add_argument("--figure", dest="figure_path", default=None,
+    ap.add_argument("--figure", dest="figure_path",
                     help="write x/|local error|/|propagated term| series to this CSV file")
     ap.add_argument("--quiet", action="store_true", help="suppress the verdict line")
     return ap
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunSpec:
-    """Parse CLI flags into a RunSpec.
+    """Parse CLI flags into a RunSpec; flags not given keep the RunSpec defaults.
 
-    Raises ``SystemExit(2)`` on malformed flags, ``UsageError`` on invalid
-    values, and ``UnknownProblem``/``UnknownPair`` when a registry name does
-    not exist.  ``main`` maps all three onto the documented exit codes.
+    Raises ``SystemExit(2)`` on malformed flags.  Values are not checked
+    here: ``run`` checks them when it builds the problem, pair and config.
     """
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
-    if ns.delta <= 0.0:
-        raise UsageError(f"--delta must be positive, got {ns.delta}")
-    if not 0.0 < ns.sigma <= 1.0:
-        raise UsageError(f"--sigma must be in (0, 1], got {ns.sigma}")
-    if ns.h_init is not None and ns.h_init <= 0.0:
-        raise UsageError(f"--h-init must be positive, got {ns.h_init}")
-    if ns.max_steps < 1:
-        raise UsageError(f"--max-steps must be >= 1, got {ns.max_steps}")
-    if ns.problem not in problem_names():
-        raise UnknownProblem(f"unknown problem {ns.problem!r}; known: {problem_names()}")
-    if ns.pair not in pair_names():
-        raise UnknownPair(f"unknown method pair {ns.pair!r}; known: {pair_names()}")
-    return RunSpec(
-        problem=ns.problem,
-        pair=ns.pair,
-        delta=ns.delta,
-        sigma=ns.sigma,
-        policy=ns.policy,
-        h_init=ns.h_init,
-        x_end=ns.x_end,
-        max_steps=ns.max_steps,
-        csv_path=ns.csv_path,
-        json_path=ns.json_path,
-        figure_path=ns.figure_path,
-        quiet=ns.quiet,
-    )
+    return RunSpec(**vars(_build_parser().parse_args(argv)))
 
 
 def _fmt_float(v: float) -> str:
@@ -232,7 +199,6 @@ def read_trace_csv(path: str) -> list[StepRecord]:
 
 def write_summary_json(trace: Trace, pair: MethodPair, sigma: float, path: str) -> None:
     s = trace.summary
-    z, r = pair.lower.z, pair.r
     payload = {
         "accepted": s.accepted,
         "rejected": s.rejected,
@@ -241,7 +207,7 @@ def write_summary_json(trace: Trace, pair: MethodPair, sigma: float, path: str) 
         "crossing_index": s.crossing_index,
         "crossing_x": s.crossing_x,
         "condition_violation_index": s.condition_violation_index,
-        "bound_coefficient": sigma ** (z + 1) + sigma ** (z + r + 1),
+        "bound_coefficient": sigma_bound(sigma, pair.lower.z, pair.r, 1.0),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -269,22 +235,31 @@ def figure1_export(trace: Trace, path: str) -> None:
 
 
 def run(spec: RunSpec) -> int:
-    """Execute the integration described by ``spec`` and write its outputs."""
-    problem = builtin(spec.problem)
-    if spec.x_end is not None:
-        problem = problem.with_x_end(spec.x_end)
-    pair = builtin_pair(spec.pair)
-    cfg = ControllerConfig(
-        delta=spec.delta,
-        sigma=spec.sigma,
-        h_init=spec.h_init,
-        policy=spec.policy,
-        max_steps=spec.max_steps,
-    )
+    """Execute the integration described by ``spec``, write its outputs, return the exit code."""
+    try:
+        cfg = ControllerConfig(
+            delta=spec.delta,
+            sigma=spec.sigma,
+            h_init=spec.h_init,
+            policy=spec.policy,
+            max_steps=spec.max_steps,
+        )
+        problem = builtin(spec.problem)
+        if spec.x_end is not None:
+            problem = problem.with_x_end(spec.x_end)
+        pair = builtin_pair(spec.pair)
+    except ValueError as exc:
+        print(f"rk-error-lab: error: {exc}", file=sys.stderr)
+        return 2
+    except (UnknownProblem, UnknownPair) as exc:
+        # KeyError str() wraps the message in quotes; print it bare
+        print(f"rk-error-lab: {exc.args[0]}", file=sys.stderr)
+        return 3
+
     try:
         trace = integrate(pair, problem, cfg)
     except (StepsizeUnderflow, MaxStepsExceeded, MaxRejectsExceeded, NonFiniteState,
-            NonFiniteStage, OracleDivergence, ValueError) as exc:
+            NonFiniteStage, ValueError) as exc:
         print(f"rk-error-lab: integration failed: {exc}", file=sys.stderr)
         return 4
 
@@ -329,13 +304,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         spec = parse_args(argv)
     except SystemExit as exc:  # argparse --help (0) or syntax error (2)
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"rk-error-lab: error: {exc}", file=sys.stderr)
-        return 2
-    except (UnknownProblem, UnknownPair) as exc:
-        # KeyError str() wraps the message in quotes; print it bare
-        print(f"rk-error-lab: {exc.args[0]}", file=sys.stderr)
-        return 3
     return run(spec)
 
 

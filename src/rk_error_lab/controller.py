@@ -15,6 +15,7 @@ keeps the stepsize until a rejection forces it down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -33,7 +34,7 @@ from .error_analysis import (
     sigma_bound,
 )
 from .problems import IVProblem, reference_solution
-from .rk_core import MethodPair, RHSFunction, rk_step
+from .rk_core import MethodPair, RHSFunction, _stages
 
 __all__ = [
     "ControllerConfig",
@@ -86,8 +87,8 @@ class ControllerConfig:
     max_rejects: int = 20
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (self.delta > 0.0 and math.isfinite(self.delta)):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError(f"sigma must be in (0, 1], got {self.sigma}")
         if self.policy not in POLICIES:
@@ -95,8 +96,8 @@ class ControllerConfig:
         if self.max_steps < 1 or self.max_rejects < 1:
             raise ValueError("max_steps and max_rejects must be >= 1")
         hs = [h for h in (self.h_min, self.h_init, self.h_max) if h is not None]
-        if any(h <= 0.0 for h in hs):
-            raise ValueError("stepsize limits must be positive")
+        if not all(h > 0.0 and math.isfinite(h) for h in hs):
+            raise ValueError(f"stepsize limits must be positive and finite, got {hs}")
         if self.h_min is not None and self.h_max is not None and self.h_min > self.h_max:
             raise ValueError(f"h_min={self.h_min} exceeds h_max={self.h_max}")
 
@@ -133,8 +134,12 @@ def propose_stepsize(beta_norm: float, cfg: ControllerConfig, z: int) -> float:
         raise ValueError("propose_stepsize needs a config with concrete h_min and h_max")
     if beta_norm == 0.0:
         return cfg.h_max
-    raw = cfg.sigma * (cfg.delta / beta_norm) ** (1.0 / (z + 1))
-    return min(max(raw, cfg.h_min), cfg.h_max)
+    return min(max(_tolerance_stepsize(beta_norm, cfg, z), cfg.h_min), cfg.h_max)
+
+
+def _tolerance_stepsize(beta_norm: float, cfg: ControllerConfig, z: int) -> float:
+    """Unclamped stepsize at which ``beta_norm`` meets the tolerance, with safety factor."""
+    return cfg.sigma * (cfg.delta / beta_norm) ** (1.0 / (z + 1))
 
 
 def attempt_step(
@@ -142,12 +147,16 @@ def attempt_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run both methods of the pair one step from the same input state.
 
-    Returns ``(w_lower, w_higher, beta)`` where ``beta`` is the
-    componentwise estimate ``(w_lower - w_higher) / h**(z+1)`` for the
-    lower method's order ``z``.
+    The ``pair.shared`` leading stages are evaluated once, by the lower
+    method, and reused by the higher one.  Returns ``(w_lower, w_higher,
+    beta)`` where ``beta`` is the componentwise estimate ``(w_lower -
+    w_higher) / h**(z+1)`` for the lower method's order ``z``.
     """
-    w_lower = rk_step(pair.lower, f, x, w_higher_in, h)
-    w_higher = rk_step(pair.higher, f, x, w_higher_in, h)
+    y = np.asarray(w_higher_in, dtype=float)
+    k_lower = _stages(pair.lower, f, x, y, h)
+    k_higher = _stages(pair.higher, f, x, y, h, k_lower[:pair.shared])
+    w_lower = y + h * (pair.lower.b @ k_lower)
+    w_higher = y + h * (pair.higher.b @ k_higher)
     beta = estimate_beta(w_lower, w_higher, h, pair.lower.z)
     return w_lower, w_higher, beta
 
@@ -182,8 +191,8 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     """
     cfg = _resolve_config(pair, p, cfg)
     z, r = pair.lower.z, pair.r
-    delta, sigma = cfg.delta, cfg.sigma
-    bound = sigma_bound(sigma, z, r, delta)
+    delta = cfg.delta
+    bound = sigma_bound(cfg.sigma, z, r, delta)
     has_oracle = p.exact is not None
 
     x = p.x0
@@ -198,12 +207,11 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             raise MaxStepsExceeded(
                 f"{p.name}: {cfg.max_steps} accepted steps before reaching x_end"
             )
-        land = (p.x_end - x) <= h_work
-        h_step = p.x_end - x if land else h_work
-        clamped = land and h_step < h_work
-
         rejects = 0
         while True:
+            land = (p.x_end - x) <= h_work
+            h_step = p.x_end - x if land else h_work
+            clamped = land and h_step < h_work
             w_lo, w_hi, beta = attempt_step(pair, p.f, x, w, h_step)
             beta_norm = inf_norm(beta)
             est = beta_norm * h_step ** (z + 1)
@@ -215,15 +223,12 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
                 raise MaxRejectsExceeded(
                     f"{p.name}: {rejects} consecutive rejections at x={x}"
                 )
-            raw = sigma * (delta / beta_norm) ** (1.0 / (z + 1))
+            raw = _tolerance_stepsize(beta_norm, cfg, z)
             if raw < cfg.h_min:
                 raise StepsizeUnderflow(
                     f"{p.name}: required stepsize {raw} below h_min={cfg.h_min} at x={x}"
                 )
             h_work = min(raw, cfg.h_max)
-            land = (p.x_end - x) <= h_work
-            h_step = p.x_end - x if land else h_work
-            clamped = land and h_step < h_work
 
         if not np.all(np.isfinite(w_hi)):
             raise NonFiniteState(f"{p.name}: state not finite after step at x={x}")

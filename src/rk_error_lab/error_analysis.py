@@ -95,14 +95,12 @@ class BetaTracker:
 
     count: int = 0
     mean_abs: float = 0.0
-    last: Optional[np.ndarray] = None
 
     def pushed(self, sample: np.ndarray) -> "BetaTracker":
         """Return a new tracker with one more sample folded into the mean."""
-        sample = np.atleast_1d(np.asarray(sample, dtype=float))
         n = self.count + 1
         mean = self.mean_abs + (inf_norm(sample) - self.mean_abs) / n
-        return BetaTracker(count=n, mean_abs=mean, last=sample)
+        return BetaTracker(count=n, mean_abs=mean)
 
 
 class ConditionCheck(NamedTuple):
@@ -112,16 +110,14 @@ class ConditionCheck(NamedTuple):
     m_ratio: float
 
 
-def local_error_exact(
-    t: ButcherTableau, p: IVProblem, x: float, h: float, tol: float = 1e-13
-) -> np.ndarray:
+def local_error_exact(t: ButcherTableau, p: IVProblem, x: float, h: float) -> np.ndarray:
     """Local error of one step of ``t`` launched from the true solution at ``x``.
 
     Returns ``[y(x) + h F(x, y(x))] - y(x + h)`` with ``y`` taken from
     ``reference_solution``.
     """
-    y_x = reference_solution(p, x, tol)
-    y_xh = reference_solution(p, x + h, tol)
+    y_x = reference_solution(p, x)
+    y_xh = reference_solution(p, x + h)
     return (y_x + h * increment_function(t, p.f, x, y_x, h)) - y_xh
 
 
@@ -168,7 +164,6 @@ def mean_beta_higher(
     p: IVProblem,
     x: float,
     h: float,
-    tol: float = 1e-13,
 ) -> BetaTracker:
     """Fold the higher-order method's error coefficient at ``(x, h)`` into the mean.
 
@@ -176,7 +171,7 @@ def mean_beta_higher(
     measured from exact input, i.e. the higher-order analogue of the
     lower-order coefficient the controller works with.
     """
-    eps_hi = local_error_exact(t_higher, p, x, h, tol)
+    eps_hi = local_error_exact(t_higher, p, x, h)
     hp = h ** (t_higher.z + 1)
     if hp == 0.0:
         raise StepUnderflow(f"h**(z+1) underflowed for h={h}, z={t_higher.z}")
@@ -237,14 +232,14 @@ def find_crossing(
     return None
 
 
-def _global_error_fixed_steps(t: ButcherTableau, p: IVProblem, h: float, tol: float):
+def _global_error_fixed_steps(t: ButcherTableau, p: IVProblem, h: float):
     span = p.x_end - p.x0
     n = max(1, round(span / h))
     h_eff = span / n
     w = np.array(p.y0, dtype=float)
     for j in range(n):
         w = rk_step(t, p.f, p.x0 + j * h_eff, w, h_eff)
-    err = w - reference_solution(p, p.x_end, tol)
+    err = w - reference_solution(p, p.x_end)
     return h_eff, err
 
 
@@ -253,7 +248,6 @@ def empirical_order(
     p: IVProblem,
     mode: str,
     h_set: Sequence[float],
-    tol: float = 1e-13,
 ) -> float:
     """Least-squares slope of log error against log stepsize.
 
@@ -278,12 +272,12 @@ def empirical_order(
     for h in hs:
         if mode == "local":
             w = rk_step(t, p.f, p.x0, p.y0, h)
-            y_ref = reference_solution(p, p.x0 + h, tol)
+            y_ref = reference_solution(p, p.x0 + h)
             err = w - y_ref
             h_used = h
         else:
-            h_used, err = _global_error_fixed_steps(t, p, h, tol)
-            y_ref = reference_solution(p, p.x_end, tol)
+            h_used, err = _global_error_fixed_steps(t, p, h)
+            y_ref = reference_solution(p, p.x_end)
         scale = max(1.0, inf_norm(y_ref))
         err_norm = inf_norm(err)
         if err_norm < 100.0 * np.finfo(float).eps * scale:

@@ -1,4 +1,4 @@
-"""Initial-value problems with exact solutions, and a high-accuracy fallback oracle."""
+"""Initial-value problems with exact solutions, and the reference oracle built on them."""
 
 from __future__ import annotations
 
@@ -8,12 +8,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rk_core import RHSFunction, classic_rk4, rk_step
+from .rk_core import RHSFunction
 
 __all__ = [
     "IVProblem",
     "UnknownProblem",
-    "OracleDivergence",
     "builtin",
     "problem_names",
     "reference_solution",
@@ -29,17 +28,13 @@ class UnknownProblem(KeyError):
     """Requested problem is not in the registry."""
 
 
-class OracleDivergence(RuntimeError):
-    """Step-halving reference solve failed to converge."""
-
-
 @dataclass(frozen=True)
 class IVProblem:
     """One initial-value problem ``y' = f(x, y)``, ``y(x0) = y0`` on ``[x0, x_end]``.
 
     ``exact``, when given, maps an abscissa to the true solution vector and
     must agree with ``y0`` at ``x0``.  Right-hand sides must be pure
-    functions of ``(x, y)``.
+    functions of ``(x, y)``.  ``x0`` and ``x_end`` must be finite.
     """
 
     name: str
@@ -51,6 +46,8 @@ class IVProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
+        if not (math.isfinite(self.x0) and math.isfinite(self.x_end)):
+            raise ValueError(f"{self.name}: x0={self.x0} and x_end={self.x_end} must be finite")
         if not self.x_end > self.x0:
             raise ValueError(f"{self.name}: x_end={self.x_end} must exceed x0={self.x0}")
         if self.exact is not None:
@@ -116,48 +113,15 @@ def problem_names() -> list[str]:
     return sorted(_PROBLEMS)
 
 
-def _fixed_step_rk4(p: IVProblem, x: float, n: int) -> np.ndarray:
-    t = classic_rk4()
-    h = (x - p.x0) / n
-    w = np.array(p.y0, dtype=float)
-    for j in range(n):
-        w = rk_step(t, p.f, p.x0 + j * h, w, h)
-    return w
+def reference_solution(p: IVProblem, x: float) -> np.ndarray:
+    """True solution at ``x`` from the problem's registered exact function.
 
-
-def reference_solution(
-    p: IVProblem, x: float, tol: float = 1e-13, *, max_halvings: int = 24
-) -> np.ndarray:
-    """True solution at ``x``: the registered exact function when present,
-    otherwise a fixed-step solve refined by step halving.
-
-    The fallback halves the step until two successive refinements agree to
-    within ``tol`` (max norm) and returns the finer one.
-
-    Raises
-    ------
-    OracleDivergence
-        If the refinements do not settle within ``max_halvings`` halvings.
+    Raises ``ValueError`` if the problem has no exact solution or ``x`` lies
+    outside its interval.
     """
-    if tol < 1e-13:
-        raise ValueError(f"tol={tol} is below the supported accuracy of 1e-13")
+    if p.exact is None:
+        raise ValueError(f"{p.name}: no exact solution to take a reference from")
     span = p.x_end - p.x0
     if not (p.x0 - 1e-12 * span <= x <= p.x_end + 1e-12 * span):
         raise ValueError(f"x={x} outside [{p.x0}, {p.x_end}]")
-    if p.exact is not None:
-        return np.atleast_1d(np.asarray(p.exact(x), dtype=float))
-    if x == p.x0:
-        return np.array(p.y0, dtype=float)
-
-    n = 8
-    coarse = _fixed_step_rk4(p, x, n)
-    for _ in range(max_halvings):
-        n *= 2
-        fine = _fixed_step_rk4(p, x, n)
-        if float(np.max(np.abs(fine - coarse))) <= tol:
-            return fine
-        coarse = fine
-    raise OracleDivergence(
-        f"{p.name}: reference solve at x={x} did not converge to {tol} "
-        f"within {max_halvings} halvings"
-    )
+    return np.atleast_1d(np.asarray(p.exact(x), dtype=float))

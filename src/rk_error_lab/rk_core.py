@@ -14,7 +14,7 @@ float64 vectors; scalar problems use length-1 vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -100,11 +100,15 @@ class ButcherTableau:
 class MethodPair:
     """A lower-order and a higher-order tableau used together for local extrapolation.
 
-    The order gap ``r = higher.z - lower.z`` must be at least 1.
+    The order gap ``r = higher.z - lower.z`` must be at least 1.  ``shared``
+    is the number of leading stages the two methods evaluate identically
+    (same abscissa and same stage-matrix row); it is derived from the
+    tableaus, and a pair attempt evaluates those stages once.
     """
 
     lower: ButcherTableau
     higher: ButcherTableau
+    shared: int = field(init=False)
 
     def __post_init__(self):
         if self.higher.z <= self.lower.z:
@@ -112,6 +116,12 @@ class MethodPair:
                 f"higher-order method must outrank the lower one: "
                 f"got z={self.lower.z} and z={self.higher.z}"
             )
+        lo, hi = self.lower, self.higher
+        n = 0
+        while (n < min(lo.m, hi.m) and lo.c[n] == hi.c[n]
+               and np.array_equal(lo.a[n, :n], hi.a[n, :n])):
+            n += 1
+        object.__setattr__(self, "shared", n)
 
     @property
     def r(self) -> int:
@@ -180,16 +190,26 @@ def increment_function(
     NonFiniteStage
         If any stage derivative contains NaN or infinity.
     """
+    return t.b @ _stages(t, f, x, np.asarray(y, dtype=float), h)
+
+
+def _stages(
+    t: ButcherTableau, f: RHSFunction, x: float, y: np.ndarray, h: float, known=()
+) -> np.ndarray:
+    """Stage derivatives of ``t`` in index order, taking the rows of ``known`` as the
+    leading stages without evaluating ``f`` (they must be shared: ``MethodPair.shared``)."""
     if h <= 0.0:
         raise ValueError(f"stepsize must be positive, got {h}")
-    y = np.asarray(y, dtype=float)
+    n = len(known)
     k = np.empty((t.m,) + y.shape, dtype=float)
-    for p in range(t.m):
+    if n:
+        k[:n] = known
+    for p in range(n, t.m):
         y_stage = y + h * (t.a[p, :p] @ k[:p])
         k[p] = f(x + t.c[p] * h, y_stage)
         if not np.all(np.isfinite(k[p])):
             raise NonFiniteStage(f"{t.name}: stage {p + 1} is not finite at x={x}, h={h}")
-    return t.b @ k
+    return k
 
 
 def rk_step(

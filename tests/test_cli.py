@@ -45,6 +45,12 @@ def test_invalid_values_exit_2(capsys):
     assert main(["--sigma", "0"]) == 2
     assert main(["--max-steps", "0"]) == 2
     assert main(["--not-a-flag"]) == 2
+    # non-finite and out-of-range values are refused where they enter
+    assert main(["--x-end", "-1"]) == 2
+    assert main(["--delta", "inf"]) == 2
+    assert main(["--delta", "nan"]) == 2
+    assert main(["--x-end", "inf"]) == 2
+    assert main(["--h-init", "nan"]) == 2
     capsys.readouterr()
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from rk_error_lab import (
+    ButcherTableau,
     ControllerConfig,
     IVProblem,
     MaxRejectsExceeded,
     MaxStepsExceeded,
+    MethodPair,
     NonFiniteStage,
     StepsizeUnderflow,
     attempt_step,
@@ -15,8 +17,11 @@ from rk_error_lab import (
     builtin_pair,
     inf_norm,
     integrate,
+    kutta3,
     propose_stepsize,
+    rk_step,
     sigma_bound,
+    validate_tableau,
 )
 
 PAIR = builtin_pair("rk3_rk4")
@@ -86,14 +91,35 @@ def test_attempt_step_beta_on_growth_problem():
     assert float(beta[0]) == pytest.approx(-9.487e-7, rel=1e-3)
 
 
+def rk4_three_eighths():
+    # shares only its first stage with Kutta's method (c2 = 1/3, not 1/2)
+    return validate_tableau(ButcherTableau(
+        name="rk4_38", m=4,
+        a=[[0.0, 0.0, 0.0, 0.0], [1 / 3, 0.0, 0.0, 0.0],
+           [-1 / 3, 1.0, 0.0, 0.0], [1.0, -1.0, 1.0, 0.0]],
+        b=[1 / 8, 3 / 8, 3 / 8, 1 / 8], c=[0.0, 1 / 3, 2 / 3, 1.0], z=4))
+
+
 def test_attempt_step_shares_the_input_state():
-    # both candidates must start from the same propagated state
-    p = builtin("decay")
-    w_in = np.array([0.37])
-    w_lo, w_hi, _ = attempt_step(PAIR, p.f, 1.0, w_in, 0.05)
-    from rk_error_lab import rk_step
-    assert np.array_equal(w_lo, rk_step(PAIR.lower, p.f, 1.0, w_in, 0.05))
-    assert np.array_equal(w_hi, rk_step(PAIR.higher, p.f, 1.0, w_in, 0.05))
+    # both candidates start from the same propagated state, the shared
+    # leading stages are evaluated once, and each result is bit-identical
+    # to a separate step of its method
+    assert builtin_pair("rk3_rk4").shared == 2
+    three_eighths = MethodPair(lower=kutta3(), higher=rk4_three_eighths())
+    assert three_eighths.shared == 1
+    calls = []
+
+    def f(x, y):
+        calls.append(x)
+        return np.array([-y[0] + x * y[1], y[0] * y[1]])
+
+    w_in = np.array([0.37, -1.2])
+    for pair, evals in ((PAIR, 5), (three_eighths, 6)):
+        calls.clear()
+        w_lo, w_hi, _ = attempt_step(pair, f, 1.0, w_in, 0.05)
+        assert len(calls) == evals
+        assert np.array_equal(w_lo, rk_step(pair.lower, f, 1.0, w_in, 0.05))
+        assert np.array_equal(w_hi, rk_step(pair.higher, f, 1.0, w_in, 0.05))
 
 
 # --- config validation --------------------------------------------------------------
@@ -111,6 +137,10 @@ def test_config_invariants():
         ControllerConfig(h_min=0.5, h_max=0.1)
     with pytest.raises(ValueError):
         ControllerConfig(h_init=-0.1)
+    for bad in (math.nan, math.inf):
+        for name in ("delta", "h_init", "h_min", "h_max"):
+            with pytest.raises(ValueError):
+                ControllerConfig(**{name: bad})
 
 
 # --- integrate: basic behavior ------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from rk_error_lab import (
     GROWTH_RATE,
     IVProblem,
-    OracleDivergence,
     UnknownProblem,
     builtin,
     problem_names,
@@ -53,6 +52,9 @@ def test_inconsistent_exact_rejected():
 def test_interval_must_be_forward():
     with pytest.raises(ValueError):
         IVProblem(name="bad", f=lambda x, y: y, x0=1.0, y0=[1.0], x_end=1.0)
+    for x0, x_end in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            IVProblem(name="bad", f=lambda x, y: y, x0=x0, y0=[1.0], x_end=x_end)
 
 
 @pytest.mark.parametrize("name", ["decay", "paper_exponential", "riccati_simple"])
@@ -75,33 +77,13 @@ def test_reference_is_bitwise_exact_when_closed_form_exists():
     assert float(reference_solution(p, 50.0)[0]) == pytest.approx(10.0 ** 1.5, rel=1e-13)
 
 
-def test_reference_at_start_returns_initial_state():
+def test_reference_requires_exact_solution():
     p = IVProblem(name="noexact", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=2.0)
-    assert np.array_equal(reference_solution(p, 0.0), p.y0)
-
-
-def test_reference_quadrature_of_constant():
-    p = IVProblem(name="unit_slope", f=lambda x, y: np.ones_like(y),
-                  x0=0.0, y0=[0.0], x_end=3.0)
-    out = reference_solution(p, 2.0, 1e-13)
-    assert float(out[0]) == pytest.approx(2.0, abs=1e-13)
-
-
-def test_reference_step_halving_accuracy():
-    p = IVProblem(name="noexact_decay", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=2.0)
-    out = reference_solution(p, 1.0, 1e-13)
-    assert float(out[0]) == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-
-def test_reference_divergence_reported():
-    p = IVProblem(name="noexact_decay", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=5.0)
-    with pytest.raises(OracleDivergence):
-        reference_solution(p, 5.0, 1e-13, max_halvings=1)
+    with pytest.raises(ValueError):
+        reference_solution(p, 0.0)
 
 
 def test_reference_rejects_bad_arguments():
     p = builtin("decay")
-    with pytest.raises(ValueError):
-        reference_solution(p, 1.0, 1e-14)
     with pytest.raises(ValueError):
         reference_solution(p, 11.0)
