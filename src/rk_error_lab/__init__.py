@@ -14,6 +14,7 @@ from .controller import (
     MaxRejectsExceeded,
     MaxStepsExceeded,
     NonFiniteState,
+    StepsizeOutOfRange,
     StepsizeUnderflow,
     Trace,
     TraceSummary,

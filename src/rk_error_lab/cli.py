@@ -27,6 +27,7 @@ from .controller import (
     MaxRejectsExceeded,
     MaxStepsExceeded,
     NonFiniteState,
+    StepsizeOutOfRange,
     StepsizeUnderflow,
     Trace,
     integrate,
@@ -258,8 +259,12 @@ def run(spec: RunSpec) -> int:
 
     try:
         trace = integrate(pair, problem, cfg)
+    except StepsizeOutOfRange as exc:
+        # the default h_min/h_max are only known once the problem is resolved
+        print(f"rk-error-lab: error: {exc}", file=sys.stderr)
+        return 2
     except (StepsizeUnderflow, MaxStepsExceeded, MaxRejectsExceeded, NonFiniteState,
-            NonFiniteStage, ValueError) as exc:
+            NonFiniteStage) as exc:
         print(f"rk-error-lab: integration failed: {exc}", file=sys.stderr)
         return 4
 

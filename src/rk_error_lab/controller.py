@@ -24,17 +24,17 @@ import numpy as np
 from .error_analysis import (
     BetaTracker,
     StepRecord,
-    alpha_propagation_term,
+    _alpha_term,
+    _local_error,
+    _pushed_beta,
     condition_check,
     estimate_beta,
     find_crossing,
     inf_norm,
-    local_error_exact,
-    mean_beta_higher,
     sigma_bound,
 )
 from .problems import IVProblem, reference_solution
-from .rk_core import MethodPair, RHSFunction, _stages
+from .rk_core import MethodPair, RHSFunction, _pair_increments
 
 __all__ = [
     "ControllerConfig",
@@ -45,6 +45,7 @@ __all__ = [
     "MaxStepsExceeded",
     "MaxRejectsExceeded",
     "NonFiniteState",
+    "StepsizeOutOfRange",
     "propose_stepsize",
     "attempt_step",
     "integrate",
@@ -67,6 +68,10 @@ class MaxRejectsExceeded(RuntimeError):
 
 class NonFiniteState(ArithmeticError):
     """Propagated state left the finite range."""
+
+
+class StepsizeOutOfRange(ValueError):
+    """The given initial stepsize lies outside the resolved ``[h_min, h_max]``."""
 
 
 @dataclass(frozen=True)
@@ -153,28 +158,30 @@ def attempt_step(
     w_higher) / h**(z+1)`` for the lower method's order ``z``.
     """
     y = np.asarray(w_higher_in, dtype=float)
-    k_lower = _stages(pair.lower, f, x, y, h)
-    k_higher = _stages(pair.higher, f, x, y, h, k_lower[:pair.shared])
-    w_lower = y + h * (pair.lower.b @ k_lower)
-    w_higher = y + h * (pair.higher.b @ k_higher)
-    beta = estimate_beta(w_lower, w_higher, h, pair.lower.z)
-    return w_lower, w_higher, beta
+    inc_lower, inc_higher = _pair_increments(pair, f, x, y, h)
+    w_lower = y + h * inc_lower
+    w_higher = y + h * inc_higher
+    return w_lower, w_higher, estimate_beta(w_lower, w_higher, h, pair.lower.z)
 
 
 def _resolve_config(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> ControllerConfig:
-    """Fill in stepsize limits from the problem and probe an initial stepsize."""
+    """Fill in stepsize limits from the problem and probe an initial stepsize.
+
+    Raises ``StepsizeOutOfRange`` if a given ``h_init`` lies outside the
+    resolved limits (a probed one is clamped into them).
+    """
     span = p.x_end - p.x0
     h_min = cfg.h_min if cfg.h_min is not None else 1e-12 * span
     h_max = cfg.h_max if cfg.h_max is not None else span / 10.0
-    resolved = replace(cfg, h_min=h_min, h_max=h_max, h_init=cfg.h_init)
+    if cfg.h_init is not None and not h_min <= cfg.h_init <= h_max:
+        raise StepsizeOutOfRange(
+            f"h_init={cfg.h_init} outside [h_min={h_min}, h_max={h_max}]"
+        )
+    resolved = replace(cfg, h_min=h_min, h_max=h_max)
     if resolved.h_init is None:
         _, _, beta = attempt_step(pair, p.f, p.x0, p.y0, span / 100.0)
         h_init = propose_stepsize(inf_norm(beta), resolved, pair.lower.z)
         resolved = replace(resolved, h_init=h_init)
-    if not h_min <= resolved.h_init <= h_max:
-        raise ValueError(
-            f"h_init={resolved.h_init} outside [h_min={h_min}, h_max={h_max}]"
-        )
     return resolved
 
 
@@ -188,6 +195,11 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     those fields are ``None`` and only the controller's own estimate is
     recorded.  The last step is shortened so the final abscissa equals
     ``x_end`` exactly.
+
+    The oracle reuses the accepted attempt's lower increment, evaluates the
+    pair once from the exact state, and carries ``y(x_next)`` on as the next
+    ``y(x)``; its fields are bit-identical to ``local_error_exact``,
+    ``alpha_propagation_term`` and ``mean_beta_higher``.
     """
     cfg = _resolve_config(pair, p, cfg)
     z, r = pair.lower.z, pair.r
@@ -197,6 +209,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
 
     x = p.x0
     w = np.array(p.y0, dtype=float)
+    y_x = reference_solution(p, x) if has_oracle else None
     h_work = cfg.h_init
     tracker = BetaTracker()
     records: list[StepRecord] = []
@@ -212,7 +225,11 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             land = (p.x_end - x) <= h_work
             h_step = p.x_end - x if land else h_work
             clamped = land and h_step < h_work
-            w_lo, w_hi, beta = attempt_step(pair, p.f, x, w, h_step)
+            # attempt_step, inlined: the oracle reuses the lower increment
+            inc_lo, inc_hi = _pair_increments(pair, p.f, x, w, h_step)
+            w_lo = w + h_step * inc_lo
+            w_hi = w + h_step * inc_hi
+            beta = estimate_beta(w_lo, w_hi, h_step, z)
             beta_norm = inf_norm(beta)
             est = beta_norm * h_step ** (z + 1)
             if est < delta:
@@ -240,15 +257,20 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         cond_rhs = cond_holds = None
         cond_lhs = est
         if has_oracle:
-            y_in = reference_solution(p, x)
-            y_out = reference_solution(p, x_next)
-            eps_lo = local_error_exact(pair.lower, p, x, h_step)
-            d_lo = w_lo - y_out
-            d_hi = w_hi - y_out
-            a_term = alpha_propagation_term(pair.lower, p.f, x, y_in, w, h_step)
-            tracker = mean_beta_higher(tracker, pair.higher, p, x, h_step)
+            y_next = y_xh = reference_solution(p, x_next)
+            if x + h_step != x_next:  # a clamped landing can miss x_end in the last bit
+                y_xh = reference_solution(p, x + h_step)
+            exact_lo, exact_hi = _pair_increments(pair, p.f, x, y_x, h_step)
+            eps_lo = _local_error(y_x, exact_lo, y_xh, h_step)
+            d_lo = w_lo - y_next
+            d_hi = w_hi - y_next
+            a_term = _alpha_term(y_x, w, inc_lo, exact_lo, h_step)
+            tracker = _pushed_beta(
+                tracker, _local_error(y_x, exact_hi, y_xh, h_step), h_step, pair.higher.z
+            )
             cond = condition_check(i, beta, tracker, h_step, z)
             cond_lhs, cond_rhs, cond_holds = cond.lhs, cond.rhs, cond.holds
+            y_x = y_next
 
         records.append(
             StepRecord(

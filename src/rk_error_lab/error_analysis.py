@@ -58,7 +58,7 @@ class DegenerateFit(RuntimeError):
 
 def inf_norm(v) -> float:
     """Max-norm used for every scalar magnitude derived from a state vector."""
-    return float(np.max(np.abs(np.asarray(v, dtype=float))))
+    return float(np.abs(np.asarray(v, dtype=float)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +118,12 @@ def local_error_exact(t: ButcherTableau, p: IVProblem, x: float, h: float) -> np
     """
     y_x = reference_solution(p, x)
     y_xh = reference_solution(p, x + h)
-    return (y_x + h * increment_function(t, p.f, x, y_x, h)) - y_xh
+    return _local_error(y_x, increment_function(t, p.f, x, y_x, h), y_xh, h)
+
+
+def _local_error(y_x: np.ndarray, inc: np.ndarray, y_xh: np.ndarray, h: float) -> np.ndarray:
+    """``[y(x) + h F] - y(x + h)`` for the increment ``F`` already evaluated at ``y(x)``."""
+    return (y_x + h * inc) - y_xh
 
 
 def estimate_beta(w_lower, w_higher, h: float, z: int) -> np.ndarray:
@@ -151,11 +156,17 @@ def alpha_propagation_term(
     """
     y_exact = np.asarray(y_exact, dtype=float)
     w_higher = np.asarray(w_higher, dtype=float)
-    d = w_higher - y_exact
-    return d + h * (
-        increment_function(t_lower, f, x, w_higher, h)
-        - increment_function(t_lower, f, x, y_exact, h)
-    )
+    inc_w = increment_function(t_lower, f, x, w_higher, h)
+    return _alpha_term(y_exact, w_higher, inc_w, increment_function(t_lower, f, x, y_exact, h), h)
+
+
+def _alpha_term(
+    y_exact: np.ndarray, w: np.ndarray, inc_w: np.ndarray, inc_exact: np.ndarray, h: float
+) -> np.ndarray:
+    """``d + h * [F(x, w) - F(x, y_exact)]`` with ``d = w - y_exact``, for increments
+    already evaluated at both states."""
+    d = w - y_exact
+    return d + h * (inc_w - inc_exact)
 
 
 def mean_beta_higher(
@@ -171,11 +182,15 @@ def mean_beta_higher(
     measured from exact input, i.e. the higher-order analogue of the
     lower-order coefficient the controller works with.
     """
-    eps_hi = local_error_exact(t_higher, p, x, h)
-    hp = h ** (t_higher.z + 1)
+    return _pushed_beta(tracker, local_error_exact(t_higher, p, x, h), h, t_higher.z)
+
+
+def _pushed_beta(tracker: BetaTracker, eps: np.ndarray, h: float, z: int) -> BetaTracker:
+    """Fold the coefficient ``eps / h**(z+1)`` of a measured local error into ``tracker``."""
+    hp = h ** (z + 1)
     if hp == 0.0:
-        raise StepUnderflow(f"h**(z+1) underflowed for h={h}, z={t_higher.z}")
-    return tracker.pushed(eps_hi / hp)
+        raise StepUnderflow(f"h**(z+1) underflowed for h={h}, z={z}")
+    return tracker.pushed(eps / hp)
 
 
 def condition_check(

@@ -197,7 +197,11 @@ def _stages(
     t: ButcherTableau, f: RHSFunction, x: float, y: np.ndarray, h: float, known=()
 ) -> np.ndarray:
     """Stage derivatives of ``t`` in index order, taking the rows of ``known`` as the
-    leading stages without evaluating ``f`` (they must be shared: ``MethodPair.shared``)."""
+    leading stages without evaluating ``f`` (they must be shared: ``MethodPair.shared``).
+
+    Finiteness is checked once, over the evaluated rows, after the loop: the
+    stages after a non-finite one are evaluated too, and the error names the
+    first non-finite stage."""
     if h <= 0.0:
         raise ValueError(f"stepsize must be positive, got {h}")
     n = len(known)
@@ -205,11 +209,26 @@ def _stages(
     if n:
         k[:n] = known
     for p in range(n, t.m):
-        y_stage = y + h * (t.a[p, :p] @ k[:p])
-        k[p] = f(x + t.c[p] * h, y_stage)
-        if not np.all(np.isfinite(k[p])):
-            raise NonFiniteStage(f"{t.name}: stage {p + 1} is not finite at x={x}, h={h}")
+        k[p] = f(x + t.c[p] * h, y + h * (t.a[p, :p] @ k[:p]))
+    if not np.isfinite(k[n:]).all():
+        finite = np.isfinite(k[n:]).reshape(t.m - n, -1).all(axis=1)
+        p = n + int(np.argmin(finite))
+        raise NonFiniteStage(f"{t.name}: stage {p + 1} is not finite at x={x}, h={h}")
     return k
+
+
+def _pair_increments(
+    pair: MethodPair, f: RHSFunction, x: float, y: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Increments ``(F_lower, F_higher)`` of both methods of ``pair`` from ``(x, y)``.
+
+    The ``pair.shared`` leading stages are evaluated once, by the lower
+    method, and handed to the higher one.  Each increment is bit-identical to
+    ``increment_function`` of its method.
+    """
+    k_lower = _stages(pair.lower, f, x, y, h)
+    k_higher = _stages(pair.higher, f, x, y, h, k_lower[:pair.shared])
+    return pair.lower.b @ k_lower, pair.higher.b @ k_higher
 
 
 def rk_step(

@@ -51,6 +51,9 @@ def test_invalid_values_exit_2(capsys):
     assert main(["--delta", "nan"]) == 2
     assert main(["--x-end", "inf"]) == 2
     assert main(["--h-init", "nan"]) == 2
+    # outside the limits resolved from the problem, [1e-10, 10] by default
+    assert main(["--h-init", "1000"]) == 2
+    assert main(["--h-init", "1e-300"]) == 2
     capsys.readouterr()
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from rk_error_lab import (
+    BetaTracker,
     ButcherTableau,
     ControllerConfig,
     IVProblem,
@@ -11,14 +13,21 @@ from rk_error_lab import (
     MaxStepsExceeded,
     MethodPair,
     NonFiniteStage,
+    StepsizeOutOfRange,
     StepsizeUnderflow,
+    alpha_propagation_term,
     attempt_step,
     builtin,
     builtin_pair,
+    condition_check,
     inf_norm,
     integrate,
     kutta3,
+    local_error_exact,
+    mean_beta_higher,
+    problem_names,
     propose_stepsize,
+    reference_solution,
     rk_step,
     sigma_bound,
     validate_tableau,
@@ -212,9 +221,75 @@ def test_no_oracle_problem_records_controller_fields_only():
         assert rec.beta_lower is not None
 
 
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _sine_across_zero():
+    # x0 < 0 < x_end: the clamped last step's x + h misses x_end in the last
+    # bit, and y = sin(x) ~ x there, so y(x + h) differs from y(x_end)
+    return IVProblem(name="sine_across_zero", f=lambda x, y: np.full_like(y, math.cos(x)),
+                     x0=-3.0, y0=[math.sin(-3.0)], x_end=1e-3,
+                     exact=lambda x: np.array([math.sin(x)]))
+
+
+@pytest.mark.parametrize("policy", ["proportional", "reject-only"])
+@pytest.mark.parametrize("name", problem_names() + ["sine_across_zero"])
+def test_oracle_fields_match_the_public_reference_functions(name, policy):
+    # integrate reuses the attempt's stages and the previous step's y(x);
+    # every oracle field must still equal its public reference bit for bit
+    p = _sine_across_zero() if name == "sine_across_zero" else builtin(name)
+    trace = integrate(PAIR, p, flagship_config(policy=policy))
+    x_prev, w_prev = p.x0, p.y0
+    tracker = BetaTracker()
+    for rec in trace.records:
+        h = rec.h
+        assert _bits(rec.eps_lower) == _bits(local_error_exact(PAIR.lower, p, x_prev, h))
+        y_prev = reference_solution(p, x_prev)
+        alpha = alpha_propagation_term(PAIR.lower, p.f, x_prev, y_prev, w_prev, h)
+        assert _bits(rec.alpha_term) == _bits(alpha)
+        tracker = mean_beta_higher(tracker, PAIR.higher, p, x_prev, h)
+        cond = condition_check(rec.i, rec.beta_lower, tracker, h, PAIR.lower.z)
+        assert rec.cond_rhs.hex() == cond.rhs.hex()
+        x_prev, w_prev = rec.x, rec.w_higher
+    assert trace.records[-1].clamped and x_prev == p.x_end
+    landing = trace.records[-2].x + trace.records[-1].h
+    assert (landing != p.x_end) == (name == "sine_across_zero")
+
+
+@pytest.mark.parametrize("problem", [builtin("paper_exponential"), _sine_across_zero()])
+def test_oracle_evaluation_counts(problem):
+    # an accepted step costs 5 evaluations for the attempt and 5 for the
+    # oracle, and one lookup of y(x_next); the start and a landing step
+    # whose x + h misses x_end add one lookup each
+    calls = {"f": 0, "exact": 0}
+
+    def f(x, y):
+        calls["f"] += 1
+        return problem.f(x, y)
+
+    def exact(x):
+        calls["exact"] += 1
+        return problem.exact(x)
+
+    for oracle in (True, False):
+        p = dataclasses.replace(problem, f=f, exact=exact if oracle else None)
+        calls.update(f=0, exact=0)
+        trace = integrate(PAIR, p, flagship_config())
+        s, last = trace.summary, trace.records[-1]
+        attempts = 1 + s.accepted + s.rejected  # the probe, then every trial
+        assert calls["f"] == 5 * attempts + (5 * s.accepted if oracle else 0)
+        missed = trace.records[-2].x + last.h != last.x
+        assert calls["exact"] == (s.accepted + 1 + missed if oracle else 0)
+
+
 def test_h_init_override_is_used():
     trace = integrate(PAIR, builtin("decay"), flagship_config(h_init=0.01))
     assert trace.records[0].h == 0.01
+    # decay's default limits are [1e-11, 1]
+    for h_init in (1.5, 1e-12):
+        with pytest.raises(StepsizeOutOfRange):
+            integrate(PAIR, builtin("decay"), flagship_config(h_init=h_init))
 
 
 def test_reject_only_policy_keeps_stepsize():
