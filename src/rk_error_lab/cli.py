@@ -125,8 +125,7 @@ def _fmt_float(v: float) -> str:
 def _fmt_state(v: Optional[np.ndarray]) -> str:
     if v is None:
         return ""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return ";".join(_fmt_float(c) for c in v)
+    return ";".join(map(_fmt_float, np.asarray(v, dtype=float).ravel().tolist()))
 
 
 def _fmt_bool(v: Optional[bool]) -> str:

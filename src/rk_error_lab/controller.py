@@ -25,9 +25,9 @@ from .error_analysis import (
     BetaTracker,
     StepRecord,
     _alpha_term,
+    _condition,
     _local_error,
     _pushed_beta,
-    condition_check,
     estimate_beta,
     find_crossing,
     inf_norm,
@@ -168,11 +168,24 @@ def _resolve_config(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Co
     """Fill in stepsize limits from the problem and probe an initial stepsize.
 
     Raises ``StepsizeOutOfRange`` if a given ``h_init`` lies outside the
-    resolved limits (a probed one is clamped into them).
+    resolved limits (a probed one is clamped into them), or if the largest
+    stepsize the run may try is so large that ``h**(z+1)`` overflows for the
+    higher method's order ``z``.
     """
     span = p.x_end - p.x0
     h_min = cfg.h_min if cfg.h_min is not None else 1e-12 * span
     h_max = cfg.h_max if cfg.h_max is not None else span / 10.0
+    # no step is longer than h_max or the span (the last one lands on x_end);
+    # the probe takes span / 100
+    h_top = min(h_max, span)
+    if cfg.h_init is None:
+        h_top = max(h_top, span / 100.0)
+    try:
+        h_top ** (pair.higher.z + 1)
+    except OverflowError:
+        raise StepsizeOutOfRange(
+            f"stepsize {h_top} too large: h**{pair.higher.z + 1} overflows"
+        ) from None
     if cfg.h_init is not None and not h_min <= cfg.h_init <= h_max:
         raise StepsizeOutOfRange(
             f"h_init={cfg.h_init} outside [h_min={h_min}, h_max={h_max}]"
@@ -234,6 +247,9 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             est = beta_norm * h_step ** (z + 1)
             if est < delta:
                 break
+            # an accepted state is finite: a NaN or inf in w_lo or w_hi makes est NaN or inf
+            if not np.isfinite(w_hi).all():
+                raise NonFiniteState(f"{p.name}: state not finite after step at x={x}")
             rejects += 1
             rejected_total += 1
             if rejects > cfg.max_rejects:
@@ -246,9 +262,6 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
                     f"{p.name}: required stepsize {raw} below h_min={cfg.h_min} at x={x}"
                 )
             h_work = min(raw, cfg.h_max)
-
-        if not np.all(np.isfinite(w_hi)):
-            raise NonFiniteState(f"{p.name}: state not finite after step at x={x}")
 
         x_next = p.x_end if land else x + h_step
         i = len(records) + 1
@@ -268,7 +281,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             tracker = _pushed_beta(
                 tracker, _local_error(y_x, exact_hi, y_xh, h_step), h_step, pair.higher.z
             )
-            cond = condition_check(i, beta, tracker, h_step, z)
+            cond = _condition(i, est, tracker, h_step, z)
             cond_lhs, cond_rhs, cond_holds = cond.lhs, cond.rhs, cond.holds
             y_x = y_next
 

@@ -205,7 +205,11 @@ def condition_check(
     while ``i < m_ratio``; with an empty mean the ratio is infinite and the
     check holds by convention.
     """
-    lhs = inf_norm(beta_lower) * h ** (z + 1)
+    return _condition(i, inf_norm(beta_lower) * h ** (z + 1), tracker, h, z)
+
+
+def _condition(i: int, lhs: float, tracker: BetaTracker, h: float, z: int) -> ConditionCheck:
+    """``condition_check`` for a left-hand side ``|beta_lower| * h**(z+1)`` already formed."""
     denom = tracker.mean_abs * h ** (z + 2)
     rhs = i * denom
     m_ratio = lhs / denom if denom > 0.0 else math.inf

@@ -10,11 +10,17 @@ applied to ``y' = f(x, y)`` is
 Only explicit methods are supported: ``a`` must be strictly lower
 triangular, so the stages can be evaluated in index order.  States are flat
 float64 vectors; scalar problems use length-1 vectors.
+
+Each stage argument ``y + h * (a_p1 k_1 + a_p2 k_2 + ...)`` is summed in
+index order over the nonzero coefficients of its row only
+(``ButcherTableau.stage_rows``), so it does not depend on the BLAS in use.
+Only the weighted sum ``b @ k`` goes through BLAS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -95,6 +101,18 @@ class ButcherTableau:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
 
+    @cached_property
+    def stage_rows(self) -> tuple[tuple[float, tuple[tuple[int, float], ...]], ...]:
+        """``(c_p, ((q, a_pq), ...))`` for each stage ``p``, as Python floats, listing
+        only the nonzero ``a_pq`` in index order.  Derived on first use, so
+        ``validate_tableau`` still refuses a malformed tableau; the stage loop
+        and ``MethodPair.shared`` both read it."""
+        return tuple(
+            (float(self.c[p]),
+             tuple((q, float(self.a[p, q])) for q in range(p) if self.a[p, q] != 0.0))
+            for p in range(self.m)
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class MethodPair:
@@ -102,8 +120,9 @@ class MethodPair:
 
     The order gap ``r = higher.z - lower.z`` must be at least 1.  ``shared``
     is the number of leading stages the two methods evaluate identically
-    (same abscissa and same stage-matrix row); it is derived from the
-    tableaus, and a pair attempt evaluates those stages once.
+    (equal ``stage_rows``: same abscissa and same nonzero stage-matrix
+    entries); it is derived from the tableaus, and a pair attempt evaluates
+    those stages once.
     """
 
     lower: ButcherTableau
@@ -116,10 +135,10 @@ class MethodPair:
                 f"higher-order method must outrank the lower one: "
                 f"got z={self.lower.z} and z={self.higher.z}"
             )
-        lo, hi = self.lower, self.higher
         n = 0
-        while (n < min(lo.m, hi.m) and lo.c[n] == hi.c[n]
-               and np.array_equal(lo.a[n, :n], hi.a[n, :n])):
+        for lo, hi in zip(self.lower.stage_rows, self.higher.stage_rows):
+            if lo != hi:
+                break
             n += 1
         object.__setattr__(self, "shared", n)
 
@@ -199,20 +218,27 @@ def _stages(
     """Stage derivatives of ``t`` in index order, taking the rows of ``known`` as the
     leading stages without evaluating ``f`` (they must be shared: ``MethodPair.shared``).
 
-    Finiteness is checked once, over the evaluated rows, after the loop: the
-    stages after a non-finite one are evaluated too, and the error names the
-    first non-finite stage."""
+    The stage arguments come from ``t.stage_rows`` (a stage whose row has no
+    nonzero entry receives ``y`` itself).  Finiteness is checked once, over
+    the evaluated rows, after the loop: the stages after a non-finite one are
+    evaluated too, and the error names the first non-finite stage."""
     if h <= 0.0:
         raise ValueError(f"stepsize must be positive, got {h}")
     n = len(known)
     k = np.empty((t.m,) + y.shape, dtype=float)
     if n:
         k[:n] = known
+    rows = t.stage_rows
     for p in range(n, t.m):
-        k[p] = f(x + t.c[p] * h, y + h * (t.a[p, :p] @ k[:p]))
-    if not np.isfinite(k[n:]).all():
-        finite = np.isfinite(k[n:]).reshape(t.m - n, -1).all(axis=1)
-        p = n + int(np.argmin(finite))
+        c_p, row = rows[p]
+        s = None
+        for q, a in row:
+            term = a * k[q]
+            s = term if s is None else s + term
+        k[p] = f(x + c_p * h, y if s is None else y + h * s)
+    finite = np.isfinite(k[n:])
+    if np.count_nonzero(finite) != finite.size:
+        p = n + int(np.argmin(finite.reshape(t.m - n, -1).all(axis=1)))
         raise NonFiniteStage(f"{t.name}: stage {p + 1} is not finite at x={x}, h={h}")
     return k
 

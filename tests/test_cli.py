@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -54,6 +56,10 @@ def test_invalid_values_exit_2(capsys):
     # outside the limits resolved from the problem, [1e-10, 10] by default
     assert main(["--h-init", "1000"]) == 2
     assert main(["--h-init", "1e-300"]) == 2
+    # a span so large that h_max**5 overflows a float
+    assert main(["--x-end", "1e100"]) == 2
+    assert main(["--x-end", "1e105"]) == 2
+    assert main(["--problem", "decay", "--x-end", "1e100"]) == 2
     capsys.readouterr()
 
 
@@ -70,6 +76,8 @@ def test_integrator_failure_exits_4(capsys):
     assert "failed" in capsys.readouterr().err
     # accepted-step cap hit before x_end
     assert main(["--max-steps", "5", "--quiet"]) == 4
+    # a huge span whose h_max**5 still fits: the probed stepsize is below h_min
+    assert main(["--x-end", "1e60", "--quiet"]) == 4
     capsys.readouterr()
 
 
@@ -122,6 +130,50 @@ def test_policy_sensitivity_regression_anchors(tmp_path):
     assert out["reject-only"]["crossing_index"] == 44
     assert out["reject-only"]["crossing_x"] == 11.278686635103092
     assert out["reject-only"]["crossing_x"] != out["proportional"]["crossing_x"]
+
+
+# SHA-256 of the write_trace_csv bytes at delta=1e-8, by (problem, policy, with
+# exact solution); a change that moves any bit of a trace moves its digest
+TRACE_SHA256 = {
+    ("paper_exponential", "proportional", True):
+        "cc7107a2a7c447fbe4e6c91c01f3edabe6281e540bcce9bc7fb9f2cf90578283",
+    ("paper_exponential", "proportional", False):
+        "9ecd8cc7efbd07a030954f1dea42c48b85aba72a72a31650e07b1c4ed83c5f68",
+    ("paper_exponential", "reject-only", True):
+        "ff915aa8352aa1be64d1644f1bac07409ad677529fd37ac65df790aac11ed45f",
+    ("paper_exponential", "reject-only", False):
+        "b1718e6c6be4877d28b00db4492b7fad79e0dd541a2db8de0d4906203149856e",
+    ("decay", "proportional", True):
+        "88282a9b39568cc67e17aa695912960f002bf3dae4ca76405a0530309b40615c",
+    ("decay", "proportional", False):
+        "3ea9aa3a97237c2533ba2a4ed5505b3714ef34c189574a877090bf8880c019cf",
+    ("decay", "reject-only", True):
+        "086625b3162f1031d569c3edff4d8d51031045ce3da5f001cf5f37a20f418b4a",
+    ("decay", "reject-only", False):
+        "2557babb64423e68fab7b2fe892c25a766526d63f0a9035eaad80336ac68bdbd",
+    ("riccati_simple", "proportional", True):
+        "dc35f7f56a14ee204fdc141c3977de37b56ad93c38d61a0ad75c1a854d2ad934",
+    ("riccati_simple", "proportional", False):
+        "d1fcb63dd119606a5e31960eeb08fbf7b8f3f28fea0b81ce682bb9492b7420d4",
+    ("riccati_simple", "reject-only", True):
+        "bc1e207e88b3b6d7ba9563240313c8f8b430788855d454e8db76460a5570817a",
+    ("riccati_simple", "reject-only", False):
+        "c24a4eb7cd61344f5e2f20a6033f643c23ffab65ad514e20e96b85be8ca32829",
+}
+
+
+def test_trace_bytes_are_pinned(tmp_path):
+    path = tmp_path / "trace.csv"
+    moved = []
+    for (name, policy, with_exact), digest in TRACE_SHA256.items():
+        p = builtin(name)
+        if not with_exact:
+            p = dataclasses.replace(p, exact=None)
+        write_trace_csv(integrate(PAIR, p, ControllerConfig(delta=1e-8, policy=policy)),
+                        str(path))
+        if hashlib.sha256(path.read_bytes()).hexdigest() != digest:
+            moved.append((name, policy, with_exact))
+    assert moved == []
 
 
 def test_no_crossing_reported_as_null(tmp_path, capsys):

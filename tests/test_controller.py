@@ -6,13 +6,13 @@ import pytest
 
 from rk_error_lab import (
     BetaTracker,
-    ButcherTableau,
     ControllerConfig,
     IVProblem,
     MaxRejectsExceeded,
     MaxStepsExceeded,
     MethodPair,
     NonFiniteStage,
+    NonFiniteState,
     StepsizeOutOfRange,
     StepsizeUnderflow,
     alpha_propagation_term,
@@ -30,7 +30,6 @@ from rk_error_lab import (
     reference_solution,
     rk_step,
     sigma_bound,
-    validate_tableau,
 )
 
 PAIR = builtin_pair("rk3_rk4")
@@ -100,22 +99,11 @@ def test_attempt_step_beta_on_growth_problem():
     assert float(beta[0]) == pytest.approx(-9.487e-7, rel=1e-3)
 
 
-def rk4_three_eighths():
-    # shares only its first stage with Kutta's method (c2 = 1/3, not 1/2)
-    return validate_tableau(ButcherTableau(
-        name="rk4_38", m=4,
-        a=[[0.0, 0.0, 0.0, 0.0], [1 / 3, 0.0, 0.0, 0.0],
-           [-1 / 3, 1.0, 0.0, 0.0], [1.0, -1.0, 1.0, 0.0]],
-        b=[1 / 8, 3 / 8, 3 / 8, 1 / 8], c=[0.0, 1 / 3, 2 / 3, 1.0], z=4))
-
-
-def test_attempt_step_shares_the_input_state():
+def test_attempt_step_shares_the_input_state(rk4_three_eighths):
     # both candidates start from the same propagated state, the shared
     # leading stages are evaluated once, and each result is bit-identical
     # to a separate step of its method
-    assert builtin_pair("rk3_rk4").shared == 2
-    three_eighths = MethodPair(lower=kutta3(), higher=rk4_three_eighths())
-    assert three_eighths.shared == 1
+    three_eighths = MethodPair(lower=kutta3(), higher=rk4_three_eighths)
     calls = []
 
     def f(x, y):
@@ -292,6 +280,18 @@ def test_h_init_override_is_used():
             integrate(PAIR, builtin("decay"), flagship_config(h_init=h_init))
 
 
+def test_stepsize_whose_power_overflows_is_refused():
+    # h**5 overflows a float above about 4.5e61
+    huge = builtin("decay").with_x_end(1e100)
+    with pytest.raises(StepsizeOutOfRange):
+        integrate(PAIR, huge, flagship_config())
+    with pytest.raises(StepsizeOutOfRange):  # the probe, at span / 100
+        integrate(PAIR, huge, flagship_config(h_max=1.0))
+    # no step is longer than the span, so a huge h_max on a short one is fine
+    trace = integrate(PAIR, builtin("decay"), flagship_config(h_max=1e100))
+    assert trace.summary.final_x == 10.0
+
+
 def test_reject_only_policy_keeps_stepsize():
     trace = integrate(PAIR, builtin("paper_exponential"),
                       flagship_config(policy="reject-only"))
@@ -376,6 +376,16 @@ def test_max_rejects_exceeded():
     with pytest.raises(MaxRejectsExceeded):
         integrate(PAIR, p, ControllerConfig(delta=1e-12, sigma=0.8, h_init=1.0,
                                             max_rejects=3))
+
+
+def test_overflowing_state_raises_nonfinite_state_at_once():
+    # the stages stay finite but y + h * increment overflows: est is NaN, so the
+    # attempt is rejected, and the first rejection names the state
+    f = lambda x, y: np.full_like(y, 1e308)
+    p = IVProblem(name="overflow", f=f, x0=0.0, y0=[1e308], x_end=10.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteState, match="x=0.0"):
+            integrate(PAIR, p, ControllerConfig(h_init=1.0))
 
 
 def test_nonfinite_stage_propagates():

@@ -81,6 +81,10 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         validate_tableau(ButcherTableau(name="bad", m=0, a=np.zeros((0, 0)),
                                         b=np.zeros(0), c=np.zeros(0), z=1))
+    # the stage rows are derived on first use, so a short c cannot fail at construction
+    with pytest.raises(DimensionMismatch):
+        validate_tableau(ButcherTableau(name="bad", m=2, a=[[0.0, 0.0], [1.0, 0.0]],
+                                        b=[0.5, 0.5], c=[0.0], z=1))
 
 
 def test_increment_zero_field():
@@ -189,3 +193,43 @@ def test_method_pair_orders():
     with pytest.raises(UnknownPair):
         builtin_pair("rk9_rk10")
     assert "rk3_rk4" in pair_names()
+
+
+def test_stage_rows_list_only_nonzero_coefficients(rk4_three_eighths):
+    assert kutta3().stage_rows == (
+        (0.0, ()), (0.5, ((0, 0.5),)), (1.0, ((0, -1.0), (1, 2.0))))
+    assert classic_rk4().stage_rows == (
+        (0.0, ()), (0.5, ((0, 0.5),)), (0.5, ((1, 0.5),)), (1.0, ((2, 1.0),)))
+    assert all(type(v) is float for c, row in classic_rk4().stage_rows
+               for v in (c, *(a for _, a in row)))
+    with pytest.raises(AttributeError):
+        kutta3().stage_rows = ()
+    # MethodPair.shared counts the equal leading rows
+    assert builtin_pair("rk3_rk4").shared == 2
+    assert MethodPair(lower=kutta3(), higher=rk4_three_eighths).shared == 1
+
+
+def test_stage_arguments_are_index_order_sums(rk4_three_eighths):
+    # f receives y + h * (a_p1 k_1 + a_p2 k_2 + ...), summed left to right over
+    # the nonzero entries; random inputs make another order or grouping show
+    t = rk4_three_eighths
+    calls = []
+
+    def f(x, y):
+        calls.append((x, y.copy()))
+        return np.sin(3.0 * x + y) * np.array([1.7, -30.0]) + y * y
+
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        x, h = float(rng.uniform(-1, 1)), float(rng.uniform(0.01, 0.5))
+        y = rng.uniform(-2, 2, size=2)
+        calls.clear()
+        inc = increment_function(t, f, x, y, h)
+        k1 = f(x, y)
+        k2 = f(x + (1 / 3) * h, y + h * ((1 / 3) * k1))
+        k3 = f(x + (2 / 3) * h, y + h * ((-1 / 3) * k1 + 1.0 * k2))
+        k4 = f(x + h, y + h * ((1.0 * k1 + -1.0 * k2) + 1.0 * k3))
+        assert len(calls) == 8
+        for (x_got, y_got), (x_exp, y_exp) in zip(calls[:4], calls[4:]):
+            assert x_got == x_exp and np.array_equal(y_got, y_exp)
+        assert np.array_equal(inc, t.b @ np.array([k1, k2, k3, k4]))
