@@ -14,7 +14,6 @@ from .controller import (
     MaxRejectsExceeded,
     MaxStepsExceeded,
     NonFiniteState,
-    StepsizeOutOfRange,
     StepsizeUnderflow,
     Trace,
     TraceSummary,
@@ -27,6 +26,7 @@ from .error_analysis import (
     ConditionCheck,
     DegenerateFit,
     StepRecord,
+    StepsizeOutOfRange,
     StepUnderflow,
     alpha_propagation_term,
     condition_check,

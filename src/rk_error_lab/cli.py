@@ -16,8 +16,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from operator import attrgetter
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .controller import (
     Trace,
     integrate,
 )
-from .error_analysis import StepRecord, inf_norm, sigma_bound
+from .error_analysis import StepRecord, StepUnderflow, inf_norm, sigma_bound
 from .problems import UnknownProblem, builtin, problem_names
 from .rk_core import MethodPair, NonFiniteStage, UnknownPair, builtin_pair, pair_names
 
@@ -48,12 +49,6 @@ __all__ = [
     "write_summary_json",
     "figure1_export",
     "CSV_COLUMNS",
-]
-
-CSV_COLUMNS = [
-    "i", "x", "h", "rejects", "w_lower", "w_higher", "eps_lower", "beta_lower",
-    "delta_lower", "delta_higher", "alpha_term", "cond_lhs", "cond_rhs",
-    "cond_holds", "bound", "clamped",
 ]
 
 
@@ -122,93 +117,78 @@ def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _fmt_state(v: Optional[np.ndarray]) -> str:
-    if v is None:
-        return ""
+def _fmt_state(v: np.ndarray) -> str:
     return ";".join(map(_fmt_float, np.asarray(v, dtype=float).ravel().tolist()))
 
 
-def _fmt_bool(v: Optional[bool]) -> str:
-    if v is None:
-        return ""
-    return "true" if v else "false"
-
-
-def write_trace_csv(trace: Trace, path: str) -> None:
-    """One header row plus one row per accepted step, in canonical column order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for r in trace.records:
-            w.writerow([
-                r.i,
-                _fmt_float(r.x),
-                _fmt_float(r.h),
-                r.rejects,
-                _fmt_state(r.w_lower),
-                _fmt_state(r.w_higher),
-                _fmt_state(r.eps_lower),
-                _fmt_state(r.beta_lower),
-                _fmt_state(r.delta_lower),
-                _fmt_state(r.delta_higher),
-                _fmt_state(r.alpha_term),
-                _fmt_float(r.cond_lhs),
-                "" if r.cond_rhs is None else _fmt_float(r.cond_rhs),
-                _fmt_bool(r.cond_holds),
-                _fmt_float(r.bound),
-                _fmt_bool(r.clamped),
-            ])
-
-
-def _parse_state(cell: str) -> Optional[np.ndarray]:
-    if cell == "":
-        return None
+def _parse_state(cell: str) -> np.ndarray:
     return np.array([float(c) for c in cell.split(";")], dtype=float)
 
 
+def _fmt_bool(v: bool) -> str:
+    return "true" if v else "false"
+
+
+def _parse_bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {cell!r}")
+    return cell == "true"
+
+
+def _optional(fmt, parse):
+    """The codec of ``Optional[T]`` from that of ``T``: ``None`` is an empty cell."""
+    return (lambda v: "" if v is None else fmt(v),
+            lambda cell: None if cell == "" else parse(cell))
+
+
+# (format, parse) per StepRecord annotation
+_CODECS = {int: (str, int), float: (_fmt_float, float), bool: (_fmt_bool, _parse_bool),
+           np.ndarray: (_fmt_state, _parse_state)}
+_CODECS.update({Optional[t]: _optional(*codec) for t, codec in _CODECS.items()})
+
+_FIELD_TYPES = get_type_hints(StepRecord)
+CSV_COLUMNS = list(_FIELD_TYPES)
+_FORMATS = [_CODECS[t][0] for t in _FIELD_TYPES.values()]
+_PARSERS = [_CODECS[t][1] for t in _FIELD_TYPES.values()]
+_row_values = attrgetter(*CSV_COLUMNS)
+
+
+def write_trace_csv(trace: Trace, path: str) -> None:
+    """One header row plus one row per accepted step, in ``CSV_COLUMNS`` order."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_COLUMNS)
+        w.writerows([fmt(v) for fmt, v in zip(_FORMATS, _row_values(r))]
+                    for r in trace.records)
+
+
 def read_trace_csv(path: str) -> list[StepRecord]:
-    """Parse a trace CSV back into StepRecords (floats round-trip bit-exactly)."""
+    """Parse a trace CSV back into StepRecords (floats round-trip bit-exactly).
+
+    Raises ``ValueError`` naming the line for a wrong header, a row with too
+    few or too many cells, or a cell its column cannot parse.
+    """
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header}")
+            raise ValueError(f"{path}: line 1: unexpected CSV header {header}")
         for row in reader:
-            cells = dict(zip(CSV_COLUMNS, row))
-            records.append(StepRecord(
-                i=int(cells["i"]),
-                x=float(cells["x"]),
-                h=float(cells["h"]),
-                rejects=int(cells["rejects"]),
-                w_lower=_parse_state(cells["w_lower"]),
-                w_higher=_parse_state(cells["w_higher"]),
-                eps_lower=_parse_state(cells["eps_lower"]),
-                beta_lower=_parse_state(cells["beta_lower"]),
-                delta_lower=_parse_state(cells["delta_lower"]),
-                delta_higher=_parse_state(cells["delta_higher"]),
-                alpha_term=_parse_state(cells["alpha_term"]),
-                cond_lhs=float(cells["cond_lhs"]),
-                cond_rhs=None if cells["cond_rhs"] == "" else float(cells["cond_rhs"]),
-                cond_holds=None if cells["cond_holds"] == "" else cells["cond_holds"] == "true",
-                bound=float(cells["bound"]),
-                clamped=cells["clamped"] == "true",
-            ))
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"{where}: {len(row)} cells, expected {len(CSV_COLUMNS)}")
+            try:
+                records.append(StepRecord(*[parse(c) for parse, c in zip(_PARSERS, row)]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return records
 
 
 def write_summary_json(trace: Trace, pair: MethodPair, sigma: float, path: str) -> None:
-    s = trace.summary
-    payload = {
-        "accepted": s.accepted,
-        "rejected": s.rejected,
-        "final_x": s.final_x,
-        "final_delta_lower": s.final_delta_lower,
-        "crossing_index": s.crossing_index,
-        "crossing_x": s.crossing_x,
-        "condition_violation_index": s.condition_violation_index,
-        "bound_coefficient": sigma_bound(sigma, pair.lower.z, pair.r, 1.0),
-    }
+    """The ``TraceSummary`` fields in order, then the bound coefficient."""
+    payload = {**asdict(trace.summary),
+               "bound_coefficient": sigma_bound(sigma, pair.lower.z, pair.r, 1.0)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -262,8 +242,8 @@ def run(spec: RunSpec) -> int:
         # the default h_min/h_max are only known once the problem is resolved
         print(f"rk-error-lab: error: {exc}", file=sys.stderr)
         return 2
-    except (StepsizeUnderflow, MaxStepsExceeded, MaxRejectsExceeded, NonFiniteState,
-            NonFiniteStage) as exc:
+    except (StepsizeUnderflow, StepUnderflow, MaxStepsExceeded, MaxRejectsExceeded,
+            NonFiniteState, NonFiniteStage) as exc:
         print(f"rk-error-lab: integration failed: {exc}", file=sys.stderr)
         return 4
 

@@ -24,10 +24,12 @@ import numpy as np
 from .error_analysis import (
     BetaTracker,
     StepRecord,
+    StepsizeOutOfRange,
     _alpha_term,
     _condition,
     _local_error,
     _pushed_beta,
+    _step_power,
     estimate_beta,
     find_crossing,
     inf_norm,
@@ -68,10 +70,6 @@ class MaxRejectsExceeded(RuntimeError):
 
 class NonFiniteState(ArithmeticError):
     """Propagated state left the finite range."""
-
-
-class StepsizeOutOfRange(ValueError):
-    """The given initial stepsize lies outside the resolved ``[h_min, h_max]``."""
 
 
 @dataclass(frozen=True)
@@ -180,12 +178,8 @@ def _resolve_config(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Co
     h_top = min(h_max, span)
     if cfg.h_init is None:
         h_top = max(h_top, span / 100.0)
-    try:
-        h_top ** (pair.higher.z + 1)
-    except OverflowError:
-        raise StepsizeOutOfRange(
-            f"stepsize {h_top} too large: h**{pair.higher.z + 1} overflows"
-        ) from None
+    if h_top > 1.0:  # only overflow is checked up front; below 1 no power overflows
+        _step_power(h_top, pair.higher.z + 1)
     if cfg.h_init is not None and not h_min <= cfg.h_init <= h_max:
         raise StepsizeOutOfRange(
             f"h_init={cfg.h_init} outside [h_min={h_min}, h_max={h_max}]"

@@ -35,6 +35,7 @@ __all__ = [
     "BetaTracker",
     "ConditionCheck",
     "StepUnderflow",
+    "StepsizeOutOfRange",
     "DegenerateFit",
     "local_error_exact",
     "estimate_beta",
@@ -49,7 +50,13 @@ __all__ = [
 
 
 class StepUnderflow(ArithmeticError):
-    """``h**(z+1)`` underflowed to zero; the error coefficient is undefined."""
+    """A power of the stepsize underflowed to zero; the error coefficient is undefined."""
+
+
+class StepsizeOutOfRange(ValueError):
+    """A stepsize lies outside the range a run can use: an initial stepsize
+    outside the resolved ``[h_min, h_max]``, or one so large that a power of
+    it overflows a float."""
 
 
 class DegenerateFit(RuntimeError):
@@ -130,12 +137,23 @@ def estimate_beta(w_lower, w_higher, h: float, z: int) -> np.ndarray:
     """Error-coefficient estimate ``(w_lower - w_higher) / h**(z+1)``, componentwise.
 
     Both inputs must come from steps of the same size ``h`` started at the
-    same state.  Callers that need a scalar take the max norm.
+    same state.  Callers that need a scalar take the max norm.  Raises
+    ``StepUnderflow`` if ``h**(z+1)`` underflows to zero and
+    ``StepsizeOutOfRange`` if it overflows.
     """
-    hp = h ** (z + 1)
-    if hp == 0.0:
-        raise StepUnderflow(f"h**(z+1) underflowed for h={h}, z={z}")
+    hp = _step_power(h, z + 1)
     return (np.asarray(w_lower, dtype=float) - np.asarray(w_higher, dtype=float)) / hp
+
+
+def _step_power(h: float, n: int) -> float:
+    """``h**n``; raises ``StepsizeOutOfRange`` if it overflows, ``StepUnderflow`` if it is 0."""
+    try:
+        hp = h ** n
+    except OverflowError:
+        raise StepsizeOutOfRange(f"stepsize {h} too large: h**{n} overflows") from None
+    if hp == 0.0:
+        raise StepUnderflow(f"h**{n} underflowed for h={h}")
+    return hp
 
 
 def alpha_propagation_term(
@@ -187,10 +205,7 @@ def mean_beta_higher(
 
 def _pushed_beta(tracker: BetaTracker, eps: np.ndarray, h: float, z: int) -> BetaTracker:
     """Fold the coefficient ``eps / h**(z+1)`` of a measured local error into ``tracker``."""
-    hp = h ** (z + 1)
-    if hp == 0.0:
-        raise StepUnderflow(f"h**(z+1) underflowed for h={h}, z={z}")
-    return tracker.pushed(eps / hp)
+    return tracker.pushed(eps / _step_power(h, z + 1))
 
 
 def condition_check(
@@ -203,14 +218,16 @@ def condition_check(
     still dominated by the controlled local error.  ``m_ratio`` is
     ``lhs / (mean|beta_higher| * h**(z+2))``, so the check holds exactly
     while ``i < m_ratio``; with an empty mean the ratio is infinite and the
-    check holds by convention.
+    check holds by convention.  Raises ``StepUnderflow`` if ``h**(z+1)`` or
+    ``h**(z+2)`` underflows to zero and ``StepsizeOutOfRange`` if one
+    overflows.
     """
-    return _condition(i, inf_norm(beta_lower) * h ** (z + 1), tracker, h, z)
+    return _condition(i, inf_norm(beta_lower) * _step_power(h, z + 1), tracker, h, z)
 
 
 def _condition(i: int, lhs: float, tracker: BetaTracker, h: float, z: int) -> ConditionCheck:
     """``condition_check`` for a left-hand side ``|beta_lower| * h**(z+1)`` already formed."""
-    denom = tracker.mean_abs * h ** (z + 2)
+    denom = tracker.mean_abs * _step_power(h, z + 2)
     rhs = i * denom
     m_ratio = lhs / denom if denom > 0.0 else math.inf
     holds = lhs > rhs if rhs > 0.0 else True

@@ -148,9 +148,7 @@ class MethodPair:
         return self.higher.z - self.lower.z
 
 
-def validate_tableau(
-    t: ButcherTableau, *, allow_nonstandard_abscissae: bool = False
-) -> ButcherTableau:
+def validate_tableau(t: ButcherTableau) -> ButcherTableau:
     """Check the tableau invariants and return the tableau unchanged.
 
     Raises
@@ -161,8 +159,7 @@ def validate_tableau(
         If any entry on or above the diagonal of ``a`` is nonzero.
     ConsistencyViolation
         If the weights do not sum to 1 within ``CONSISTENCY_TOL``, or an
-        abscissa differs from its stage row sum by more than that (the
-        row-sum check can be disabled with ``allow_nonstandard_abscissae``).
+        abscissa differs from its stage row sum by more than that.
     """
     if t.m < 1 or t.z < 1:
         raise DimensionMismatch(f"{t.name}: stage count and order must be >= 1")
@@ -185,14 +182,13 @@ def validate_tableau(
     if abs(weight_sum - 1.0) > CONSISTENCY_TOL:
         raise ConsistencyViolation(f"{t.name}: weights sum to {weight_sum!r}, not 1")
 
-    if not allow_nonstandard_abscissae:
-        row_sums = t.a.sum(axis=1)
-        bad = np.abs(row_sums - t.c) > CONSISTENCY_TOL
-        if np.any(bad):
-            p = int(np.argwhere(bad)[0][0])
-            raise ConsistencyViolation(
-                f"{t.name}: c[{p + 1}] = {t.c[p]} but row sum is {row_sums[p]}"
-            )
+    row_sums = t.a.sum(axis=1)
+    bad = np.abs(row_sums - t.c) > CONSISTENCY_TOL
+    if np.any(bad):
+        p = int(np.argwhere(bad)[0][0])
+        raise ConsistencyViolation(
+            f"{t.name}: c[{p + 1}] = {t.c[p]} but row sum is {row_sums[p]}"
+        )
     return t
 
 

@@ -8,6 +8,7 @@ from rk_error_lab import (
     ControllerConfig,
     DegenerateFit,
     IVProblem,
+    StepsizeOutOfRange,
     StepUnderflow,
     alpha_propagation_term,
     builtin,
@@ -25,6 +26,7 @@ from rk_error_lab import (
     rk_step,
     sigma_bound,
 )
+from rk_error_lab import controller, error_analysis
 from rk_error_lab.error_analysis import StepRecord
 
 
@@ -90,6 +92,15 @@ def test_beta_matches_true_coefficient_on_decay():
 def test_beta_stepsize_underflow():
     with pytest.raises(StepUnderflow):
         estimate_beta(np.array([1.0]), np.array([2.0]), 1e-100, 3)
+
+
+def test_overflowing_stepsize_power_is_out_of_range():
+    assert StepsizeOutOfRange is controller.StepsizeOutOfRange
+    assert StepsizeOutOfRange is error_analysis.StepsizeOutOfRange
+    with pytest.raises(StepsizeOutOfRange):  # h**4
+        estimate_beta([1.0], [0.0], 1e80, 3)
+    with pytest.raises(StepsizeOutOfRange):  # h**4 fits, h**5 overflows
+        condition_check(1, np.array([1.0]), BetaTracker(1, 1.0), 1e70, 3)
 
 
 # --- alpha_propagation_term ----------------------------------------------------

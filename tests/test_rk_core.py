@@ -66,12 +66,11 @@ def test_weight_sum_violation():
         validate_tableau(t)
 
 
-def test_abscissa_mismatch_and_escape_hatch():
+def test_abscissa_mismatch():
     t = ButcherTableau(name="odd", m=2, a=[[0.0, 0.0], [0.5, 0.0]],
                        b=[0.5, 0.5], c=[0.0, 0.75], z=2)
     with pytest.raises(ConsistencyViolation):
         validate_tableau(t)
-    assert validate_tableau(t, allow_nonstandard_abscissae=True) is t
 
 
 def test_dimension_mismatch():
