@@ -60,12 +60,12 @@ class MissingDiagnostics(RuntimeError):
 class RunSpec:
     problem: str = "paper_exponential"
     pair: str = "rk3_rk4"
-    delta: float = 1e-8
-    sigma: float = 0.8
-    policy: str = "proportional"
+    delta: float = ControllerConfig.delta
+    sigma: float = ControllerConfig.sigma
+    policy: str = ControllerConfig.policy
     h_init: Optional[float] = None
     x_end: Optional[float] = None
-    max_steps: int = 1_000_000
+    max_steps: int = ControllerConfig.max_steps
     csv_path: Optional[str] = None
     json_path: Optional[str] = None
     figure_path: Optional[str] = None
@@ -129,10 +129,15 @@ def _fmt_bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _parse_bool(cell: str) -> bool:
-    if cell not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {cell!r}")
-    return cell == "true"
+def _strict(fmt, parse):
+    """The codec ``(fmt, parse)``, with ``parse`` accepting a cell only in the form
+    ``fmt`` writes for the parsed value (no ``1_0``, spaces or non-ASCII digits)."""
+    def parse_strict(cell: str):
+        value = parse(cell)
+        if fmt(value) != cell:
+            raise ValueError(f"malformed cell {cell!r}")
+        return value
+    return fmt, parse_strict
 
 
 def _optional(fmt, parse):
@@ -142,8 +147,9 @@ def _optional(fmt, parse):
 
 
 # (format, parse) per StepRecord annotation
-_CODECS = {int: (str, int), float: (_fmt_float, float), bool: (_fmt_bool, _parse_bool),
-           np.ndarray: (_fmt_state, _parse_state)}
+_CODECS = {int: _strict(str, int), float: _strict(_fmt_float, float),
+           bool: _strict(_fmt_bool, "true".__eq__),
+           np.ndarray: _strict(_fmt_state, _parse_state)}
 _CODECS.update({Optional[t]: _optional(*codec) for t, codec in _CODECS.items()})
 
 _FIELD_TYPES = get_type_hints(StepRecord)

@@ -22,20 +22,16 @@ from typing import Optional
 import numpy as np
 
 from .error_analysis import (
-    BetaTracker,
     StepRecord,
     StepsizeOutOfRange,
-    _alpha_term,
-    _condition,
-    _local_error,
-    _pushed_beta,
+    _Oracle,
     _step_power,
     estimate_beta,
     find_crossing,
     inf_norm,
     sigma_bound,
 )
-from .problems import IVProblem, reference_solution
+from .problems import IVProblem
 from .rk_core import MethodPair, RHSFunction, _pair_increments
 
 __all__ = [
@@ -202,23 +198,16 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     those fields are ``None`` and only the controller's own estimate is
     recorded.  The last step is shortened so the final abscissa equals
     ``x_end`` exactly.
-
-    The oracle reuses the accepted attempt's lower increment, evaluates the
-    pair once from the exact state, and carries ``y(x_next)`` on as the next
-    ``y(x)``; its fields are bit-identical to ``local_error_exact``,
-    ``alpha_propagation_term`` and ``mean_beta_higher``.
     """
     cfg = _resolve_config(pair, p, cfg)
     z, r = pair.lower.z, pair.r
     delta = cfg.delta
     bound = sigma_bound(cfg.sigma, z, r, delta)
-    has_oracle = p.exact is not None
+    oracle = _Oracle(pair, p) if p.exact is not None else None
 
     x = p.x0
     w = np.array(p.y0, dtype=float)
-    y_x = reference_solution(p, x) if has_oracle else None
     h_work = cfg.h_init
-    tracker = BetaTracker()
     records: list[StepRecord] = []
     rejected_total = 0
 
@@ -259,26 +248,6 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
 
         x_next = p.x_end if land else x + h_step
         i = len(records) + 1
-
-        eps_lo = d_lo = d_hi = a_term = None
-        cond_rhs = cond_holds = None
-        cond_lhs = est
-        if has_oracle:
-            y_next = y_xh = reference_solution(p, x_next)
-            if x + h_step != x_next:  # a clamped landing can miss x_end in the last bit
-                y_xh = reference_solution(p, x + h_step)
-            exact_lo, exact_hi = _pair_increments(pair, p.f, x, y_x, h_step)
-            eps_lo = _local_error(y_x, exact_lo, y_xh, h_step)
-            d_lo = w_lo - y_next
-            d_hi = w_hi - y_next
-            a_term = _alpha_term(y_x, w, inc_lo, exact_lo, h_step)
-            tracker = _pushed_beta(
-                tracker, _local_error(y_x, exact_hi, y_xh, h_step), h_step, pair.higher.z
-            )
-            cond = _condition(i, est, tracker, h_step, z)
-            cond_lhs, cond_rhs, cond_holds = cond.lhs, cond.rhs, cond.holds
-            y_x = y_next
-
         records.append(
             StepRecord(
                 i=i,
@@ -287,16 +256,12 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
                 rejects=rejects,
                 w_lower=w_lo,
                 w_higher=w_hi,
-                eps_lower=eps_lo,
                 beta_lower=beta,
-                delta_lower=d_lo,
-                delta_higher=d_hi,
-                alpha_term=a_term,
-                cond_lhs=cond_lhs,
-                cond_rhs=cond_rhs,
-                cond_holds=cond_holds,
+                cond_lhs=est,
                 bound=bound,
                 clamped=clamped,
+                **(oracle.measure(i, x, x_next, h_step, w, inc_lo, w_lo, w_hi, est)
+                   if oracle is not None else _Oracle.UNMEASURED),
             )
         )
         w = w_hi
@@ -305,13 +270,14 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             h_work = propose_stepsize(beta_norm, cfg, z)
         # reject-only keeps h_work as is
 
-    crossing = find_crossing(records, delta) if records else None
+    # IVProblem guarantees x_end > x0, so there is at least one record
+    crossing = find_crossing(records, delta)
     violation_index = next(
         (rec.i for rec in records if rec.cond_holds is False), None
     )
+    last = records[-1].delta_lower
     final_delta = None
-    if has_oracle and records:
-        last = records[-1].delta_lower
+    if last is not None:
         final_delta = float(last[0]) if last.size == 1 else inf_norm(last)
     summary = TraceSummary(
         accepted=len(records),

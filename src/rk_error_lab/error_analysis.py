@@ -28,7 +28,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .problems import IVProblem, reference_solution
-from .rk_core import ButcherTableau, RHSFunction, increment_function, rk_step
+from .rk_core import (
+    ButcherTableau,
+    MethodPair,
+    RHSFunction,
+    _pair_increments,
+    increment_function,
+    rk_step,
+)
 
 __all__ = [
     "StepRecord",
@@ -232,6 +239,53 @@ def _condition(i: int, lhs: float, tracker: BetaTracker, h: float, z: int) -> Co
     m_ratio = lhs / denom if denom > 0.0 else math.inf
     holds = lhs > rhs if rhs > 0.0 else True
     return ConditionCheck(lhs=lhs, rhs=rhs, holds=holds, m_ratio=m_ratio)
+
+
+class _Oracle:
+    """The oracle of one ``integrate`` run: measures each accepted step against ``y``.
+
+    It holds ``y(x)`` at the current abscissa and the ``BetaTracker`` of the
+    higher method.  Each step reuses the accepted attempt's lower increment,
+    evaluates the pair once from the exact state, and carries ``y(x_next)``
+    on as the next ``y(x)``; its fields are bit-identical to
+    ``local_error_exact``, ``alpha_propagation_term`` and ``mean_beta_higher``.
+    """
+
+    #: the oracle's ``StepRecord`` fields for a problem without an exact solution
+    UNMEASURED = dict.fromkeys(
+        ("eps_lower", "delta_lower", "delta_higher", "alpha_term", "cond_rhs", "cond_holds")
+    )
+
+    def __init__(self, pair: MethodPair, p: IVProblem):
+        self.pair, self.p = pair, p
+        self.y_x = reference_solution(p, p.x0)
+        self.tracker = BetaTracker()
+
+    def measure(self, i: int, x: float, x_next: float, h: float, w: np.ndarray,
+                inc_lo: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray, est: float) -> dict:
+        """The oracle fields of accepted step ``i``, keyed as in ``StepRecord``.
+
+        The step went from ``(x, w)`` to ``x_next`` with stepsize ``h``;
+        ``inc_lo`` is its lower increment, ``w_lo``/``w_hi`` its results and
+        ``est`` its estimate ``|beta_lower| * h**(z+1)``.  Raises what the
+        formulas raise, at this step.
+        """
+        pair, p, y_x = self.pair, self.p, self.y_x
+        y_next = y_xh = reference_solution(p, x_next)
+        if x + h != x_next:  # a clamped landing can miss x_end in the last bit
+            y_xh = reference_solution(p, x + h)
+        exact_lo, exact_hi = _pair_increments(pair, p.f, x, y_x, h)
+        eps_lower = _local_error(y_x, exact_lo, y_xh, h)
+        delta_lower = w_lo - y_next
+        delta_higher = w_hi - y_next
+        alpha_term = _alpha_term(y_x, w, inc_lo, exact_lo, h)
+        eps_higher = _local_error(y_x, exact_hi, y_xh, h)
+        self.tracker = _pushed_beta(self.tracker, eps_higher, h, pair.higher.z)
+        cond = _condition(i, est, self.tracker, h, pair.lower.z)
+        self.y_x = y_next
+        return {"eps_lower": eps_lower, "delta_lower": delta_lower,
+                "delta_higher": delta_higher, "alpha_term": alpha_term,
+                "cond_rhs": cond.rhs, "cond_holds": cond.holds}
 
 
 def sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:

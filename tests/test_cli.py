@@ -30,6 +30,7 @@ def test_defaults_match_flagship_setup():
     assert spec.delta == 1e-8
     assert spec.sigma == 0.8
     assert spec.policy == "proportional"
+    assert spec.max_steps == 1_000_000
     assert spec.h_init is None and spec.x_end is None
     assert not spec.quiet
 
@@ -239,6 +240,11 @@ def test_malformed_rows_are_refused_with_their_line(tmp_path):
         row + ["0"],                              # an extra cell
         row[:-1] + ["False"],                     # clamped neither true nor false
         row[:holds] + ["yes"] + row[holds + 1:],  # cond_holds neither true, false nor empty
+        ["1_0"] + row[1:],                        # digit separators in i
+        ["١٢"] + row[1:],                         # non-ASCII digits in i
+        row[:1] + [" 1_0.5 "] + row[2:],          # spaces and separators in x
+        row[:1] + ["1e-1"] + row[2:],             # x not in its shortest repr
+        row[:4] + [row[4] + " "] + row[5:],       # trailing space in a state
     ]
     for bad in bad_rows:
         path.write_text("\n".join(lines[:2] + [",".join(bad)] + lines[3:]) + "\n")

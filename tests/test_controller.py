@@ -15,6 +15,7 @@ from rk_error_lab import (
     NonFiniteState,
     StepsizeOutOfRange,
     StepsizeUnderflow,
+    StepUnderflow,
     alpha_propagation_term,
     attempt_step,
     builtin,
@@ -366,6 +367,16 @@ def test_stepsize_underflow():
 def test_max_steps_exceeded():
     with pytest.raises(MaxStepsExceeded):
         integrate(PAIR, builtin("paper_exponential"), flagship_config(max_steps=10))
+
+
+def test_oracle_failure_is_raised_at_its_own_step():
+    # h**5 underflows in the oracle on step 1; without the oracle the run
+    # needs 10 steps and hits the cap first
+    p = builtin("decay").with_x_end(1e-68)
+    with pytest.raises(StepUnderflow):
+        integrate(PAIR, p, flagship_config(max_steps=1))
+    with pytest.raises(MaxStepsExceeded):
+        integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config(max_steps=1))
 
 
 def test_max_rejects_exceeded():
