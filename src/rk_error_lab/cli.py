@@ -245,7 +245,7 @@ def run(spec: RunSpec) -> int:
     try:
         trace = integrate(pair, problem, cfg)
     except StepsizeOutOfRange as exc:
-        # the default h_min/h_max are only known once the problem is resolved
+        # the stepsize limits are only known once the problem is resolved
         print(f"rk-error-lab: error: {exc}", file=sys.stderr)
         return 2
     except (StepsizeUnderflow, StepUnderflow, MaxStepsExceeded, MaxRejectsExceeded,
@@ -254,16 +254,16 @@ def run(spec: RunSpec) -> int:
         return 4
 
     try:
-        if spec.csv_path:
+        if spec.csv_path is not None:
             write_trace_csv(trace, spec.csv_path)
-        if spec.json_path:
+        if spec.json_path is not None:
             write_summary_json(trace, pair, spec.sigma, spec.json_path)
-        if spec.figure_path:
+        if spec.figure_path is not None:
             figure1_export(trace, spec.figure_path)
     except MissingDiagnostics as exc:
         print(f"rk-error-lab: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: open() refuses a NUL in the path
         print(f"rk-error-lab: output failed: {exc}", file=sys.stderr)
         return 5
 

@@ -16,7 +16,7 @@ keeps the stepsize until a rejection forces it down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,9 +51,12 @@ __all__ = [
 
 POLICIES = ("proportional", "reject-only")
 
+MAX_REJECTS = 20  # consecutive rejections allowed on one step
+
 
 class StepsizeUnderflow(RuntimeError):
-    """Meeting the tolerance would require a stepsize below the configured minimum."""
+    """Meeting the tolerance would require a stepsize below the run's minimum,
+    ``1e-12`` times the interval length."""
 
 
 class MaxStepsExceeded(RuntimeError):
@@ -61,7 +64,7 @@ class MaxStepsExceeded(RuntimeError):
 
 
 class MaxRejectsExceeded(RuntimeError):
-    """Too many consecutive rejections on a single step."""
+    """More than ``MAX_REJECTS`` consecutive rejections on a single step."""
 
 
 class NonFiniteState(ArithmeticError):
@@ -70,20 +73,18 @@ class NonFiniteState(ArithmeticError):
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Tolerance, safety factor and stepsize limits for one integration.
+    """Tolerance, safety factor, initial stepsize, policy and step cap for one integration.
 
-    ``h_init``, ``h_min`` and ``h_max`` may be left ``None``; they are then
-    derived from the problem at the start of the run (see ``integrate``).
+    ``h_init`` may be left ``None``; it is then proposed from a probe step at
+    the start of the run.  The stepsize limits are not settings: every run
+    keeps its steps within ``[1e-12, 1/10]`` times the interval length.
     """
 
     delta: float = 1e-8
     sigma: float = 0.8
     h_init: Optional[float] = None
-    h_min: Optional[float] = None
-    h_max: Optional[float] = None
     policy: str = "proportional"
     max_steps: int = 1_000_000
-    max_rejects: int = 20
 
     def __post_init__(self):
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
@@ -92,13 +93,10 @@ class ControllerConfig:
             raise ValueError(f"sigma must be in (0, 1], got {self.sigma}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if self.max_steps < 1 or self.max_rejects < 1:
-            raise ValueError("max_steps and max_rejects must be >= 1")
-        hs = [h for h in (self.h_min, self.h_init, self.h_max) if h is not None]
-        if not all(h > 0.0 and math.isfinite(h) for h in hs):
-            raise ValueError(f"stepsize limits must be positive and finite, got {hs}")
-        if self.h_min is not None and self.h_max is not None and self.h_min > self.h_max:
-            raise ValueError(f"h_min={self.h_min} exceeds h_max={self.h_max}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.h_init is not None and not (self.h_init > 0.0 and math.isfinite(self.h_init)):
+            raise ValueError(f"h_init must be positive and finite, got {self.h_init}")
 
 
 @dataclass(frozen=True)
@@ -120,20 +118,19 @@ class Trace:
     summary: TraceSummary
 
 
-def propose_stepsize(beta_norm: float, cfg: ControllerConfig, z: int) -> float:
+def propose_stepsize(
+    beta_norm: float, cfg: ControllerConfig, z: int, h_min: float, h_max: float
+) -> float:
     """Stepsize from the tolerance equation, with safety factor and clamping.
 
     Returns ``clamp(sigma * (delta / beta_norm) ** (1 / (z+1)), h_min,
-    h_max)``; a zero estimate proposes ``h_max``.  The config must carry
-    concrete ``h_min``/``h_max``.
+    h_max)``; a zero estimate proposes ``h_max``.
     """
     if beta_norm < 0.0:
         raise ValueError(f"beta_norm must be nonnegative, got {beta_norm}")
-    if cfg.h_min is None or cfg.h_max is None:
-        raise ValueError("propose_stepsize needs a config with concrete h_min and h_max")
     if beta_norm == 0.0:
-        return cfg.h_max
-    return min(max(_tolerance_stepsize(beta_norm, cfg, z), cfg.h_min), cfg.h_max)
+        return h_max
+    return min(max(_tolerance_stepsize(beta_norm, cfg, z), h_min), h_max)
 
 
 def _tolerance_stepsize(beta_norm: float, cfg: ControllerConfig, z: int) -> float:
@@ -158,34 +155,29 @@ def attempt_step(
     return w_lower, w_higher, estimate_beta(w_lower, w_higher, h, pair.lower.z)
 
 
-def _resolve_config(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> ControllerConfig:
-    """Fill in stepsize limits from the problem and probe an initial stepsize.
+def _initial_stepsizes(
+    pair: MethodPair, p: IVProblem, cfg: ControllerConfig
+) -> tuple[float, float, float]:
+    """The run's ``(h_init, h_min, h_max)``, with the limits ``[1e-12, 1/10]`` times the span.
 
-    Raises ``StepsizeOutOfRange`` if a given ``h_init`` lies outside the
-    resolved limits (a probed one is clamped into them), or if the largest
-    stepsize the run may try is so large that ``h**(z+1)`` overflows for the
-    higher method's order ``z``.
+    Without a given ``h_init`` one is proposed from a probe step of
+    ``span / 100`` and clamped into the limits.  Raises
+    ``StepsizeOutOfRange`` if a given ``h_init`` lies outside the limits, or
+    if ``h_max``, the longest step the run may try (the probe included), is
+    so large that ``h**(z+1)`` overflows for the higher method's order ``z``.
     """
     span = p.x_end - p.x0
-    h_min = cfg.h_min if cfg.h_min is not None else 1e-12 * span
-    h_max = cfg.h_max if cfg.h_max is not None else span / 10.0
-    # no step is longer than h_max or the span (the last one lands on x_end);
-    # the probe takes span / 100
-    h_top = min(h_max, span)
-    if cfg.h_init is None:
-        h_top = max(h_top, span / 100.0)
-    if h_top > 1.0:  # only overflow is checked up front; below 1 no power overflows
-        _step_power(h_top, pair.higher.z + 1)
-    if cfg.h_init is not None and not h_min <= cfg.h_init <= h_max:
-        raise StepsizeOutOfRange(
-            f"h_init={cfg.h_init} outside [h_min={h_min}, h_max={h_max}]"
-        )
-    resolved = replace(cfg, h_min=h_min, h_max=h_max)
-    if resolved.h_init is None:
-        _, _, beta = attempt_step(pair, p.f, p.x0, p.y0, span / 100.0)
-        h_init = propose_stepsize(inf_norm(beta), resolved, pair.lower.z)
-        resolved = replace(resolved, h_init=h_init)
-    return resolved
+    h_min, h_max = 1e-12 * span, span / 10.0
+    if h_max > 1.0:  # only overflow is checked up front; below 1 no power overflows
+        _step_power(h_max, pair.higher.z + 1)
+    if cfg.h_init is not None:
+        if not h_min <= cfg.h_init <= h_max:
+            raise StepsizeOutOfRange(
+                f"h_init={cfg.h_init} outside [h_min={h_min}, h_max={h_max}]"
+            )
+        return cfg.h_init, h_min, h_max
+    _, _, beta = attempt_step(pair, p.f, p.x0, p.y0, span / 100.0)
+    return propose_stepsize(inf_norm(beta), cfg, pair.lower.z, h_min, h_max), h_min, h_max
 
 
 def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
@@ -199,7 +191,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     recorded.  The last step is shortened so the final abscissa equals
     ``x_end`` exactly.
     """
-    cfg = _resolve_config(pair, p, cfg)
+    h_work, h_min, h_max = _initial_stepsizes(pair, p, cfg)
     z, r = pair.lower.z, pair.r
     delta = cfg.delta
     bound = sigma_bound(cfg.sigma, z, r, delta)
@@ -207,7 +199,6 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
 
     x = p.x0
     w = np.array(p.y0, dtype=float)
-    h_work = cfg.h_init
     records: list[StepRecord] = []
     rejected_total = 0
 
@@ -235,16 +226,16 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
                 raise NonFiniteState(f"{p.name}: state not finite after step at x={x}")
             rejects += 1
             rejected_total += 1
-            if rejects > cfg.max_rejects:
+            if rejects > MAX_REJECTS:
                 raise MaxRejectsExceeded(
                     f"{p.name}: {rejects} consecutive rejections at x={x}"
                 )
             raw = _tolerance_stepsize(beta_norm, cfg, z)
-            if raw < cfg.h_min:
+            if raw < h_min:
                 raise StepsizeUnderflow(
-                    f"{p.name}: required stepsize {raw} below h_min={cfg.h_min} at x={x}"
+                    f"{p.name}: required stepsize {raw} below h_min={h_min} at x={x}"
                 )
-            h_work = min(raw, cfg.h_max)
+            h_work = min(raw, h_max)
 
         x_next = p.x_end if land else x + h_step
         i = len(records) + 1
@@ -267,7 +258,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         w = w_hi
         x = x_next
         if cfg.policy == "proportional":
-            h_work = propose_stepsize(beta_norm, cfg, z)
+            h_work = propose_stepsize(beta_norm, cfg, z, h_min, h_max)
         # reject-only keeps h_work as is
 
     # IVProblem guarantees x_end > x0, so there is at least one record

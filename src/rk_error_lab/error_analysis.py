@@ -62,8 +62,8 @@ class StepUnderflow(ArithmeticError):
 
 class StepsizeOutOfRange(ValueError):
     """A stepsize lies outside the range a run can use: an initial stepsize
-    outside the resolved ``[h_min, h_max]``, or one so large that a power of
-    it overflows a float."""
+    outside the run's limits (``[1e-12, 1/10]`` times the interval length),
+    or one so large that a power of it overflows a float."""
 
 
 class DegenerateFit(RuntimeError):

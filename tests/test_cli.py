@@ -89,7 +89,11 @@ def test_integrator_failure_exits_4(capsys):
 def test_io_failure_exits_5(capsys, tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "t.csv"
     assert main(["--problem", "decay", "--csv", str(missing), "--quiet"]) == 5
-    capsys.readouterr()
+    # an empty path is a path open() refuses, not an output left out
+    for flag in ("--csv", "--json", "--figure"):
+        assert main(["--problem", "decay", flag, "", "--quiet"]) == 5
+    assert main(["--problem", "decay", "--csv", "a\0b", "--quiet"]) == 5
+    assert "output failed" in capsys.readouterr().err
 
 
 def test_full_run_writes_all_outputs(tmp_path, capsys):

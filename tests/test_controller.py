@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rk_error_lab import controller
 from rk_error_lab import (
     BetaTracker,
     ControllerConfig,
@@ -46,36 +47,35 @@ def flagship_config(**overrides):
 # --- propose_stepsize -----------------------------------------------------------
 
 def test_proposal_unit_ratio():
-    cfg = ControllerConfig(delta=1e-8, sigma=1.0, h_min=1e-12, h_max=10.0)
-    assert propose_stepsize(1e-8, cfg, 3) == pytest.approx(1.0, rel=1e-15)
+    cfg = ControllerConfig(delta=1e-8, sigma=1.0)
+    assert propose_stepsize(1e-8, cfg, 3, 1e-12, 10.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_proposal_fourth_root():
-    cfg = ControllerConfig(delta=1e-8, sigma=1.0, h_min=1e-12, h_max=10.0)
-    h = propose_stepsize(1.0 / 24.0, cfg, 3)
+    cfg = ControllerConfig(delta=1e-8, sigma=1.0)
+    h = propose_stepsize(1.0 / 24.0, cfg, 3, 1e-12, 10.0)
     assert h == pytest.approx((2.4e-7) ** 0.25, rel=1e-13)
     assert h == pytest.approx(0.02213, rel=1e-3)
-    cfg8 = ControllerConfig(delta=1e-8, sigma=0.8, h_min=1e-12, h_max=10.0)
-    assert propose_stepsize(1.0 / 24.0, cfg8, 3) == pytest.approx(0.8 * h, rel=1e-15)
+    cfg8 = ControllerConfig(delta=1e-8, sigma=0.8)
+    h8 = propose_stepsize(1.0 / 24.0, cfg8, 3, 1e-12, 10.0)
+    assert h8 == pytest.approx(0.8 * h, rel=1e-15)
 
 
 def test_proposal_zero_estimate_gives_h_max():
-    cfg = ControllerConfig(delta=1e-8, sigma=0.8, h_min=1e-12, h_max=2.5)
-    assert propose_stepsize(0.0, cfg, 3) == 2.5
+    cfg = ControllerConfig(delta=1e-8, sigma=0.8)
+    assert propose_stepsize(0.0, cfg, 3, 1e-12, 2.5) == 2.5
 
 
 def test_proposal_clamps_to_limits():
-    cfg = ControllerConfig(delta=1e-8, sigma=0.8, h_min=0.5, h_max=1.0)
-    assert propose_stepsize(1e3, cfg, 3) == 0.5
-    assert propose_stepsize(1e-30, cfg, 3) == 1.0
+    cfg = ControllerConfig(delta=1e-8, sigma=0.8)
+    assert propose_stepsize(1e3, cfg, 3, 0.5, 1.0) == 0.5
+    assert propose_stepsize(1e-30, cfg, 3, 0.5, 1.0) == 1.0
 
 
 def test_proposal_rejects_bad_inputs():
-    cfg = ControllerConfig(delta=1e-8, sigma=0.8, h_min=1e-12, h_max=1.0)
+    cfg = ControllerConfig(delta=1e-8, sigma=0.8)
     with pytest.raises(ValueError):
-        propose_stepsize(-1.0, cfg, 3)
-    with pytest.raises(ValueError):
-        propose_stepsize(1.0, ControllerConfig(delta=1e-8), 3)  # unresolved limits
+        propose_stepsize(-1.0, cfg, 3, 1e-12, 1.0)
 
 
 # --- attempt_step ----------------------------------------------------------------
@@ -132,11 +132,9 @@ def test_config_invariants():
     with pytest.raises(ValueError):
         ControllerConfig(max_steps=0)
     with pytest.raises(ValueError):
-        ControllerConfig(h_min=0.5, h_max=0.1)
-    with pytest.raises(ValueError):
         ControllerConfig(h_init=-0.1)
     for bad in (math.nan, math.inf):
-        for name in ("delta", "h_init", "h_min", "h_max"):
+        for name in ("delta", "h_init"):
             with pytest.raises(ValueError):
                 ControllerConfig(**{name: bad})
 
@@ -275,22 +273,21 @@ def test_oracle_evaluation_counts(problem):
 def test_h_init_override_is_used():
     trace = integrate(PAIR, builtin("decay"), flagship_config(h_init=0.01))
     assert trace.records[0].h == 0.01
-    # decay's default limits are [1e-11, 1]
-    for h_init in (1.5, 1e-12):
+    # decay's limits are [1e-11, 1], both ends included
+    for h_init in (1e-11, 1.0):
+        with pytest.raises(MaxStepsExceeded):
+            integrate(PAIR, builtin("decay"), flagship_config(h_init=h_init, max_steps=1))
+    for h_init in (1.5, 1e-12, math.nextafter(1e-11, 0.0), math.nextafter(1.0, 2.0)):
         with pytest.raises(StepsizeOutOfRange):
             integrate(PAIR, builtin("decay"), flagship_config(h_init=h_init))
 
 
 def test_stepsize_whose_power_overflows_is_refused():
-    # h**5 overflows a float above about 4.5e61
+    # h**5 overflows a float above about 4.5e61; h_max = span / 10 bounds every
+    # step, the probe's span / 100 included
     huge = builtin("decay").with_x_end(1e100)
     with pytest.raises(StepsizeOutOfRange):
         integrate(PAIR, huge, flagship_config())
-    with pytest.raises(StepsizeOutOfRange):  # the probe, at span / 100
-        integrate(PAIR, huge, flagship_config(h_max=1.0))
-    # no step is longer than the span, so a huge h_max on a short one is fine
-    trace = integrate(PAIR, builtin("decay"), flagship_config(h_max=1e100))
-    assert trace.summary.final_x == 10.0
 
 
 def test_reject_only_policy_keeps_stepsize():
@@ -358,10 +355,10 @@ def test_bound_respected_while_condition_holds_on_contracting_problems():
 # --- integrate: failure modes ----------------------------------------------------------
 
 def test_stepsize_underflow():
+    # the required stepsize, about 2e-15, lies below decay's h_min of 1e-11
     with pytest.raises(StepsizeUnderflow):
         integrate(PAIR, builtin("decay"),
-                  ControllerConfig(delta=1e-20, sigma=0.8, h_init=0.5,
-                                   h_min=0.01, h_max=1.0))
+                  ControllerConfig(delta=1e-60, sigma=0.8, h_init=0.5))
 
 
 def test_max_steps_exceeded():
@@ -379,14 +376,14 @@ def test_oracle_failure_is_raised_at_its_own_step():
         integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config(max_steps=1))
 
 
-def test_max_rejects_exceeded():
+def test_max_rejects_exceeded(monkeypatch):
     # the rhs derivative is unbounded at x0, so the one-step error shrinks
     # much slower than the proposal assumes and the first step keeps rejecting
     f = lambda x, y: (1.0 + y) * (1.0 + x ** 0.1)
     p = IVProblem(name="rough", f=f, x0=0.0, y0=[0.0], x_end=10.0)
-    with pytest.raises(MaxRejectsExceeded):
-        integrate(PAIR, p, ControllerConfig(delta=1e-12, sigma=0.8, h_init=1.0,
-                                            max_rejects=3))
+    monkeypatch.setattr(controller, "MAX_REJECTS", 3)
+    with pytest.raises(MaxRejectsExceeded, match="4 consecutive rejections"):
+        integrate(PAIR, p, ControllerConfig(delta=1e-12, sigma=0.8, h_init=1.0))
 
 
 def test_overflowing_state_raises_nonfinite_state_at_once():

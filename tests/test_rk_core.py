@@ -84,6 +84,9 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         validate_tableau(ButcherTableau(name="bad", m=2, a=[[0.0, 0.0], [1.0, 0.0]],
                                         b=[0.5, 0.5], c=[0.0], z=1))
+    with pytest.raises(DimensionMismatch, match="b has shape"):
+        validate_tableau(ButcherTableau(name="bad", m=2, a=[[0.0, 0.0], [1.0, 0.0]],
+                                        b=[1.0], c=[0.0, 1.0], z=1))
 
 
 def test_increment_zero_field():
