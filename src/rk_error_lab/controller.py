@@ -148,11 +148,18 @@ def attempt_step(
     beta)`` where ``beta`` is the componentwise estimate ``(w_lower -
     w_higher) / h**(z+1)`` for the lower method's order ``z``.
     """
-    y = np.asarray(w_higher_in, dtype=float)
+    return _attempt(pair, f, x, np.asarray(w_higher_in, dtype=float), h)[1:]
+
+
+def _attempt(
+    pair: MethodPair, f: RHSFunction, x: float, y: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``attempt_step`` from the float array ``y``, returning first the lower
+    increment, which the oracle reuses: ``(inc_lower, w_lower, w_higher, beta)``."""
     inc_lower, inc_higher = _pair_increments(pair, f, x, y, h)
     w_lower = y + h * inc_lower
     w_higher = y + h * inc_higher
-    return w_lower, w_higher, estimate_beta(w_lower, w_higher, h, pair.lower.z)
+    return inc_lower, w_lower, w_higher, estimate_beta(w_lower, w_higher, h, pair.lower.z)
 
 
 def _initial_stepsizes(
@@ -198,7 +205,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     oracle = _Oracle(pair, p) if p.exact is not None else None
 
     x = p.x0
-    w = np.array(p.y0, dtype=float)
+    w = p.y0
     records: list[StepRecord] = []
     rejected_total = 0
 
@@ -212,11 +219,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             land = (p.x_end - x) <= h_work
             h_step = p.x_end - x if land else h_work
             clamped = land and h_step < h_work
-            # attempt_step, inlined: the oracle reuses the lower increment
-            inc_lo, inc_hi = _pair_increments(pair, p.f, x, w, h_step)
-            w_lo = w + h_step * inc_lo
-            w_hi = w + h_step * inc_hi
-            beta = estimate_beta(w_lo, w_hi, h_step, z)
+            inc_lo, w_lo, w_hi, beta = _attempt(pair, p.f, x, w, h_step)
             beta_norm = inf_norm(beta)
             est = beta_norm * h_step ** (z + 1)
             if est < delta:

@@ -326,7 +326,7 @@ def _global_error_fixed_steps(t: ButcherTableau, p: IVProblem, h: float):
     span = p.x_end - p.x0
     n = max(1, round(span / h))
     h_eff = span / n
-    w = np.array(p.y0, dtype=float)
+    w = p.y0
     for j in range(n):
         w = rk_step(t, p.f, p.x0 + j * h_eff, w, h_eff)
     err = w - reference_solution(p, p.x_end)

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rk_core import RHSFunction
+from .rk_core import RHSFunction, _readonly
 
 __all__ = [
     "IVProblem",
@@ -28,13 +28,14 @@ class UnknownProblem(KeyError):
     """Requested problem is not in the registry."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IVProblem:
     """One initial-value problem ``y' = f(x, y)``, ``y(x0) = y0`` on ``[x0, x_end]``.
 
     ``exact``, when given, maps an abscissa to the true solution vector and
     must agree with ``y0`` at ``x0``.  Right-hand sides must be pure
-    functions of ``(x, y)``.  ``x0`` and ``x_end`` must be finite.
+    functions of ``(x, y)``.  ``x0`` and ``x_end`` must be finite.  ``y0`` is
+    copied into a read-only float array when the problem is built.
     """
 
     name: str
@@ -45,7 +46,7 @@ class IVProblem:
     exact: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
+        object.__setattr__(self, "y0", _readonly(self.y0, ndmin=1))
         if not (math.isfinite(self.x0) and math.isfinite(self.x_end)):
             raise ValueError(f"{self.name}: x0={self.x0} and x_end={self.x_end} must be finite")
         if not self.x_end > self.x0:
@@ -60,53 +61,25 @@ class IVProblem:
         return replace(self, x_end=x_end)
 
 
-def _paper_exponential() -> IVProblem:
-    return IVProblem(
-        name="paper_exponential",
-        f=lambda x, y: GROWTH_RATE * y,
-        x0=0.0,
-        y0=[1.0],
-        x_end=100.0,
-        exact=lambda x: np.array([math.exp(GROWTH_RATE * x)]),
-    )
-
-
-def _decay() -> IVProblem:
-    return IVProblem(
-        name="decay",
-        f=lambda x, y: -y,
-        x0=0.0,
-        y0=[1.0],
-        x_end=10.0,
-        exact=lambda x: np.array([math.exp(-x)]),
-    )
-
-
-def _riccati_simple() -> IVProblem:
-    return IVProblem(
-        name="riccati_simple",
-        f=lambda x, y: -y * y,
-        x0=0.0,
-        y0=[1.0],
-        x_end=5.0,
-        exact=lambda x: np.array([1.0 / (1.0 + x)]),
-    )
-
-
-_PROBLEMS: dict[str, Callable[[], IVProblem]] = {
-    "paper_exponential": _paper_exponential,
-    "decay": _decay,
-    "riccati_simple": _riccati_simple,
-}
+_PROBLEMS: dict[str, IVProblem] = {p.name: p for p in (
+    IVProblem(name="paper_exponential", f=lambda x, y: GROWTH_RATE * y, x0=0.0, y0=[1.0],
+              x_end=100.0, exact=lambda x: np.array([math.exp(GROWTH_RATE * x)])),
+    IVProblem(name="decay", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=10.0,
+              exact=lambda x: np.array([math.exp(-x)])),
+    IVProblem(name="riccati_simple", f=lambda x, y: -y * y, x0=0.0, y0=[1.0], x_end=5.0,
+              exact=lambda x: np.array([1.0 / (1.0 + x)])),
+)}
 
 
 def builtin(name: str) -> IVProblem:
-    """Look up a registered problem by name."""
+    """Look up a registered problem by name.
+
+    Problems are read-only, so every lookup returns the same shared value.
+    """
     try:
-        factory = _PROBLEMS[name]
+        return _PROBLEMS[name]
     except KeyError:
         raise UnknownProblem(f"unknown problem {name!r}; known: {sorted(_PROBLEMS)}") from None
-    return factory()
 
 
 def problem_names() -> list[str]:

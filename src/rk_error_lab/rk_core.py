@@ -1,15 +1,16 @@
 """Explicit Runge-Kutta methods as Butcher tableaus, plus single-step evaluation.
 
 A method is described by its stage matrix ``a``, weights ``b``, abscissae
-``c``, stage count ``m`` and classical order ``z``.  One step of the method
-applied to ``y' = f(x, y)`` is
+``c`` and classical order ``z``; the stage count ``m`` is the length of
+``b``.  One step of the method applied to ``y' = f(x, y)`` is
 
     k_p = f(x + c_p h, y + h * sum_{q < p} a_pq k_q)       p = 1..m
     y_next = y + h * sum_p b_p k_p
 
 Only explicit methods are supported: ``a`` must be strictly lower
-triangular, so the stages can be evaluated in index order.  States are flat
-float64 vectors; scalar problems use length-1 vectors.
+triangular, so the stages can be evaluated in index order.  A tableau is
+checked once, when it is built, and its arrays are read-only afterwards.
+States are flat float64 vectors; scalar problems use length-1 vectors.
 
 Each stage argument ``y + h * (a_p1 k_1 + a_p2 k_2 + ...)`` is summed in
 index order over the nonzero coefficients of its row only
@@ -20,7 +21,6 @@ Only the weighted sum ``b @ k`` goes through BLAS.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,7 +58,7 @@ class ConsistencyViolation(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    """Coefficient array shapes disagree with the declared stage count."""
+    """Coefficient array shapes disagree with the stage count, the length of ``b``."""
 
 
 class NonFiniteStage(ArithmeticError):
@@ -73,12 +73,13 @@ class UnknownPair(KeyError):
 class ButcherTableau:
     """Coefficients of one explicit Runge-Kutta method.
 
+    ``a``, ``b`` and ``c`` are copied into read-only float arrays and checked
+    by ``validate_tableau`` when the tableau is built.
+
     Attributes
     ----------
     name : str
         Label used in registries and traces.
-    m : int
-        Number of stages.
     a : ndarray, shape (m, m)
         Stage matrix; strictly lower triangular for explicit methods.
     b : ndarray, shape (m,)
@@ -87,31 +88,33 @@ class ButcherTableau:
         Abscissae; by convention each equals the corresponding row sum of ``a``.
     z : int
         Classical order of the method.
+    m : int
+        Number of stages, derived from ``b``.
+    stage_rows : tuple
+        ``(c_p, ((q, a_pq), ...))`` for each stage ``p``, as Python floats,
+        listing only the nonzero ``a_pq`` in index order; derived, and read by
+        the stage loop and ``MethodPair.shared``.
     """
 
     name: str
-    m: int
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     z: int
+    m: int = field(init=False)
+    stage_rows: tuple[tuple[float, tuple[tuple[int, float], ...]], ...] = field(
+        init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-
-    @cached_property
-    def stage_rows(self) -> tuple[tuple[float, tuple[tuple[int, float], ...]], ...]:
-        """``(c_p, ((q, a_pq), ...))`` for each stage ``p``, as Python floats, listing
-        only the nonzero ``a_pq`` in index order.  Derived on first use, so
-        ``validate_tableau`` still refuses a malformed tableau; the stage loop
-        and ``MethodPair.shared`` both read it."""
-        return tuple(
+        for key in ("a", "b", "c"):
+            object.__setattr__(self, key, _readonly(getattr(self, key)))
+        object.__setattr__(self, "m", self.b.size)
+        validate_tableau(self)
+        object.__setattr__(self, "stage_rows", tuple(
             (float(self.c[p]),
              tuple((q, float(self.a[p, q])) for q in range(p) if self.a[p, q] != 0.0))
             for p in range(self.m)
-        )
+        ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +157,14 @@ def validate_tableau(t: ButcherTableau) -> ButcherTableau:
     Raises
     ------
     DimensionMismatch
-        If the array shapes disagree with ``m``, or ``m``/``z`` are < 1.
+        If ``a`` and ``c`` do not match the length ``m`` of ``b``, ``b`` is
+        not a vector, or ``m``/``z`` are < 1.
     ExplicitnessViolation
         If any entry on or above the diagonal of ``a`` is nonzero.
     ConsistencyViolation
-        If the weights do not sum to 1 within ``CONSISTENCY_TOL``, or an
-        abscissa differs from its stage row sum by more than that.
+        If an entry of ``a``, ``b`` or ``c`` is NaN or infinite, the weights
+        do not sum to 1 within ``CONSISTENCY_TOL``, or an abscissa differs
+        from its stage row sum by more than that.
     """
     if t.m < 1 or t.z < 1:
         raise DimensionMismatch(f"{t.name}: stage count and order must be >= 1")
@@ -170,6 +175,14 @@ def validate_tableau(t: ButcherTableau) -> ButcherTableau:
     if t.c.shape != (t.m,):
         raise DimensionMismatch(f"{t.name}: c has shape {t.c.shape}, expected {(t.m,)}")
 
+    for key, values in (("a", t.a), ("b", t.b), ("c", t.c)):
+        if not np.isfinite(values).all():
+            index = np.argwhere(~np.isfinite(values))[0]
+            raise ConsistencyViolation(
+                f"{t.name}: {key}{''.join(f'[{i + 1}]' for i in index)} = "
+                f"{values[tuple(index)]} is not finite"
+            )
+
     # indices p <= q (1-based) are the diagonal and above in 0-based terms
     upper = np.triu(t.a)
     if np.any(upper != 0.0):
@@ -178,18 +191,27 @@ def validate_tableau(t: ButcherTableau) -> ButcherTableau:
             f"{t.name}: a[{p + 1}][{q + 1}] = {t.a[p, q]} makes the method implicit"
         )
 
-    weight_sum = float(np.sum(t.b))
-    if abs(weight_sum - 1.0) > CONSISTENCY_TOL:
+    # finite coefficients can still overflow in a sum; that sum then fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight_sum = float(np.sum(t.b))
+        row_sums = t.a.sum(axis=1)
+    if not abs(weight_sum - 1.0) <= CONSISTENCY_TOL:
         raise ConsistencyViolation(f"{t.name}: weights sum to {weight_sum!r}, not 1")
 
-    row_sums = t.a.sum(axis=1)
-    bad = np.abs(row_sums - t.c) > CONSISTENCY_TOL
+    bad = ~(np.abs(row_sums - t.c) <= CONSISTENCY_TOL)
     if np.any(bad):
         p = int(np.argwhere(bad)[0][0])
         raise ConsistencyViolation(
             f"{t.name}: c[{p + 1}] = {t.c[p]} but row sum is {row_sums[p]}"
         )
     return t
+
+
+def _readonly(values, ndmin: int = 0) -> np.ndarray:
+    """A float64 copy of ``values`` (at least ``ndmin``-dimensional) that cannot be written."""
+    out = np.array(values, dtype=float, ndmin=ndmin)
+    out.flags.writeable = False
+    return out
 
 
 def increment_function(
@@ -263,49 +285,45 @@ def rk_step(
 
 def kutta3() -> ButcherTableau:
     """Kutta's three-stage third-order method."""
-    return validate_tableau(
-        ButcherTableau(
-            name="rk3",
-            m=3,
-            a=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 2.0, 0.0]],
-            b=[1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-            c=[0.0, 0.5, 1.0],
-            z=3,
-        )
+    return ButcherTableau(
+        name="rk3",
+        a=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 2.0, 0.0]],
+        b=[1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
+        c=[0.0, 0.5, 1.0],
+        z=3,
     )
 
 
 def classic_rk4() -> ButcherTableau:
     """The classical four-stage fourth-order method."""
-    return validate_tableau(
-        ButcherTableau(
-            name="rk4",
-            m=4,
-            a=[
-                [0.0, 0.0, 0.0, 0.0],
-                [0.5, 0.0, 0.0, 0.0],
-                [0.0, 0.5, 0.0, 0.0],
-                [0.0, 0.0, 1.0, 0.0],
-            ],
-            b=[1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
-            c=[0.0, 0.5, 0.5, 1.0],
-            z=4,
-        )
+    return ButcherTableau(
+        name="rk4",
+        a=[
+            [0.0, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0, 0.0],
+            [0.0, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ],
+        b=[1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
+        c=[0.0, 0.5, 0.5, 1.0],
+        z=4,
     )
 
 
-_PAIRS: dict[str, Callable[[], MethodPair]] = {
-    "rk3_rk4": lambda: MethodPair(lower=kutta3(), higher=classic_rk4()),
+_PAIRS: dict[str, MethodPair] = {
+    "rk3_rk4": MethodPair(lower=kutta3(), higher=classic_rk4()),
 }
 
 
 def builtin_pair(name: str) -> MethodPair:
-    """Look up a method pair by registry name (currently ``rk3_rk4``)."""
+    """Look up a method pair by registry name (currently ``rk3_rk4``).
+
+    Pairs are read-only, so every lookup returns the same shared value.
+    """
     try:
-        factory = _PAIRS[name]
+        return _PAIRS[name]
     except KeyError:
         raise UnknownPair(f"unknown method pair {name!r}; known: {sorted(_PAIRS)}") from None
-    return factory()
 
 
 def pair_names() -> list[str]:

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -200,9 +202,14 @@ def test_x_end_override(tmp_path):
     assert json.loads(json_path.read_text())["final_x"] == 50.0
 
 
-def test_quiet_suppresses_verdict(capsys, tmp_path):
+def test_quiet_suppresses_verdict(capsys, monkeypatch):
     assert main(["--problem", "decay", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+    # python -m rk_error_lab, run in-process
+    monkeypatch.setattr(sys, "argv", ["rk_error_lab", "--problem", "decay", "--quiet"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("rk_error_lab", run_name="__main__")
+    assert done.value.code == 0 and capsys.readouterr().out == ""
 
 
 def _same_bits(a, b) -> bool:
@@ -254,6 +261,9 @@ def test_malformed_rows_are_refused_with_their_line(tmp_path):
         path.write_text("\n".join(lines[:2] + [",".join(bad)] + lines[3:]) + "\n")
         with pytest.raises(ValueError, match="line 3"):
             read_trace_csv(str(path))
+    path.write_text("\n".join(["x"] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match="line 1: unexpected CSV header"):
+        read_trace_csv(str(path))
     path.write_text("\n".join(lines) + "\n")
     assert len(read_trace_csv(str(path))) == len(lines) - 1
 

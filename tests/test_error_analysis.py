@@ -249,6 +249,9 @@ def test_crossing_skips_records_without_diagnostics():
 def test_crossing_rejects_empty_input():
     with pytest.raises(ValueError):
         find_crossing([], 1e-8)
+    for delta in (0.0, -1e-8):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            find_crossing([make_record(1, 0.1, 2e-8)], delta)
 
 
 # --- empirical_order ----------------------------------------------------------------

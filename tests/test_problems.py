@@ -49,6 +49,20 @@ def test_inconsistent_exact_rejected():
                   exact=lambda x: np.array([2.0]))
 
 
+def test_problems_are_read_only_values():
+    p = builtin("decay")
+    assert builtin("decay") is p and p == p and hash(p) == hash(builtin("decay"))
+    y0 = np.array([1.0, 2.0])
+    q = IVProblem(name="pair", f=lambda x, y: -y, x0=0.0, y0=y0, x_end=1.0,
+                  exact=lambda x: np.exp(-x) * np.array([1.0, 2.0]))
+    assert q != q.with_x_end(1.0) and q.with_x_end(1.0).x_end == 1.0
+    y0[0] = 5.0  # the problem holds a copy of the caller's array
+    assert np.array_equal(q.y0, [1.0, 2.0])
+    for built in (p, q):
+        with pytest.raises(ValueError):
+            built.y0[0] = 3.0
+
+
 def test_interval_must_be_forward():
     with pytest.raises(ValueError):
         IVProblem(name="bad", f=lambda x, y: y, x0=1.0, y0=[1.0], x_end=1.0)

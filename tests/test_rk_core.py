@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rk_error_lab import (
     ButcherTableau,
@@ -35,6 +36,9 @@ def test_builtin_tableaus_are_valid():
         assert validate_tableau(t) is t
         assert abs(float(np.sum(t.b)) - 1.0) <= 1e-12
         assert np.allclose(t.a.sum(axis=1), t.c, atol=1e-12, rtol=0.0)
+        for values in (t.a, t.b, t.c):
+            with pytest.raises(ValueError):
+                values[-1] = 5.0
 
 
 def test_classic_rk4_coefficients():
@@ -53,40 +57,97 @@ def test_kutta3_coefficients():
 
 
 def test_explicitness_violation():
-    t = ButcherTableau(name="bad", m=2, a=[[0.5, 0.0], [0.3, 0.0]],
-                       b=[0.5, 0.5], c=[0.5, 0.3], z=1)
     with pytest.raises(ExplicitnessViolation):
-        validate_tableau(t)
+        ButcherTableau(name="bad", a=[[0.5, 0.0], [0.3, 0.0]], b=[0.5, 0.5], c=[0.5, 0.3], z=1)
 
 
 def test_weight_sum_violation():
-    t = ButcherTableau(name="bad", m=2, a=[[0.0, 0.0], [0.5, 0.0]],
-                       b=[0.5, 0.6], c=[0.0, 0.5], z=2)
-    with pytest.raises(ConsistencyViolation):
-        validate_tableau(t)
+    for b, message in (([0.5, 0.6], "weights sum to"), ([0.5, math.nan], r"b\[2\] = nan"),
+                       ([math.inf, 0.5], r"b\[1\] = inf")):
+        with pytest.raises(ConsistencyViolation, match=message):
+            ButcherTableau(name="bad", a=[[0.0, 0.0], [0.5, 0.0]], b=b, c=[0.0, 0.5], z=2)
 
 
 def test_abscissa_mismatch():
-    t = ButcherTableau(name="odd", m=2, a=[[0.0, 0.0], [0.5, 0.0]],
-                       b=[0.5, 0.5], c=[0.0, 0.75], z=2)
-    with pytest.raises(ConsistencyViolation):
-        validate_tableau(t)
+    finite = [[0.0, 0.0], [0.5, 0.0]]
+    nan_lower = [[0.0, 0.0], [math.nan, 0.0]]
+    nan_upper = [[0.0, math.nan], [0.5, 0.0]]
+    for a, c, message in ((finite, [0.0, 0.75], "row sum"),
+                          (finite, [0.0, -math.inf], r"c\[2\] = -inf"),
+                          (nan_lower, [0.0, 0.5], r"a\[2\]\[1\] = nan"),
+                          (nan_upper, [0.0, 0.5], r"a\[1\]\[2\] = nan")):
+        with pytest.raises(ConsistencyViolation, match=message):
+            ButcherTableau(name="odd", a=a, b=[0.5, 0.5], c=c, z=2)
 
 
 def test_dimension_mismatch():
-    t = ButcherTableau(name="bad", m=3, a=np.zeros((2, 2)), b=[1.0], c=[0.0], z=1)
     with pytest.raises(DimensionMismatch):
-        validate_tableau(t)
+        ButcherTableau(name="bad", a=np.zeros((2, 2)), b=[1.0], c=[0.0], z=1)
     with pytest.raises(DimensionMismatch):
-        validate_tableau(ButcherTableau(name="bad", m=0, a=np.zeros((0, 0)),
-                                        b=np.zeros(0), c=np.zeros(0), z=1))
-    # the stage rows are derived on first use, so a short c cannot fail at construction
+        ButcherTableau(name="bad", a=np.zeros((0, 0)), b=np.zeros(0), c=np.zeros(0), z=1)
+    # a short c is refused before the stage rows are derived from it
     with pytest.raises(DimensionMismatch):
-        validate_tableau(ButcherTableau(name="bad", m=2, a=[[0.0, 0.0], [1.0, 0.0]],
-                                        b=[0.5, 0.5], c=[0.0], z=1))
+        ButcherTableau(name="bad", a=[[0.0, 0.0], [1.0, 0.0]], b=[0.5, 0.5], c=[0.0], z=1)
+    # m is the length of b, so a short b is reported as a mismatch of a
+    with pytest.raises(DimensionMismatch):
+        ButcherTableau(name="bad", a=[[0.0, 0.0], [1.0, 0.0]], b=[1.0], c=[0.0, 1.0], z=1)
     with pytest.raises(DimensionMismatch, match="b has shape"):
-        validate_tableau(ButcherTableau(name="bad", m=2, a=[[0.0, 0.0], [1.0, 0.0]],
-                                        b=[1.0], c=[0.0, 1.0], z=1))
+        ButcherTableau(name="bad", a=[[0.0, 0.0], [1.0, 0.0]], b=[[0.5, 0.5]], c=[0.0, 1.0],
+                       z=1)
+
+
+@st.composite
+def tableau_inputs(draw):
+    """Coefficients of 1 to 4 stages, in arrays of the right or a wrong length.
+    The upper triangle, the abscissae and the weights are each made
+    consistent three times in four, so that valid tableaus occur often; then,
+    every other time, one entry is set to NaN or an infinity."""
+    m = draw(st.integers(1, 4))
+    entry = st.sampled_from([0.0, 0.5, -1.0]) | st.floats()
+
+    def vector():
+        n = draw(st.sampled_from([m] * 6 + [m - 1, m + 1]))
+        return np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+
+    a = np.array(draw(st.lists(entry, min_size=m * m, max_size=m * m))).reshape(m, m)
+    if draw(st.integers(0, 3)):
+        a = np.tril(a, -1)
+    with np.errstate(all="ignore"):
+        c = a.sum(axis=1) if draw(st.integers(0, 3)) else vector()
+    b = np.full(m, 1.0 / m) if draw(st.integers(0, 3)) else vector()
+    # integers, not sampled_from: hypothesis may switch a sampled value off for a whole run
+    target = (a, b, c)[draw(st.integers(0, 2))]
+    if draw(st.integers(0, 1)) and target.size:
+        target.flat[draw(st.integers(0, target.size - 1))] = (
+            math.nan, math.inf, -math.inf)[draw(st.integers(0, 2))]
+    return a, b, c, draw(st.integers(0, 9))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(tableau_inputs())
+# inputs a NaN-blind check accepts: a NaN weight, and a NaN stage row with a NaN abscissa
+@example(([[0.0, 0.0], [0.5, 0.0]], [0.5, math.nan], [0.0, 0.5], 2))
+@example(([[0.0, 0.0], [math.nan, 0.0]], [0.5, 0.5], [0.0, math.nan], 2))
+def test_tableau_is_checked_when_built_and_read_only(inputs):
+    a, b, c = (np.array(v, dtype=float) for v in inputs[:3])
+    z = inputs[3]
+    try:
+        t = ButcherTableau(name="random", a=a, b=b, c=c, z=z)
+    except (DimensionMismatch, ExplicitnessViolation, ConsistencyViolation):
+        return
+    copies = [v.copy() for v in (t.a, t.b, t.c)]
+    for given_values in (a, b, c):
+        given_values.fill(7.0)  # the tableau holds copies of the caller's arrays
+    for values, kept in zip((t.a, t.b, t.c), copies):
+        assert not values.flags.writeable and np.isfinite(values).all()
+        assert np.array_equal(values, kept)
+    assert t.m == t.b.size == len(t.stage_rows)
+    for p, (c_p, row) in enumerate(t.stage_rows):
+        dense = np.zeros(t.m)
+        for q, a_pq in row:
+            assert q < p and a_pq != 0.0
+            dense[q] = a_pq
+        assert c_p == t.c[p] and np.array_equal(dense, t.a[p])
 
 
 def test_increment_zero_field():
@@ -195,6 +256,7 @@ def test_method_pair_orders():
     with pytest.raises(UnknownPair):
         builtin_pair("rk9_rk10")
     assert "rk3_rk4" in pair_names()
+    assert builtin_pair("rk3_rk4") is pair
 
 
 def test_stage_rows_list_only_nonzero_coefficients(rk4_three_eighths):
