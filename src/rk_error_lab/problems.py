@@ -34,7 +34,7 @@ class IVProblem:
 
     ``exact``, when given, maps an abscissa to the true solution vector and
     must agree with ``y0`` at ``x0``.  Right-hand sides must be pure
-    functions of ``(x, y)``.  ``x0`` and ``x_end`` must be finite.  ``y0`` is
+    functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite.  ``y0`` is
     copied into a read-only float array when the problem is built.
     """
 
@@ -51,6 +51,8 @@ class IVProblem:
             raise ValueError(f"{self.name}: x0={self.x0} and x_end={self.x_end} must be finite")
         if not self.x_end > self.x0:
             raise ValueError(f"{self.name}: x_end={self.x_end} must exceed x0={self.x0}")
+        if not np.isfinite(self.y0).all():
+            raise ValueError(f"{self.name}: y0={self.y0} must be finite")
         if self.exact is not None:
             y_start = np.atleast_1d(np.asarray(self.exact(self.x0), dtype=float))
             err = float(np.max(np.abs(y_start - self.y0)))
@@ -90,11 +92,16 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     """True solution at ``x`` from the problem's registered exact function.
 
     Raises ``ValueError`` if the problem has no exact solution or ``x`` lies
-    outside its interval.
+    outside its interval, and ``OverflowError`` naming the problem if the
+    exact function overflows at ``x`` (``math.exp`` raises rather than
+    returning inf).
     """
     if p.exact is None:
         raise ValueError(f"{p.name}: no exact solution to take a reference from")
     span = p.x_end - p.x0
     if not (p.x0 - 1e-12 * span <= x <= p.x_end + 1e-12 * span):
         raise ValueError(f"x={x} outside [{p.x0}, {p.x_end}]")
-    return np.atleast_1d(np.asarray(p.exact(x), dtype=float))
+    try:
+        return np.atleast_1d(np.asarray(p.exact(x), dtype=float))
+    except OverflowError:
+        raise OverflowError(f"{p.name}: exact solution overflows at x={x}") from None

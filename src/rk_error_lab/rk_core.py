@@ -20,6 +20,7 @@ Only the weighted sum ``b @ k`` goes through BLAS.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -158,7 +159,7 @@ def validate_tableau(t: ButcherTableau) -> ButcherTableau:
     ------
     DimensionMismatch
         If ``a`` and ``c`` do not match the length ``m`` of ``b``, ``b`` is
-        not a vector, or ``m``/``z`` are < 1.
+        not a vector, ``m`` is < 1, or ``z`` is not an integer >= 1.
     ExplicitnessViolation
         If any entry on or above the diagonal of ``a`` is nonzero.
     ConsistencyViolation
@@ -166,8 +167,9 @@ def validate_tableau(t: ButcherTableau) -> ButcherTableau:
         do not sum to 1 within ``CONSISTENCY_TOL``, or an abscissa differs
         from its stage row sum by more than that.
     """
-    if t.m < 1 or t.z < 1:
-        raise DimensionMismatch(f"{t.name}: stage count and order must be >= 1")
+    if t.m < 1 or not (isinstance(t.z, numbers.Integral) and t.z >= 1):
+        raise DimensionMismatch(f"{t.name}: stage count must be >= 1 and order an integer "
+                                f">= 1, got m={t.m}, z={t.z!r}")
     if t.a.shape != (t.m, t.m):
         raise DimensionMismatch(f"{t.name}: a has shape {t.a.shape}, expected {(t.m, t.m)}")
     if t.b.shape != (t.m,):

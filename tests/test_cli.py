@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import runpy
 import sys
@@ -8,9 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rk_error_lab import ControllerConfig, IVProblem, builtin, builtin_pair, integrate
+from rk_error_lab.controller import POLICIES
 from rk_error_lab.error_analysis import StepRecord
+from rk_error_lab.problems import problem_names
+from rk_error_lab.rk_core import pair_names
 from rk_error_lab.cli import (
     CSV_COLUMNS,
     MissingDiagnostics,
@@ -35,6 +41,11 @@ def test_defaults_match_flagship_setup():
     assert spec.max_steps == 1_000_000
     assert spec.h_init is None and spec.x_end is None
     assert not spec.quiet
+    # run builds its ControllerConfig from the RunSpec fields of the same names
+    spec_fields = {f.name for f in dataclasses.fields(spec)}
+    for f in dataclasses.fields(ControllerConfig):
+        assert f.name in spec_fields
+        assert getattr(spec, f.name) == f.default
 
 
 def test_flag_parsing():
@@ -65,6 +76,8 @@ def test_invalid_values_exit_2(capsys):
     assert main(["--x-end", "1e100"]) == 2
     assert main(["--x-end", "1e105"]) == 2
     assert main(["--problem", "decay", "--x-end", "1e100"]) == 2
+    # a span so small that the probe stepsize span/100 underflows to zero
+    assert main(["--x-end", "5e-324"]) == 2
     capsys.readouterr()
 
 
@@ -85,7 +98,40 @@ def test_integrator_failure_exits_4(capsys):
     assert main(["--x-end", "1e60", "--quiet"]) == 4
     # a span so small that h**5 underflows to zero
     assert main(["--x-end", "1e-70", "--quiet"]) == 4
+    # a tolerance so loose that the steps pass x = 10275, where exp(x ln(1000)/100) overflows
+    assert main(["--x-end", "2e4", "--delta", "1e100", "--quiet"]) == 4
+    # a span whose probe step overflows the Riccati right-hand side -y*y
+    assert main(["--problem", "riccati_simple", "--x-end", "1e40", "--quiet"]) == 4
     capsys.readouterr()
+
+
+_VALUE_TEXT = st.floats().map(repr) | st.sampled_from(
+    ["1e-8", "0.5", "5e-324", "1e-310", "1e308", "1e400", "-1", "0", "", "1e", "abc", "0x10"])
+
+
+@st.composite
+def argvs(draw):
+    """Flags of every value kind: registry names and junk, finite, subnormal,
+    huge, NaN, inf and malformed numbers; ``--max-steps`` is always bounded."""
+    argv = ["--quiet", f"--max-steps={draw(st.integers(-1, 50))}"]
+    for flag, values in (("--problem", st.sampled_from(problem_names() + ["vanderpol"])),
+                         ("--pair", st.sampled_from(pair_names() + ["rk5_rk6"])),
+                         ("--policy", st.sampled_from(POLICIES)),
+                         ("--delta", _VALUE_TEXT), ("--sigma", _VALUE_TEXT),
+                         ("--h-init", _VALUE_TEXT), ("--x-end", _VALUE_TEXT)):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(argvs())
+# spans whose probe stepsize span/100 underflows to zero
+@example(["--x-end", "5e-324"])
+@example(["--x-end", "1e-323"])
+def test_no_argv_ends_in_a_traceback(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in {0, 2, 3, 4, 5}
 
 
 def test_io_failure_exits_5(capsys, tmp_path):

@@ -69,6 +69,9 @@ def test_interval_must_be_forward():
     for x0, x_end in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0)):
         with pytest.raises(ValueError):
             IVProblem(name="bad", f=lambda x, y: y, x0=x0, y0=[1.0], x_end=x_end)
+    for y0 in ([math.nan], [1.0, math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match="bad: y0="):
+            IVProblem(name="bad", f=lambda x, y: y, x0=0.0, y0=y0, x_end=1.0)
 
 
 @pytest.mark.parametrize("name", ["decay", "paper_exponential", "riccati_simple"])
@@ -101,3 +104,7 @@ def test_reference_rejects_bad_arguments():
     p = builtin("decay")
     with pytest.raises(ValueError):
         reference_solution(p, 11.0)
+    # math.exp raises instead of returning inf; the error names the problem
+    p = builtin("paper_exponential").with_x_end(2e4)
+    with pytest.raises(OverflowError, match="paper_exponential: exact solution overflows"):
+        reference_solution(p, 1.5e4)
