@@ -225,9 +225,7 @@ def run(spec: RunSpec) -> int:
         if spec.x_end is not None:
             problem = problem.with_x_end(spec.x_end)
         pair = builtin_pair(spec.pair)
-        # integrate raises for a non-finite stage or state; numpy's warning is noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = integrate(pair, problem, cfg)
+        trace = integrate(pair, problem, cfg)
     except ValueError as exc:
         print(f"rk-error-lab: error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ from .error_analysis import (
     StepRecord,
     StepsizeOutOfRange,
     _Oracle,
-    _step_power,
     estimate_beta,
     find_crossing,
     inf_norm,
@@ -52,10 +51,11 @@ __all__ = [
 POLICIES = ("proportional", "reject-only")
 
 MAX_REJECTS = 20  # consecutive rejections allowed on one step
+MAX_GROWTH = 10.0  # largest factor by which a step may exceed the accepted step before it
 
 
 class StepsizeUnderflow(RuntimeError):
-    """Meeting the tolerance would require a stepsize below the run's minimum,
+    """A rejection's proposed stepsize is clamped up to the run's minimum,
     ``1e-12`` times the interval length."""
 
 
@@ -77,7 +77,8 @@ class ControllerConfig:
 
     ``h_init`` may be left ``None``; it is then proposed from a probe step at
     the start of the run.  The stepsize limits are not settings: every run
-    keeps its steps within ``[1e-12, 1/10]`` times the interval length.
+    keeps its steps within ``[1e-12, 1/10]`` times the interval length, and
+    no step is longer than ``MAX_GROWTH`` times the accepted step before it.
     """
 
     delta: float = 1e-8
@@ -124,18 +125,14 @@ def propose_stepsize(
     """Stepsize from the tolerance equation, with safety factor and clamping.
 
     Returns ``clamp(sigma * (delta / beta_norm) ** (1 / (z+1)), h_min,
-    h_max)``; a zero estimate proposes ``h_max``.
+    h_max)``; a zero estimate proposes ``h_max``.  It is the only place an
+    estimate becomes a stepsize: after the probe, a rejection or an accepted step.
     """
     if beta_norm < 0.0:
         raise ValueError(f"beta_norm must be nonnegative, got {beta_norm}")
     if beta_norm == 0.0:
         return h_max
-    return min(max(_tolerance_stepsize(beta_norm, cfg, z), h_min), h_max)
-
-
-def _tolerance_stepsize(beta_norm: float, cfg: ControllerConfig, z: int) -> float:
-    """Unclamped stepsize at which ``beta_norm`` meets the tolerance, with safety factor."""
-    return cfg.sigma * (cfg.delta / beta_norm) ** (1.0 / (z + 1))
+    return min(max(cfg.sigma * (cfg.delta / beta_norm) ** (1.0 / (z + 1)), h_min), h_max)
 
 
 def attempt_step(
@@ -168,25 +165,32 @@ def _initial_stepsizes(
     """The run's ``(h_init, h_min, h_max)``, with the limits ``[1e-12, 1/10]`` times the span.
 
     Without a given ``h_init`` one is proposed from a probe step of
-    ``span / 100`` and clamped into the limits.  Raises
-    ``StepsizeOutOfRange`` if a given ``h_init`` lies outside the limits, or
-    if ``h_max``, the longest step the run may try (the probe included), is
-    so large that ``h**(z+1)`` overflows for the higher method's order ``z``.
+    ``span / 100`` and clamped into the limits.  Raises ``StepsizeOutOfRange``
+    naming ``x_end`` if ``h_min`` underflows to 0 or ``h_max**(z+1)``
+    overflows for the higher method's order ``z`` (every step, the probe
+    included, is at most ``h_max``), and for a given ``h_init`` outside them.
     """
     span = p.x_end - p.x0
     h_min, h_max = 1e-12 * span, span / 10.0
-    if h_max > 1.0:  # only overflow is checked up front; below 1 no power overflows
-        _step_power(h_max, pair.higher.z + 1)
-    if cfg.h_init is not None:
-        if not h_min <= cfg.h_init <= h_max:
-            raise StepsizeOutOfRange(
-                f"h_init={cfg.h_init} outside [h_min={h_min}, h_max={h_max}]"
-            )
-        return cfg.h_init, h_min, h_max
-    _, _, beta = attempt_step(pair, p.f, p.x0, p.y0, span / 100.0)
-    return propose_stepsize(inf_norm(beta), cfg, pair.lower.z, h_min, h_max), h_min, h_max
+    n = pair.higher.z + 1
+    try:
+        usable = h_min > 0.0 and h_max ** n < math.inf
+    except OverflowError:
+        usable = False
+    if not usable:
+        raise StepsizeOutOfRange(f"{p.name}: x_end={p.x_end} leaves no usable stepsize in "
+                                 f"[{h_min}, {h_max}]: h_min must exceed 0, h_max**{n} be finite")
+    h_init = cfg.h_init
+    if h_init is None:
+        _, _, beta = attempt_step(pair, p.f, p.x0, p.y0, span / 100.0)
+        h_init = propose_stepsize(inf_norm(beta), cfg, pair.lower.z, h_min, h_max)
+    elif not h_min <= h_init <= h_max:
+        raise StepsizeOutOfRange(f"h_init={h_init} outside [h_min={h_min}, h_max={h_max}]")
+    return h_init, h_min, h_max
 
 
+# a non-finite stage or state raises a named exception; numpy's warning is noise
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     """Integrate ``p`` over its interval with local error control.
 
@@ -233,12 +237,10 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
                 raise MaxRejectsExceeded(
                     f"{p.name}: {rejects} consecutive rejections at x={x}"
                 )
-            raw = _tolerance_stepsize(beta_norm, cfg, z)
-            if raw < h_min:
-                raise StepsizeUnderflow(
-                    f"{p.name}: required stepsize {raw} below h_min={h_min} at x={x}"
-                )
-            h_work = min(raw, h_max)
+            h_work = propose_stepsize(beta_norm, cfg, z, h_min, h_max)
+            if h_work == h_min:
+                raise StepsizeUnderflow(f"{p.name}: required stepsize at or below "
+                                        f"h_min={h_min} at x={x}")
 
         x_next = p.x_end if land else x + h_step
         i = len(records) + 1
@@ -261,14 +263,13 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         w = w_hi
         x = x_next
         if cfg.policy == "proportional":
-            h_work = propose_stepsize(beta_norm, cfg, z, h_min, h_max)
+            h_cap = MAX_GROWTH * h_step
+            h_work = propose_stepsize(beta_norm, cfg, z, h_min, h_cap if h_cap < h_max else h_max)
         # reject-only keeps h_work as is
 
     # IVProblem guarantees x_end > x0, so there is at least one record
     crossing = find_crossing(records, delta)
-    violation_index = next(
-        (rec.i for rec in records if rec.cond_holds is False), None
-    )
+    violation_index = next((rec.i for rec in records if rec.cond_holds is False), None)
     last = records[-1].delta_lower
     final_delta = None
     if last is not None:

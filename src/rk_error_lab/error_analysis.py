@@ -63,7 +63,7 @@ class StepUnderflow(ArithmeticError):
 class StepsizeOutOfRange(ValueError):
     """A stepsize lies outside the range a run can use: an initial stepsize
     outside the run's limits (``[1e-12, 1/10]`` times the interval length),
-    or one so large that a power of it overflows a float."""
+    one whose power overflows a float, or an ``x_end`` leaving no usable limits."""
 
 
 class DegenerateFit(RuntimeError):

@@ -72,13 +72,13 @@ def test_invalid_values_exit_2(capsys):
     # outside the limits resolved from the problem, [1e-10, 10] by default
     assert main(["--h-init", "1000"]) == 2
     assert main(["--h-init", "1e-300"]) == 2
-    # a span so large that h_max**5 overflows a float
-    assert main(["--x-end", "1e100"]) == 2
-    assert main(["--x-end", "1e105"]) == 2
     assert main(["--problem", "decay", "--x-end", "1e100"]) == 2
-    # a span so small that the probe stepsize span/100 underflows to zero
-    assert main(["--x-end", "5e-324"]) == 2
     capsys.readouterr()
+    # a span so long that h_max**5 overflows a float, or so short that
+    # h_min = 1e-12 * span underflows to zero; the message names x_end
+    for x_end in ("1e100", "1e105", "5e-324", "1e-323", "1e-315"):
+        assert main(["--x-end", x_end]) == 2
+        assert f"x_end={float(x_end)!r}" in capsys.readouterr().err
 
 
 def test_unknown_registry_names_exit_3(capsys):
@@ -105,6 +105,12 @@ def test_integrator_failure_exits_4(capsys):
     capsys.readouterr()
 
 
+def test_long_span_on_a_smooth_problem_completes():
+    # the probe lands on h_min = 1e-7, where the estimate is 0; the growth cap
+    # keeps the next step from jumping to h_max = 1e4
+    assert main(["--problem", "riccati_simple", "--x-end", "1e5", "--quiet"]) == 0
+
+
 _VALUE_TEXT = st.floats().map(repr) | st.sampled_from(
     ["1e-8", "0.5", "5e-324", "1e-310", "1e308", "1e400", "-1", "0", "", "1e", "abc", "0x10"])
 
@@ -126,7 +132,7 @@ def argvs(draw):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(argvs())
-# spans whose probe stepsize span/100 underflows to zero
+# spans whose h_min = 1e-12 * span underflows to zero
 @example(["--x-end", "5e-324"])
 @example(["--x-end", "1e-323"])
 def test_no_argv_ends_in_a_traceback(argv):

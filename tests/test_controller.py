@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rk_error_lab import controller
 from rk_error_lab import (
@@ -14,6 +16,7 @@ from rk_error_lab import (
     MethodPair,
     NonFiniteStage,
     NonFiniteState,
+    POLICIES,
     StepsizeOutOfRange,
     StepsizeUnderflow,
     StepUnderflow,
@@ -286,8 +289,15 @@ def test_stepsize_whose_power_overflows_is_refused():
     # h**5 overflows a float above about 4.5e61; h_max = span / 10 bounds every
     # step, the probe's span / 100 included
     huge = builtin("decay").with_x_end(1e100)
-    with pytest.raises(StepsizeOutOfRange):
+    with pytest.raises(StepsizeOutOfRange, match=re.escape("x_end=1e+100")):
         integrate(PAIR, huge, flagship_config())
+
+
+def test_span_whose_h_min_underflows_is_refused():
+    # h_min = 1e-12 * span underflows to 0 for a span below about 2.47e-312
+    for x_end in (1e-315, 5e-324):
+        with pytest.raises(StepsizeOutOfRange, match=re.escape(f"x_end={x_end!r}")):
+            integrate(PAIR, builtin("decay").with_x_end(x_end), flagship_config())
 
 
 def test_reject_only_policy_keeps_stepsize():
@@ -321,6 +331,17 @@ def test_flagship_reject_only_regression_anchor():
     assert s.crossing_index == 44
     assert s.crossing_x == 11.278686635103092
     assert s.final_delta_lower == -1.227496113642701e-06
+
+
+def test_stepsize_growth_is_capped():
+    # the probe lands on h_min = 1e-7, where the estimate is exactly 0; without
+    # the cap the next step jumps to h_max = 1e4 and its rejection asks for a
+    # stepsize below h_min
+    trace = integrate(PAIR, builtin("riccati_simple").with_x_end(1e5), flagship_config())
+    assert trace.summary.final_x == 1e5
+    steps = [(a.h, b.h) for a, b in zip(trace.records, trace.records[1:]) if not b.clamped]
+    assert all(b <= controller.MAX_GROWTH * a for a, b in steps)
+    assert any(b == controller.MAX_GROWTH * a for a, b in steps)
 
 
 def test_tolerance_monotonicity():
@@ -391,9 +412,14 @@ def test_overflowing_state_raises_nonfinite_state_at_once():
     # attempt is rejected, and the first rejection names the state
     f = lambda x, y: np.full_like(y, 1e308)
     p = IVProblem(name="overflow", f=f, x0=0.0, y0=[1e308], x_end=10.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteState, match="x=0.0"):
-            integrate(PAIR, p, ControllerConfig(h_init=1.0))
+    with pytest.raises(NonFiniteState, match="x=0.0"):
+        integrate(PAIR, p, ControllerConfig(h_init=1.0))
+
+
+def test_overflowing_stage_raises_nonfinite_stage_without_a_numpy_warning():
+    # the probe step overflows -y*y; the suite turns any warning into an error
+    with pytest.raises(NonFiniteStage):
+        integrate(PAIR, builtin("riccati_simple").with_x_end(1e40), ControllerConfig())
 
 
 def test_nonfinite_stage_propagates():
@@ -401,3 +427,35 @@ def test_nonfinite_stage_propagates():
     p = IVProblem(name="blowup", f=f, x0=0.0, y0=[1.0], x_end=1.0)
     with pytest.raises(NonFiniteStage):
         integrate(PAIR, p, flagship_config(h_init=0.09))
+
+
+# --- integrate: property --------------------------------------------------------------
+
+_POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+# max_steps stays small so that each example runs in milliseconds
+@settings(max_examples=60, deadline=None, database=None)
+@given(name=st.sampled_from(problem_names()), exact=st.booleans(), x_end=_POSITIVE,
+       delta=_POSITIVE, sigma=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       policy=st.sampled_from(POLICIES), h_init=st.none() | _POSITIVE,
+       max_steps=st.integers(1, 100))
+def test_integrate_lands_on_x_end_or_raises_a_documented_failure(
+        name, exact, x_end, delta, sigma, policy, h_init, max_steps):
+    p = builtin(name).with_x_end(x_end)
+    if not exact:
+        p = dataclasses.replace(p, exact=None)
+    cfg = ControllerConfig(delta=delta, sigma=sigma, h_init=h_init, policy=policy,
+                           max_steps=max_steps)
+    try:
+        trace = integrate(PAIR, p, cfg)
+    except (StepsizeOutOfRange, StepsizeUnderflow, StepUnderflow, MaxStepsExceeded,
+            MaxRejectsExceeded, NonFiniteState, NonFiniteStage):
+        return
+    except OverflowError as exc:
+        assert "exact solution overflows" in str(exc)
+        return
+    xs = [rec.x for rec in trace.records]
+    assert [rec.i for rec in trace.records] == list(range(1, len(xs) + 1))
+    assert all(a < b for a, b in zip([p.x0] + xs, xs))
+    assert xs[-1] == x_end == trace.summary.final_x
