@@ -128,17 +128,6 @@ def _fmt_bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _strict(fmt, parse):
-    """The codec ``(fmt, parse)``, with ``parse`` accepting a cell only in the form
-    ``fmt`` writes for the parsed value (no ``1_0``, spaces or non-ASCII digits)."""
-    def parse_strict(cell: str):
-        value = parse(cell)
-        if fmt(value) != cell:
-            raise ValueError(f"malformed cell {cell!r}")
-        return value
-    return fmt, parse_strict
-
-
 def _optional(fmt, parse):
     """The codec of ``Optional[T]`` from that of ``T``: ``None`` is an empty cell."""
     return (lambda v: "" if v is None else fmt(v),
@@ -146,9 +135,8 @@ def _optional(fmt, parse):
 
 
 # (format, parse) per StepRecord annotation
-_CODECS = {int: _strict(str, int), float: _strict(_fmt_float, float),
-           bool: _strict(_fmt_bool, "true".__eq__),
-           np.ndarray: _strict(_fmt_state, _parse_state)}
+_CODECS = {int: (str, int), float: (_fmt_float, float), bool: (_fmt_bool, "true".__eq__),
+           np.ndarray: (_fmt_state, _parse_state)}
 _CODECS.update({Optional[t]: _optional(*codec) for t, codec in _CODECS.items()})
 
 _FIELD_TYPES = get_type_hints(StepRecord)
@@ -156,6 +144,11 @@ CSV_COLUMNS = list(_FIELD_TYPES)
 _FORMATS = [_CODECS[t][0] for t in _FIELD_TYPES.values()]
 _PARSERS = [_CODECS[t][1] for t in _FIELD_TYPES.values()]
 _row_values = attrgetter(*CSV_COLUMNS)
+
+
+def _row(record: StepRecord) -> list[str]:
+    """The CSV cells of one record, in ``CSV_COLUMNS`` order: the trace format."""
+    return [fmt(v) for fmt, v in zip(_FORMATS, _row_values(record))]
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -167,15 +160,17 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """One header row plus one row per accepted step, in ``CSV_COLUMNS`` order."""
-    _write_csv(path, CSV_COLUMNS, ([fmt(v) for fmt, v in zip(_FORMATS, _row_values(r))]
-                                   for r in trace.records))
+    _write_csv(path, CSV_COLUMNS, map(_row, trace.records))
 
 
 def read_trace_csv(path: str) -> list[StepRecord]:
     """Parse a trace CSV back into StepRecords (floats round-trip bit-exactly).
 
-    Raises ``ValueError`` naming the line for a wrong header, a row with too
-    few or too many cells, or a cell its column cannot parse.
+    A cell is accepted only in the form ``write_trace_csv`` gives its parsed
+    value, so each row is parsed and rebuilt with ``_row``.  Raises
+    ``ValueError`` naming the line for a wrong header or a row with too few
+    or too many cells, and naming the line and the cell for the first cell
+    that does not parse or differs from its rebuilt form.
     """
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -187,10 +182,17 @@ def read_trace_csv(path: str) -> list[StepRecord]:
             where = f"{path}: line {reader.line_num}"
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{where}: {len(row)} cells, expected {len(CSV_COLUMNS)}")
-            try:
-                records.append(StepRecord(*[parse(c) for parse, c in zip(_PARSERS, row)]))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+            values = []
+            for parse, cell in zip(_PARSERS, row):
+                try:
+                    values.append(parse(cell))
+                except ValueError:
+                    raise ValueError(f"{where}: malformed cell {cell!r}") from None
+            record = StepRecord(*values)
+            bad = next((c for c, written in zip(row, _row(record)) if c != written), None)
+            if bad is not None:
+                raise ValueError(f"{where}: malformed cell {bad!r}")
+            records.append(record)
     return records
 
 

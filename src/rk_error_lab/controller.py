@@ -60,7 +60,8 @@ class StepsizeUnderflow(RuntimeError):
 
 
 class MaxStepsExceeded(RuntimeError):
-    """Accepted-step cap hit before reaching the end of the interval."""
+    """Accepted-step cap hit before reaching the end of the interval, or foreseen before
+    the first step: under ``reject-only``, a span longer than ``2 * max_steps * h_init``."""
 
 
 class MaxRejectsExceeded(RuntimeError):
@@ -203,6 +204,11 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     ``x_end`` exactly.
     """
     h_work, h_min, h_max = _initial_stepsizes(pair, p, cfg)
+    # reject-only never grows a step, so it needs at least span / h_init steps;
+    # the factor 2 covers the rounding of x + h (a float-int comparison cannot overflow)
+    if cfg.policy == "reject-only" and (p.x_end - p.x0) / (2 * h_work) > cfg.max_steps:
+        raise MaxStepsExceeded(f"{p.name}: reject-only at h_init={h_work} needs more than "
+                               f"max_steps={cfg.max_steps} steps to reach x_end={p.x_end}")
     z, r = pair.lower.z, pair.r
     delta = cfg.delta
     bound = sigma_bound(cfg.sigma, z, r, delta)
@@ -211,7 +217,6 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     x = p.x0
     w = p.y0
     records: list[StepRecord] = []
-    rejected_total = 0
 
     while x < p.x_end:
         if len(records) >= cfg.max_steps:
@@ -232,7 +237,6 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             if not np.isfinite(w_hi).all():
                 raise NonFiniteState(f"{p.name}: state not finite after step at x={x}")
             rejects += 1
-            rejected_total += 1
             if rejects > MAX_REJECTS:
                 raise MaxRejectsExceeded(
                     f"{p.name}: {rejects} consecutive rejections at x={x}"
@@ -276,7 +280,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         final_delta = float(last[0]) if last.size == 1 else inf_norm(last)
     summary = TraceSummary(
         accepted=len(records),
-        rejected=rejected_total,
+        rejected=sum(rec.rejects for rec in records),
         final_x=x,
         final_delta_lower=final_delta,
         crossing_index=crossing[0] if crossing else None,

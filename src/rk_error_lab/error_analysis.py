@@ -9,11 +9,14 @@ accounting.  With ``F`` the increment function of the lower-order method and
   ``beta * h**(z+1)`` for a method of order ``z``;
 * error-coefficient estimate from a lower/higher pair started at the same
   input: ``beta ~= (w_lower - w_higher) / h**(z+1)``;
-* global error ``delta = w - y(x)``, which obeys the exact recursion
-  ``delta_next = eps_next + alpha * delta`` where the propagation factor
-  ``alpha`` contracts the input error through one lower-order step.
+* global error ``delta = w - y(x)``.  As the higher-order result is
+  propagated, ``delta_lower_next = eps_lower_next + alpha * delta_higher``
+  exactly: the factor ``alpha`` carries the previous step's higher-order
+  global error through one lower-order step and may amplify it (on
+  ``y' = lambda y`` the factors from ``s`` to ``x`` multiply to about
+  ``exp(lambda (x - s))``).
 
-The propagation term ``alpha * delta`` is never formed from a derivative of
+The propagation term ``alpha * delta_higher`` is never formed from a derivative of
 ``F``; it is computed through the identity
 ``delta + h * [F(x, y + delta) - F(x, y)]``, which is exact and keeps the
 recursion closed to roundoff.
@@ -34,6 +37,7 @@ from .rk_core import (
     RHSFunction,
     _pair_increments,
     increment_function,
+    inf_norm,
     rk_step,
 )
 
@@ -68,11 +72,6 @@ class StepsizeOutOfRange(ValueError):
 
 class DegenerateFit(RuntimeError):
     """Sampled errors sit at roundoff level; an order fit would be meaningless."""
-
-
-def inf_norm(v) -> float:
-    """Max-norm used for every scalar magnitude derived from a state vector."""
-    return float(np.abs(np.asarray(v, dtype=float)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +175,9 @@ def alpha_propagation_term(
     With input error ``d = w_higher - y_exact``, returns
     ``d + h * [F(x, w_higher) - F(x, y_exact)]`` for the lower method's
     increment ``F``.  By the mean-value construction this equals the
-    contraction-factor-times-input-error term of the recursion without ever
-    forming a derivative of ``F``.
+    propagation factor times the input error ``d``, the previous step's
+    higher-order global error, without ever forming a derivative of ``F``.
+    The factor may exceed one, so the term can amplify ``d``.
     """
     y_exact = np.asarray(y_exact, dtype=float)
     w_higher = np.asarray(w_higher, dtype=float)
@@ -322,17 +322,6 @@ def find_crossing(
     return None
 
 
-def _global_error_fixed_steps(t: ButcherTableau, p: IVProblem, h: float):
-    span = p.x_end - p.x0
-    n = max(1, round(span / h))
-    h_eff = span / n
-    w = p.y0
-    for j in range(n):
-        w = rk_step(t, p.f, p.x0 + j * h_eff, w, h_eff)
-    err = w - reference_solution(p, p.x_end)
-    return h_eff, err
-
-
 def empirical_order(
     t: ButcherTableau,
     p: IVProblem,
@@ -361,15 +350,15 @@ def empirical_order(
     log_h, log_err = [], []
     for h in hs:
         if mode == "local":
-            w = rk_step(t, p.f, p.x0, p.y0, h)
-            y_ref = reference_solution(p, p.x0 + h)
-            err = w - y_ref
-            h_used = h
+            h_used, x, w = h, p.x0 + h, rk_step(t, p.f, p.x0, p.y0, h)
         else:
-            h_used, err = _global_error_fixed_steps(t, p, h)
-            y_ref = reference_solution(p, p.x_end)
+            n = max(1, round((p.x_end - p.x0) / h))
+            h_used, x, w = (p.x_end - p.x0) / n, p.x_end, p.y0
+            for j in range(n):
+                w = rk_step(t, p.f, p.x0 + j * h_used, w, h_used)
+        y_ref = reference_solution(p, x)
         scale = max(1.0, inf_norm(y_ref))
-        err_norm = inf_norm(err)
+        err_norm = inf_norm(w - y_ref)
         if err_norm < 100.0 * np.finfo(float).eps * scale:
             raise DegenerateFit(
                 f"{t.name} on {p.name}: error {err_norm} at h={h} is at roundoff level"

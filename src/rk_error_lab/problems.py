@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rk_core import RHSFunction, _readonly
+from .rk_core import RHSFunction, _readonly, inf_norm
 
 __all__ = [
     "IVProblem",
@@ -54,13 +54,31 @@ class IVProblem:
         if not np.isfinite(self.y0).all():
             raise ValueError(f"{self.name}: y0={self.y0} must be finite")
         if self.exact is not None:
-            y_start = np.atleast_1d(np.asarray(self.exact(self.x0), dtype=float))
-            err = float(np.max(np.abs(y_start - self.y0)))
-            if err > 1e-14 * (1.0 + float(np.max(np.abs(self.y0)))):
+            err = inf_norm(reference_solution(self, self.x0) - self.y0)
+            if err > 1e-14 * (1.0 + inf_norm(self.y0)):
                 raise ValueError(f"{self.name}: exact({self.x0}) disagrees with y0 by {err}")
 
     def with_x_end(self, x_end: float) -> "IVProblem":
         return replace(self, x_end=x_end)
+
+
+def reference_solution(p: IVProblem, x: float) -> np.ndarray:
+    """True solution at ``x`` from the problem's registered exact function.
+
+    Raises ``ValueError`` if the problem has no exact solution or ``x`` lies
+    outside its interval, and ``OverflowError`` naming the problem if the
+    exact function overflows at ``x`` (``math.exp`` raises rather than
+    returning inf).
+    """
+    if p.exact is None:
+        raise ValueError(f"{p.name}: no exact solution to take a reference from")
+    span = p.x_end - p.x0
+    if not (p.x0 - 1e-12 * span <= x <= p.x_end + 1e-12 * span):
+        raise ValueError(f"x={x} outside [{p.x0}, {p.x_end}]")
+    try:
+        return np.atleast_1d(np.asarray(p.exact(x), dtype=float))
+    except OverflowError:
+        raise OverflowError(f"{p.name}: exact solution overflows at x={x}") from None
 
 
 _PROBLEMS: dict[str, IVProblem] = {p.name: p for p in (
@@ -86,22 +104,3 @@ def builtin(name: str) -> IVProblem:
 
 def problem_names() -> list[str]:
     return sorted(_PROBLEMS)
-
-
-def reference_solution(p: IVProblem, x: float) -> np.ndarray:
-    """True solution at ``x`` from the problem's registered exact function.
-
-    Raises ``ValueError`` if the problem has no exact solution or ``x`` lies
-    outside its interval, and ``OverflowError`` naming the problem if the
-    exact function overflows at ``x`` (``math.exp`` raises rather than
-    returning inf).
-    """
-    if p.exact is None:
-        raise ValueError(f"{p.name}: no exact solution to take a reference from")
-    span = p.x_end - p.x0
-    if not (p.x0 - 1e-12 * span <= x <= p.x_end + 1e-12 * span):
-        raise ValueError(f"x={x} outside [{p.x0}, {p.x_end}]")
-    try:
-        return np.atleast_1d(np.asarray(p.exact(x), dtype=float))
-    except OverflowError:
-        raise OverflowError(f"{p.name}: exact solution overflows at x={x}") from None

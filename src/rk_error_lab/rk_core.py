@@ -209,6 +209,11 @@ def validate_tableau(t: ButcherTableau) -> ButcherTableau:
     return t
 
 
+def inf_norm(v) -> float:
+    """Max-norm used for every scalar magnitude derived from a state vector."""
+    return float(np.abs(np.asarray(v, dtype=float)).max())
+
+
 def _readonly(values, ndmin: int = 0) -> np.ndarray:
     """A float64 copy of ``values`` (at least ``ndmin``-dimensional) that cannot be written."""
     out = np.array(values, dtype=float, ndmin=ndmin)

@@ -4,8 +4,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 import runpy
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from rk_error_lab.cli import (
     parse_args,
     read_trace_csv,
     run,
+    write_summary_json,
     write_trace_csv,
 )
 
@@ -111,6 +114,18 @@ def test_long_span_on_a_smooth_problem_completes():
     assert main(["--problem", "riccati_simple", "--x-end", "1e5", "--quiet"]) == 0
 
 
+def test_reject_only_run_that_cannot_finish_is_refused_at_once(capsys):
+    # reject-only never grows the probed h_init = h_min = 1e-7, so the run would
+    # need about 1e12 steps; it is refused before the first, at the default cap
+    start = time.perf_counter()
+    assert main(["--problem", "riccati_simple", "--policy", "reject-only",
+                 "--x-end", "1e5", "--quiet"]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert all(part in err for part in ("h_init=1e-07", "max_steps=1000000",
+                                        "x_end=100000.0"))
+
+
 _VALUE_TEXT = st.floats().map(repr) | st.sampled_from(
     ["1e-8", "0.5", "5e-324", "1e-310", "1e308", "1e400", "-1", "0", "", "1e", "abc", "0x10"])
 
@@ -195,47 +210,63 @@ def test_policy_sensitivity_regression_anchors(tmp_path):
     assert out["reject-only"]["crossing_x"] != out["proportional"]["crossing_x"]
 
 
-# SHA-256 of the write_trace_csv bytes at delta=1e-8, by (problem, policy, with
-# exact solution); a change that moves any bit of a trace moves its digest
-TRACE_SHA256 = {
-    ("paper_exponential", "proportional", True):
+# SHA-256 of the write_trace_csv and write_summary_json bytes at delta=1e-8, by
+# (problem, policy, with exact solution); a change that moves any bit of a
+# trace or a summary moves its digest
+OUTPUT_SHA256 = {
+    ("paper_exponential", "proportional", True): (
         "cc7107a2a7c447fbe4e6c91c01f3edabe6281e540bcce9bc7fb9f2cf90578283",
-    ("paper_exponential", "proportional", False):
+        "aeca180154f531b2fe596f5a9109f1df9f40153bca7907bb6402a21e13a45c4e"),
+    ("paper_exponential", "proportional", False): (
         "9ecd8cc7efbd07a030954f1dea42c48b85aba72a72a31650e07b1c4ed83c5f68",
-    ("paper_exponential", "reject-only", True):
+        "aa8fbd768b973bdcce434a63cc833eea3a806cefe01523913879382ba0842572"),
+    ("paper_exponential", "reject-only", True): (
         "ff915aa8352aa1be64d1644f1bac07409ad677529fd37ac65df790aac11ed45f",
-    ("paper_exponential", "reject-only", False):
+        "ad2d76dc27522a253971cb0ad3162f19502397f0564429de198fae4065c1ae45"),
+    ("paper_exponential", "reject-only", False): (
         "b1718e6c6be4877d28b00db4492b7fad79e0dd541a2db8de0d4906203149856e",
-    ("decay", "proportional", True):
+        "beecba612bcd9e78b7d4a80e5f2d1eb081d002ce89e5ba815f8336c73439fe40"),
+    ("decay", "proportional", True): (
         "88282a9b39568cc67e17aa695912960f002bf3dae4ca76405a0530309b40615c",
-    ("decay", "proportional", False):
+        "b77d97dc5bece019db85fc3da326d7a3a1edc88c9c1bb8263ae6cec1578f87f4"),
+    ("decay", "proportional", False): (
         "3ea9aa3a97237c2533ba2a4ed5505b3714ef34c189574a877090bf8880c019cf",
-    ("decay", "reject-only", True):
+        "aaf270497dae0040510de906b770bf96e0ddabac020d7b63556d46dfc9524ee4"),
+    ("decay", "reject-only", True): (
         "086625b3162f1031d569c3edff4d8d51031045ce3da5f001cf5f37a20f418b4a",
-    ("decay", "reject-only", False):
+        "183742f130c1d50d577e0f50fd2ff742bd0ebac750f981ad754aeb76e9643828"),
+    ("decay", "reject-only", False): (
         "2557babb64423e68fab7b2fe892c25a766526d63f0a9035eaad80336ac68bdbd",
-    ("riccati_simple", "proportional", True):
+        "ff182c41f3824dd14212965fd068d55b142edee0d717d189a3e2302c98923ddc"),
+    ("riccati_simple", "proportional", True): (
         "dc35f7f56a14ee204fdc141c3977de37b56ad93c38d61a0ad75c1a854d2ad934",
-    ("riccati_simple", "proportional", False):
+        "69a6749b3455e5cc128b9763dc50ca669a2c59920523b242b588a52439152306"),
+    ("riccati_simple", "proportional", False): (
         "d1fcb63dd119606a5e31960eeb08fbf7b8f3f28fea0b81ce682bb9492b7420d4",
-    ("riccati_simple", "reject-only", True):
+        "60b362f5af9e5153197eaa3428b54dac161bbb6d3544b52809e1a76ffdb9f225"),
+    ("riccati_simple", "reject-only", True): (
         "bc1e207e88b3b6d7ba9563240313c8f8b430788855d454e8db76460a5570817a",
-    ("riccati_simple", "reject-only", False):
+        "9e52f11485b91be84071b90f8b4d296658d887c508463620bbd0f52f5bfde18f"),
+    ("riccati_simple", "reject-only", False): (
         "c24a4eb7cd61344f5e2f20a6033f643c23ffab65ad514e20e96b85be8ca32829",
+        "9f2f8a489c78906b07a4fe8041013a2ed078b8e3e89f2d547bd2a7a07e301ad3"),
 }
 
 
 def test_trace_bytes_are_pinned(tmp_path):
-    path = tmp_path / "trace.csv"
+    trace_path, summary_path = tmp_path / "trace.csv", tmp_path / "summary.json"
     moved = []
-    for (name, policy, with_exact), digest in TRACE_SHA256.items():
+    for (name, policy, with_exact), digests in OUTPUT_SHA256.items():
         p = builtin(name)
         if not with_exact:
             p = dataclasses.replace(p, exact=None)
-        write_trace_csv(integrate(PAIR, p, ControllerConfig(delta=1e-8, policy=policy)),
-                        str(path))
-        if hashlib.sha256(path.read_bytes()).hexdigest() != digest:
-            moved.append((name, policy, with_exact))
+        trace = integrate(PAIR, p, ControllerConfig(delta=1e-8, policy=policy))
+        write_trace_csv(trace, str(trace_path))
+        write_summary_json(trace, PAIR, 0.8, str(summary_path))
+        for kind, path, digest in zip(("trace", "summary"), (trace_path, summary_path),
+                                      digests):
+            if hashlib.sha256(path.read_bytes()).hexdigest() != digest:
+                moved.append((name, policy, with_exact, kind))
     assert moved == []
 
 
@@ -297,21 +328,31 @@ def test_malformed_rows_are_refused_with_their_line(tmp_path):
     write_trace_csv(integrate(PAIR, builtin("decay"), ControllerConfig(delta=1e-8)), str(path))
     lines = path.read_text().splitlines()
     row = lines[2].split(",")
-    holds = CSV_COLUMNS.index("cond_holds")
-    bad_rows = [
-        row[:-1],                                 # a cell missing
-        row + ["0"],                              # an extra cell
-        row[:-1] + ["False"],                     # clamped neither true nor false
-        row[:holds] + ["yes"] + row[holds + 1:],  # cond_holds neither true, false nor empty
-        ["1_0"] + row[1:],                        # digit separators in i
-        ["١٢"] + row[1:],                         # non-ASCII digits in i
-        row[:1] + [" 1_0.5 "] + row[2:],          # spaces and separators in x
-        row[:1] + ["1e-1"] + row[2:],             # x not in its shortest repr
-        row[:4] + [row[4] + " "] + row[5:],       # trailing space in a state
+    i, x, h, state, holds, clamped = map(
+        CSV_COLUMNS.index, ("i", "x", "h", "w_lower", "cond_holds", "clamped"))
+    bad_cells = [
+        (clamped, "False"),           # clamped neither true nor false
+        (clamped, "True"),
+        (clamped, "1"),
+        (holds, "yes"),               # cond_holds neither true, false nor empty
+        (i, "1_0"),                   # digit separators in i
+        (i, "١٢"),                    # non-ASCII digits in i
+        (i, "-0"),                    # a sign str never writes
+        (x, " 1_0.5 "),               # spaces and separators in x
+        (x, "1e-1"),                  # x not in its shortest repr
+        (x, "1.50"),
+        (x, "+1.0"),
+        (x, "0x1p0"),                 # float syntax Python does not read
+        (state, row[state] + " "),    # trailing space in a state
+        (state, "1.0;"),              # an empty component in a state
+        (h, ""),                      # an empty cell in a column that is never empty
     ]
-    for bad in bad_rows:
+    bad_rows = [(row[:-1], "15 cells, expected 16"), (row + ["0"], "17 cells, expected 16")]
+    bad_rows += [(row[:col] + [cell] + row[col + 1:], f"malformed cell {cell!r}")
+                 for col, cell in bad_cells]
+    for bad, message in bad_rows:
         path.write_text("\n".join(lines[:2] + [",".join(bad)] + lines[3:]) + "\n")
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match=re.escape(f"line 3: {message}")):
             read_trace_csv(str(path))
     path.write_text("\n".join(["x"] + lines[1:]) + "\n")
     with pytest.raises(ValueError, match="line 1: unexpected CSV header"):

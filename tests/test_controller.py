@@ -25,6 +25,7 @@ from rk_error_lab import (
     builtin,
     builtin_pair,
     condition_check,
+    find_crossing,
     inf_norm,
     integrate,
     kutta3,
@@ -238,10 +239,20 @@ def test_oracle_fields_match_the_public_reference_functions(name, policy):
         y_prev = reference_solution(p, x_prev)
         alpha = alpha_propagation_term(PAIR.lower, p.f, x_prev, y_prev, w_prev, h)
         assert _bits(rec.alpha_term) == _bits(alpha)
+        y = reference_solution(p, rec.x)
+        assert _bits(rec.delta_lower) == _bits(rec.w_lower - y)
+        assert _bits(rec.delta_higher) == _bits(rec.w_higher - y)
         tracker = mean_beta_higher(tracker, PAIR.higher, p, x_prev, h)
         cond = condition_check(rec.i, rec.beta_lower, tracker, h, PAIR.lower.z)
         assert rec.cond_rhs.hex() == cond.rhs.hex()
+        assert rec.cond_holds == cond.holds
         x_prev, w_prev = rec.x, rec.w_higher
+    s = trace.summary
+    assert (s.crossing_index, s.crossing_x) == (find_crossing(trace.records, 1e-8)
+                                                or (None, None))
+    assert s.condition_violation_index == next(
+        (rec.i for rec in trace.records if rec.cond_holds is False), None)
+    assert s.rejected == sum(rec.rejects for rec in trace.records)
     assert trace.records[-1].clamped and x_prev == p.x_end
     landing = trace.records[-2].x + trace.records[-1].h
     assert (landing != p.x_end) == (name == "sine_across_zero")
@@ -308,6 +319,19 @@ def test_reject_only_policy_keeps_stepsize():
     changes = sum(1 for a, b in zip(hs, hs[1:]) if b != a)
     assert changes <= trace.summary.rejected + 1
     assert trace.summary.rejected > 0
+
+
+def test_reject_only_run_needing_just_under_the_cap_completes():
+    # decay's span 10 at h_init = 0.01 takes no rejection but 1001 steps (x + h
+    # rounds), so the early refusal at span > 2 * max_steps * h_init must not
+    # touch a cap of 1001; a cap of 1000 stops in the loop, one of 499 at once
+    cfg = flagship_config(policy="reject-only", h_init=0.01)
+    s = integrate(PAIR, builtin("decay"), dataclasses.replace(cfg, max_steps=1001)).summary
+    assert (s.accepted, s.rejected, s.final_x) == (1001, 0, 10.0)
+    with pytest.raises(MaxStepsExceeded, match="1000 accepted steps"):
+        integrate(PAIR, builtin("decay"), dataclasses.replace(cfg, max_steps=1000))
+    with pytest.raises(MaxStepsExceeded, match="reject-only at h_init=0.01"):
+        integrate(PAIR, builtin("decay"), dataclasses.replace(cfg, max_steps=499))
 
 
 # --- integrate: flagship regression anchors ------------------------------------------
