@@ -209,14 +209,15 @@ def figure1_export(trace: Trace, path: str) -> None:
     """Plot-ready series: abscissa, |local error| and |propagated term| per step.
 
     Raises ``MissingDiagnostics`` when the trace was produced without an
-    oracle (no measured errors to export).
+    oracle (no measured errors to export).  A run has the oracle on every
+    record or on none, so only the first record is checked.
     """
-    if not trace.records or any(r.eps_lower is None or r.alpha_term is None
-                                for r in trace.records):
+    records = trace.records
+    if not records or records[0].eps_lower is None:
         raise MissingDiagnostics("trace has no oracle diagnostics to export")
     _write_csv(path, ["x", "abs_eps_lower", "abs_alpha_term"],
                ([_fmt_float(r.x), _fmt_float(inf_norm(r.eps_lower)),
-                 _fmt_float(inf_norm(r.alpha_term))] for r in trace.records))
+                 _fmt_float(inf_norm(r.alpha_term))] for r in records))
 
 
 def run(spec: RunSpec) -> int:

@@ -6,7 +6,7 @@ estimate; a trial step is rejected when the implied local error
 ``|beta| * h**(z+1)`` reaches the tolerance, and the stepsize is reproposed
 from ``h = sigma * (delta / |beta|) ** (1 / (z+1))``.  On acceptance the
 *higher*-order result is propagated as the input of the next step, and a
-full diagnostic record is written.
+full diagnostic record is written into the run's columns.
 
 Two policies choose the stepsize after an accepted step: ``proportional``
 reproposes it from the step's own estimate (the default), ``reject-only``
@@ -16,7 +16,9 @@ keeps the stepsize until a rejection forces it down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -24,9 +26,11 @@ import numpy as np
 from .error_analysis import (
     StepRecord,
     StepsizeOutOfRange,
+    _Columns,
+    _first_above,
     _Oracle,
+    _row_norms,
     estimate_beta,
-    find_crossing,
     inf_norm,
     sigma_bound,
 )
@@ -114,10 +118,59 @@ class TraceSummary:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Ordered accepted-step records plus run totals."""
+    """Ordered accepted-step records plus run totals.
 
-    records: tuple[StepRecord, ...]
+    ``integrate`` stores the records as columns (see ``_Records``); any
+    sequence of ``StepRecord`` will do, a tuple included.
+    """
+
+    records: Sequence[StepRecord]
     summary: TraceSummary
+
+
+class _Records(Sequence):
+    """The accepted steps of one run, stored as one column per ``StepRecord`` field.
+
+    A state field is an ``(n, d)`` array and a scalar field a 1-D array; the
+    oracle's fields are ``None`` without an exact solution.  Every column is
+    made read-only.  An item is a ``StepRecord`` of read-only row views,
+    built when it is accessed and not cached; a slice is a tuple of them.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray], bound: float):
+        self._n = len(columns["x"])
+        self._getters = [_field_getter(f.name, columns.get(f.name), bound)
+                         for f in fields(StepRecord)]
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._record, range(*k.indices(self._n))))
+        k = operator.index(k)
+        if not -self._n <= k < self._n:
+            raise IndexError(f"record index {k} out of range for {self._n} records")
+        return self._record(k % self._n)
+
+    def __iter__(self):
+        return map(self._record, range(self._n))
+
+    def _record(self, k: int) -> StepRecord:
+        return StepRecord(*[get(k) for get in self._getters])
+
+
+def _field_getter(name: str, col: Optional[np.ndarray], bound: float):
+    """The function from a row index to the ``StepRecord`` field ``name``, whose
+    column ``col`` (``None`` for an oracle field without an oracle) it makes read-only."""
+    if name == "i":
+        return lambda k: k + 1
+    if name == "bound":  # one value for the whole run
+        return lambda k: bound
+    if col is None:
+        return lambda k: None
+    col.flags.writeable = False
+    return col.__getitem__ if col.ndim > 1 else col.item
 
 
 def propose_stepsize(
@@ -201,7 +254,8 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     term of the error recursion, and the accumulation condition); otherwise
     those fields are ``None`` and only the controller's own estimate is
     recorded.  The last step is shortened so the final abscissa equals
-    ``x_end`` exactly.
+    ``x_end`` exactly.  The records are stored as columns, and the summary
+    is read from them.
     """
     h_work, h_min, h_max = _initial_stepsizes(pair, p, cfg)
     # reject-only never grows a step, so it needs at least span / h_init steps;
@@ -216,10 +270,13 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
 
     x = p.x0
     w = p.y0
-    records: list[StepRecord] = []
+    state = p.y0.shape
+    cols = _Columns(("x", float), ("h", float), ("cond_lhs", float), ("w_lower", float, *state),
+                    ("w_higher", float, *state), ("beta_lower", float, *state),
+                    ("rejects", np.int32), ("clamped", bool))
 
     while x < p.x_end:
-        if len(records) >= cfg.max_steps:
+        if len(cols) >= cfg.max_steps:
             raise MaxStepsExceeded(
                 f"{p.name}: {cfg.max_steps} accepted steps before reaching x_end"
             )
@@ -247,23 +304,9 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
                                         f"h_min={h_min} at x={x}")
 
         x_next = p.x_end if land else x + h_step
-        i = len(records) + 1
-        records.append(
-            StepRecord(
-                i=i,
-                x=x_next,
-                h=h_step,
-                rejects=rejects,
-                w_lower=w_lo,
-                w_higher=w_hi,
-                beta_lower=beta,
-                cond_lhs=est,
-                bound=bound,
-                clamped=clamped,
-                **(oracle.measure(i, x, x_next, h_step, w, inc_lo, w_lo, w_hi, est)
-                   if oracle is not None else _Oracle.UNMEASURED),
-            )
-        )
+        if oracle is not None:
+            oracle.step(x, x_next, h_step, inc_lo)
+        cols.append(x_next, h_step, est, w_lo, w_hi, beta, rejects, clamped)
         w = w_hi
         x = x_next
         if cfg.policy == "proportional":
@@ -272,19 +315,22 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         # reject-only keeps h_work as is
 
     # IVProblem guarantees x_end > x0, so there is at least one record
-    crossing = find_crossing(records, delta)
-    violation_index = next((rec.i for rec in records if rec.cond_holds is False), None)
-    last = records[-1].delta_lower
-    final_delta = None
-    if last is not None:
+    c = cols.columns()
+    final_delta = crossing = violation = None
+    if oracle is not None:
+        c.update(oracle.fields(c["h"], c["w_lower"], c["w_higher"], c["cond_lhs"]))
+        last = c["delta_lower"][-1]
         final_delta = float(last[0]) if last.size == 1 else inf_norm(last)
+        crossing = _first_above(_row_norms(c["delta_lower"]), delta)
+        violations = np.flatnonzero(~c["cond_holds"])
+        violation = int(violations[0]) + 1 if violations.size else None
     summary = TraceSummary(
-        accepted=len(records),
-        rejected=sum(rec.rejects for rec in records),
+        accepted=len(cols),
+        rejected=int(c["rejects"].sum()),
         final_x=x,
         final_delta_lower=final_delta,
-        crossing_index=crossing[0] if crossing else None,
-        crossing_x=crossing[1] if crossing else None,
-        condition_violation_index=violation_index,
+        crossing_index=None if crossing is None else crossing + 1,
+        crossing_x=None if crossing is None else c["x"].item(crossing),
+        condition_violation_index=violation,
     )
-    return Trace(records=tuple(records), summary=summary)
+    return Trace(records=_Records(c, bound), summary=summary)

@@ -81,7 +81,8 @@ class StepRecord:
     Oracle-based fields (``eps_lower``, ``delta_*``, ``alpha_term``,
     ``cond_rhs``, ``cond_holds``) are ``None`` when the problem carries no
     exact solution.  ``beta_lower`` and ``cond_lhs`` come from the
-    controller's own pair estimate and are always present.
+    controller's own pair estimate and are always present.  In a trace from
+    ``integrate`` the state fields are read-only rows of the run's columns.
     """
 
     i: int                     # 1-based accepted-step index
@@ -112,8 +113,12 @@ class BetaTracker:
     def pushed(self, sample: np.ndarray) -> "BetaTracker":
         """Return a new tracker with one more sample folded into the mean."""
         n = self.count + 1
-        mean = self.mean_abs + (inf_norm(sample) - self.mean_abs) / n
-        return BetaTracker(count=n, mean_abs=mean)
+        return BetaTracker(count=n, mean_abs=_mean_pushed(self.mean_abs, inf_norm(sample), n))
+
+
+def _mean_pushed(mean: float, value: float, n: int) -> float:
+    """The mean of ``n`` values from the mean of the first ``n - 1`` and the ``n``-th."""
+    return mean + (value - mean) / n
 
 
 class ConditionCheck(NamedTuple):
@@ -207,12 +212,8 @@ def mean_beta_higher(
     measured from exact input, i.e. the higher-order analogue of the
     lower-order coefficient the controller works with.
     """
-    return _pushed_beta(tracker, local_error_exact(t_higher, p, x, h), h, t_higher.z)
-
-
-def _pushed_beta(tracker: BetaTracker, eps: np.ndarray, h: float, z: int) -> BetaTracker:
-    """Fold the coefficient ``eps / h**(z+1)`` of a measured local error into ``tracker``."""
-    return tracker.pushed(eps / _step_power(h, z + 1))
+    eps_higher = local_error_exact(t_higher, p, x, h)
+    return tracker.pushed(eps_higher / _step_power(h, t_higher.z + 1))
 
 
 def condition_check(
@@ -229,63 +230,119 @@ def condition_check(
     ``h**(z+2)`` underflows to zero and ``StepsizeOutOfRange`` if one
     overflows.
     """
-    return _condition(i, inf_norm(beta_lower) * _step_power(h, z + 1), tracker, h, z)
-
-
-def _condition(i: int, lhs: float, tracker: BetaTracker, h: float, z: int) -> ConditionCheck:
-    """``condition_check`` for a left-hand side ``|beta_lower| * h**(z+1)`` already formed."""
+    lhs = inf_norm(beta_lower) * _step_power(h, z + 1)
     denom = tracker.mean_abs * _step_power(h, z + 2)
-    rhs = i * denom
+    rhs, holds = _condition(i, lhs, denom)
     m_ratio = lhs / denom if denom > 0.0 else math.inf
-    holds = lhs > rhs if rhs > 0.0 else True
-    return ConditionCheck(lhs=lhs, rhs=rhs, holds=holds, m_ratio=m_ratio)
+    return ConditionCheck(lhs=lhs, rhs=rhs, holds=bool(holds), m_ratio=m_ratio)
+
+
+def _condition(i, lhs, denom):
+    """``(rhs, holds)`` of the condition for ``denom = mean|beta_higher| * h**(z+2)``:
+    ``rhs = i * denom`` and ``holds = lhs > rhs``, which holds when ``rhs`` is not
+    positive.  Elementwise, on whole columns as on floats."""
+    rhs = i * denom
+    return rhs, np.where(rhs > 0.0, lhs > rhs, True)
+
+
+class _Columns:
+    """Growable rows, one per accepted step, with one field per column.
+
+    Each field is given as ``(name, dtype, *row_shape)``: a state field
+    becomes an ``(n, d)`` column, a scalar field a 1-D one.  The rows live in
+    one structured buffer that doubles when full, so an append is one write
+    and costs amortised constant time.
+    """
+
+    def __init__(self, *specs):
+        self._dtype = np.dtype([(name, dtype, tuple(row)) for name, dtype, *row in specs],
+                               align=True)
+        self._buf = np.empty(128, self._dtype)
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def append(self, *row) -> None:
+        """Write one row, its values in the order of the fields."""
+        n = self._n
+        if n == len(self._buf):
+            # the new half stays unwritten, so its pages cost no memory until rows land there
+            full, self._buf = self._buf, np.empty(2 * n, self._dtype)
+            self._buf[:n] = full
+        self._buf[n] = row
+        self._n = n + 1
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """Each field's column, a view of the rows copied to exactly their number.
+        The buffer is released, so this ends the appends."""
+        rows, self._buf = self._buf[:self._n].copy(), None
+        return {name: rows[name] for name in self._dtype.names}
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``inf_norm`` of every row of the state column ``a``."""
+    return np.abs(a).max(axis=1)
 
 
 class _Oracle:
-    """The oracle of one ``integrate`` run: measures each accepted step against ``y``.
+    """The oracle of one ``integrate`` run: measures the accepted steps against ``y``.
 
-    It holds ``y(x)`` at the current abscissa and the ``BetaTracker`` of the
-    higher method.  Each step reuses the accepted attempt's lower increment,
-    evaluates the pair once from the exact state, and carries ``y(x_next)``
-    on as the next ``y(x)``; its fields are bit-identical to
-    ``local_error_exact``, ``alpha_propagation_term`` and ``mean_beta_higher``.
+    ``step`` runs once per accepted step.  It looks up ``y(x_next)``, which
+    becomes the next step's ``y(x)``, evaluates the pair once from the exact
+    state and forms the powers of ``h``, so each of these raises at its own
+    step.  ``fields`` then forms the oracle's ``StepRecord`` fields in one
+    pass over whole columns, with the formulas of ``local_error_exact``,
+    ``alpha_propagation_term``, ``mean_beta_higher`` and ``condition_check``;
+    elementwise arithmetic is correctly rounded, so every field is
+    bit-identical to theirs.
     """
-
-    #: the oracle's ``StepRecord`` fields for a problem without an exact solution
-    UNMEASURED = dict.fromkeys(
-        ("eps_lower", "delta_lower", "delta_higher", "alpha_term", "cond_rhs", "cond_holds")
-    )
 
     def __init__(self, pair: MethodPair, p: IVProblem):
         self.pair, self.p = pair, p
-        self.y_x = reference_solution(p, p.x0)
-        self.tracker = BetaTracker()
+        self.y_start = self.y_x = reference_solution(p, p.x0)
+        row = p.y0.shape
+        self.cols = _Columns(("y", float, *row), ("inc_lower", float, *row),
+                             ("exact_lower", float, *row), ("exact_higher", float, *row),
+                             ("hp_higher", float), ("hp_cond", float))
+        self.missed = {}  # step row -> y(x + h) where x + h misses x_next
 
-    def measure(self, i: int, x: float, x_next: float, h: float, w: np.ndarray,
-                inc_lo: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray, est: float) -> dict:
-        """The oracle fields of accepted step ``i``, keyed as in ``StepRecord``.
-
-        The step went from ``(x, w)`` to ``x_next`` with stepsize ``h``;
-        ``inc_lo`` is its lower increment, ``w_lo``/``w_hi`` its results and
-        ``est`` its estimate ``|beta_lower| * h**(z+1)``.  Raises what the
-        formulas raise, at this step.
-        """
-        pair, p, y_x = self.pair, self.p, self.y_x
-        y_next = y_xh = reference_solution(p, x_next)
+    def step(self, x: float, x_next: float, h: float, inc_lo: np.ndarray) -> None:
+        """Measure the accepted step from ``x`` to ``x_next`` with stepsize ``h``,
+        whose attempt had the lower increment ``inc_lo``.  Raises what the
+        lookups, the pair evaluation and the powers of ``h`` raise, at this step."""
+        pair, p = self.pair, self.p
+        y_next = reference_solution(p, x_next)
         if x + h != x_next:  # a clamped landing can miss x_end in the last bit
-            y_xh = reference_solution(p, x + h)
-        exact_lo, exact_hi = _pair_increments(pair, p.f, x, y_x, h)
-        eps_lower = _local_error(y_x, exact_lo, y_xh, h)
-        delta_lower = w_lo - y_next
-        delta_higher = w_hi - y_next
-        alpha_term = _alpha_term(y_x, w, inc_lo, exact_lo, h)
-        eps_higher = _local_error(y_x, exact_hi, y_xh, h)
-        self.tracker = _pushed_beta(self.tracker, eps_higher, h, pair.higher.z)
-        cond = _condition(i, est, self.tracker, h, pair.lower.z)
+            self.missed[len(self.cols)] = reference_solution(p, x + h)
+        exact_lo, exact_hi = _pair_increments(pair, p.f, x, self.y_x, h)
+        self.cols.append(y_next, inc_lo, exact_lo, exact_hi,
+                         _step_power(h, pair.higher.z + 1), _step_power(h, pair.lower.z + 2))
         self.y_x = y_next
-        return {"eps_lower": eps_lower, "delta_lower": delta_lower,
-                "delta_higher": delta_higher, "alpha_term": alpha_term,
-                "cond_rhs": cond.rhs, "cond_holds": cond.holds}
+
+    def fields(self, h: np.ndarray, w_lower: np.ndarray, w_higher: np.ndarray,
+               cond_lhs: np.ndarray) -> dict[str, np.ndarray]:
+        """The oracle's columns, keyed as in ``StepRecord``, from the run's columns
+        of stepsizes, results and estimates ``|beta_lower| * h**(z+1)``."""
+        c = self.cols.columns()
+        y_next = y_xh = c["y"]
+        y_x = np.concatenate((self.y_start[None], y_next[:-1]))
+        w = np.concatenate((self.p.y0[None], w_higher[:-1]))
+        if self.missed:
+            y_xh = y_next.copy()
+            for k, y in self.missed.items():
+                y_xh[k] = y
+        h = h[:, None]  # each row's stepsize scales that row's components
+        eps_higher = _local_error(y_x, c["exact_higher"], y_xh, h)
+        means, mean = np.empty(len(h)), 0.0
+        for k, v in enumerate(_row_norms(eps_higher / c["hp_higher"][:, None]).tolist()):
+            mean = means[k] = _mean_pushed(mean, v, k + 1)
+        i = np.arange(1, len(h) + 1, dtype=float)
+        cond_rhs, cond_holds = _condition(i, cond_lhs, means * c["hp_cond"])
+        return {"eps_lower": _local_error(y_x, c["exact_lower"], y_xh, h),
+                "delta_lower": w_lower - y_next, "delta_higher": w_higher - y_next,
+                "alpha_term": _alpha_term(y_x, w, c["inc_lower"], c["exact_lower"], h),
+                "cond_rhs": cond_rhs, "cond_holds": cond_holds}
 
 
 def sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:
@@ -316,10 +373,16 @@ def find_crossing(
         raise ValueError("records must be nonempty")
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    for rec in records:
-        if rec.delta_lower is not None and inf_norm(rec.delta_lower) > delta:
-            return rec.i, rec.x
-    return None
+    k = _first_above(np.array([math.nan if rec.delta_lower is None else inf_norm(rec.delta_lower)
+                               for rec in records]), delta)
+    return None if k is None else (records[k].i, records[k].x)
+
+
+def _first_above(norms: np.ndarray, delta: float) -> Optional[int]:
+    """Position of the first global-error norm strictly above ``delta``, or ``None``:
+    the crossing rule.  A NaN norm, a record without diagnostics, never is."""
+    k = int(np.argmax(norms > delta))
+    return k if norms[k] > delta else None
 
 
 def empirical_order(

@@ -33,7 +33,8 @@ class IVProblem:
     """One initial-value problem ``y' = f(x, y)``, ``y(x0) = y0`` on ``[x0, x_end]``.
 
     ``exact``, when given, maps an abscissa to the true solution vector and
-    must agree with ``y0`` at ``x0``.  Right-hand sides must be pure
+    must agree with ``y0`` at ``x0``, in shape and to within ``1e-14``
+    relative to ``y0``.  Right-hand sides must be pure
     functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite.  ``y0`` is
     copied into a read-only float array when the problem is built.
     """
@@ -54,9 +55,14 @@ class IVProblem:
         if not np.isfinite(self.y0).all():
             raise ValueError(f"{self.name}: y0={self.y0} must be finite")
         if self.exact is not None:
-            err = inf_norm(reference_solution(self, self.x0) - self.y0)
-            if err > 1e-14 * (1.0 + inf_norm(self.y0)):
-                raise ValueError(f"{self.name}: exact({self.x0}) disagrees with y0 by {err}")
+            y_exact = reference_solution(self, self.x0)
+            if y_exact.shape != self.y0.shape:
+                raise ValueError(f"{self.name}: exact solution at x0={self.x0} has shape "
+                                 f"{y_exact.shape}, y0 has shape {self.y0.shape}")
+            err = inf_norm(y_exact - self.y0)
+            if not err <= 1e-14 * (1.0 + inf_norm(self.y0)):  # a NaN exact(x0) fails too
+                raise ValueError(f"{self.name}: exact solution at x0={self.x0} is {y_exact}, "
+                                 f"which disagrees with y0 by {err}")
 
     def with_x_end(self, x_end: float) -> "IVProblem":
         return replace(self, x_end=x_end)

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rk_error_lab import controller
+from rk_error_lab.cli import read_trace_csv, write_trace_csv
 from rk_error_lab import (
     BetaTracker,
     ControllerConfig,
@@ -19,7 +21,9 @@ from rk_error_lab import (
     POLICIES,
     StepsizeOutOfRange,
     StepsizeUnderflow,
+    StepRecord,
     StepUnderflow,
+    Trace,
     alpha_propagation_term,
     attempt_step,
     builtin,
@@ -216,6 +220,25 @@ def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
 
 
+def _same_bits(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return isinstance(b, float) and a.hex() == b.hex()
+    if a is None or isinstance(a, bool):
+        return a is b
+    return type(a) is type(b) and a == b
+
+
+def _same_records(a, b) -> bool:
+    return all(_same_bits(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(StepRecord))
+
+
+STATE_FIELDS = ("w_lower", "w_higher", "eps_lower", "beta_lower", "delta_lower",
+                "delta_higher", "alpha_term")
+
+
 def _sine_across_zero():
     # x0 < 0 < x_end: the clamped last step's x + h misses x_end in the last
     # bit, and y = sin(x) ~ x there, so y(x + h) differs from y(x_end)
@@ -224,17 +247,26 @@ def _sine_across_zero():
                      exact=lambda x: np.array([math.sin(x)]))
 
 
-@pytest.mark.parametrize("policy", ["proportional", "reject-only"])
-@pytest.mark.parametrize("name", problem_names() + ["sine_across_zero"])
-def test_oracle_fields_match_the_public_reference_functions(name, policy):
-    # integrate reuses the attempt's stages and the previous step's y(x);
-    # every oracle field must still equal its public reference bit for bit
-    p = _sine_across_zero() if name == "sine_across_zero" else builtin(name)
-    trace = integrate(PAIR, p, flagship_config(policy=policy))
+def _oscillator():
+    # y'' = -y as the system (y, y'), with y = cos x
+    return IVProblem(name="oscillator", f=lambda x, y: np.array([y[1], -y[0]]), x0=0.0,
+                     y0=[1.0, 0.0], x_end=10.0,
+                     exact=lambda x: np.array([math.cos(x), -math.sin(x)]))
+
+
+def _assert_records_match_the_public_functions(p, trace, delta):
+    # every field of every record equals what the public per-step functions give
+    # from the previous record, bit for bit, and the summary follows the records
     x_prev, w_prev = p.x0, p.y0
     tracker = BetaTracker()
-    for rec in trace.records:
+    bound = sigma_bound(0.8, PAIR.lower.z, PAIR.r, delta)
+    for k, rec in enumerate(trace.records):
         h = rec.h
+        assert rec.i == k + 1 and rec.bound == bound
+        w_lo, w_hi, beta = attempt_step(PAIR, p.f, x_prev, w_prev, h)
+        for name, v in (("w_lower", w_lo), ("w_higher", w_hi), ("beta_lower", beta)):
+            assert _bits(getattr(rec, name)) == _bits(v), (rec.i, name)
+        assert rec.cond_lhs == inf_norm(beta) * h ** (PAIR.lower.z + 1)
         assert _bits(rec.eps_lower) == _bits(local_error_exact(PAIR.lower, p, x_prev, h))
         y_prev = reference_solution(p, x_prev)
         alpha = alpha_propagation_term(PAIR.lower, p.f, x_prev, y_prev, w_prev, h)
@@ -245,17 +277,93 @@ def test_oracle_fields_match_the_public_reference_functions(name, policy):
         tracker = mean_beta_higher(tracker, PAIR.higher, p, x_prev, h)
         cond = condition_check(rec.i, rec.beta_lower, tracker, h, PAIR.lower.z)
         assert rec.cond_rhs.hex() == cond.rhs.hex()
-        assert rec.cond_holds == cond.holds
+        assert rec.cond_holds is cond.holds
         x_prev, w_prev = rec.x, rec.w_higher
     s = trace.summary
-    assert (s.crossing_index, s.crossing_x) == (find_crossing(trace.records, 1e-8)
+    assert (s.crossing_index, s.crossing_x) == (find_crossing(trace.records, delta)
                                                 or (None, None))
     assert s.condition_violation_index == next(
         (rec.i for rec in trace.records if rec.cond_holds is False), None)
     assert s.rejected == sum(rec.rejects for rec in trace.records)
-    assert trace.records[-1].clamped and x_prev == p.x_end
+    assert s.accepted == len(trace.records) and s.final_x == x_prev == p.x_end
+    last = trace.records[-1].delta_lower
+    assert s.final_delta_lower == (float(last[0]) if last.size == 1 else inf_norm(last))
+    assert trace.records[-1].clamped
+
+
+@pytest.mark.parametrize("policy", ["proportional", "reject-only"])
+@pytest.mark.parametrize("name", problem_names() + ["sine_across_zero"])
+def test_oracle_fields_match_the_public_reference_functions(name, policy):
+    # integrate reuses the attempt's stages and the previous step's y(x), and
+    # forms the oracle's fields over whole columns after the loop; every
+    # field must still equal its public reference bit for bit
+    p = _sine_across_zero() if name == "sine_across_zero" else builtin(name)
+    trace = integrate(PAIR, p, flagship_config(policy=policy))
+    _assert_records_match_the_public_functions(p, trace, 1e-8)
     landing = trace.records[-2].x + trace.records[-1].h
     assert (landing != p.x_end) == (name == "sine_across_zero")
+
+
+def test_records_are_a_read_only_sequence_built_on_access():
+    trace = integrate(PAIR, builtin("decay"), flagship_config())
+    recs = trace.records
+    n = trace.summary.accepted
+    assert len(recs) == n > 10
+    listed = list(recs)
+    assert [rec.i for rec in listed] == list(range(1, n + 1))
+    for k in (0, 1, n // 2, n - 1):
+        assert _same_records(recs[k], listed[k]) and _same_records(recs[k - n], listed[k])
+    assert recs[-1].i == n and recs[-n].i == 1
+    for k in (n, n + 1, -n - 1, -2 * n):
+        with pytest.raises(IndexError):
+            recs[k]
+    part = recs[2:9:3]
+    assert type(part) is tuple and [rec.i for rec in part] == [3, 6, 9]
+    assert all(type(rec) is StepRecord and _same_records(rec, listed[rec.i - 1])
+               for rec in part)
+    assert recs[5:2] == () and len(recs[:]) == n
+    assert recs[3] is not recs[3]  # built when accessed, not cached
+    rec = recs[3]
+    for name in STATE_FIELDS:
+        with pytest.raises(ValueError):
+            getattr(rec, name)[0] = 0.0
+    copy = dataclasses.replace(trace, records=tuple(recs))
+    assert isinstance(copy, Trace) and copy.summary is trace.summary
+    assert all(_same_records(a, b) for a, b in zip(copy.records, listed))
+
+
+def test_two_component_system(tmp_path):
+    # the columns of a d = 2 run are (n, 2) arrays; no field mixes components
+    p = _oscillator()
+    trace = integrate(PAIR, p, flagship_config())
+    for rec in trace.records:
+        assert all(getattr(rec, name).shape == (2,) for name in STATE_FIELDS)
+    _assert_records_match_the_public_functions(p, trace, 1e-8)
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(trace, path)
+    parsed = read_trace_csv(path)
+    assert len(parsed) == len(trace.records)
+    assert all(_same_records(a, b) for a, b in zip(parsed, trace.records))
+
+
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no_oracle"])
+def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle):
+    # the run is stored as columns: about 0.10 KB per step with the oracle and
+    # 0.06 KB without at d = 1, where one StepRecord of seven arrays per step
+    # took 1.16 KB and 0.67 KB
+    p = builtin("paper_exponential")
+    if not oracle:
+        p = dataclasses.replace(p, exact=None)
+    integrate(PAIR, p, flagship_config())  # caches filled on first use are not the run's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = integrate(PAIR, p, flagship_config(delta=1e-12))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.summary.accepted == 10438
+    assert retained / trace.summary.accepted <= 256
 
 
 @pytest.mark.parametrize("problem", [builtin("paper_exponential"), _sine_across_zero()])

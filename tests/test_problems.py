@@ -49,6 +49,22 @@ def test_inconsistent_exact_rejected():
                   exact=lambda x: np.array([2.0]))
 
 
+def test_exact_of_another_shape_is_refused():
+    # the check at x0 used to broadcast a 2-component exact over a 1-component y0
+    with pytest.raises(ValueError, match=r"wide: exact solution at x0=0.0 has shape \(2,\), "
+                                         r"y0 has shape \(1,\)"):
+        IVProblem(name="wide", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
+                  exact=lambda x: np.array([math.exp(-x)] * 2))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_exact_not_finite_at_x0_is_refused(value):
+    # a NaN exact(x0) used to pass the check and fail later in the method's stages
+    with pytest.raises(ValueError, match="nan_exact: exact solution at x0=0.0 is"):
+        IVProblem(name="nan_exact", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
+                  exact=lambda x: np.array([value]))
+
+
 def test_problems_are_read_only_values():
     p = builtin("decay")
     assert builtin("decay") is p and p == p and hash(p) == hash(builtin("decay"))
