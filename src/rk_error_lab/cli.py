@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
-from operator import attrgetter
 from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -30,9 +30,10 @@ from .controller import (
     NonFiniteState,
     StepsizeUnderflow,
     Trace,
+    _Records,
     integrate,
 )
-from .error_analysis import StepRecord, StepUnderflow, inf_norm, sigma_bound
+from .error_analysis import StepRecord, StepUnderflow, _row_norms, sigma_bound
 from .problems import UnknownProblem, builtin, problem_names
 from .rk_core import MethodPair, NonFiniteStage, UnknownPair, builtin_pair, pair_names
 
@@ -71,6 +72,7 @@ class RunSpec:
     quiet: bool = False
 
 
+@functools.cache  # built on first use, not at import
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rk-error-lab",
@@ -111,63 +113,111 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunSpec:
     return RunSpec(**vars(_build_parser().parse_args(argv)))
 
 
-def _fmt_float(v: float) -> str:
-    # repr of a Python float is the shortest decimal that round-trips
-    return repr(float(v))
+# Each formatter takes a column's values as ``.tolist()`` gives them and
+# returns their cells: repr of a Python float is the shortest decimal that
+# round-trips, and a state is its components joined by ";".
+def _fmt_floats(vs: list) -> list[str]:
+    return list(map(repr, vs))
 
 
-def _fmt_state(v: np.ndarray) -> str:
-    return ";".join(map(_fmt_float, np.asarray(v, dtype=float).ravel().tolist()))
+def _fmt_ints(vs: list) -> list[str]:
+    return list(map(str, vs))
 
 
-def _parse_state(cell: str) -> np.ndarray:
-    return np.array([float(c) for c in cell.split(";")], dtype=float)
+def _fmt_bools(vs: list) -> list[str]:
+    return ["true" if v else "false" for v in vs]
 
 
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
+def _fmt_states(vs: list) -> list[str]:
+    return [";".join(map(repr, v)) for v in vs]
 
 
-def _optional(fmt, parse):
-    """The codec of ``Optional[T]`` from that of ``T``: ``None`` is an empty cell."""
-    return (lambda v: "" if v is None else fmt(v),
+def _parse_state(cell: str) -> list[float]:
+    return [float(c) for c in cell.split(";")]
+
+
+def _optional(dtype, fmt, parse):
+    """The codec of ``Optional[T]`` from that of ``T``: ``None`` is an empty cell.
+    A column holds values on every row or on none, so its first value decides."""
+    return (dtype,
+            lambda vs: [""] * len(vs) if vs[0] is None else fmt(vs),
             lambda cell: None if cell == "" else parse(cell))
 
 
-# (format, parse) per StepRecord annotation
-_CODECS = {int: (str, int), float: (_fmt_float, float), bool: (_fmt_bool, "true".__eq__),
-           np.ndarray: (_fmt_state, _parse_state)}
+# (column dtype, column formatter, cell parser) per StepRecord annotation; a
+# parsed cell has the form ``.tolist()`` gives a column's value
+_CODECS = {int: (int, _fmt_ints, int), float: (float, _fmt_floats, float),
+           bool: (bool, _fmt_bools, "true".__eq__), np.ndarray: (float, _fmt_states, _parse_state)}
 _CODECS.update({Optional[t]: _optional(*codec) for t, codec in _CODECS.items()})
 
 _FIELD_TYPES = get_type_hints(StepRecord)
 CSV_COLUMNS = list(_FIELD_TYPES)
-_FORMATS = [_CODECS[t][0] for t in _FIELD_TYPES.values()]
-_PARSERS = [_CODECS[t][1] for t in _FIELD_TYPES.values()]
-_row_values = attrgetter(*CSV_COLUMNS)
+_DTYPES, _FORMATS, _PARSERS = zip(*(_CODECS[t] for t in _FIELD_TYPES.values()))
+_STATES = [k for k, t in enumerate(_FIELD_TYPES.values()) if t in (np.ndarray, Optional[np.ndarray])]
+_BLOCK = 1024  # rows formatted at a time, which bounds the writers' transient memory
 
 
-def _row(record: StepRecord) -> list[str]:
-    """The CSV cells of one record, in ``CSV_COLUMNS`` order: the trace format."""
-    return [fmt(v) for fmt, v in zip(_FORMATS, _row_values(record))]
+def _columns(records: Sequence[StepRecord], names: Sequence[str]) -> list[Optional[np.ndarray]]:
+    """The fields ``names`` of ``records`` as columns, ``None`` for a field that is
+    ``None`` on every record (an oracle field without an oracle).
+
+    A trace from ``integrate`` hands over its own columns; any other sequence of
+    records is gathered into the same: a state field becomes an ``(n, d)``
+    float array.  Raises ``ValueError`` for a field that is ``None`` on some
+    records and not on others.
+    """
+    if isinstance(records, _Records):
+        n = len(records)
+        own = {**records._columns, "i": np.arange(1, n + 1),
+               "bound": np.broadcast_to(records._bound, n)}
+        return [own.get(name) for name in names]
+    return [_gathered(name, [getattr(r, name) for r in records]) for name in names]
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _gathered(name: str, values: list) -> Optional[np.ndarray]:
+    nones = sum(v is None for v in values)
+    if nones == len(values):
+        return None
+    if nones:
+        raise ValueError(f"records carry {name} on some steps and not on others")
+    col = np.array(values, dtype=_DTYPES[CSV_COLUMNS.index(name)])
+    return col.reshape(len(col), -1) if col.ndim > 1 else col
+
+
+def _values(col: Optional[np.ndarray], lo: int, hi: int) -> list:
+    return [None] * (hi - lo) if col is None else col[lo:hi].tolist()
+
+
+def _write_csv(path: str, header: list[str], n: int, cells) -> None:
+    """``header``, then ``n`` rows whose cells ``cells(lo, hi)`` gives column by
+    column for rows ``lo:hi``, ``_BLOCK`` rows at a time.
+
+    No cell or header name holds a comma, a quote or a line break, so a row is
+    written as ``csv.writer`` writes it: its cells joined by commas, ended by CRLF.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _BLOCK):
+            fh.writelines(",".join(row) + "\r\n"
+                          for row in zip(*cells(lo, min(lo + _BLOCK, n))))
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
-    """One header row plus one row per accepted step, in ``CSV_COLUMNS`` order."""
-    _write_csv(path, CSV_COLUMNS, map(_row, trace.records))
+    """One header row plus one row per accepted step, in ``CSV_COLUMNS`` order.
+
+    Raises ``ValueError`` if the records carry an oracle field on some steps
+    and not on others.
+    """
+    cols = _columns(trace.records, CSV_COLUMNS)
+    _write_csv(path, CSV_COLUMNS, len(trace.records), lambda lo, hi: [
+        fmt(_values(col, lo, hi)) for fmt, col in zip(_FORMATS, cols)])
 
 
 def read_trace_csv(path: str) -> list[StepRecord]:
     """Parse a trace CSV back into StepRecords (floats round-trip bit-exactly).
 
     A cell is accepted only in the form ``write_trace_csv`` gives its parsed
-    value, so each row is parsed and rebuilt with ``_row``.  Raises
+    value, so each row's parsed values are formatted again.  Raises
     ``ValueError`` naming the line for a wrong header or a row with too few
     or too many cells, and naming the line and the cell for the first cell
     that does not parse or differs from its rebuilt form.
@@ -188,11 +238,14 @@ def read_trace_csv(path: str) -> list[StepRecord]:
                     values.append(parse(cell))
                 except ValueError:
                     raise ValueError(f"{where}: malformed cell {cell!r}") from None
-            record = StepRecord(*values)
-            bad = next((c for c, written in zip(row, _row(record)) if c != written), None)
+            bad = next((c for c, fmt, v in zip(row, _FORMATS, values) if c != fmt([v])[0]),
+                       None)
             if bad is not None:
                 raise ValueError(f"{where}: malformed cell {bad!r}")
-            records.append(record)
+            for k in _STATES:
+                if values[k] is not None:
+                    values[k] = np.array(values[k])
+            records.append(StepRecord(*values))
     return records
 
 
@@ -209,15 +262,14 @@ def figure1_export(trace: Trace, path: str) -> None:
     """Plot-ready series: abscissa, |local error| and |propagated term| per step.
 
     Raises ``MissingDiagnostics`` when the trace was produced without an
-    oracle (no measured errors to export).  A run has the oracle on every
-    record or on none, so only the first record is checked.
+    oracle (no measured errors to export).
     """
-    records = trace.records
-    if not records or records[0].eps_lower is None:
+    x, eps, alpha = _columns(trace.records, ("x", "eps_lower", "alpha_term"))
+    if eps is None:
         raise MissingDiagnostics("trace has no oracle diagnostics to export")
-    _write_csv(path, ["x", "abs_eps_lower", "abs_alpha_term"],
-               ([_fmt_float(r.x), _fmt_float(inf_norm(r.eps_lower)),
-                 _fmt_float(inf_norm(r.alpha_term))] for r in records))
+    _write_csv(path, ["x", "abs_eps_lower", "abs_alpha_term"], len(x), lambda lo, hi: [
+        _fmt_floats(x[lo:hi].tolist()),
+        *(_fmt_floats(_row_norms(c[lo:hi]).tolist()) for c in (eps, alpha))])
 
 
 def run(spec: RunSpec) -> int:

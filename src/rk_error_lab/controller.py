@@ -135,10 +135,12 @@ class _Records(Sequence):
     oracle's fields are ``None`` without an exact solution.  Every column is
     made read-only.  An item is a ``StepRecord`` of read-only row views,
     built when it is accessed and not cached; a slice is a tuple of them.
+    The trace writers read ``_columns`` and ``_bound`` instead.
     """
 
     def __init__(self, columns: dict[str, np.ndarray], bound: float):
         self._n = len(columns["x"])
+        self._columns, self._bound = columns, bound
         self._getters = [_field_getter(f.name, columns.get(f.name), bound)
                          for f in fields(StepRecord)]
 

@@ -35,8 +35,9 @@ class IVProblem:
     ``exact``, when given, maps an abscissa to the true solution vector and
     must agree with ``y0`` at ``x0``, in shape and to within ``1e-14``
     relative to ``y0``.  Right-hand sides must be pure
-    functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite.  ``y0`` is
-    copied into a read-only float array when the problem is built.
+    functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite, and ``y0``
+    a scalar or a nonempty flat vector.  ``y0`` is copied into a read-only
+    float array of at least one dimension when the problem is built.
     """
 
     name: str
@@ -52,6 +53,9 @@ class IVProblem:
             raise ValueError(f"{self.name}: x0={self.x0} and x_end={self.x_end} must be finite")
         if not self.x_end > self.x0:
             raise ValueError(f"{self.name}: x_end={self.x_end} must exceed x0={self.x0}")
+        if self.y0.ndim != 1 or self.y0.size == 0:
+            raise ValueError(f"{self.name}: y0 must be a nonempty flat vector, "
+                             f"got shape {self.y0.shape}")
         if not np.isfinite(self.y0).all():
             raise ValueError(f"{self.name}: y0={self.y0} must be finite")
         if self.exact is not None:

@@ -8,6 +8,7 @@ import re
 import runpy
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from rk_error_lab.rk_core import pair_names
 from rk_error_lab.cli import (
     CSV_COLUMNS,
     MissingDiagnostics,
+    RunSpec,
     figure1_export,
     main,
     parse_args,
@@ -59,6 +61,16 @@ def test_flag_parsing():
     assert spec.problem == "decay" and spec.delta == 1e-6 and spec.sigma == 0.9
     assert spec.policy == "reject-only" and spec.h_init == 0.05 and spec.x_end == 4.0
     assert spec.csv_path == "t.csv" and spec.json_path == "t.json" and spec.quiet
+
+
+def test_parse_args_gives_a_fresh_spec_per_call(capsys):
+    # the parser is built once and reused; no call sees another call's flags
+    first = parse_args(["--problem", "decay", "--quiet"])
+    second = parse_args([])
+    assert first.problem == "decay" and first.quiet
+    assert second == RunSpec() and first != second
+    assert main(["--help"]) == 0
+    assert "--figure" in capsys.readouterr().out
 
 
 def test_invalid_values_exit_2(capsys):
@@ -268,6 +280,81 @@ def test_trace_bytes_are_pinned(tmp_path):
             if hashlib.sha256(path.read_bytes()).hexdigest() != digest:
                 moved.append((name, policy, with_exact, kind))
     assert moved == []
+
+
+# SHA-256 of the figure1_export bytes at delta=1e-8, by (problem, policy)
+FIGURE_SHA256 = {
+    ("paper_exponential", "proportional"):
+        "96c9c09931470a2b925c852a648b5f8791cd011b93b71f4af9f4f12b800ab2bf",
+    ("paper_exponential", "reject-only"):
+        "0f0283a3dc9259d44c4b160940ffe16a2d80ef00eb1e54a6f19c5c453820c676",
+    ("decay", "proportional"):
+        "4daafe5eafd8671dbd5587fc7489378d005835db791bae891d8257a607d0b3c3",
+    ("decay", "reject-only"):
+        "2951684d23570ae73d2044eda0d5882bf3fa99d1a881f5f9053e466f42249208",
+    ("riccati_simple", "proportional"):
+        "125b90e35b8d8b6f00f59bdee868b8dbaf6c303d30c1f4029b0c77528e22c9fb",
+    ("riccati_simple", "reject-only"):
+        "ec175ddd33e38c41f723f29f72940fcc4c9025bf7c04deb4be7fcb1c41c0eee6",
+}
+
+# SHA-256 of the trace and figure bytes of paper_exponential at delta=1e-12 on
+# the full interval: 10 438 rows, so the writers cross many block boundaries
+LONG_RUN_SHA256 = (
+    "c27e33b10a82a36398b7e9a06dd5f63713fd717f2020aa4d5173af076a39bf96",
+    "ffe7855b72db24ef75342a08302f5af83e4b61da084ca39869177209c0e71dfa",
+)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_figure_bytes_are_pinned(tmp_path):
+    path = tmp_path / "figure.csv"
+    moved = []
+    for (name, policy), digest in FIGURE_SHA256.items():
+        figure1_export(integrate(PAIR, builtin(name), ControllerConfig(delta=1e-8, policy=policy)),
+                       str(path))
+        if _sha256(path) != digest:
+            moved.append((name, policy))
+    assert moved == []
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    trace = integrate(PAIR, builtin("paper_exponential"), ControllerConfig(delta=1e-12))
+    assert trace.summary.accepted == 10438
+    return trace
+
+
+def test_long_run_bytes_are_pinned(tmp_path, long_trace):
+    trace_path, figure_path = tmp_path / "trace.csv", tmp_path / "figure.csv"
+    write_trace_csv(long_trace, str(trace_path))
+    figure1_export(long_trace, str(figure_path))
+    assert (_sha256(trace_path), _sha256(figure_path)) == LONG_RUN_SHA256
+
+
+def test_trace_writer_memory_is_bounded(tmp_path, long_trace):
+    # rows are formatted a block at a time: formatting all 10 438 rows at once
+    # took about 11 MB, about 1 KB per row
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(long_trace, path)  # caches filled on first use are not the writer's
+    tracemalloc.start()
+    try:
+        write_trace_csv(long_trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+
+
+def test_records_with_diagnostics_on_some_steps_only_are_refused(tmp_path):
+    trace = integrate(PAIR, builtin("decay"), ControllerConfig(delta=1e-8))
+    records = list(trace.records)
+    records[1] = dataclasses.replace(records[1], eps_lower=None)
+    with pytest.raises(ValueError, match="eps_lower on some steps and not on others"):
+        write_trace_csv(dataclasses.replace(trace, records=records), str(tmp_path / "t.csv"))
 
 
 def test_no_crossing_reported_as_null(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rk_error_lab import controller
-from rk_error_lab.cli import read_trace_csv, write_trace_csv
+from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
 from rk_error_lab import (
     BetaTracker,
     ControllerConfig,
@@ -344,6 +344,21 @@ def test_two_component_system(tmp_path):
     parsed = read_trace_csv(path)
     assert len(parsed) == len(trace.records)
     assert all(_same_records(a, b) for a, b in zip(parsed, trace.records))
+
+
+@pytest.mark.parametrize("problem", [builtin("decay"), _oscillator()], ids=["decay", "oscillator"])
+def test_records_held_elsewhere_write_the_same_files(tmp_path, problem):
+    # the writers gather a tuple of records, or the list read back from the CSV,
+    # into the columns a run stores, and write them the same way
+    trace = integrate(PAIR, problem, flagship_config())
+    path, other = tmp_path / "run.csv", tmp_path / "other.csv"
+    write_trace_csv(trace, str(path))
+    for records in (tuple(trace.records), read_trace_csv(str(path))):
+        copy = dataclasses.replace(trace, records=records)
+        for writer in (write_trace_csv, figure1_export):
+            writer(trace, str(path))
+            writer(copy, str(other))
+            assert other.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no_oracle"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ def test_interval_must_be_forward():
     for y0 in ([math.nan], [1.0, math.inf], [-math.inf]):
         with pytest.raises(ValueError, match="bad: y0="):
             IVProblem(name="bad", f=lambda x, y: y, x0=0.0, y0=y0, x_end=1.0)
+
+
+@pytest.mark.parametrize("y0, shape", [([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"),
+                                       (np.zeros(0), "(0,)"), ([[1.0]], "(1, 1)")])
+def test_state_must_be_a_nonempty_flat_vector(y0, shape):
+    # integrate used to fail on these inside numpy (a matmul shape mismatch, or
+    # a max over an empty array)
+    with pytest.raises(ValueError, match=re.escape(f"flat: y0 must be a nonempty flat "
+                                                   f"vector, got shape {shape}")):
+        IVProblem(name="flat", f=lambda x, y: -y, x0=0.0, y0=y0, x_end=1.0)
+    # a scalar is a one-component state
+    assert IVProblem(name="scalar", f=lambda x, y: -y, x0=0.0, y0=2.0, x_end=1.0).y0.shape == (1,)
 
 
 @pytest.mark.parametrize("name", ["decay", "paper_exponential", "riccati_simple"])
