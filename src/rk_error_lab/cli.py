@@ -30,10 +30,9 @@ from .controller import (
     NonFiniteState,
     StepsizeUnderflow,
     Trace,
-    _Records,
     integrate,
 )
-from .error_analysis import StepRecord, StepUnderflow, _row_norms, sigma_bound
+from .error_analysis import StepRecord, StepUnderflow, _column, _Records, _row_norms, sigma_bound
 from .problems import UnknownProblem, builtin, problem_names
 from .rk_core import MethodPair, NonFiniteStage, UnknownPair, builtin_pair, pair_names
 
@@ -113,79 +112,28 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunSpec:
     return RunSpec(**vars(_build_parser().parse_args(argv)))
 
 
-# Each formatter takes a column's values as ``.tolist()`` gives them and
-# returns their cells: repr of a Python float is the shortest decimal that
-# round-trips, and a state is its components joined by ";".
-def _fmt_floats(vs: list) -> list[str]:
-    return list(map(repr, vs))
-
-
-def _fmt_ints(vs: list) -> list[str]:
-    return list(map(str, vs))
-
-
-def _fmt_bools(vs: list) -> list[str]:
-    return ["true" if v else "false" for v in vs]
-
-
-def _fmt_states(vs: list) -> list[str]:
-    return [";".join(map(repr, v)) for v in vs]
-
-
 def _parse_state(cell: str) -> list[float]:
     return [float(c) for c in cell.split(";")]
 
 
-def _optional(dtype, fmt, parse):
-    """The codec of ``Optional[T]`` from that of ``T``: ``None`` is an empty cell.
-    A column holds values on every row or on none, so its first value decides."""
-    return (dtype,
-            lambda vs: [""] * len(vs) if vs[0] is None else fmt(vs),
-            lambda cell: None if cell == "" else parse(cell))
+def _optional(parse):
+    """The parser of ``Optional[T]`` from that of ``T``: an empty cell is ``None``."""
+    return lambda cell: None if cell == "" else parse(cell)
 
 
-# (column dtype, column formatter, cell parser) per StepRecord annotation; a
-# parsed cell has the form ``.tolist()`` gives a column's value
-_CODECS = {int: (int, _fmt_ints, int), float: (float, _fmt_floats, float),
-           bool: (bool, _fmt_bools, "true".__eq__), np.ndarray: (float, _fmt_states, _parse_state)}
-_CODECS.update({Optional[t]: _optional(*codec) for t, codec in _CODECS.items()})
+# (value formatter, cell parser) per StepRecord annotation.  A formatter takes a
+# value as ``.tolist()`` gives it: repr of a Python float is the shortest decimal
+# that round-trips, and a state is its components joined by ";".  A parsed cell
+# has the same form; ``None`` is an empty cell.
+_CODECS = {int: (str, int), float: (repr, float),
+           bool: (("false", "true").__getitem__, "true".__eq__),
+           np.ndarray: (lambda v: ";".join(map(repr, v)), _parse_state)}
+_CODECS.update({Optional[t]: (fmt, _optional(parse)) for t, (fmt, parse) in _CODECS.items()})
 
 _FIELD_TYPES = get_type_hints(StepRecord)
 CSV_COLUMNS = list(_FIELD_TYPES)
-_DTYPES, _FORMATS, _PARSERS = zip(*(_CODECS[t] for t in _FIELD_TYPES.values()))
-_STATES = [k for k, t in enumerate(_FIELD_TYPES.values()) if t in (np.ndarray, Optional[np.ndarray])]
+_FORMATS, _PARSERS = zip(*(_CODECS[t] for t in _FIELD_TYPES.values()))
 _BLOCK = 1024  # rows formatted at a time, which bounds the writers' transient memory
-
-
-def _columns(records: Sequence[StepRecord], names: Sequence[str]) -> list[Optional[np.ndarray]]:
-    """The fields ``names`` of ``records`` as columns, ``None`` for a field that is
-    ``None`` on every record (an oracle field without an oracle).
-
-    A trace from ``integrate`` hands over its own columns; any other sequence of
-    records is gathered into the same: a state field becomes an ``(n, d)``
-    float array.  Raises ``ValueError`` for a field that is ``None`` on some
-    records and not on others.
-    """
-    if isinstance(records, _Records):
-        n = len(records)
-        own = {**records._columns, "i": np.arange(1, n + 1),
-               "bound": np.broadcast_to(records._bound, n)}
-        return [own.get(name) for name in names]
-    return [_gathered(name, [getattr(r, name) for r in records]) for name in names]
-
-
-def _gathered(name: str, values: list) -> Optional[np.ndarray]:
-    nones = sum(v is None for v in values)
-    if nones == len(values):
-        return None
-    if nones:
-        raise ValueError(f"records carry {name} on some steps and not on others")
-    col = np.array(values, dtype=_DTYPES[CSV_COLUMNS.index(name)])
-    return col.reshape(len(col), -1) if col.ndim > 1 else col
-
-
-def _values(col: Optional[np.ndarray], lo: int, hi: int) -> list:
-    return [None] * (hi - lo) if col is None else col[lo:hi].tolist()
 
 
 def _write_csv(path: str, header: list[str], n: int, cells) -> None:
@@ -208,21 +156,24 @@ def write_trace_csv(trace: Trace, path: str) -> None:
     Raises ``ValueError`` if the records carry an oracle field on some steps
     and not on others.
     """
-    cols = _columns(trace.records, CSV_COLUMNS)
+    cols = _Records.of(trace.records).columns.values()
     _write_csv(path, CSV_COLUMNS, len(trace.records), lambda lo, hi: [
-        fmt(_values(col, lo, hi)) for fmt, col in zip(_FORMATS, cols)])
+        [""] * (hi - lo) if col is None else map(fmt, col[lo:hi].tolist())
+        for fmt, col in zip(_FORMATS, cols)])
 
 
-def read_trace_csv(path: str) -> list[StepRecord]:
-    """Parse a trace CSV back into StepRecords (floats round-trip bit-exactly).
+def read_trace_csv(path: str) -> Sequence[StepRecord]:
+    """Parse a trace CSV back into a read-only sequence of StepRecords, stored as
+    columns like ``Trace.records`` (floats round-trip bit-exactly).
 
     A cell is accepted only in the form ``write_trace_csv`` gives its parsed
-    value, so each row's parsed values are formatted again.  Raises
-    ``ValueError`` naming the line for a wrong header or a row with too few
-    or too many cells, and naming the line and the cell for the first cell
-    that does not parse or differs from its rebuilt form.
+    value, so each parsed value is formatted again.  Raises ``ValueError``
+    naming the line for a wrong header or a row with too few or too many
+    cells, naming the line and the cell for the first cell that does not
+    parse or differs from its rebuilt form, and naming the column for an
+    oracle column empty on some rows and not on others.
     """
-    records = []
+    cols = [[] for _ in CSV_COLUMNS]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -232,21 +183,16 @@ def read_trace_csv(path: str) -> list[StepRecord]:
             where = f"{path}: line {reader.line_num}"
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{where}: {len(row)} cells, expected {len(CSV_COLUMNS)}")
-            values = []
-            for parse, cell in zip(_PARSERS, row):
+            for col, parse, fmt, cell in zip(cols, _PARSERS, _FORMATS, row):
                 try:
-                    values.append(parse(cell))
+                    v = parse(cell)
+                    if v is not None and cell != fmt(v):
+                        raise ValueError
                 except ValueError:
                     raise ValueError(f"{where}: malformed cell {cell!r}") from None
-            bad = next((c for c, fmt, v in zip(row, _FORMATS, values) if c != fmt([v])[0]),
-                       None)
-            if bad is not None:
-                raise ValueError(f"{where}: malformed cell {bad!r}")
-            for k in _STATES:
-                if values[k] is not None:
-                    values[k] = np.array(values[k])
-            records.append(StepRecord(*values))
-    return records
+                col.append(v)
+    return _Records({name: _column(name, vs) for name, vs in zip(CSV_COLUMNS, cols)},
+                    len(cols[0]))
 
 
 def write_summary_json(trace: Trace, pair: MethodPair, sigma: float, path: str) -> None:
@@ -264,12 +210,13 @@ def figure1_export(trace: Trace, path: str) -> None:
     Raises ``MissingDiagnostics`` when the trace was produced without an
     oracle (no measured errors to export).
     """
-    x, eps, alpha = _columns(trace.records, ("x", "eps_lower", "alpha_term"))
+    cols = _Records.of(trace.records).columns
+    x, eps, alpha = cols["x"], cols["eps_lower"], cols["alpha_term"]
     if eps is None:
         raise MissingDiagnostics("trace has no oracle diagnostics to export")
     _write_csv(path, ["x", "abs_eps_lower", "abs_alpha_term"], len(x), lambda lo, hi: [
-        _fmt_floats(x[lo:hi].tolist()),
-        *(_fmt_floats(_row_norms(c[lo:hi]).tolist()) for c in (eps, alpha))])
+        map(repr, x[lo:hi].tolist()),
+        *(map(repr, _row_norms(c[lo:hi]).tolist()) for c in (eps, alpha))])
 
 
 def run(spec: RunSpec) -> int:

@@ -16,9 +16,9 @@ keeps the stepsize until a rejection forces it down.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ from .error_analysis import (
     _Columns,
     _first_above,
     _Oracle,
+    _Records,
     _row_norms,
     estimate_beta,
     inf_norm,
@@ -99,8 +100,8 @@ class ControllerConfig:
             raise ValueError(f"sigma must be in (0, 1], got {self.sigma}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if self.h_init is not None and not (self.h_init > 0.0 and math.isfinite(self.h_init)):
             raise ValueError(f"h_init must be positive and finite, got {self.h_init}")
 
@@ -120,59 +121,14 @@ class TraceSummary:
 class Trace:
     """Ordered accepted-step records plus run totals.
 
-    ``integrate`` stores the records as columns (see ``_Records``); any
-    sequence of ``StepRecord`` will do, a tuple included.
+    ``integrate`` stores the records as columns, in a read-only sequence
+    (``error_analysis._Records``) that the trace writers read directly.  Any
+    sequence of ``StepRecord`` will do, a tuple included; the writers gather
+    it into the same columns.
     """
 
     records: Sequence[StepRecord]
     summary: TraceSummary
-
-
-class _Records(Sequence):
-    """The accepted steps of one run, stored as one column per ``StepRecord`` field.
-
-    A state field is an ``(n, d)`` array and a scalar field a 1-D array; the
-    oracle's fields are ``None`` without an exact solution.  Every column is
-    made read-only.  An item is a ``StepRecord`` of read-only row views,
-    built when it is accessed and not cached; a slice is a tuple of them.
-    The trace writers read ``_columns`` and ``_bound`` instead.
-    """
-
-    def __init__(self, columns: dict[str, np.ndarray], bound: float):
-        self._n = len(columns["x"])
-        self._columns, self._bound = columns, bound
-        self._getters = [_field_getter(f.name, columns.get(f.name), bound)
-                         for f in fields(StepRecord)]
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self._record, range(*k.indices(self._n))))
-        k = operator.index(k)
-        if not -self._n <= k < self._n:
-            raise IndexError(f"record index {k} out of range for {self._n} records")
-        return self._record(k % self._n)
-
-    def __iter__(self):
-        return map(self._record, range(self._n))
-
-    def _record(self, k: int) -> StepRecord:
-        return StepRecord(*[get(k) for get in self._getters])
-
-
-def _field_getter(name: str, col: Optional[np.ndarray], bound: float):
-    """The function from a row index to the ``StepRecord`` field ``name``, whose
-    column ``col`` (``None`` for an oracle field without an oracle) it makes read-only."""
-    if name == "i":
-        return lambda k: k + 1
-    if name == "bound":  # one value for the whole run
-        return lambda k: bound
-    if col is None:
-        return lambda k: None
-    col.flags.writeable = False
-    return col.__getitem__ if col.ndim > 1 else col.item
 
 
 def propose_stepsize(
@@ -181,10 +137,11 @@ def propose_stepsize(
     """Stepsize from the tolerance equation, with safety factor and clamping.
 
     Returns ``clamp(sigma * (delta / beta_norm) ** (1 / (z+1)), h_min,
-    h_max)``; a zero estimate proposes ``h_max``.  It is the only place an
-    estimate becomes a stepsize: after the probe, a rejection or an accepted step.
+    h_max)``; a zero estimate proposes ``h_max`` and an infinite one ``h_min``.
+    It is the only place an estimate becomes a stepsize: after the probe, a
+    rejection or an accepted step.
     """
-    if beta_norm < 0.0:
+    if not beta_norm >= 0.0:
         raise ValueError(f"beta_norm must be nonnegative, got {beta_norm}")
     if beta_norm == 0.0:
         return h_max
@@ -326,8 +283,9 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         crossing = _first_above(_row_norms(c["delta_lower"]), delta)
         violations = np.flatnonzero(~c["cond_holds"])
         violation = int(violations[0]) + 1 if violations.size else None
+    n = len(cols)
     summary = TraceSummary(
-        accepted=len(cols),
+        accepted=n,
         rejected=int(c["rejects"].sum()),
         final_x=x,
         final_delta_lower=final_delta,
@@ -335,4 +293,5 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         crossing_x=None if crossing is None else c["x"].item(crossing),
         condition_violation_index=violation,
     )
-    return Trace(records=_Records(c, bound), summary=summary)
+    c.update(i=np.arange(1, n + 1), bound=np.broadcast_to(bound, n))
+    return Trace(records=_Records(c, n), summary=summary)

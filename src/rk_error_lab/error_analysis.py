@@ -25,8 +25,10 @@ recursion closed to roundoff.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -101,6 +103,79 @@ class StepRecord:
     cond_holds: Optional[bool]          # cond_lhs > cond_rhs (with zero-rhs convention)
     bound: float                        # (sigma**(z+1) + sigma**(z+r+1)) * delta
     clamped: bool                       # stepsize shortened to land on x_end
+
+
+# each field's column dtype; states and float scalars are float columns
+_DTYPES = {name: {int: int, bool: bool, Optional[bool]: bool}.get(t, float)
+           for name, t in get_type_hints(StepRecord).items()}
+
+
+class _Records(Sequence):
+    """Accepted steps stored as one column per ``StepRecord`` field, in ``columns``.
+
+    A state field is an ``(n, d)`` array and a scalar field a 1-D array; an
+    oracle field is ``None`` when no step carries it.  Every column is made
+    read-only.  An item is a ``StepRecord`` of read-only row views, built
+    when it is accessed and not cached; a slice is a tuple of them.
+    """
+
+    def __init__(self, columns: dict[str, Optional[np.ndarray]], n: int):
+        self._n = n
+        self.columns = {name: columns.get(name) for name in _DTYPES}
+        self._getters = [_field_getter(col) for col in self.columns.values()]
+
+    @classmethod
+    def of(cls, records: Sequence[StepRecord]) -> "_Records":
+        """``records`` as columns: a run's own, or any other sequence gathered into
+        the same.  Raises ``ValueError`` where ``_column`` does: for a field
+        that is ``None`` on some records and not on others."""
+        if isinstance(records, cls):
+            return records
+        return cls({name: _column(name, [getattr(r, name) for r in records])
+                    for name in _DTYPES}, len(records))
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._record, range(*k.indices(self._n))))
+        k = operator.index(k)
+        if not -self._n <= k < self._n:
+            raise IndexError(f"record index {k} out of range for {self._n} records")
+        return self._record(k % self._n)
+
+    def __iter__(self):
+        return map(self._record, range(self._n))
+
+    def _record(self, k: int) -> StepRecord:
+        return StepRecord(*[get(k) for get in self._getters])
+
+
+def _column(name: str, values: list) -> Optional[np.ndarray]:
+    """The values of field ``name`` on every record as its column, ``None`` if
+    every value is ``None``.  Raises ``ValueError`` if only some are, or if the
+    values do not fit one column (states of different sizes, an integer
+    beyond 64 bits)."""
+    nones = sum(v is None for v in values)
+    if nones == len(values):
+        return None
+    if nones:
+        raise ValueError(f"records carry {name} on some steps and not on others")
+    try:
+        col = np.array(values, dtype=_DTYPES[name])
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"records carry {name} values that do not fit one column: {exc}") from None
+    return col.reshape(len(col), -1) if col.ndim > 1 else col
+
+
+def _field_getter(col: Optional[np.ndarray]):
+    """The function from a row index to the field whose column ``col`` (``None``
+    for an oracle field without an oracle) it makes read-only."""
+    if col is None:
+        return lambda k: None
+    col.flags.writeable = False
+    return col.__getitem__ if col.ndim > 1 else col.item
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,8 +429,8 @@ def sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must be in (0, 1], got {sigma}")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if z < 1 or r < 1:
         raise ValueError(f"orders must satisfy z >= 1, r >= 1, got z={z}, r={r}")
     return (sigma ** (z + 1) + sigma ** (z + r + 1)) * delta
@@ -371,8 +446,8 @@ def find_crossing(
     """
     if not records:
         raise ValueError("records must be nonempty")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     k = _first_above(np.array([math.nan if rec.delta_lower is None else inf_norm(rec.delta_lower)
                                for rec in records]), delta)
     return None if k is None else (records[k].i, records[k].x)
@@ -407,8 +482,8 @@ def empirical_order(
     if mode not in ("local", "global"):
         raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
     hs = [float(h) for h in h_set]
-    if len(hs) < 4 or len(set(hs)) != len(hs) or any(h <= 0 for h in hs):
-        raise ValueError("h_set needs at least 4 distinct positive stepsizes")
+    if len(hs) < 4 or len(set(hs)) != len(hs) or not all(0.0 < h < math.inf for h in hs):
+        raise ValueError(f"h_set needs at least 4 distinct positive finite stepsizes, got {hs}")
 
     log_h, log_err = [], []
     for h in hs:

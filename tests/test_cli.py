@@ -349,12 +349,47 @@ def test_trace_writer_memory_is_bounded(tmp_path, long_trace):
     assert peak <= 2_000_000
 
 
+def test_a_parsed_trace_retains_at_most_a_quarter_kilobyte_per_row(tmp_path, long_trace):
+    # the parsed rows are stored as columns, as a run's are; one StepRecord of
+    # seven arrays per row kept 1.21 KB per row
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(long_trace, path)
+    read_trace_csv(path)  # caches filled on first use are not the reader's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = read_trace_csv(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 10438
+    assert retained / len(parsed) <= 256
+
+
 def test_records_with_diagnostics_on_some_steps_only_are_refused(tmp_path):
     trace = integrate(PAIR, builtin("decay"), ControllerConfig(delta=1e-8))
     records = list(trace.records)
     records[1] = dataclasses.replace(records[1], eps_lower=None)
     with pytest.raises(ValueError, match="eps_lower on some steps and not on others"):
         write_trace_csv(dataclasses.replace(trace, records=records), str(tmp_path / "t.csv"))
+
+
+def test_a_file_whose_columns_cannot_be_stored_is_refused(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(integrate(PAIR, builtin("decay"), ControllerConfig(delta=1e-8)), str(path))
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    row[CSV_COLUMNS.index("eps_lower")] = ""
+    path.write_text("\n".join(lines[:2] + [",".join(row)] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match="eps_lower on some steps and not on others"):
+        read_trace_csv(str(path))
+    # cells in their exact form whose values do not fit one column
+    for name, cell in (("rejects", str(10 ** 30)), ("w_lower", "1.0;2.0")):
+        bad = lines[2].split(",")
+        bad[CSV_COLUMNS.index(name)] = cell
+        path.write_text("\n".join(lines[:2] + [",".join(bad)] + lines[3:]) + "\n")
+        with pytest.raises(ValueError, match=f"{name} values that do not fit one column"):
+            read_trace_csv(str(path))
 
 
 def test_no_crossing_reported_as_null(tmp_path, capsys):

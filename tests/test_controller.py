@@ -84,6 +84,10 @@ def test_proposal_rejects_bad_inputs():
     cfg = ControllerConfig(delta=1e-8, sigma=0.8)
     with pytest.raises(ValueError):
         propose_stepsize(-1.0, cfg, 3, 1e-12, 1.0)
+    with pytest.raises(ValueError, match="beta_norm"):
+        propose_stepsize(math.nan, cfg, 3, 1e-12, 1.0)
+    # an infinite estimate proposes h_min, which integrate reports as StepsizeUnderflow
+    assert propose_stepsize(math.inf, cfg, 3, 1e-12, 1.0) == 1e-12
 
 
 # --- attempt_step ----------------------------------------------------------------
@@ -145,6 +149,9 @@ def test_config_invariants():
         for name in ("delta", "h_init"):
             with pytest.raises(ValueError):
                 ControllerConfig(**{name: bad})
+    for bad in (2.5, 3.0, math.inf, math.nan, "10"):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            ControllerConfig(max_steps=bad)
 
 
 # --- integrate: basic behavior ------------------------------------------------------
@@ -304,8 +311,14 @@ def test_oracle_fields_match_the_public_reference_functions(name, policy):
     assert (landing != p.x_end) == (name == "sine_across_zero")
 
 
-def test_records_are_a_read_only_sequence_built_on_access():
+@pytest.mark.parametrize("source", ["run", "file"])
+def test_records_are_a_read_only_sequence_built_on_access(tmp_path, source):
+    # a run's records and those read back from its CSV behave alike
     trace = integrate(PAIR, builtin("decay"), flagship_config())
+    if source == "file":
+        path = str(tmp_path / "trace.csv")
+        write_trace_csv(trace, path)
+        trace = dataclasses.replace(trace, records=read_trace_csv(path))
     recs = trace.records
     n = trace.summary.accepted
     assert len(recs) == n > 10

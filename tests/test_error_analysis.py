@@ -212,6 +212,9 @@ def test_sigma_bound_rejects_bad_inputs():
         sigma_bound(0.8, 3, 1, 0.0)
     with pytest.raises(ValueError):
         sigma_bound(0.8, 0, 1, 1e-8)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            sigma_bound(0.8, 3, 1, delta)
 
 
 # --- find_crossing ----------------------------------------------------------------
@@ -249,7 +252,7 @@ def test_crossing_skips_records_without_diagnostics():
 def test_crossing_rejects_empty_input():
     with pytest.raises(ValueError):
         find_crossing([], 1e-8)
-    for delta in (0.0, -1e-8):
+    for delta in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ValueError, match="delta must be positive"):
             find_crossing([make_record(1, 0.1, 2e-8)], delta)
 
@@ -298,6 +301,10 @@ def test_empirical_order_argument_checks():
         empirical_order(classic_rk4(), p, "local", [0.1, 0.05, 0.025])
     with pytest.raises(ValueError):
         empirical_order(classic_rk4(), p, "local", [0.1, 0.05, 0.05, 0.025])
+    for bad in (math.inf, math.nan):
+        for mode in ("local", "global"):
+            with pytest.raises(ValueError, match="h_set needs"):
+                empirical_order(kutta3(), p, mode, [0.1, 0.05, 0.025, bad])
 
 
 # --- recursion closure and cancellation ------------------------------------------
