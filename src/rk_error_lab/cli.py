@@ -253,13 +253,16 @@ def run(spec: RunSpec) -> int:
 
     if not spec.quiet:
         s = trace.summary
-        ratio = f"final |delta|/delta = {abs(s.final_delta_lower) / spec.delta:.3g}"
-        if s.crossing_index is not None:
-            print(f"global error exceeded delta={spec.delta:g} at x={s.crossing_x:.6g} "
-                  f"(step {s.crossing_index} of {s.accepted}); {ratio}")
+        span = f"[{problem.x0:g}, {s.final_x:g}]"
+        if s.final_delta_lower is None:
+            print(f"global error not measured over {span}: {problem.name} has no exact solution")
         else:
-            print(f"global error stayed within delta={spec.delta:g} over "
-                  f"[{problem.x0:g}, {s.final_x:g}] ({ratio})")
+            ratio = f"final |delta|/delta = {abs(s.final_delta_lower) / spec.delta:.3g}"
+            if s.crossing_index is not None:
+                print(f"global error exceeded delta={spec.delta:g} at x={s.crossing_x:.6g} "
+                      f"(step {s.crossing_index} of {s.accepted}); {ratio}")
+            else:
+                print(f"global error stayed within delta={spec.delta:g} over {span} ({ratio})")
     return 0
 
 

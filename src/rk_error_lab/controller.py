@@ -28,7 +28,7 @@ from .error_analysis import (
     StepsizeOutOfRange,
     _Columns,
     _first_above,
-    _Oracle,
+    _oracle_fields,
     _Records,
     _row_norms,
     estimate_beta,
@@ -165,7 +165,8 @@ def _attempt(
     pair: MethodPair, f: RHSFunction, x: float, y: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``attempt_step`` from the float array ``y``, returning first the lower
-    increment, which the oracle reuses: ``(inc_lower, w_lower, w_higher, beta)``."""
+    increment, which the run's columns keep for the oracle's propagated-error
+    term: ``(inc_lower, w_lower, w_higher, beta)``."""
     inc_lower, inc_higher = _pair_increments(pair, f, x, y, h)
     w_lower = y + h * inc_lower
     w_higher = y + h * inc_higher
@@ -215,6 +216,11 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     recorded.  The last step is shortened so the final abscissa equals
     ``x_end`` exactly.  The records are stored as columns, and the summary
     is read from them.
+
+    The oracle measures the accepted steps in one pass after the loop.  When
+    the loop raises an ``Exception``, the steps accepted so far are measured
+    first, so an oracle failure at an earlier step is raised in its place; a
+    ``KeyboardInterrupt`` propagates at once.
     """
     h_work, h_min, h_max = _initial_stepsizes(pair, p, cfg)
     # reject-only never grows a step, so it needs at least span / h_init steps;
@@ -225,59 +231,60 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     z, r = pair.lower.z, pair.r
     delta = cfg.delta
     bound = sigma_bound(cfg.sigma, z, r, delta)
-    oracle = _Oracle(pair, p) if p.exact is not None else None
 
     x = p.x0
     w = p.y0
     state = p.y0.shape
     cols = _Columns(("x", float), ("h", float), ("cond_lhs", float), ("w_lower", float, *state),
                     ("w_higher", float, *state), ("beta_lower", float, *state),
-                    ("rejects", np.int32), ("clamped", bool))
+                    ("inc_lower", float, *state), ("rejects", np.int32), ("clamped", bool))
 
-    while x < p.x_end:
-        if len(cols) >= cfg.max_steps:
-            raise MaxStepsExceeded(
-                f"{p.name}: {cfg.max_steps} accepted steps before reaching x_end"
-            )
-        rejects = 0
-        while True:
-            land = (p.x_end - x) <= h_work
-            h_step = p.x_end - x if land else h_work
-            clamped = land and h_step < h_work
-            inc_lo, w_lo, w_hi, beta = _attempt(pair, p.f, x, w, h_step)
-            beta_norm = inf_norm(beta)
-            est = beta_norm * h_step ** (z + 1)
-            if est < delta:
-                break
-            # an accepted state is finite: a NaN or inf in w_lo or w_hi makes est NaN or inf
-            if not np.isfinite(w_hi).all():
-                raise NonFiniteState(f"{p.name}: state not finite after step at x={x}")
-            rejects += 1
-            if rejects > MAX_REJECTS:
-                raise MaxRejectsExceeded(
-                    f"{p.name}: {rejects} consecutive rejections at x={x}"
-                )
-            h_work = propose_stepsize(beta_norm, cfg, z, h_min, h_max)
-            if h_work == h_min:
-                raise StepsizeUnderflow(f"{p.name}: required stepsize at or below "
-                                        f"h_min={h_min} at x={x}")
+    try:
+        while x < p.x_end:
+            if len(cols) >= cfg.max_steps:
+                raise MaxStepsExceeded(f"{p.name}: {cfg.max_steps} accepted steps "
+                                       "before reaching x_end")
+            rejects = 0
+            while True:
+                land = (p.x_end - x) <= h_work
+                h_step = p.x_end - x if land else h_work
+                clamped = land and h_step < h_work
+                inc_lo, w_lo, w_hi, beta = _attempt(pair, p.f, x, w, h_step)
+                beta_norm = inf_norm(beta)
+                est = beta_norm * h_step ** (z + 1)
+                if est < delta:
+                    break
+                # an accepted state is finite: a NaN or inf in w_lo or w_hi makes est NaN or inf
+                if not np.isfinite(w_hi).all():
+                    raise NonFiniteState(f"{p.name}: state not finite after step at x={x}")
+                rejects += 1
+                if rejects > MAX_REJECTS:
+                    raise MaxRejectsExceeded(f"{p.name}: {rejects} consecutive rejections "
+                                             f"at x={x}")
+                h_work = propose_stepsize(beta_norm, cfg, z, h_min, h_max)
+                if h_work == h_min:
+                    raise StepsizeUnderflow(f"{p.name}: required stepsize at or below "
+                                            f"h_min={h_min} at x={x}")
 
-        x_next = p.x_end if land else x + h_step
-        if oracle is not None:
-            oracle.step(x, x_next, h_step, inc_lo)
-        cols.append(x_next, h_step, est, w_lo, w_hi, beta, rejects, clamped)
-        w = w_hi
-        x = x_next
-        if cfg.policy == "proportional":
-            h_cap = MAX_GROWTH * h_step
-            h_work = propose_stepsize(beta_norm, cfg, z, h_min, h_cap if h_cap < h_max else h_max)
-        # reject-only keeps h_work as is
+            x_next = p.x_end if land else x + h_step
+            cols.append(x_next, h_step, est, w_lo, w_hi, beta, inc_lo, rejects, clamped)
+            w = w_hi
+            x = x_next
+            if cfg.policy == "proportional":
+                h_cap = MAX_GROWTH * h_step
+                h_work = propose_stepsize(beta_norm, cfg, z, h_min,
+                                          h_cap if h_cap < h_max else h_max)
+            # reject-only keeps h_work as is
+    except Exception:
+        if p.exact is not None:  # an oracle failure on an accepted step came first
+            _oracle_fields(pair, p, cols.columns())
+        raise
 
     # IVProblem guarantees x_end > x0, so there is at least one record
     c = cols.columns()
     final_delta = crossing = violation = None
-    if oracle is not None:
-        c.update(oracle.fields(c["h"], c["w_lower"], c["w_higher"], c["cond_lhs"]))
+    if p.exact is not None:
+        c.update(_oracle_fields(pair, p, c))
         last = c["delta_lower"][-1]
         final_delta = float(last[0]) if last.size == 1 else inf_norm(last)
         crossing = _first_above(_row_norms(c["delta_lower"]), delta)

@@ -360,64 +360,49 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=1)
 
 
-class _Oracle:
-    """The oracle of one ``integrate`` run: measures the accepted steps against ``y``.
+def _oracle_fields(pair: MethodPair, p: IVProblem,
+                   c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The oracle's columns, keyed as in ``StepRecord``, for the accepted steps
+    in the run's columns ``c``.
 
-    ``step`` runs once per accepted step.  It looks up ``y(x_next)``, which
-    becomes the next step's ``y(x)``, evaluates the pair once from the exact
-    state and forms the powers of ``h``, so each of these raises at its own
-    step.  ``fields`` then forms the oracle's ``StepRecord`` fields in one
-    pass over whole columns, with the formulas of ``local_error_exact``,
-    ``alpha_propagation_term``, ``mean_beta_higher`` and ``condition_check``;
-    elementwise arithmetic is correctly rounded, so every field is
-    bit-identical to theirs.
+    Each step in turn looks up ``y(x_next)`` (and ``y(x + h)`` where a clamped
+    landing misses ``x_end`` in the last bit), evaluates the pair once from the
+    exact state ``y(x)`` and forms the powers of ``h``, so the first step where
+    one of these fails raises it.  The fields then follow over whole columns,
+    with the formulas of ``local_error_exact``, ``alpha_propagation_term``,
+    ``mean_beta_higher`` and ``condition_check``; elementwise arithmetic is
+    correctly rounded, so every field is bit-identical to theirs.
     """
-
-    def __init__(self, pair: MethodPair, p: IVProblem):
-        self.pair, self.p = pair, p
-        self.y_start = self.y_x = reference_solution(p, p.x0)
-        row = p.y0.shape
-        self.cols = _Columns(("y", float, *row), ("inc_lower", float, *row),
-                             ("exact_lower", float, *row), ("exact_higher", float, *row),
-                             ("hp_higher", float), ("hp_cond", float))
-        self.missed = {}  # step row -> y(x + h) where x + h misses x_next
-
-    def step(self, x: float, x_next: float, h: float, inc_lo: np.ndarray) -> None:
-        """Measure the accepted step from ``x`` to ``x_next`` with stepsize ``h``,
-        whose attempt had the lower increment ``inc_lo``.  Raises what the
-        lookups, the pair evaluation and the powers of ``h`` raise, at this step."""
-        pair, p = self.pair, self.p
-        y_next = reference_solution(p, x_next)
-        if x + h != x_next:  # a clamped landing can miss x_end in the last bit
-            self.missed[len(self.cols)] = reference_solution(p, x + h)
-        exact_lo, exact_hi = _pair_increments(pair, p.f, x, self.y_x, h)
-        self.cols.append(y_next, inc_lo, exact_lo, exact_hi,
-                         _step_power(h, pair.higher.z + 1), _step_power(h, pair.lower.z + 2))
-        self.y_x = y_next
-
-    def fields(self, h: np.ndarray, w_lower: np.ndarray, w_higher: np.ndarray,
-               cond_lhs: np.ndarray) -> dict[str, np.ndarray]:
-        """The oracle's columns, keyed as in ``StepRecord``, from the run's columns
-        of stepsizes, results and estimates ``|beta_lower| * h**(z+1)``."""
-        c = self.cols.columns()
-        y_next = y_xh = c["y"]
-        y_x = np.concatenate((self.y_start[None], y_next[:-1]))
-        w = np.concatenate((self.p.y0[None], w_higher[:-1]))
-        if self.missed:
-            y_xh = y_next.copy()
-            for k, y in self.missed.items():
-                y_xh[k] = y
-        h = h[:, None]  # each row's stepsize scales that row's components
-        eps_higher = _local_error(y_x, c["exact_higher"], y_xh, h)
-        means, mean = np.empty(len(h)), 0.0
-        for k, v in enumerate(_row_norms(eps_higher / c["hp_higher"][:, None]).tolist()):
-            mean = means[k] = _mean_pushed(mean, v, k + 1)
-        i = np.arange(1, len(h) + 1, dtype=float)
-        cond_rhs, cond_holds = _condition(i, cond_lhs, means * c["hp_cond"])
-        return {"eps_lower": _local_error(y_x, c["exact_lower"], y_xh, h),
-                "delta_lower": w_lower - y_next, "delta_higher": w_higher - y_next,
-                "alpha_term": _alpha_term(y_x, w, c["inc_lower"], c["exact_lower"], h),
-                "cond_rhs": cond_rhs, "cond_holds": cond_holds}
+    h, n = c["h"], len(c["h"])
+    y = np.empty((n + 1, *p.y0.shape))  # y(x0), then y(x_next) of each step
+    exact_lower, exact_higher = np.empty((n, *p.y0.shape)), np.empty((n, *p.y0.shape))
+    hp_higher, hp_cond = np.empty(n), np.empty(n)
+    y[0] = reference_solution(p, p.x0)
+    x, missed = p.x0, {}  # step row -> y(x + h) where x + h misses x_next
+    for k, (x_next, h_k) in enumerate(zip(c["x"].tolist(), h.tolist())):
+        y[k + 1] = reference_solution(p, x_next)
+        if x + h_k != x_next:
+            missed[k] = reference_solution(p, x + h_k)
+        exact_lower[k], exact_higher[k] = _pair_increments(pair, p.f, x, y[k], h_k)
+        hp_higher[k] = _step_power(h_k, pair.higher.z + 1)
+        hp_cond[k] = _step_power(h_k, pair.lower.z + 2)
+        x = x_next
+    y_x, y_next = y[:-1], y[1:]
+    y_xh = y_next.copy() if missed else y_next
+    for k, y_k in missed.items():
+        y_xh[k] = y_k
+    w = np.concatenate((p.y0[None], c["w_higher"][:-1]))
+    h = h[:, None]  # each row's stepsize scales that row's components
+    eps_higher = _local_error(y_x, exact_higher, y_xh, h)
+    means, mean = np.empty(n), 0.0
+    for k, v in enumerate(_row_norms(eps_higher / hp_higher[:, None]).tolist()):
+        mean = means[k] = _mean_pushed(mean, v, k + 1)
+    i = np.arange(1, n + 1, dtype=float)
+    cond_rhs, cond_holds = _condition(i, c["cond_lhs"], means * hp_cond)
+    return {"eps_lower": _local_error(y_x, exact_lower, y_xh, h),
+            "delta_lower": c["w_lower"] - y_next, "delta_higher": c["w_higher"] - y_next,
+            "alpha_term": _alpha_term(y_x, w, c["inc_lower"], exact_lower, h),
+            "cond_rhs": cond_rhs, "cond_holds": cond_holds}
 
 
 def sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:

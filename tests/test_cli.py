@@ -401,6 +401,26 @@ def test_no_crossing_reported_as_null(tmp_path, capsys):
     assert summary["crossing_x"] is None
 
 
+def test_oracle_verdict_lines_are_pinned(capsys):
+    assert main([]) == 0
+    assert capsys.readouterr().out == (
+        "global error exceeded delta=1e-08 at x=30.372 (step 155 of 1042); "
+        "final |delta|/delta = 82.8\n")
+    assert main(["--problem", "decay"]) == 0
+    assert capsys.readouterr().out == (
+        "global error stayed within delta=1e-08 over [0, 10] (final |delta|/delta = 0.0738)\n")
+
+
+def test_a_run_without_an_oracle_says_its_global_error_was_not_measured(capsys, monkeypatch):
+    # every built-in problem has an exact solution, so one is removed here
+    monkeypatch.setattr("rk_error_lab.cli.builtin",
+                        lambda name: dataclasses.replace(builtin(name), exact=None))
+    assert main(["--problem", "decay", "--x-end", "3"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "global error not measured over [0, 3]: decay has no exact solution\n"
+    assert out.err == ""
+
+
 def test_x_end_override(tmp_path):
     json_path = tmp_path / "short.json"
     assert main(["--x-end", "50", "--json", str(json_path), "--quiet"]) == 0

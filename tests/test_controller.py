@@ -376,8 +376,8 @@ def test_records_held_elsewhere_write_the_same_files(tmp_path, problem):
 
 @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no_oracle"])
 def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle):
-    # the run is stored as columns: about 0.10 KB per step with the oracle and
-    # 0.06 KB without at d = 1, where one StepRecord of seven arrays per step
+    # the run is stored as columns: about 0.11 KB per step with the oracle and
+    # 0.07 KB without at d = 1, where one StepRecord of seven arrays per step
     # took 1.16 KB and 0.67 KB
     p = builtin("paper_exponential")
     if not oracle:
@@ -418,6 +418,17 @@ def test_oracle_evaluation_counts(problem):
         assert calls["f"] == 5 * attempts + (5 * s.accepted if oracle else 0)
         missed = trace.records[-2].x + last.h != last.x
         assert calls["exact"] == (s.accepted + 1 + missed if oracle else 0)
+    # a run stopped by the step cap after k accepted steps measures each of them
+    # once: k + 1 lookups and 5 evaluations from the exact state per step
+    k, stopped = 7, []
+    for oracle in (True, False):
+        p = dataclasses.replace(problem, f=f, exact=exact if oracle else None)
+        calls.update(f=0, exact=0)
+        with pytest.raises(MaxStepsExceeded):
+            integrate(PAIR, p, flagship_config(max_steps=k))
+        stopped.append(dict(calls))
+    assert stopped[0]["exact"] == k + 1 and stopped[1]["exact"] == 0
+    assert stopped[0]["f"] - stopped[1]["f"] == 5 * k
 
 
 def test_h_init_override_is_used():
@@ -555,6 +566,47 @@ def test_oracle_failure_is_raised_at_its_own_step():
         integrate(PAIR, p, flagship_config(max_steps=1))
     with pytest.raises(MaxStepsExceeded):
         integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config(max_steps=1))
+
+
+def test_oracle_failure_on_an_accepted_step_wins_over_a_later_step_cap():
+    # y is right at x0 but NaN beyond x = 0.2, so the pair evaluated from the
+    # exact state of the first step starting past 0.5 is not finite; without
+    # the oracle the same run goes on until the step cap stops it
+    decay = builtin("decay")
+    p = dataclasses.replace(decay, exact=lambda x: decay.exact(x) if x <= 0.2
+                            else np.array([math.nan]))
+    cfg = flagship_config(max_steps=20)
+    with pytest.raises(MaxStepsExceeded):
+        integrate(PAIR, dataclasses.replace(p, exact=None), cfg)
+    records = integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records
+    j = next(k for k, rec in enumerate(records) if rec.x > 0.2)
+    assert j + 1 < cfg.max_steps
+    x, h = records[j].x, records[j + 1].h
+    with pytest.raises(NonFiniteStage, match=re.escape(f"stage 1 is not finite at x={x}, h={h}")):
+        integrate(PAIR, p, cfg)
+
+
+def test_keyboard_interrupt_propagates_at_once():
+    # the oracle measures no step after an interrupt: no lookup follows it
+    decay = builtin("decay")
+    calls, at_interrupt = {"f": 0, "exact": 0}, {}
+
+    def f(x, y):
+        calls["f"] += 1
+        if calls["f"] == 40:  # the eighth attempt, the probe being the first
+            at_interrupt.update(calls)
+            raise KeyboardInterrupt
+        return decay.f(x, y)
+
+    def exact(x):
+        calls["exact"] += 1
+        return decay.exact(x)
+
+    p = dataclasses.replace(decay, f=f, exact=exact)
+    calls.update(exact=0)
+    with pytest.raises(KeyboardInterrupt):
+        integrate(PAIR, p, flagship_config())
+    assert calls == at_interrupt
 
 
 def test_max_rejects_exceeded(monkeypatch):
