@@ -247,7 +247,8 @@ def run(spec: RunSpec) -> int:
             write_summary_json(trace, pair, spec.sigma, spec.json_path)
         if spec.figure_path is not None:
             figure1_export(trace, spec.figure_path)
-    except (OSError, ValueError) as exc:  # ValueError: open() refuses a NUL in the path
+    # ValueError: open() refuses a NUL in the path; MissingDiagnostics: --figure without an oracle
+    except (OSError, ValueError, MissingDiagnostics) as exc:
         print(f"rk-error-lab: output failed: {exc}", file=sys.stderr)
         return 5
 

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
-from .problems import IVProblem, reference_solution
+from .problems import IVProblem, _rhs_over_rows, reference_solution
 from .rk_core import (
     ButcherTableau,
     MethodPair,
@@ -360,33 +360,65 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=1)
 
 
+def _exact_increments(pair: MethodPair, p: IVProblem, x: np.ndarray, y: np.ndarray,
+                      h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_pair_increments`` from every row of the states ``y`` at the abscissae
+    ``x`` with the stepsizes ``h``, over rows, each bit-identical to its own.
+
+    When the rows raise, a non-finite stage among them included, the steps
+    are evaluated again one at a time, so the first failing step raises what
+    it raises on its own.  If none fails alone, ``p.f`` broke the row
+    contract of ``IVProblem.rowwise``, and the rows' error is raised.
+    """
+    try:
+        return _pair_increments(pair, _rhs_over_rows(p), x, y, h)
+    except Exception as exc:
+        error = exc
+    for x_k, y_k, h_k in zip(x.tolist(), y, h.tolist()):
+        _pair_increments(pair, p.f, x_k, y_k, h_k)
+    raise error
+
+
 def _oracle_fields(pair: MethodPair, p: IVProblem,
                    c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The oracle's columns, keyed as in ``StepRecord``, for the accepted steps
     in the run's columns ``c``.
 
     Each step in turn looks up ``y(x_next)`` (and ``y(x + h)`` where a clamped
-    landing misses ``x_end`` in the last bit), evaluates the pair once from the
-    exact state ``y(x)`` and forms the powers of ``h``, so the first step where
-    one of these fails raises it.  The fields then follow over whole columns,
-    with the formulas of ``local_error_exact``, ``alpha_propagation_term``,
-    ``mean_beta_higher`` and ``condition_check``; elementwise arithmetic is
-    correctly rounded, so every field is bit-identical to theirs.
+    landing misses ``x_end`` in the last bit) and forms the powers of ``h``;
+    the pair is then evaluated from the exact states ``y(x)`` of those steps
+    at once (``_exact_increments``).  Failures keep the order of one step at
+    a time, where a step's pair comes after its lookups and before its
+    powers: the pair is evaluated for the steps up to the first failing
+    lookup or power, and the earliest failure is raised.  The fields then follow over whole columns, with the formulas of
+    ``local_error_exact``, ``alpha_propagation_term``, ``mean_beta_higher``
+    and ``condition_check``; elementwise arithmetic is correctly rounded, so
+    every field is bit-identical to theirs.
     """
     h, n = c["h"], len(c["h"])
     y = np.empty((n + 1, *p.y0.shape))  # y(x0), then y(x_next) of each step
-    exact_lower, exact_higher = np.empty((n, *p.y0.shape)), np.empty((n, *p.y0.shape))
     hp_higher, hp_cond = np.empty(n), np.empty(n)
     y[0] = reference_solution(p, p.x0)
     x, missed = p.x0, {}  # step row -> y(x + h) where x + h misses x_next
+    failure, m = None, 0  # m: the steps whose lookups passed, so whose pair is due
     for k, (x_next, h_k) in enumerate(zip(c["x"].tolist(), h.tolist())):
-        y[k + 1] = reference_solution(p, x_next)
-        if x + h_k != x_next:
-            missed[k] = reference_solution(p, x + h_k)
-        exact_lower[k], exact_higher[k] = _pair_increments(pair, p.f, x, y[k], h_k)
-        hp_higher[k] = _step_power(h_k, pair.higher.z + 1)
-        hp_cond[k] = _step_power(h_k, pair.lower.z + 2)
+        try:
+            y[k + 1] = reference_solution(p, x_next)
+            if x + h_k != x_next:
+                missed[k] = reference_solution(p, x + h_k)
+            m = k + 1
+            hp_higher[k] = _step_power(h_k, pair.higher.z + 1)
+            hp_cond[k] = _step_power(h_k, pair.lower.z + 2)
+        except Exception as exc:
+            failure = exc
+            break
         x = x_next
+    exact_lower = exact_higher = y[:0]
+    if m:  # a run without accepted steps has no rows to evaluate
+        xs = np.concatenate(((p.x0,), c["x"][:m - 1]))  # each step's start
+        exact_lower, exact_higher = _exact_increments(pair, p, xs, y[:m], h[:m])
+    if failure is not None:
+        raise failure
     y_x, y_next = y[:-1], y[1:]
     y_xh = y_next.copy() if missed else y_next
     for k, y_k in missed.items():

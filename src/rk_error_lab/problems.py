@@ -38,6 +38,13 @@ class IVProblem:
     functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite, and ``y0``
     a scalar or a nonempty flat vector.  ``y0`` is copied into a read-only
     float array of at least one dimension when the problem is built.
+
+    ``rowwise`` declares that ``f`` also takes many states at once:
+    ``f(X, Y)`` with ``X`` of shape ``(n,)`` and ``Y`` of shape ``(n, d)``
+    returns shape ``(n, d)``, and its row ``i`` equals ``f(X[i], Y[i])`` bit
+    for bit.  The oracle then evaluates each stage of its exact-state pair
+    for all accepted steps in one call; without the flag it calls ``f`` once
+    per step and stage.  The controller always calls ``f`` on one state.
     """
 
     name: str
@@ -46,6 +53,7 @@ class IVProblem:
     y0: np.ndarray
     x_end: float
     exact: Optional[Callable[[float], np.ndarray]] = None
+    rowwise: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "y0", _readonly(self.y0, ndmin=1))
@@ -72,6 +80,20 @@ class IVProblem:
         return replace(self, x_end=x_end)
 
 
+def _rhs_over_rows(p: IVProblem) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``p.f`` in the row form of the ``rowwise`` contract: ``p.f`` itself for a
+    row-capable problem, else a function that calls it on one row at a time."""
+    if p.rowwise:
+        return p.f
+
+    def over_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        out = np.empty(ys.shape)
+        for i, x in enumerate(xs.tolist()):
+            out[i] = p.f(x, ys[i])
+        return out
+    return over_rows
+
+
 def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     """True solution at ``x`` from the problem's registered exact function.
 
@@ -93,11 +115,11 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
 
 _PROBLEMS: dict[str, IVProblem] = {p.name: p for p in (
     IVProblem(name="paper_exponential", f=lambda x, y: GROWTH_RATE * y, x0=0.0, y0=[1.0],
-              x_end=100.0, exact=lambda x: np.array([math.exp(GROWTH_RATE * x)])),
+              x_end=100.0, exact=lambda x: np.array([math.exp(GROWTH_RATE * x)]), rowwise=True),
     IVProblem(name="decay", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=10.0,
-              exact=lambda x: np.array([math.exp(-x)])),
+              exact=lambda x: np.array([math.exp(-x)]), rowwise=True),
     IVProblem(name="riccati_simple", f=lambda x, y: -y * y, x0=0.0, y0=[1.0], x_end=5.0,
-              exact=lambda x: np.array([1.0 / (1.0 + x)])),
+              exact=lambda x: np.array([1.0 / (1.0 + x)]), rowwise=True),
 )}
 
 

@@ -15,7 +15,9 @@ States are flat float64 vectors; scalar problems use length-1 vectors.
 Each stage argument ``y + h * (a_p1 k_1 + a_p2 k_2 + ...)`` is summed in
 index order over the nonzero coefficients of its row only
 (``ButcherTableau.stage_rows``), so it does not depend on the BLAS in use.
-Only the weighted sum ``b @ k`` goes through BLAS.
+Only the weighted sum ``b @ k`` goes through BLAS.  A pair can also be
+evaluated from many states at once, as rows, with the bits of each state's
+own evaluation (``_pair_increments``).
 """
 
 from __future__ import annotations
@@ -238,19 +240,31 @@ def increment_function(
 
 
 def _stages(
-    t: ButcherTableau, f: RHSFunction, x: float, y: np.ndarray, h: float, known=()
+    t: ButcherTableau, f: RHSFunction, x, y: np.ndarray, h, known=()
 ) -> np.ndarray:
-    """Stage derivatives of ``t`` in index order, taking the rows of ``known`` as the
-    leading stages without evaluating ``f`` (they must be shared: ``MethodPair.shared``).
+    """Stage derivatives of ``t`` in index order, taking ``known`` as the leading
+    stages without evaluating ``f`` (they must be shared: ``MethodPair.shared``).
+
+    From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``; the
+    result is ``(m, d)``.  Over rows, ``x`` and ``h`` are ``(n,)`` columns,
+    ``y`` is ``(n, d)`` and ``f`` takes rows (``IVProblem.rowwise``); the
+    result is ``(m, n, d)``, a view of a contiguous ``(n, m, d)`` array.
+    Every operation on a stage argument is elementwise, each row's ``h``
+    scaling that row, so a row's stages are bit-identical to its state's alone.
 
     The stage arguments come from ``t.stage_rows`` (a stage whose row has no
     nonzero entry receives ``y`` itself).  Finiteness is checked once, over
-    the evaluated rows, after the loop: the stages after a non-finite one are
-    evaluated too, and the error names the first non-finite stage."""
-    if h <= 0.0:
-        raise ValueError(f"stepsize must be positive, got {h}")
+    the evaluated stages, after the loop: the stages after a non-finite one
+    are evaluated too, and the error names the first non-finite stage and
+    ``x`` and ``h`` as given.  From one state, ``h`` must be positive.
+    """
     n = len(known)
-    k = np.empty((t.m,) + y.shape, dtype=float)
+    if y.ndim == 1:
+        if h <= 0.0:
+            raise ValueError(f"stepsize must be positive, got {h}")
+        k, h_y = np.empty((t.m,) + y.shape, dtype=float), h
+    else:  # each row's stages lie contiguously, for its weighted sums
+        k, h_y = np.empty((len(y), t.m, y.shape[1])).swapaxes(0, 1), h[:, None]
     if n:
         k[:n] = known
     rows = t.stage_rows
@@ -260,7 +274,7 @@ def _stages(
         for q, a in row:
             term = a * k[q]
             s = term if s is None else s + term
-        k[p] = f(x + c_p * h, y if s is None else y + h * s)
+        k[p] = f(x + c_p * h, y if s is None else y + h_y * s)
     finite = np.isfinite(k[n:])
     if np.count_nonzero(finite) != finite.size:
         p = n + int(np.argmin(finite.reshape(t.m - n, -1).all(axis=1)))
@@ -269,16 +283,21 @@ def _stages(
 
 
 def _pair_increments(
-    pair: MethodPair, f: RHSFunction, x: float, y: np.ndarray, h: float
+    pair: MethodPair, f: RHSFunction, x, y: np.ndarray, h
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Increments ``(F_lower, F_higher)`` of both methods of ``pair`` from ``(x, y)``.
+    """Increments ``(F_lower, F_higher)`` of both methods of ``pair`` from ``(x, y)``,
+    from one state or over rows as ``_stages`` takes them.
 
     The ``pair.shared`` leading stages are evaluated once, by the lower
     method, and handed to the higher one.  Each increment is bit-identical to
-    ``increment_function`` of its method.
+    ``increment_function`` of its method, over rows from that row's state:
+    ``b @ k`` goes through BLAS on each row's contiguous ``(m, d)`` stages, as
+    on one state's (a sum in another order or layout moves bits).
     """
     k_lower = _stages(pair.lower, f, x, y, h)
     k_higher = _stages(pair.higher, f, x, y, h, k_lower[:pair.shared])
+    if y.ndim > 1:
+        k_lower, k_higher = k_lower.swapaxes(0, 1), k_higher.swapaxes(0, 1)
     return pair.lower.b @ k_lower, pair.higher.b @ k_higher
 
 

@@ -421,6 +421,18 @@ def test_a_run_without_an_oracle_says_its_global_error_was_not_measured(capsys, 
     assert out.err == ""
 
 
+def test_a_figure_without_an_oracle_is_an_output_failure(tmp_path, capsys, monkeypatch):
+    # the figure series are the oracle's measured errors: a run without them
+    # exits 5, as any failure while the outputs are written, without a traceback
+    monkeypatch.setattr("rk_error_lab.cli.builtin",
+                        lambda name: dataclasses.replace(builtin(name), exact=None))
+    path = tmp_path / "figure.csv"
+    assert main(["--problem", "decay", "--figure", str(path)]) == 5
+    out = capsys.readouterr()
+    assert out.err == "rk-error-lab: output failed: trace has no oracle diagnostics to export\n"
+    assert out.out == "" and not path.exists()
+
+
 def test_x_end_override(tmp_path):
     json_path = tmp_path / "short.json"
     assert main(["--x-end", "50", "--json", str(json_path), "--quiet"]) == 0

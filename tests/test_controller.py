@@ -5,9 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rk_error_lab import controller
+from rk_error_lab import controller, rk_core
 from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
 from rk_error_lab import (
     BetaTracker,
@@ -246,19 +246,44 @@ STATE_FIELDS = ("w_lower", "w_higher", "eps_lower", "beta_lower", "delta_lower",
                 "delta_higher", "alpha_term")
 
 
+def _one_state_only(f):
+    # a right-hand side without the row flag is only ever given one state, also
+    # by the oracle, which evaluates it over rows one row at a time
+    def checked(x, y):
+        assert isinstance(x, float) and y.ndim == 1, (x, y)
+        return f(x, y)
+    return checked
+
+
 def _sine_across_zero():
     # x0 < 0 < x_end: the clamped last step's x + h misses x_end in the last
     # bit, and y = sin(x) ~ x there, so y(x + h) differs from y(x_end)
-    return IVProblem(name="sine_across_zero", f=lambda x, y: np.full_like(y, math.cos(x)),
+    return IVProblem(name="sine_across_zero",
+                     f=_one_state_only(lambda x, y: np.full_like(y, math.cos(x))),
                      x0=-3.0, y0=[math.sin(-3.0)], x_end=1e-3,
                      exact=lambda x: np.array([math.sin(x)]))
 
 
 def _oscillator():
     # y'' = -y as the system (y, y'), with y = cos x
-    return IVProblem(name="oscillator", f=lambda x, y: np.array([y[1], -y[0]]), x0=0.0,
-                     y0=[1.0, 0.0], x_end=10.0,
+    return IVProblem(name="oscillator", f=_one_state_only(lambda x, y: np.array([y[1], -y[0]])),
+                     x0=0.0, y0=[1.0, 0.0], x_end=10.0,
                      exact=lambda x: np.array([math.cos(x), -math.sin(x)]))
+
+
+def _linear_system(a, y0, x_end, exact=None):
+    # y' = a y, row-capable: a sum over the columns of a in index order is
+    # elementwise, so a row gives the bits of its state alone (a BLAS product
+    # such as y @ a.T need not: gemm and gemv may round differently)
+    cols = [a[:, j].copy() for j in range(a.shape[1])]
+
+    def f(x, y):
+        s = cols[0] * y[..., :1]
+        for j in range(1, len(cols)):
+            s = s + cols[j] * y[..., j:j + 1]
+        return s
+    return IVProblem(name="linear", f=f, x0=0.0, y0=y0, x_end=x_end, exact=exact,
+                     rowwise=True)
 
 
 def _assert_records_match_the_public_functions(p, trace, delta):
@@ -398,24 +423,31 @@ def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle):
 def test_oracle_evaluation_counts(problem):
     # an accepted step costs 5 evaluations for the attempt and 5 for the
     # oracle, and one lookup of y(x_next); the start and a landing step
-    # whose x + h misses x_end add one lookup each
-    calls = {"f": 0, "exact": 0}
+    # whose x + h misses x_end add one lookup each.  An evaluation is a state
+    # given to f: a row-capable problem gets all the oracle's rows of a stage
+    # in one call, 5 calls in all, and any other one call per row
+    calls = {"f": 0, "rows": 0, "exact": 0}
 
     def f(x, y):
         calls["f"] += 1
+        calls["rows"] += np.size(x)
         return problem.f(x, y)
 
     def exact(x):
         calls["exact"] += 1
         return problem.exact(x)
 
+    def oracle_calls(n):
+        return 5 if problem.rowwise else 5 * n
+
     for oracle in (True, False):
         p = dataclasses.replace(problem, f=f, exact=exact if oracle else None)
-        calls.update(f=0, exact=0)
+        calls.update(f=0, rows=0, exact=0)
         trace = integrate(PAIR, p, flagship_config())
         s, last = trace.summary, trace.records[-1]
         attempts = 1 + s.accepted + s.rejected  # the probe, then every trial
-        assert calls["f"] == 5 * attempts + (5 * s.accepted if oracle else 0)
+        assert calls["rows"] == 5 * attempts + (5 * s.accepted if oracle else 0)
+        assert calls["f"] == 5 * attempts + (oracle_calls(s.accepted) if oracle else 0)
         missed = trace.records[-2].x + last.h != last.x
         assert calls["exact"] == (s.accepted + 1 + missed if oracle else 0)
     # a run stopped by the step cap after k accepted steps measures each of them
@@ -423,12 +455,75 @@ def test_oracle_evaluation_counts(problem):
     k, stopped = 7, []
     for oracle in (True, False):
         p = dataclasses.replace(problem, f=f, exact=exact if oracle else None)
-        calls.update(f=0, exact=0)
+        calls.update(f=0, rows=0, exact=0)
         with pytest.raises(MaxStepsExceeded):
             integrate(PAIR, p, flagship_config(max_steps=k))
         stopped.append(dict(calls))
     assert stopped[0]["exact"] == k + 1 and stopped[1]["exact"] == 0
-    assert stopped[0]["f"] - stopped[1]["f"] == 5 * k
+    assert stopped[0]["rows"] - stopped[1]["rows"] == 5 * k
+    assert stopped[0]["f"] - stopped[1]["f"] == oracle_calls(k)
+
+
+@pytest.mark.parametrize("name", problem_names() + ["linear"])
+def test_pair_over_rows_is_bit_identical_to_each_row_alone(name):
+    # the pair evaluated over the rows of a delta = 1e-12 run gives each row
+    # the bits of _pair_increments from that row's state alone, for both
+    # methods; the layout of the weighted sums decides this.  The rows are the
+    # oracle's, from the exact states, or the run's own states for the
+    # 2-component system
+    if name == "linear":
+        p = _linear_system(np.array([[-0.3, 1.1], [-0.9, 0.2]]), [1.0, -0.5], 10.0)
+    else:
+        p = builtin(name)
+    trace = integrate(PAIR, p, flagship_config(delta=1e-12))
+    xs = np.array([p.x0] + [rec.x for rec in trace.records[:-1]])
+    hs = np.array([rec.h for rec in trace.records])
+    if p.exact is None:
+        ys = np.array([p.y0] + [rec.w_higher for rec in trace.records[:-1]])
+    else:
+        ys = np.array([reference_solution(p, x) for x in xs.tolist()])
+    assert p.rowwise and len(hs) > 1000
+    assert name != "paper_exponential" or len(hs) == 10438
+    lower, higher = rk_core._pair_increments(PAIR, p.f, xs, ys, hs)
+    for k, (x, y, h) in enumerate(zip(xs.tolist(), ys, hs.tolist())):
+        lo, hi = rk_core._pair_increments(PAIR, p.f, x, y, h)
+        assert lower[k].tobytes() == lo.tobytes() and higher[k].tobytes() == hi.tobytes(), k
+
+
+_UNIT = st.floats(min_value=-1.0, max_value=1.0)
+
+
+# few draws, each a run of about 10 to 100 steps, to keep the suite fast
+@settings(max_examples=10, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), d=st.integers(1, 4), log_delta=st.floats(-8.0, -5.0),
+       policy=st.sampled_from(POLICIES))
+def test_linear_systems_keep_the_records_and_close_the_recursion(tmp_path, data, d, log_delta,
+                                                                   policy):
+    # y' = a y with a = v diag(lam) v^-1, real lam and v within 1/2 of the
+    # identity, whose exact solution is v exp(lam x) v^-1 y0
+    lam = np.array(data.draw(st.lists(st.floats(-2.0, 1.0), min_size=d, max_size=d)))
+    v = np.eye(d) + np.array(data.draw(st.lists(_UNIT, min_size=d * d, max_size=d * d))
+                             ).reshape(d, d) * (0.5 / d)
+    y0 = 2.0 * np.array(data.draw(st.lists(_UNIT, min_size=d, max_size=d)))
+    coef = np.linalg.solve(v, y0)
+    p = _linear_system((v * lam) @ np.linalg.inv(v), y0, 1.0,
+                       exact=lambda x: v @ (np.exp(lam * x) * coef))
+    delta = 10.0 ** log_delta
+    trace = integrate(PAIR, p, flagship_config(delta=delta, policy=policy))
+    _assert_records_match_the_public_functions(p, trace, delta)
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(trace, path)
+    parsed = read_trace_csv(path)
+    assert len(parsed) == len(trace.records)
+    assert all(_same_records(a, b) for a, b in zip(parsed, trace.records))
+    # delta_lower = eps_lower + alpha_term exactly in real arithmetic; in floats
+    # the state-sized sums w + h F(w) and y + h F(y) round by half an ulp each,
+    # the second possibly in the binade above |w_lower|, and the products h F
+    # by less: 1.20 ulps at most over 1500 wider draws
+    for rec in trace.records:
+        gap = np.abs(rec.delta_lower - (rec.eps_lower + rec.alpha_term)).max()
+        assert gap <= 2.0 * np.spacing(inf_norm(rec.w_lower)), rec.i
 
 
 def test_h_init_override_is_used():
@@ -584,6 +679,66 @@ def test_oracle_failure_on_an_accepted_step_wins_over_a_later_step_cap():
     x, h = records[j].x, records[j + 1].h
     with pytest.raises(NonFiniteStage, match=re.escape(f"stage 1 is not finite at x={x}, h={h}")):
         integrate(PAIR, p, cfg)
+
+
+def _decay_failing_at(nan_at, raise_at, shapes):
+    # decay, row-capable, except that f is NaN at the exact state y(nan_at),
+    # which only the oracle's pair visits (the run's own state there is off by
+    # its global error), and that looking up y(raise_at) raises; every x that
+    # f is given has its ndim put in shapes
+    decay = builtin("decay")
+    y_bad = decay.exact(nan_at)
+
+    def f(x, y):
+        shapes.add(np.ndim(x))
+        return np.where((np.asarray(x)[..., None] == nan_at) & (y == y_bad), math.nan, -y)
+
+    def exact(x):
+        if x == raise_at:
+            raise ValueError(f"no exact state at x={x}")
+        return decay.exact(x)
+    return dataclasses.replace(decay, f=f, exact=exact)
+
+
+@pytest.mark.parametrize("first", ["stage", "lookup"])
+def test_oracle_over_rows_raises_the_earliest_failing_step(first):
+    # the oracle looks up every state before it evaluates the pair over rows,
+    # and still raises the failure of the earliest step: a non-finite stage of
+    # step j before the lookup that fails on step j + 3, a lookup that fails on
+    # step j before the non-finite stage of step j + 3, as one step at a time
+    records = integrate(PAIR, dataclasses.replace(builtin("decay"), exact=None),
+                        flagship_config()).records
+    j = 20
+    start = [builtin("decay").x0] + [rec.x for rec in records[:-1]]  # of each step
+    nan_step, lookup_step = (j, j + 3) if first == "stage" else (j + 3, j)
+    shapes = set()
+    p = _decay_failing_at(start[nan_step], records[lookup_step].x, shapes)
+    # without the oracle the run takes decay's steps: f is NaN at no state of its own
+    alone = integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records
+    assert [rec.x for rec in alone] == [rec.x for rec in records]
+    if first == "stage":
+        expected = NonFiniteStage, f"rk3: stage 1 is not finite at x={start[j]}, h={records[j].h}"
+    else:
+        expected = ValueError, f"no exact state at x={records[j].x}"
+    shapes.clear()
+    with pytest.raises(expected[0], match=re.escape(expected[1])):
+        integrate(PAIR, p, flagship_config())
+    assert shapes == {0, 1}  # the controller gave f one state, the oracle rows
+
+
+def test_a_run_failing_before_its_first_accepted_step_evaluates_no_rows():
+    # the stepsize underflows on the first step, so the oracle, which measures
+    # the steps accepted before a failure, has no row to evaluate
+    decay, shapes = builtin("decay"), set()
+
+    def f(x, y):
+        shapes.add(np.ndim(x))
+        return decay.f(x, y)
+
+    with pytest.raises(StepsizeUnderflow):
+        integrate(PAIR, dataclasses.replace(decay, f=f),
+                  ControllerConfig(delta=1e-60, sigma=0.8, h_init=0.5))
+    assert shapes == {0}
 
 
 def test_keyboard_interrupt_propagates_at_once():
