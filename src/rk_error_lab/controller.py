@@ -36,7 +36,7 @@ from .error_analysis import (
     sigma_bound,
 )
 from .problems import IVProblem
-from .rk_core import MethodPair, RHSFunction, _pair_increments
+from .rk_core import MethodPair, RHSFunction, _one_state, _pair_increments
 
 __all__ = [
     "ControllerConfig",
@@ -156,9 +156,10 @@ def attempt_step(
     The ``pair.shared`` leading stages are evaluated once, by the lower
     method, and reused by the higher one.  Returns ``(w_lower, w_higher,
     beta)`` where ``beta`` is the componentwise estimate ``(w_lower -
-    w_higher) / h**(z+1)`` for the lower method's order ``z``.
+    w_higher) / h**(z+1)`` for the lower method's order ``z``.  It checks its
+    input as ``increment_function`` does.
     """
-    return _attempt(pair, f, x, np.asarray(w_higher_in, dtype=float), h)[1:]
+    return _attempt(pair, f, x, _one_state(x, w_higher_in, h), h)[1:]
 
 
 def _attempt(

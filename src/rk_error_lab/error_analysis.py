@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
-from .problems import IVProblem, _rhs_over_rows, reference_solution
+from .problems import IVProblem, reference_solution
 from .rk_core import (
     ButcherTableau,
     MethodPair,
@@ -362,21 +362,18 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 def _exact_increments(pair: MethodPair, p: IVProblem, x: np.ndarray, y: np.ndarray,
                       h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_pair_increments`` from every row of the states ``y`` at the abscissae
-    ``x`` with the stepsizes ``h``, over rows, each bit-identical to its own.
-
-    When the rows raise, a non-finite stage among them included, the steps
-    are evaluated again one at a time, so the first failing step raises what
-    it raises on its own.  If none fails alone, ``p.f`` broke the row
-    contract of ``IVProblem.rowwise``, and the rows' error is raised.
-    """
-    try:
-        return _pair_increments(pair, _rhs_over_rows(p), x, y, h)
-    except Exception as exc:
-        error = exc
-    for x_k, y_k, h_k in zip(x.tolist(), y, h.tolist()):
-        _pair_increments(pair, p.f, x_k, y_k, h_k)
-    raise error
+    """``_pair_increments`` from each step's row of ``x``, ``y`` and ``h``, stacked
+    as ``(n, d)`` columns.  A ``rowwise`` problem is evaluated over rows; any
+    other, and one whose rows raise (a non-finite stage included), one step at
+    a time: its outcome is the steps' results or the earliest failing step's error."""
+    if p.rowwise:
+        try:
+            return _pair_increments(pair, p.f, x, y, h)
+        except Exception:  # the steps decide
+            pass
+    lower, higher = zip(*(_pair_increments(pair, p.f, x_k, y_k, h_k)
+                          for x_k, y_k, h_k in zip(x.tolist(), y, h.tolist())))
+    return np.array(lower), np.array(higher)
 
 
 def _oracle_fields(pair: MethodPair, p: IVProblem,
@@ -385,15 +382,15 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     in the run's columns ``c``.
 
     Each step in turn looks up ``y(x_next)`` (and ``y(x + h)`` where a clamped
-    landing misses ``x_end`` in the last bit) and forms the powers of ``h``;
-    the pair is then evaluated from the exact states ``y(x)`` of those steps
-    at once (``_exact_increments``).  Failures keep the order of one step at
-    a time, where a step's pair comes after its lookups and before its
-    powers: the pair is evaluated for the steps up to the first failing
-    lookup or power, and the earliest failure is raised.  The fields then follow over whole columns, with the formulas of
-    ``local_error_exact``, ``alpha_propagation_term``, ``mean_beta_higher``
-    and ``condition_check``; elementwise arithmetic is correctly rounded, so
-    every field is bit-identical to theirs.
+    landing misses ``x_end`` in the last bit) and forms the powers of ``h``; the
+    pair is then evaluated from the exact states ``y(x)`` of those steps
+    (``_exact_increments``).  Failures keep the order of one step at a time,
+    where a step's pair comes after its lookups and before its powers: the pair
+    is evaluated for the steps up to the first failing lookup or power, and the
+    earliest failure is raised.  The fields then follow over whole columns, with
+    the formulas of ``local_error_exact``, ``alpha_propagation_term``,
+    ``mean_beta_higher`` and ``condition_check``; elementwise arithmetic is
+    correctly rounded, so every field is bit-identical to theirs.
     """
     h, n = c["h"], len(c["h"])
     y = np.empty((n + 1, *p.y0.shape))  # y(x0), then y(x_next) of each step

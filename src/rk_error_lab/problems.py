@@ -42,9 +42,10 @@ class IVProblem:
     ``rowwise`` declares that ``f`` also takes many states at once:
     ``f(X, Y)`` with ``X`` of shape ``(n,)`` and ``Y`` of shape ``(n, d)``
     returns shape ``(n, d)``, and its row ``i`` equals ``f(X[i], Y[i])`` bit
-    for bit.  The oracle then evaluates each stage of its exact-state pair
-    for all accepted steps in one call; without the flag it calls ``f`` once
-    per step and stage.  The controller always calls ``f`` on one state.
+    for bit.  The oracle then calls ``f`` once per stage of its exact-state pair
+    over all accepted steps; without the flag, or if those rows raise, once per
+    step and stage.  Wrong rows that raise nothing go undetected (``n == d``
+    lets a one-state ``f`` return some).  The controller calls ``f`` on one state.
     """
 
     name: str
@@ -78,20 +79,6 @@ class IVProblem:
 
     def with_x_end(self, x_end: float) -> "IVProblem":
         return replace(self, x_end=x_end)
-
-
-def _rhs_over_rows(p: IVProblem) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``p.f`` in the row form of the ``rowwise`` contract: ``p.f`` itself for a
-    row-capable problem, else a function that calls it on one row at a time."""
-    if p.rowwise:
-        return p.f
-
-    def over_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        out = np.empty(ys.shape)
-        for i, x in enumerate(xs.tolist()):
-            out[i] = p.f(x, ys[i])
-        return out
-    return over_rows
 
 
 def reference_solution(p: IVProblem, x: float) -> np.ndarray:

@@ -22,6 +22,7 @@ own evaluation (``_pair_increments``).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
@@ -233,10 +234,25 @@ def increment_function(
 
     Raises
     ------
+    ValueError
+        If ``y`` is not a flat vector, ``x`` not finite or ``h`` not positive and finite.
     NonFiniteStage
         If any stage derivative contains NaN or infinity.
     """
-    return t.b @ _stages(t, f, x, np.asarray(y, dtype=float), h)
+    return t.b @ _stages(t, f, x, _one_state(x, y, h), h)
+
+
+def _one_state(x: float, y, h: float) -> np.ndarray:
+    """``y`` as a float array; raises ``ValueError`` naming a ``y`` that is not a
+    flat vector, a non-finite ``x`` or an ``h`` that is not positive and finite."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"state must be a flat vector, got shape {y.shape}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"stepsize must be positive and finite, got {h}")
+    return y
 
 
 def _stages(
@@ -256,12 +272,10 @@ def _stages(
     nonzero entry receives ``y`` itself).  Finiteness is checked once, over
     the evaluated stages, after the loop: the stages after a non-finite one
     are evaluated too, and the error names the first non-finite stage and
-    ``x`` and ``h`` as given.  From one state, ``h`` must be positive.
+    ``x`` and ``h`` as given.  It checks no input; ``_one_state`` does.
     """
     n = len(known)
     if y.ndim == 1:
-        if h <= 0.0:
-            raise ValueError(f"stepsize must be positive, got {h}")
         k, h_y = np.empty((t.m,) + y.shape, dtype=float), h
     else:  # each row's stages lie contiguously, for its weighted sums
         k, h_y = np.empty((len(y), t.m, y.shape[1])).swapaxes(0, 1), h[:, None]

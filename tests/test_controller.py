@@ -248,7 +248,7 @@ STATE_FIELDS = ("w_lower", "w_higher", "eps_lower", "beta_lower", "delta_lower",
 
 def _one_state_only(f):
     # a right-hand side without the row flag is only ever given one state, also
-    # by the oracle, which evaluates it over rows one row at a time
+    # by the oracle, which evaluates its pair one step at a time
     def checked(x, y):
         assert isinstance(x, float) and y.ndim == 1, (x, y)
         return f(x, y)
@@ -382,6 +382,18 @@ def test_two_component_system(tmp_path):
     parsed = read_trace_csv(path)
     assert len(parsed) == len(trace.records)
     assert all(_same_records(a, b) for a, b in zip(parsed, trace.records))
+
+
+def test_a_flagged_rhs_that_takes_one_state_only_is_measured_step_by_step():
+    # the oscillator's f asserts that it is given one state, so its rows raise
+    # even with the row flag set; the oracle then measures it one step at a
+    # time, and the run keeps the bits of the run without the flag
+    flagless = _oscillator()
+    flagged = dataclasses.replace(flagless, rowwise=True)
+    a = integrate(PAIR, flagless, flagship_config())
+    b = integrate(PAIR, flagged, flagship_config())
+    assert a.summary == b.summary and len(a.records) == len(b.records) > 100
+    assert all(_same_records(r, q) for r, q in zip(a.records, b.records))
 
 
 @pytest.mark.parametrize("problem", [builtin("decay"), _oscillator()], ids=["decay", "oscillator"])
@@ -700,19 +712,23 @@ def _decay_failing_at(nan_at, raise_at, shapes):
     return dataclasses.replace(decay, f=f, exact=exact)
 
 
-@pytest.mark.parametrize("first", ["stage", "lookup"])
-def test_oracle_over_rows_raises_the_earliest_failing_step(first):
-    # the oracle looks up every state before it evaluates the pair over rows,
-    # and still raises the failure of the earliest step: a non-finite stage of
-    # step j before the lookup that fails on step j + 3, a lookup that fails on
-    # step j before the non-finite stage of step j + 3, as one step at a time
+@pytest.mark.parametrize("first, rowwise", [("stage", True), ("lookup", True),
+                                            ("stage", False), ("lookup", False)],
+                         ids=["stage", "lookup", "stage-flagless", "lookup-flagless"])
+def test_oracle_over_rows_raises_the_earliest_failing_step(first, rowwise):
+    # the oracle looks up every state before it evaluates the pair, over rows
+    # or one step at a time, and still raises the failure of the earliest
+    # step: a non-finite stage of step j before the lookup that fails on step
+    # j + 3, a lookup that fails on step j before the non-finite stage of step
+    # j + 3, as one step at a time; without the row flag f sees no rows
     records = integrate(PAIR, dataclasses.replace(builtin("decay"), exact=None),
                         flagship_config()).records
     j = 20
     start = [builtin("decay").x0] + [rec.x for rec in records[:-1]]  # of each step
     nan_step, lookup_step = (j, j + 3) if first == "stage" else (j + 3, j)
     shapes = set()
-    p = _decay_failing_at(start[nan_step], records[lookup_step].x, shapes)
+    p = dataclasses.replace(_decay_failing_at(start[nan_step], records[lookup_step].x, shapes),
+                            rowwise=rowwise)
     # without the oracle the run takes decay's steps: f is NaN at no state of its own
     alone = integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records
     assert [rec.x for rec in alone] == [rec.x for rec in records]
@@ -723,7 +739,8 @@ def test_oracle_over_rows_raises_the_earliest_failing_step(first):
     shapes.clear()
     with pytest.raises(expected[0], match=re.escape(expected[1])):
         integrate(PAIR, p, flagship_config())
-    assert shapes == {0, 1}  # the controller gave f one state, the oracle rows
+    # the controller gave f one state, the oracle rows if it may
+    assert shapes == ({0, 1} if rowwise else {0})
 
 
 def test_a_run_failing_before_its_first_accepted_step_evaluates_no_rows():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rk_error_lab import (
     MethodPair,
     NonFiniteStage,
     UnknownPair,
+    attempt_step,
     builtin_pair,
     classic_rk4,
     increment_function,
@@ -199,10 +201,27 @@ def test_nonfinite_stage_detected():
         rk_step(classic_rk4(), f, 0.0, np.array([1.0]), 0.1)
 
 
-def test_rejects_nonpositive_stepsize():
-    f = lambda x, y: y
-    with pytest.raises(ValueError):
-        rk_step(classic_rk4(), f, 0.0, np.array([1.0]), 0.0)
+@pytest.mark.parametrize("x, y, h, message", [
+    (0.0, [1.0], 0.0, "stepsize must be positive and finite, got 0.0"),
+    (0.0, [1.0], -0.1, "stepsize must be positive and finite, got -0.1"),
+    (0.0, [1.0], math.nan, "stepsize must be positive and finite, got nan"),
+    (0.0, [1.0], math.inf, "stepsize must be positive and finite, got inf"),
+    (math.nan, [1.0], 0.1, "x must be finite, got nan"),
+    (-math.inf, [1.0], 0.1, "x must be finite, got -inf"),
+    (0.0, 1.0, 0.1, "state must be a flat vector, got shape ()"),
+    (0.0, np.ones((2, 2)), 0.1, "state must be a flat vector, got shape (2, 2)"),
+], ids=["h_zero", "h_negative", "h_nan", "h_inf", "x_nan", "x_inf", "y_scalar", "y_matrix"])
+def test_rejects_nonpositive_stepsize(x, y, h, message):
+    # one step's input is refused by name before f is called, by every public
+    # entry point from one state
+    def f(x, y):
+        raise AssertionError("f called")
+    pair = builtin_pair("rk3_rk4")
+    for step in (lambda: rk_step(classic_rk4(), f, x, y, h),
+                 lambda: increment_function(kutta3(), f, x, y, h),
+                 lambda: attempt_step(pair, f, x, y, h)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step()
 
 
 def test_affine_step_consistency():
