@@ -218,10 +218,9 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     ``x_end`` exactly.  The records are stored as columns, and the summary
     is read from them.
 
-    The oracle measures the accepted steps in one pass after the loop.  When
-    the loop raises an ``Exception``, the steps accepted so far are measured
-    first, so an oracle failure at an earlier step is raised in its place; a
-    ``KeyboardInterrupt`` propagates at once.
+    The oracle measures a finished run in one pass after the loop.  A failure
+    of the loop ends the run at once: its own exception propagates, and no
+    exact state is looked up.
     """
     h_work, h_min, h_max = _initial_stepsizes(pair, p, cfg)
     # reject-only never grows a step, so it needs at least span / h_init steps;
@@ -240,46 +239,41 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
                     ("w_higher", float, *state), ("beta_lower", float, *state),
                     ("inc_lower", float, *state), ("rejects", np.int32), ("clamped", bool))
 
-    try:
-        while x < p.x_end:
-            if len(cols) >= cfg.max_steps:
-                raise MaxStepsExceeded(f"{p.name}: {cfg.max_steps} accepted steps "
-                                       "before reaching x_end")
-            rejects = 0
-            while True:
-                land = (p.x_end - x) <= h_work
-                h_step = p.x_end - x if land else h_work
-                clamped = land and h_step < h_work
-                inc_lo, w_lo, w_hi, beta = _attempt(pair, p.f, x, w, h_step)
-                beta_norm = inf_norm(beta)
-                est = beta_norm * h_step ** (z + 1)
-                if est < delta:
-                    break
-                # an accepted state is finite: a NaN or inf in w_lo or w_hi makes est NaN or inf
-                if not np.isfinite(w_hi).all():
-                    raise NonFiniteState(f"{p.name}: state not finite after step at x={x}")
-                rejects += 1
-                if rejects > MAX_REJECTS:
-                    raise MaxRejectsExceeded(f"{p.name}: {rejects} consecutive rejections "
-                                             f"at x={x}")
-                h_work = propose_stepsize(beta_norm, cfg, z, h_min, h_max)
-                if h_work == h_min:
-                    raise StepsizeUnderflow(f"{p.name}: required stepsize at or below "
-                                            f"h_min={h_min} at x={x}")
+    while x < p.x_end:
+        if len(cols) >= cfg.max_steps:
+            raise MaxStepsExceeded(f"{p.name}: {cfg.max_steps} accepted steps "
+                                   "before reaching x_end")
+        rejects = 0
+        while True:
+            land = (p.x_end - x) <= h_work
+            h_step = p.x_end - x if land else h_work
+            clamped = land and h_step < h_work
+            inc_lo, w_lo, w_hi, beta = _attempt(pair, p.f, x, w, h_step)
+            beta_norm = inf_norm(beta)
+            est = beta_norm * h_step ** (z + 1)
+            if est < delta:
+                break
+            # an accepted state is finite: a NaN or inf in w_lo or w_hi makes est NaN or inf
+            if not np.isfinite(w_hi).all():
+                raise NonFiniteState(f"{p.name}: state not finite after step at x={x}")
+            rejects += 1
+            if rejects > MAX_REJECTS:
+                raise MaxRejectsExceeded(f"{p.name}: {rejects} consecutive rejections "
+                                         f"at x={x}")
+            h_work = propose_stepsize(beta_norm, cfg, z, h_min, h_max)
+            if h_work == h_min:
+                raise StepsizeUnderflow(f"{p.name}: required stepsize at or below "
+                                        f"h_min={h_min} at x={x}")
 
-            x_next = p.x_end if land else x + h_step
-            cols.append(x_next, h_step, est, w_lo, w_hi, beta, inc_lo, rejects, clamped)
-            w = w_hi
-            x = x_next
-            if cfg.policy == "proportional":
-                h_cap = MAX_GROWTH * h_step
-                h_work = propose_stepsize(beta_norm, cfg, z, h_min,
-                                          h_cap if h_cap < h_max else h_max)
-            # reject-only keeps h_work as is
-    except Exception:
-        if p.exact is not None:  # an oracle failure on an accepted step came first
-            _oracle_fields(pair, p, cols.columns())
-        raise
+        x_next = p.x_end if land else x + h_step
+        cols.append(x_next, h_step, est, w_lo, w_hi, beta, inc_lo, rejects, clamped)
+        w = w_hi
+        x = x_next
+        if cfg.policy == "proportional":
+            h_cap = MAX_GROWTH * h_step
+            h_work = propose_stepsize(beta_norm, cfg, z, h_min,
+                                      h_cap if h_cap < h_max else h_max)
+        # reject-only keeps h_work as is
 
     # IVProblem guarantees x_end > x0, so there is at least one record
     c = cols.columns()

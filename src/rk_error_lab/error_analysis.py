@@ -207,11 +207,12 @@ def local_error_exact(t: ButcherTableau, p: IVProblem, x: float, h: float) -> np
     """Local error of one step of ``t`` launched from the true solution at ``x``.
 
     Returns ``[y(x) + h F(x, y(x))] - y(x + h)`` with ``y`` taken from
-    ``reference_solution``.
+    ``reference_solution``.  The increment, which checks ``h``, is evaluated
+    before ``y(x + h)`` is looked up.
     """
     y_x = reference_solution(p, x)
-    y_xh = reference_solution(p, x + h)
-    return _local_error(y_x, increment_function(t, p.f, x, y_x, h), y_xh, h)
+    inc = increment_function(t, p.f, x, y_x, h)
+    return _local_error(y_x, inc, reference_solution(p, x + h), h)
 
 
 def _local_error(y_x: np.ndarray, inc: np.ndarray, y_xh: np.ndarray, h: float) -> np.ndarray:
@@ -378,48 +379,34 @@ def _exact_increments(pair: MethodPair, p: IVProblem, x: np.ndarray, y: np.ndarr
 
 def _oracle_fields(pair: MethodPair, p: IVProblem,
                    c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The oracle's columns, keyed as in ``StepRecord``, for the accepted steps
-    in the run's columns ``c``.
+    """The oracle's columns, keyed as in ``StepRecord``, for the steps in the
+    columns ``c`` of a finished run.
 
-    Each step in turn looks up ``y(x_next)`` (and ``y(x + h)`` where a clamped
-    landing misses ``x_end`` in the last bit) and forms the powers of ``h``; the
-    pair is then evaluated from the exact states ``y(x)`` of those steps
-    (``_exact_increments``).  Failures keep the order of one step at a time,
-    where a step's pair comes after its lookups and before its powers: the pair
-    is evaluated for the steps up to the first failing lookup or power, and the
-    earliest failure is raised.  The fields then follow over whole columns, with
-    the formulas of ``local_error_exact``, ``alpha_propagation_term``,
-    ``mean_beta_higher`` and ``condition_check``; elementwise arithmetic is
-    correctly rounded, so every field is bit-identical to theirs.
+    It looks up ``y`` at ``x0`` and at every step's ``x_next``, in step order;
+    then ``y(x + h)`` of the landing step, the last, where it misses ``x_end``
+    in the last bit (every other step's ``x_next`` is ``x + h``); then evaluates
+    the pair from each step's exact state ``y(x)`` (``_exact_increments``); then
+    forms the powers of ``h``, step by step.  The first failure met is raised.
+    The fields then follow over whole columns, with the formulas of
+    ``local_error_exact``, ``alpha_propagation_term``, ``mean_beta_higher`` and
+    ``condition_check``; elementwise arithmetic is correctly rounded, so every
+    field is bit-identical to theirs.
     """
     h, n = c["h"], len(c["h"])
-    y = np.empty((n + 1, *p.y0.shape))  # y(x0), then y(x_next) of each step
-    hp_higher, hp_cond = np.empty(n), np.empty(n)
-    y[0] = reference_solution(p, p.x0)
-    x, missed = p.x0, {}  # step row -> y(x + h) where x + h misses x_next
-    failure, m = None, 0  # m: the steps whose lookups passed, so whose pair is due
-    for k, (x_next, h_k) in enumerate(zip(c["x"].tolist(), h.tolist())):
-        try:
-            y[k + 1] = reference_solution(p, x_next)
-            if x + h_k != x_next:
-                missed[k] = reference_solution(p, x + h_k)
-            m = k + 1
-            hp_higher[k] = _step_power(h_k, pair.higher.z + 1)
-            hp_cond[k] = _step_power(h_k, pair.lower.z + 2)
-        except Exception as exc:
-            failure = exc
-            break
-        x = x_next
-    exact_lower = exact_higher = y[:0]
-    if m:  # a run without accepted steps has no rows to evaluate
-        xs = np.concatenate(((p.x0,), c["x"][:m - 1]))  # each step's start
-        exact_lower, exact_higher = _exact_increments(pair, p, xs, y[:m], h[:m])
-    if failure is not None:
-        raise failure
+    xs = np.concatenate(((p.x0,), c["x"]))  # each step's start, then x_end
+    y = np.empty((n + 1, *p.y0.shape))
+    for k, x_k in enumerate(xs.tolist()):
+        y[k] = reference_solution(p, x_k)
     y_x, y_next = y[:-1], y[1:]
-    y_xh = y_next.copy() if missed else y_next
-    for k, y_k in missed.items():
-        y_xh[k] = y_k
+    y_xh, x_last = y_next, xs.item(-2) + h.item(-1)
+    if x_last != xs.item(-1):
+        y_xh = y_next.copy()
+        y_xh[-1] = reference_solution(p, x_last)
+    exact_lower, exact_higher = _exact_increments(pair, p, xs[:-1], y_x, h)
+    hp_higher, hp_cond = np.empty(n), np.empty(n)
+    for k, h_k in enumerate(h.tolist()):
+        hp_higher[k] = _step_power(h_k, pair.higher.z + 1)
+        hp_cond[k] = _step_power(h_k, pair.lower.z + 2)
     w = np.concatenate((p.y0[None], c["w_higher"][:-1]))
     h = h[:, None]  # each row's stepsize scales that row's components
     eps_higher = _local_error(y_x, exact_higher, y_xh, h)

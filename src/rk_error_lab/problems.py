@@ -36,8 +36,9 @@ class IVProblem:
     must agree with ``y0`` at ``x0``, in shape and to within ``1e-14``
     relative to ``y0``.  Right-hand sides must be pure
     functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite, and ``y0``
-    a scalar or a nonempty flat vector.  ``y0`` is copied into a read-only
-    float array of at least one dimension when the problem is built.
+    a scalar or a nonempty flat vector, and ``f(x0, y0)`` must have one value per
+    component of ``y0``.  ``y0`` is copied into a read-only float array of at
+    least one dimension when the problem is built.
 
     ``rowwise`` declares that ``f`` also takes many states at once:
     ``f(X, Y)`` with ``X`` of shape ``(n,)`` and ``Y`` of shape ``(n, d)``
@@ -67,6 +68,10 @@ class IVProblem:
                              f"got shape {self.y0.shape}")
         if not np.isfinite(self.y0).all():
             raise ValueError(f"{self.name}: y0={self.y0} must be finite")
+        n = np.size(self.f(self.x0, self.y0))
+        if n != self.y0.size:
+            raise ValueError(f"{self.name}: f(x0, y0) has {n} values, "
+                             f"y0 has {self.y0.size} components")
         if self.exact is not None:
             y_exact = reference_solution(self, self.x0)
             if y_exact.shape != self.y0.shape:

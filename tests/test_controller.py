@@ -462,18 +462,16 @@ def test_oracle_evaluation_counts(problem):
         assert calls["f"] == 5 * attempts + (oracle_calls(s.accepted) if oracle else 0)
         missed = trace.records[-2].x + last.h != last.x
         assert calls["exact"] == (s.accepted + 1 + missed if oracle else 0)
-    # a run stopped by the step cap after k accepted steps measures each of them
-    # once: k + 1 lookups and 5 evaluations from the exact state per step
-    k, stopped = 7, []
+    # a run stopped by the step cap is not measured: with the oracle it makes no
+    # lookup, and the same calls of f with the same states as without it
+    stopped = []
     for oracle in (True, False):
         p = dataclasses.replace(problem, f=f, exact=exact if oracle else None)
         calls.update(f=0, rows=0, exact=0)
         with pytest.raises(MaxStepsExceeded):
-            integrate(PAIR, p, flagship_config(max_steps=k))
+            integrate(PAIR, p, flagship_config(max_steps=7))
         stopped.append(dict(calls))
-    assert stopped[0]["exact"] == k + 1 and stopped[1]["exact"] == 0
-    assert stopped[0]["rows"] - stopped[1]["rows"] == 5 * k
-    assert stopped[0]["f"] - stopped[1]["f"] == oracle_calls(k)
+    assert stopped[0] == stopped[1] and stopped[0]["exact"] == 0
 
 
 @pytest.mark.parametrize("name", problem_names() + ["linear"])
@@ -660,50 +658,52 @@ def test_stepsize_underflow():
                   ControllerConfig(delta=1e-60, sigma=0.8, h_init=0.5))
 
 
-def test_max_steps_exceeded():
-    with pytest.raises(MaxStepsExceeded):
-        integrate(PAIR, builtin("paper_exponential"), flagship_config(max_steps=10))
-
-
 def test_oracle_failure_is_raised_at_its_own_step():
-    # h**5 underflows in the oracle on step 1; without the oracle the run
-    # needs 10 steps and hits the cap first
+    # h**5 underflows in the oracle of the finished 10-step run; a cap of one
+    # step ends the run first, with or without the oracle
     p = builtin("decay").with_x_end(1e-68)
-    with pytest.raises(StepUnderflow):
-        integrate(PAIR, p, flagship_config(max_steps=1))
-    with pytest.raises(MaxStepsExceeded):
-        integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config(max_steps=1))
+    with pytest.raises(StepUnderflow, match=re.escape("h**5 underflowed")):
+        integrate(PAIR, p, flagship_config())
+    for q in (p, dataclasses.replace(p, exact=None)):
+        with pytest.raises(MaxStepsExceeded, match="1 accepted steps"):
+            integrate(PAIR, q, flagship_config(max_steps=1))
 
 
-def test_oracle_failure_on_an_accepted_step_wins_over_a_later_step_cap():
+def test_a_step_cap_ends_a_run_before_its_oracle_fails():
     # y is right at x0 but NaN beyond x = 0.2, so the pair evaluated from the
-    # exact state of the first step starting past 0.5 is not finite; without
-    # the oracle the same run goes on until the step cap stops it
-    decay = builtin("decay")
-    p = dataclasses.replace(decay, exact=lambda x: decay.exact(x) if x <= 0.2
-                            else np.array([math.nan]))
-    cfg = flagship_config(max_steps=20)
-    with pytest.raises(MaxStepsExceeded):
-        integrate(PAIR, dataclasses.replace(p, exact=None), cfg)
+    # exact state of the first step starting past 0.2 is not finite; a cap
+    # reached before the end stops the run with no state looked up
+    decay, lookups = builtin("decay"), []
+
+    def exact(x):
+        lookups.append(x)
+        return decay.exact(x) if x <= 0.2 else np.array([math.nan])
+    p = dataclasses.replace(decay, exact=exact)
     records = integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records
     j = next(k for k, rec in enumerate(records) if rec.x > 0.2)
-    assert j + 1 < cfg.max_steps
+    assert j + 1 < 20 < len(records)
+    lookups.clear()
+    with pytest.raises(MaxStepsExceeded, match="decay: 20 accepted steps before reaching x_end"):
+        integrate(PAIR, p, flagship_config(max_steps=20))
+    assert lookups == []
     x, h = records[j].x, records[j + 1].h
     with pytest.raises(NonFiniteStage, match=re.escape(f"stage 1 is not finite at x={x}, h={h}")):
-        integrate(PAIR, p, cfg)
+        integrate(PAIR, p, flagship_config())
 
 
 def _decay_failing_at(nan_at, raise_at, shapes):
-    # decay, row-capable, except that f is NaN at the exact state y(nan_at),
-    # which only the oracle's pair visits (the run's own state there is off by
-    # its global error), and that looking up y(raise_at) raises; every x that
-    # f is given has its ndim put in shapes
+    # decay, row-capable, except that f is NaN at the exact states y(x) of the
+    # abscissae in nan_at, which only the oracle's pair visits (the run's own
+    # state there is off by its global error), and that looking up y(raise_at)
+    # raises; every x that f is given has its ndim put in shapes
     decay = builtin("decay")
-    y_bad = decay.exact(nan_at)
+    bad = [(x_k, decay.exact(x_k)) for x_k in nan_at]
 
     def f(x, y):
         shapes.add(np.ndim(x))
-        return np.where((np.asarray(x)[..., None] == nan_at) & (y == y_bad), math.nan, -y)
+        x = np.asarray(x)[..., None]
+        return np.where(np.any([(x == x_k) & (y == y_k) for x_k, y_k in bad], axis=0),
+                        math.nan, -y)
 
     def exact(x):
         if x == raise_at:
@@ -716,69 +716,93 @@ def _decay_failing_at(nan_at, raise_at, shapes):
                                             ("stage", False), ("lookup", False)],
                          ids=["stage", "lookup", "stage-flagless", "lookup-flagless"])
 def test_oracle_over_rows_raises_the_earliest_failing_step(first, rowwise):
-    # the oracle looks up every state before it evaluates the pair, over rows
-    # or one step at a time, and still raises the failure of the earliest
-    # step: a non-finite stage of step j before the lookup that fails on step
-    # j + 3, a lookup that fails on step j before the non-finite stage of step
-    # j + 3, as one step at a time; without the row flag f sees no rows
+    # the oracle looks up every state before it evaluates the pair, so a lookup
+    # failing on step j + 3 (first == "stage") or on step j is raised before
+    # any stage from an exact state, the non-finite ones of steps j and j + 6 or
+    # of steps j + 3 and j + 6 included.  With every lookup passing, the
+    # earliest failing step's own stage is raised, over rows or one step at a
+    # time; without the row flag f sees no rows
     records = integrate(PAIR, dataclasses.replace(builtin("decay"), exact=None),
                         flagship_config()).records
     j = 20
     start = [builtin("decay").x0] + [rec.x for rec in records[:-1]]  # of each step
-    nan_step, lookup_step = (j, j + 3) if first == "stage" else (j + 3, j)
-    shapes = set()
-    p = dataclasses.replace(_decay_failing_at(start[nan_step], records[lookup_step].x, shapes),
+    nan_steps, lookup_step = ((j, j + 6), j + 3) if first == "stage" else ((j + 3, j + 6), j)
+    nan_at, shapes = [start[k] for k in nan_steps], set()
+    p = dataclasses.replace(_decay_failing_at(nan_at, records[lookup_step].x, shapes),
                             rowwise=rowwise)
     # without the oracle the run takes decay's steps: f is NaN at no state of its own
     alone = integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records
     assert [rec.x for rec in alone] == [rec.x for rec in records]
-    if first == "stage":
-        expected = NonFiniteStage, f"rk3: stage 1 is not finite at x={start[j]}, h={records[j].h}"
-    else:
-        expected = ValueError, f"no exact state at x={records[j].x}"
     shapes.clear()
-    with pytest.raises(expected[0], match=re.escape(expected[1])):
+    with pytest.raises(ValueError, match=re.escape(f"no exact state at x={records[lookup_step].x}")):
+        integrate(PAIR, p, flagship_config())
+    assert shapes == {0}  # the controller's states only
+    p = dataclasses.replace(_decay_failing_at(nan_at, None, shapes), rowwise=rowwise)
+    k = nan_steps[0]
+    with pytest.raises(NonFiniteStage, match=re.escape(f"rk3: stage 1 is not finite at "
+                                                       f"x={start[k]}, h={records[k].h}")):
         integrate(PAIR, p, flagship_config())
     # the controller gave f one state, the oracle rows if it may
     assert shapes == ({0, 1} if rowwise else {0})
 
 
-def test_a_run_failing_before_its_first_accepted_step_evaluates_no_rows():
-    # the stepsize underflows on the first step, so the oracle, which measures
-    # the steps accepted before a failure, has no row to evaluate
-    decay, shapes = builtin("decay"), set()
-
-    def f(x, y):
-        shapes.add(np.ndim(x))
-        return decay.f(x, y)
-
-    with pytest.raises(StepsizeUnderflow):
-        integrate(PAIR, dataclasses.replace(decay, f=f),
-                  ControllerConfig(delta=1e-60, sigma=0.8, h_init=0.5))
-    assert shapes == {0}
+def _rough():
+    # y' = (1 + y)(1 + x**0.1): the derivative is unbounded at x0, so the one-step
+    # error shrinks much slower than the proposal assumes and the first step
+    # keeps rejecting
+    return IVProblem(name="rough", x0=0.0, y0=[0.0], x_end=10.0, rowwise=True,
+                     f=lambda x, y: (1.0 + y) * (1.0 + np.asarray(x)[..., None] ** 0.1),
+                     exact=lambda x: np.array([math.expm1(x + x ** 1.1 / 1.1)]))
 
 
-def test_keyboard_interrupt_propagates_at_once():
-    # the oracle measures no step after an interrupt: no lookup follows it
-    decay = builtin("decay")
-    calls, at_interrupt = {"f": 0, "exact": 0}, {}
+def _overflowing():
+    # the stages stay finite, but y + h * increment overflows
+    return IVProblem(name="overflow", f=lambda x, y: np.full_like(y, 1e308), x0=0.0,
+                     y0=[1e308], x_end=10.0, rowwise=True,
+                     exact=lambda x: np.array([1e308 * (1.0 + x)]))
+
+
+# each of the loop's failures: the problem, the run's settings, and the exception
+# with its message
+_FAILED_RUNS = {
+    "cap": (builtin("decay"), flagship_config(max_steps=7), MaxStepsExceeded,
+            "decay: 7 accepted steps before reaching x_end"),
+    "underflow": (builtin("decay"), ControllerConfig(delta=1e-60, sigma=0.8, h_init=0.5),
+                  StepsizeUnderflow, "decay: required stepsize at or below h_min=1e-11 at x=0.0"),
+    "rejects": (_rough(), ControllerConfig(delta=1e-12, sigma=0.8, h_init=1.0),
+                MaxRejectsExceeded, "rough: 4 consecutive rejections at x=0.0"),
+    "nonfinite_state": (_overflowing(), ControllerConfig(h_init=1.0), NonFiniteState,
+                        "overflow: state not finite after step at x=0.0"),
+    "interrupt": (builtin("decay"), flagship_config(), KeyboardInterrupt, ""),
+}
+
+
+@pytest.mark.parametrize("case", _FAILED_RUNS)
+def test_a_failed_run_raises_its_own_failure_and_measures_nothing(case, monkeypatch):
+    # the loop's failure ends the run at once: no exact state is looked up and
+    # the oracle gives f no rows, though every problem here may take them
+    base, cfg, error, message = _FAILED_RUNS[case]
+    calls, shapes = {"f": 0, "exact": 0}, set()
 
     def f(x, y):
         calls["f"] += 1
-        if calls["f"] == 40:  # the eighth attempt, the probe being the first
-            at_interrupt.update(calls)
+        shapes.add(np.ndim(x))
+        if case == "interrupt" and calls["f"] == 40:  # the eighth attempt, after the probe
             raise KeyboardInterrupt
-        return decay.f(x, y)
+        return base.f(x, y)
 
     def exact(x):
         calls["exact"] += 1
-        return decay.exact(x)
+        return base.exact(x)
 
-    p = dataclasses.replace(decay, f=f, exact=exact)
-    calls.update(exact=0)
-    with pytest.raises(KeyboardInterrupt):
-        integrate(PAIR, p, flagship_config())
-    assert calls == at_interrupt
+    p = dataclasses.replace(base, f=f, exact=exact)
+    assert p.rowwise
+    calls.update(f=0, exact=0)  # the build called each once
+    if case == "rejects":
+        monkeypatch.setattr(controller, "MAX_REJECTS", 3)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        integrate(PAIR, p, cfg)
+    assert calls["exact"] == 0 and shapes == {0}
 
 
 def test_max_rejects_exceeded(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ def test_local_error_rk4_on_decay():
     expected = exp_poly(4, -0.1) - math.exp(-0.1)
     assert float(out[0]) == pytest.approx(expected, rel=1e-10)
     assert float(out[0]) == pytest.approx(8.196e-8, rel=1e-3)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -0.1])
+def test_local_error_refuses_a_bad_stepsize_before_looking_up_y(h):
+    # the increment checks h before y(x + h) is looked up, which would name
+    # x + h as outside the interval for a NaN or an inf h
+    p = builtin("decay")
+    message = re.escape(f"stepsize must be positive and finite, got {h}")
+    with pytest.raises(ValueError, match=message):
+        local_error_exact(kutta3(), p, 1.0, h)
+    with pytest.raises(ValueError, match=message):
+        mean_beta_higher(BetaTracker(), classic_rk4(), p, 1.0, h)
 
 
 def test_local_error_rk3_on_decay():

@@ -103,6 +103,19 @@ def test_state_must_be_a_nonempty_flat_vector(y0, shape):
     assert IVProblem(name="scalar", f=lambda x, y: -y, x0=0.0, y0=2.0, x_end=1.0).y0.shape == (1,)
 
 
+@pytest.mark.parametrize("f, n", [(lambda x, y: -y[0], 1),
+                                  (lambda x, y: np.array([1.0, 2.0, 3.0]), 3)],
+                         ids=["one", "three"])
+def test_rhs_whose_value_cannot_fill_the_state_is_refused(f, n):
+    # one value used to be broadcast into both components and the run to end
+    # normally; three failed inside numpy
+    with pytest.raises(ValueError, match=re.escape(f"pair: f(x0, y0) has {n} values, "
+                                                   "y0 has 2 components")):
+        IVProblem(name="pair", f=f, x0=0.0, y0=[1.0, 2.0], x_end=1.0)
+    # a scalar value fills a one-component state
+    assert IVProblem(name="scalar", f=lambda x, y: -y[0], x0=0.0, y0=[1.0], x_end=1.0).y0.size == 1
+
+
 @pytest.mark.parametrize("name", ["decay", "paper_exponential", "riccati_simple"])
 def test_exact_satisfies_ode(name):
     # central difference of the registered solution against f at 20 interior points
