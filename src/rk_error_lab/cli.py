@@ -7,7 +7,8 @@ serialized as shortest round-trip decimals so a parsed trace reproduces the
 in-memory records bit for bit.
 
 Exit codes: 0 completed run, 2 usage error, 3 unknown problem or pair name,
-4 integrator failure, 5 output I/O failure.
+4 integrator failure (an ``ArithmeticError`` or ``RuntimeError`` of the run),
+5 output I/O failure.
 """
 
 from __future__ import annotations
@@ -22,19 +23,10 @@ from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .controller import (
-    POLICIES,
-    ControllerConfig,
-    MaxRejectsExceeded,
-    MaxStepsExceeded,
-    NonFiniteState,
-    StepsizeUnderflow,
-    Trace,
-    integrate,
-)
-from .error_analysis import StepRecord, StepUnderflow, _column, _Records, _row_norms, sigma_bound
+from .controller import POLICIES, ControllerConfig, Trace, integrate
+from .error_analysis import StepRecord, _column, _Records, _row_norms, sigma_bound
 from .problems import UnknownProblem, builtin, problem_names
-from .rk_core import MethodPair, NonFiniteStage, UnknownPair, builtin_pair, pair_names
+from .rk_core import MethodPair, UnknownPair, builtin_pair, pair_names
 
 __all__ = [
     "RunSpec",
@@ -235,8 +227,10 @@ def run(spec: RunSpec) -> int:
         # KeyError str() wraps the message in quotes; print it bare
         print(f"rk-error-lab: {exc.args[0]}", file=sys.stderr)
         return 3
-    except (StepsizeUnderflow, StepUnderflow, MaxStepsExceeded, MaxRejectsExceeded,
-            NonFiniteState, NonFiniteStage, OverflowError) as exc:  # exact solution overflow
+    # every integrator failure is an ArithmeticError (a non-finite stage or state, a
+    # power of h underflowing, the exact solution overflowing) or a RuntimeError (a
+    # step cap, a rejection cap, a stepsize forced down to h_min)
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"rk-error-lab: integration failed: {exc}", file=sys.stderr)
         return 4
 

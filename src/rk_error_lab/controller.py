@@ -16,7 +16,6 @@ keeps the stepsize until a rejection forces it down.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +26,7 @@ from .error_analysis import (
     StepRecord,
     StepsizeOutOfRange,
     _Columns,
-    _first_above,
+    _first,
     _oracle_fields,
     _Records,
     _row_norms,
@@ -36,7 +35,8 @@ from .error_analysis import (
     sigma_bound,
 )
 from .problems import IVProblem
-from .rk_core import MethodPair, RHSFunction, _one_state, _pair_increments
+from .rk_core import (MethodPair, RHSFunction, _is_integer, _one_state, _pair_increments,
+                      _positive_finite)
 
 __all__ = [
     "ControllerConfig",
@@ -94,16 +94,15 @@ class ControllerConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        _positive_finite("delta", self.delta)
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError(f"sigma must be in (0, 1], got {self.sigma}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
+        if not (_is_integer(self.max_steps) and self.max_steps >= 1):
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if self.h_init is not None and not (self.h_init > 0.0 and math.isfinite(self.h_init)):
-            raise ValueError(f"h_init must be positive and finite, got {self.h_init}")
+        if self.h_init is not None:
+            _positive_finite("h_init", self.h_init)
 
 
 @dataclass(frozen=True)
@@ -282,9 +281,8 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         c.update(_oracle_fields(pair, p, c))
         last = c["delta_lower"][-1]
         final_delta = float(last[0]) if last.size == 1 else inf_norm(last)
-        crossing = _first_above(_row_norms(c["delta_lower"]), delta)
-        violations = np.flatnonzero(~c["cond_holds"])
-        violation = int(violations[0]) + 1 if violations.size else None
+        crossing = _first(_row_norms(c["delta_lower"]) > delta)
+        violation = _first(~c["cond_holds"])
     n = len(cols)
     summary = TraceSummary(
         accepted=n,
@@ -293,7 +291,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         final_delta_lower=final_delta,
         crossing_index=None if crossing is None else crossing + 1,
         crossing_x=None if crossing is None else c["x"].item(crossing),
-        condition_violation_index=violation,
+        condition_violation_index=None if violation is None else violation + 1,
     )
     c.update(i=np.arange(1, n + 1), bound=np.broadcast_to(bound, n))
     return Trace(records=_Records(c, n), summary=summary)

@@ -38,6 +38,7 @@ from .rk_core import (
     MethodPair,
     RHSFunction,
     _pair_increments,
+    _positive_finite,
     increment_function,
     inf_norm,
     rk_step,
@@ -364,14 +365,12 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 def _exact_increments(pair: MethodPair, p: IVProblem, x: np.ndarray, y: np.ndarray,
                       h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_pair_increments`` from each step's row of ``x``, ``y`` and ``h``, stacked
-    as ``(n, d)`` columns.  A ``rowwise`` problem is evaluated over rows; any
-    other, and one whose rows raise (a non-finite stage included), one step at
-    a time: its outcome is the steps' results or the earliest failing step's error."""
+    as ``(n, d)`` columns.  A ``rowwise`` problem is evaluated over rows only,
+    and what its rows raise is raised: a non-finite stage of the lower method
+    names the earliest such step before one of the higher method does.  Any
+    other problem is evaluated one step at a time, in step order."""
     if p.rowwise:
-        try:
-            return _pair_increments(pair, p.f, x, y, h)
-        except Exception:  # the steps decide
-            pass
+        return _pair_increments(pair, p.f, x, y, h)
     lower, higher = zip(*(_pair_increments(pair, p.f, x_k, y_k, h_k)
                           for x_k, y_k, h_k in zip(x.tolist(), y, h.tolist())))
     return np.array(lower), np.array(higher)
@@ -430,8 +429,7 @@ def sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:
     """
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must be in (0, 1], got {sigma}")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    _positive_finite("delta", delta)
     if z < 1 or r < 1:
         raise ValueError(f"orders must satisfy z >= 1, r >= 1, got z={z}, r={r}")
     return (sigma ** (z + 1) + sigma ** (z + r + 1)) * delta
@@ -447,18 +445,17 @@ def find_crossing(
     """
     if not records:
         raise ValueError("records must be nonempty")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    k = _first_above(np.array([math.nan if rec.delta_lower is None else inf_norm(rec.delta_lower)
-                               for rec in records]), delta)
+    _positive_finite("delta", delta)
+    # a record without diagnostics has a NaN norm, which is never above delta
+    k = _first(np.array([math.nan if rec.delta_lower is None else inf_norm(rec.delta_lower)
+                         for rec in records]) > delta)
     return None if k is None else (records[k].i, records[k].x)
 
 
-def _first_above(norms: np.ndarray, delta: float) -> Optional[int]:
-    """Position of the first global-error norm strictly above ``delta``, or ``None``:
-    the crossing rule.  A NaN norm, a record without diagnostics, never is."""
-    k = int(np.argmax(norms > delta))
-    return k if norms[k] > delta else None
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Position of the first true entry of the nonempty ``mask``, or ``None``."""
+    k = int(np.argmax(mask))
+    return k if mask[k] else None
 
 
 def empirical_order(

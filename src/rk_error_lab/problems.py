@@ -36,17 +36,20 @@ class IVProblem:
     must agree with ``y0`` at ``x0``, in shape and to within ``1e-14``
     relative to ``y0``.  Right-hand sides must be pure
     functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite, and ``y0``
-    a scalar or a nonempty flat vector, and ``f(x0, y0)`` must have one value per
-    component of ``y0``.  ``y0`` is copied into a read-only float array of at
-    least one dimension when the problem is built.
+    a scalar or a nonempty flat vector.  ``f(x0, y0)`` must be real, have one
+    value per component of ``y0`` and store as a state the way the stage loop
+    stores a stage (a shape such as ``(d, 1)`` for ``d > 1`` does not).  ``y0``
+    is copied into a read-only float array of at least one dimension when the
+    problem is built.
 
     ``rowwise`` declares that ``f`` also takes many states at once:
     ``f(X, Y)`` with ``X`` of shape ``(n,)`` and ``Y`` of shape ``(n, d)``
     returns shape ``(n, d)``, and its row ``i`` equals ``f(X[i], Y[i])`` bit
     for bit.  The oracle then calls ``f`` once per stage of its exact-state pair
-    over all accepted steps; without the flag, or if those rows raise, once per
-    step and stage.  Wrong rows that raise nothing go undetected (``n == d``
-    lets a one-state ``f`` return some).  The controller calls ``f`` on one state.
+    over all accepted steps, and what those rows raise ends the run; without
+    the flag, once per step and stage.  Wrong rows that raise nothing go
+    undetected (``n == d`` lets a one-state ``f`` return some).  The controller
+    calls ``f`` on one state.
     """
 
     name: str
@@ -68,10 +71,16 @@ class IVProblem:
                              f"got shape {self.y0.shape}")
         if not np.isfinite(self.y0).all():
             raise ValueError(f"{self.name}: y0={self.y0} must be finite")
-        n = np.size(self.f(self.x0, self.y0))
-        if n != self.y0.size:
-            raise ValueError(f"{self.name}: f(x0, y0) has {n} values, "
+        value = np.asarray(self.f(self.x0, self.y0))
+        if value.size != self.y0.size:
+            raise ValueError(f"{self.name}: f(x0, y0) has {value.size} values, "
                              f"y0 has {self.y0.size} components")
+        if np.iscomplexobj(value):
+            raise ValueError(f"{self.name}: f(x0, y0) = {value} is complex")
+        try:
+            np.empty(self.y0.shape)[...] = value  # as _stages stores a stage
+        except ValueError as exc:
+            raise ValueError(f"{self.name}: f(x0, y0) does not fit the state: {exc}") from None
         if self.exact is not None:
             y_exact = reference_solution(self, self.x0)
             if y_exact.shape != self.y0.shape:
@@ -89,10 +98,10 @@ class IVProblem:
 def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     """True solution at ``x`` from the problem's registered exact function.
 
-    Raises ``ValueError`` if the problem has no exact solution or ``x`` lies
-    outside its interval, and ``OverflowError`` naming the problem if the
-    exact function overflows at ``x`` (``math.exp`` raises rather than
-    returning inf).
+    Raises ``ValueError`` if the problem has no exact solution, ``x`` lies
+    outside its interval or the solution there is complex, and
+    ``OverflowError`` naming the problem if the exact function overflows at
+    ``x`` (``math.exp`` raises rather than returning inf).
     """
     if p.exact is None:
         raise ValueError(f"{p.name}: no exact solution to take a reference from")
@@ -100,9 +109,12 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     if not (p.x0 - 1e-12 * span <= x <= p.x_end + 1e-12 * span):
         raise ValueError(f"x={x} outside [{p.x0}, {p.x_end}]")
     try:
-        return np.atleast_1d(np.asarray(p.exact(x), dtype=float))
+        y = np.asarray(p.exact(x))
     except OverflowError:
         raise OverflowError(f"{p.name}: exact solution overflows at x={x}") from None
+    if y.dtype.kind == "c":
+        raise ValueError(f"{p.name}: exact solution at x={x} is complex")
+    return np.atleast_1d(y.astype(float, copy=False))
 
 
 _PROBLEMS: dict[str, IVProblem] = {p.name: p for p in (

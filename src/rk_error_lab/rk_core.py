@@ -170,7 +170,7 @@ def validate_tableau(t: ButcherTableau) -> ButcherTableau:
         do not sum to 1 within ``CONSISTENCY_TOL``, or an abscissa differs
         from its stage row sum by more than that.
     """
-    if t.m < 1 or not (isinstance(t.z, numbers.Integral) and t.z >= 1):
+    if t.m < 1 or not (_is_integer(t.z) and t.z >= 1):
         raise DimensionMismatch(f"{t.name}: stage count must be >= 1 and order an integer "
                                 f">= 1, got m={t.m}, z={t.z!r}")
     if t.a.shape != (t.m, t.m):
@@ -217,6 +217,17 @@ def inf_norm(v) -> float:
     return float(np.abs(np.asarray(v, dtype=float)).max())
 
 
+def _is_integer(v) -> bool:
+    """Whether ``v`` is an integer; a ``bool`` is not one here."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _positive_finite(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _readonly(values, ndmin: int = 0) -> np.ndarray:
     """A float64 copy of ``values`` (at least ``ndmin``-dimensional) that cannot be written."""
     out = np.array(values, dtype=float, ndmin=ndmin)
@@ -250,8 +261,7 @@ def _one_state(x: float, y, h: float) -> np.ndarray:
         raise ValueError(f"state must be a flat vector, got shape {y.shape}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"stepsize must be positive and finite, got {h}")
+    _positive_finite("stepsize", h)
     return y
 
 
@@ -271,8 +281,10 @@ def _stages(
     The stage arguments come from ``t.stage_rows`` (a stage whose row has no
     nonzero entry receives ``y`` itself).  Finiteness is checked once, over
     the evaluated stages, after the loop: the stages after a non-finite one
-    are evaluated too, and the error names the first non-finite stage and
-    ``x`` and ``h`` as given.  It checks no input; ``_one_state`` does.
+    are evaluated too.  The error names ``x`` and ``h`` as given and the first
+    non-finite stage; over rows, the earliest row with a non-finite stage,
+    that row's ``x`` and ``h`` and its first non-finite stage, so it reads as
+    that row's state alone would.  It checks no input; ``_one_state`` does.
     """
     n = len(known)
     if y.ndim == 1:
@@ -291,8 +303,12 @@ def _stages(
         k[p] = f(x + c_p * h, y if s is None else y + h_y * s)
     finite = np.isfinite(k[n:])
     if np.count_nonzero(finite) != finite.size:
-        p = n + int(np.argmin(finite.reshape(t.m - n, -1).all(axis=1)))
-        raise NonFiniteStage(f"{t.name}: stage {p + 1} is not finite at x={x}, h={h}")
+        # finiteness row by row (one state is one row), then stage by stage: the
+        # first False is the earliest bad row's first bad stage
+        ok = finite.reshape(t.m - n, -1, y.shape[-1]).all(axis=2).T
+        i, p = divmod(int(np.argmin(ok)), t.m - n)
+        x, h = (x.item(i), h.item(i)) if y.ndim > 1 else (x, h)
+        raise NonFiniteStage(f"{t.name}: stage {n + p + 1} is not finite at x={x}, h={h}")
     return k
 
 

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rk_error_lab import ControllerConfig, IVProblem, builtin, builtin_pair, integrate
-from rk_error_lab.controller import POLICIES
-from rk_error_lab.error_analysis import StepRecord
+from rk_error_lab.controller import (POLICIES, MaxRejectsExceeded, MaxStepsExceeded,
+                                    NonFiniteState, StepsizeUnderflow)
+from rk_error_lab.error_analysis import StepRecord, StepUnderflow
 from rk_error_lab.problems import problem_names
-from rk_error_lab.rk_core import pair_names
+from rk_error_lab.rk_core import NonFiniteStage, pair_names
 from rk_error_lab.cli import (
     CSV_COLUMNS,
     MissingDiagnostics,
@@ -118,6 +119,17 @@ def test_integrator_failure_exits_4(capsys):
     # a span whose probe step overflows the Riccati right-hand side -y*y
     assert main(["--problem", "riccati_simple", "--x-end", "1e40", "--quiet"]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [StepsizeUnderflow, MaxStepsExceeded, MaxRejectsExceeded,
+                                   NonFiniteState, StepUnderflow, NonFiniteStage, OverflowError])
+def test_each_integrator_failure_exits_4(error, monkeypatch, capsys):
+    # exit 4 is chosen by family: each failure is an ArithmeticError or a RuntimeError
+    def integrate(pair, problem, cfg):
+        raise error("the run failed")
+    monkeypatch.setattr("rk_error_lab.cli.integrate", integrate)
+    assert main(["--quiet"]) == 4
+    assert capsys.readouterr() == ("", "rk-error-lab: integration failed: the run failed\n")
 
 
 def test_long_span_on_a_smooth_problem_completes():

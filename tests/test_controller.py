@@ -149,7 +149,8 @@ def test_config_invariants():
         for name in ("delta", "h_init"):
             with pytest.raises(ValueError):
                 ControllerConfig(**{name: bad})
-    for bad in (2.5, 3.0, math.inf, math.nan, "10"):
+    # a bool is a numbers.Integral but not a step count
+    for bad in (2.5, 3.0, math.inf, math.nan, "10", True):
         with pytest.raises(ValueError, match="max_steps must be an integer"):
             ControllerConfig(max_steps=bad)
 
@@ -248,7 +249,8 @@ STATE_FIELDS = ("w_lower", "w_higher", "eps_lower", "beta_lower", "delta_lower",
 
 def _one_state_only(f):
     # a right-hand side without the row flag is only ever given one state, also
-    # by the oracle, which evaluates its pair one step at a time
+    # by the oracle, which evaluates its pair one step at a time; given rows, it
+    # raises AssertionError
     def checked(x, y):
         assert isinstance(x, float) and y.ndim == 1, (x, y)
         return f(x, y)
@@ -384,16 +386,22 @@ def test_two_component_system(tmp_path):
     assert all(_same_records(a, b) for a, b in zip(parsed, trace.records))
 
 
-def test_a_flagged_rhs_that_takes_one_state_only_is_measured_step_by_step():
-    # the oscillator's f asserts that it is given one state, so its rows raise
-    # even with the row flag set; the oracle then measures it one step at a
-    # time, and the run keeps the bits of the run without the flag
+def test_a_flagged_rhs_whose_rows_raise_ends_the_run_with_that_failure():
+    # the oscillator's f asserts that it is given one state; with the row flag
+    # set the oracle gives it rows, and the run ends with f's own failure.  The
+    # controller gives f one state, so without the oracle the flag changes no
+    # bit, and without the flag the oracle measures the run one step at a time
     flagless = _oscillator()
     flagged = dataclasses.replace(flagless, rowwise=True)
-    a = integrate(PAIR, flagless, flagship_config())
-    b = integrate(PAIR, flagged, flagship_config())
+    with pytest.raises(AssertionError):
+        integrate(PAIR, flagged, flagship_config())
+    a, b = (integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config())
+            for p in (flagless, flagged))
     assert a.summary == b.summary and len(a.records) == len(b.records) > 100
     assert all(_same_records(r, q) for r, q in zip(a.records, b.records))
+    measured = integrate(PAIR, flagless, flagship_config())
+    assert [rec.x for rec in measured.records] == [rec.x for rec in a.records]
+    assert all(rec.delta_lower is not None for rec in measured.records)
 
 
 @pytest.mark.parametrize("problem", [builtin("decay"), _oscillator()], ids=["decay", "oscillator"])
@@ -744,6 +752,38 @@ def test_oracle_over_rows_raises_the_earliest_failing_step(first, rowwise):
         integrate(PAIR, p, flagship_config())
     # the controller gave f one state, the oracle rows if it may
     assert shapes == ({0, 1} if rowwise else {0})
+
+
+@pytest.mark.parametrize("nans, method, stage, step, row_calls",
+                         [({3: 6, 4: 0}, "rk3", 3, 6, 3), ({4: 0}, "rk4", 3, 0, 5),
+                          ({1: 6, 3: 0}, "rk3", 3, 0, 3)],
+                         ids=["lower-later", "higher-only", "earliest-row"])
+def test_over_rows_the_lower_method_fails_before_the_higher_one(nans, method, stage, step,
+                                                                row_calls):
+    # over rows the oracle evaluates the lower method's stages for every step,
+    # then the higher method's, one call of f per stage: rk3's three, then
+    # rk4's third and fourth.  nans maps a call to the step (counted from j)
+    # whose row it makes NaN.  A NaN in rk3's third stage on step j + 6 is
+    # raised before one in rk4's third stage on step j, which one step at a
+    # time would come first; alone, rk4's is raised.  Within a method the
+    # earliest step is named, with its own first bad stage: step j's third,
+    # not step j + 6's first
+    decay = builtin("decay")
+    records = integrate(PAIR, dataclasses.replace(decay, exact=None), flagship_config()).records
+    j, calls = 20, []
+
+    def f(x, y):
+        out = -y
+        if np.ndim(x) == 1:  # the oracle's rows
+            calls.append(len(x))
+            if len(calls) in nans:
+                out[j + nans[len(calls)]] = math.nan
+        return out
+    x, h = records[j + step - 1].x, records[j + step].h  # a step starts where the last ended
+    message = f"{method}: stage {stage} is not finite at x={x}, h={h}"
+    with pytest.raises(NonFiniteStage, match=f"^{re.escape(message)}$"):
+        integrate(PAIR, dataclasses.replace(decay, f=f), flagship_config())
+    assert calls == [len(records)] * row_calls
 
 
 def _rough():

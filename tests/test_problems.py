@@ -116,6 +116,30 @@ def test_rhs_whose_value_cannot_fill_the_state_is_refused(f, n):
     assert IVProblem(name="scalar", f=lambda x, y: -y[0], x0=0.0, y0=[1.0], x_end=1.0).y0.size == 1
 
 
+def test_rhs_whose_value_cannot_be_stored_as_the_state_is_refused():
+    # a (2, 1) value has two values, but the run used to fail on its first stage
+    # (the rest of the message is numpy's)
+    with pytest.raises(ValueError, match=re.escape("column: f(x0, y0) does not fit the state: ")):
+        IVProblem(name="column", f=lambda x, y: y[:, None], x0=0.0, y0=[1.0, 2.0], x_end=1.0)
+    # a stage is stored as numpy assigns, which drops a leading axis of length 1
+    IVProblem(name="row", f=lambda x, y: -y[None], x0=0.0, y0=[1.0, 2.0], x_end=1.0)
+
+
+def test_complex_values_are_refused():
+    # the imaginary parts used to be dropped with a ComplexWarning, and the run
+    # to end normally
+    with pytest.raises(ValueError, match=re.escape("c: f(x0, y0) = [0.+1.j] is complex")):
+        IVProblem(name="c", f=lambda x, y: 1j * y, x0=0.0, y0=[1.0], x_end=1.0)
+    with pytest.raises(ValueError, match=re.escape("c: exact solution at x=0.0 is complex")):
+        IVProblem(name="c", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
+                  exact=lambda x: np.array([complex(math.exp(-x))]))
+    # every lookup refuses one, not only the one at x0
+    p = IVProblem(name="c", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
+                  exact=lambda x: np.array([math.exp(-x) if x == 0.0 else complex(math.exp(-x))]))
+    with pytest.raises(ValueError, match=re.escape("c: exact solution at x=0.5 is complex")):
+        reference_solution(p, 0.5)
+
+
 @pytest.mark.parametrize("name", ["decay", "paper_exponential", "riccati_simple"])
 def test_exact_satisfies_ode(name):
     # central difference of the registered solution against f at 20 interior points

@@ -96,8 +96,9 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch, match="b has shape"):
         ButcherTableau(name="bad", a=[[0.0, 0.0], [1.0, 0.0]], b=[[0.5, 0.5]], c=[0.0, 1.0],
                        z=1)
-    # the order sets the stepsize exponent 1/(z+1), so it must be an integer
-    for z in (2.5, math.nan, math.inf):
+    # the order sets the stepsize exponent 1/(z+1), so it must be an integer; a
+    # bool is a numbers.Integral but not an order
+    for z in (2.5, math.nan, math.inf, True):
         with pytest.raises(DimensionMismatch, match="order an integer"):
             ButcherTableau(name="bad", a=[[0.0]], b=[1.0], c=[0.0], z=z)
 
