@@ -16,6 +16,7 @@ keeps the stepsize until a rejection forces it down.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -30,13 +31,13 @@ from .error_analysis import (
     _oracle_fields,
     _Records,
     _row_norms,
-    estimate_beta,
+    _step_power,
     inf_norm,
     sigma_bound,
 )
 from .problems import IVProblem
-from .rk_core import (MethodPair, RHSFunction, _is_integer, _one_state, _pair_increments,
-                      _positive_finite)
+from .rk_core import (ComplexWarning, MethodPair, RHSFunction, _is_integer, _one_state,
+                      _pair_buffer, _pair_increments, _positive_finite, _StageBuffer)
 
 __all__ = [
     "ControllerConfig",
@@ -158,31 +159,41 @@ def attempt_step(
     w_higher) / h**(z+1)`` for the lower method's order ``z``.  It checks its
     input as ``increment_function`` does.
     """
-    return _attempt(pair, f, x, _one_state(x, w_higher_in, h), h)[1:]
+    y = _one_state(x, w_higher_in, h)
+    return _attempt(pair, f, x, y, h, _pair_buffer(pair, y.shape))[1:4]
 
 
 def _attempt(
-    pair: MethodPair, f: RHSFunction, x: float, y: np.ndarray, h: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``attempt_step`` from the float array ``y``, returning first the lower
-    increment, which the run's columns keep for the oracle's propagated-error
-    term: ``(inc_lower, w_lower, w_higher, beta)``."""
-    inc_lower, inc_higher = _pair_increments(pair, f, x, y, h)
+    pair: MethodPair, f: RHSFunction, x: float, y: np.ndarray, h: float, buf: _StageBuffer
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """``attempt_step`` from the float array ``y``, evaluated into ``buf``, returning
+    first the lower increment, which the run's columns keep for the oracle's
+    propagated-error term, and last the max norm of ``beta`` and the estimate
+    ``|beta| * h**(z+1)``: ``(inc_lower, w_lower, w_higher, beta, beta_norm, est)``.
+
+    ``h**(z+1)`` is formed once, by ``_step_power``, so ``beta`` and ``est``
+    are those of ``estimate_beta`` and its raises are the same.
+    """
+    inc_lower, inc_higher = _pair_increments(pair, f, x, y, h, buf)
     w_lower = y + h * inc_lower
     w_higher = y + h * inc_higher
-    return inc_lower, w_lower, w_higher, estimate_beta(w_lower, w_higher, h, pair.lower.z)
+    hp = _step_power(h, pair.lower.z + 1)
+    beta = (w_lower - w_higher) / hp
+    beta_norm = float(np.abs(beta).max())
+    return inc_lower, w_lower, w_higher, beta, beta_norm, beta_norm * hp
 
 
 def _initial_stepsizes(
-    pair: MethodPair, p: IVProblem, cfg: ControllerConfig
+    pair: MethodPair, p: IVProblem, cfg: ControllerConfig, buf: _StageBuffer
 ) -> tuple[float, float, float]:
     """The run's ``(h_init, h_min, h_max)``, with the limits ``[1e-12, 1/10]`` times the span.
 
     Without a given ``h_init`` one is proposed from a probe step of
-    ``span / 100`` and clamped into the limits.  Raises ``StepsizeOutOfRange``
-    naming ``x_end`` if ``h_min`` underflows to 0 or ``h_max**(z+1)``
-    overflows for the higher method's order ``z`` (every step, the probe
-    included, is at most ``h_max``), and for a given ``h_init`` outside them.
+    ``span / 100``, evaluated into the run's ``buf``, and clamped into the
+    limits.  Raises ``StepsizeOutOfRange`` naming ``x_end`` if ``h_min``
+    underflows to 0 or ``h_max**(z+1)`` overflows for the higher method's
+    order ``z`` (every step, the probe included, is at most ``h_max``), and for
+    a given ``h_init`` outside them.
     """
     span = p.x_end - p.x0
     h_min, h_max = 1e-12 * span, span / 10.0
@@ -196,8 +207,8 @@ def _initial_stepsizes(
                                  f"[{h_min}, {h_max}]: h_min must exceed 0, h_max**{n} be finite")
     h_init = cfg.h_init
     if h_init is None:
-        _, _, beta = attempt_step(pair, p.f, p.x0, p.y0, span / 100.0)
-        h_init = propose_stepsize(inf_norm(beta), cfg, pair.lower.z, h_min, h_max)
+        beta_norm = _attempt(pair, p.f, p.x0, p.y0, span / 100.0, buf)[4]
+        h_init = propose_stepsize(beta_norm, cfg, pair.lower.z, h_min, h_max)
     elif not h_min <= h_init <= h_max:
         raise StepsizeOutOfRange(f"h_init={h_init} outside [h_min={h_min}, h_max={h_max}]")
     return h_init, h_min, h_max
@@ -219,9 +230,24 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
 
     The oracle measures a finished run in one pass after the loop.  A failure
     of the loop ends the run at once: its own exception propagates, and no
-    exact state is looked up.
+    exact state is looked up.  Every attempt, the probe's included, is
+    evaluated into one stage buffer allocated for the run.
+
+    While the run lasts, numpy's ``ComplexWarning`` is an error, so a stage
+    that ``f`` makes complex (of an attempt, the probe or the oracle's rows)
+    raises ``ComplexStage`` instead of losing its imaginary part.  The filter
+    is set with ``warnings.catch_warnings`` and, like it, is process-global:
+    it holds in every thread until the run returns.
     """
-    h_work, h_min, h_max = _initial_stepsizes(pair, p, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        return _integrate(pair, p, cfg)
+
+
+def _integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
+    """``integrate``, under its numpy error state and warning filter."""
+    buf = _pair_buffer(pair, p.y0.shape)
+    h_work, h_min, h_max = _initial_stepsizes(pair, p, cfg, buf)
     # reject-only never grows a step, so it needs at least span / h_init steps;
     # the factor 2 covers the rounding of x + h (a float-int comparison cannot overflow)
     if cfg.policy == "reject-only" and (p.x_end - p.x0) / (2 * h_work) > cfg.max_steps:
@@ -247,9 +273,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             land = (p.x_end - x) <= h_work
             h_step = p.x_end - x if land else h_work
             clamped = land and h_step < h_work
-            inc_lo, w_lo, w_hi, beta = _attempt(pair, p.f, x, w, h_step)
-            beta_norm = inf_norm(beta)
-            est = beta_norm * h_step ** (z + 1)
+            inc_lo, w_lo, w_hi, beta, beta_norm, est = _attempt(pair, p.f, x, w, h_step, buf)
             if est < delta:
                 break
             # an accepted state is finite: a NaN or inf in w_lo or w_hi makes est NaN or inf

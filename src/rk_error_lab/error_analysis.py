@@ -37,6 +37,7 @@ from .rk_core import (
     ButcherTableau,
     MethodPair,
     RHSFunction,
+    _pair_buffer,
     _pair_increments,
     _positive_finite,
     increment_function,
@@ -366,12 +367,14 @@ def _exact_increments(pair: MethodPair, p: IVProblem, x: np.ndarray, y: np.ndarr
                       h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_pair_increments`` from each step's row of ``x``, ``y`` and ``h``, stacked
     as ``(n, d)`` columns.  A ``rowwise`` problem is evaluated over rows only,
-    and what its rows raise is raised: a non-finite stage of the lower method
-    names the earliest such step before one of the higher method does.  Any
-    other problem is evaluated one step at a time, in step order."""
+    into one ``(n, M, d)`` buffer, and what its rows raise is raised: a
+    non-finite stage of the lower method names the earliest such step before
+    one of the higher method does.  Any other problem is evaluated one step at
+    a time, in step order, each into the same ``(M, d)`` buffer."""
     if p.rowwise:
         return _pair_increments(pair, p.f, x, y, h)
-    lower, higher = zip(*(_pair_increments(pair, p.f, x_k, y_k, h_k)
+    buf = _pair_buffer(pair, p.y0.shape)
+    lower, higher = zip(*(_pair_increments(pair, p.f, x_k, y_k, h_k, buf)
                           for x_k, y_k, h_k in zip(x.tolist(), y, h.tolist())))
     return np.array(lower), np.array(higher)
 

@@ -15,9 +15,11 @@ States are flat float64 vectors; scalar problems use length-1 vectors.
 Each stage argument ``y + h * (a_p1 k_1 + a_p2 k_2 + ...)`` is summed in
 index order over the nonzero coefficients of its row only
 (``ButcherTableau.stage_rows``), so it does not depend on the BLAS in use.
-Only the weighted sum ``b @ k`` goes through BLAS.  A pair can also be
-evaluated from many states at once, as rows, with the bits of each state's
-own evaluation (``_pair_increments``).
+Only the weighted sum ``b @ k`` goes through BLAS.  A pair evaluates both
+methods as one stage plan (``MethodPair.plan``) into one buffer of stage
+slots, its shared stages once.  It can also be evaluated from many states at
+once, as rows, with the bits of each state's own evaluation
+(``_pair_increments``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "ConsistencyViolation",
     "DimensionMismatch",
     "NonFiniteStage",
+    "ComplexStage",
     "UnknownPair",
     "validate_tableau",
     "increment_function",
@@ -69,8 +72,32 @@ class NonFiniteStage(ArithmeticError):
     """A stage derivative evaluated to NaN or infinity."""
 
 
+class ComplexStage(ArithmeticError):
+    """A stage derivative turned complex while a run (``controller.integrate``)
+    turns numpy's ``ComplexWarning`` into an error."""
+
+
+# numpy >= 1.25 keeps its warning classes in numpy.exceptions
+ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+
+
 class UnknownPair(KeyError):
     """Requested method pair is not in the registry."""
+
+
+class _StagePlan(NamedTuple):
+    """The stages of one method, or of a pair, in the order they are evaluated,
+    each into its own slot of one buffer.
+
+    ``rows`` holds ``(c_p, ((slot, a_pq), ...))`` for each slot in turn, as in
+    ``ButcherTableau.stage_rows`` but with each ``q`` the slot where stage
+    ``q`` is stored.  ``methods`` holds ``(name, first slot, end slot, stage
+    number of the first slot)`` for each method, in slot order: the slots a
+    method evaluates itself, which name a failing stage.
+    """
+
+    rows: tuple[tuple[float, tuple[tuple[int, float], ...]], ...]
+    methods: tuple[tuple[str, int, int, int], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +124,10 @@ class ButcherTableau:
     stage_rows : tuple
         ``(c_p, ((q, a_pq), ...))`` for each stage ``p``, as Python floats,
         listing only the nonzero ``a_pq`` in index order; derived, and read by
-        the stage loop and ``MethodPair.shared``.
+        ``MethodPair``.
+    plan : _StagePlan
+        The stage loop's plan of the method alone: its ``stage_rows``, stage
+        ``p`` in slot ``p``; derived.
     """
 
     name: str
@@ -108,6 +138,7 @@ class ButcherTableau:
     m: int = field(init=False)
     stage_rows: tuple[tuple[float, tuple[tuple[int, float], ...]], ...] = field(
         init=False, repr=False)
+    plan: _StagePlan = field(init=False, repr=False)
 
     def __post_init__(self):
         for key in ("a", "b", "c"):
@@ -119,6 +150,7 @@ class ButcherTableau:
              tuple((q, float(self.a[p, q])) for q in range(p) if self.a[p, q] != 0.0))
             for p in range(self.m)
         ))
+        object.__setattr__(self, "plan", _StagePlan(self.stage_rows, ((self.name, 0, self.m, 1),)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,11 +162,20 @@ class MethodPair:
     (equal ``stage_rows``: same abscissa and same nonzero stage-matrix
     entries); it is derived from the tableaus, and a pair attempt evaluates
     those stages once.
+
+    ``plan`` is the derived stage plan of both methods: the lower method's
+    stages in slots ``0 .. lower.m - 1``, then the higher method's stages after
+    ``shared`` in the slots that follow, each ``(q, a_pq)`` pointing at the
+    slot of stage ``q``.  ``higher_slots`` lists the slot of each of the higher
+    method's stages, in index order; the lower method's are its first
+    ``lower.m``.
     """
 
     lower: ButcherTableau
     higher: ButcherTableau
     shared: int = field(init=False)
+    plan: _StagePlan = field(init=False, repr=False)
+    higher_slots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.higher.z <= self.lower.z:
@@ -148,6 +189,16 @@ class MethodPair:
                 break
             n += 1
         object.__setattr__(self, "shared", n)
+        m, end = self.lower.m, self.lower.m + self.higher.m - n
+        slots = np.array(tuple(range(n)) + tuple(range(m, end)), dtype=np.intp)
+        slots.flags.writeable = False
+        object.__setattr__(self, "higher_slots", slots)
+        object.__setattr__(self, "plan", _StagePlan(
+            self.lower.stage_rows + tuple(
+                (c_p, tuple((slots.item(q), a) for q, a in row))
+                for c_p, row in self.higher.stage_rows[n:]),
+            ((self.lower.name, 0, m, 1), (self.higher.name, m, end, n + 1)),
+        ))
 
     @property
     def r(self) -> int:
@@ -250,7 +301,8 @@ def increment_function(
     NonFiniteStage
         If any stage derivative contains NaN or infinity.
     """
-    return t.b @ _stages(t, f, x, _one_state(x, y, h), h)
+    y = _one_state(x, y, h)
+    return t.b @ _stages(t.plan, f, x, y, h, _StageBuffer(t.m, y.shape))
 
 
 def _one_state(x: float, y, h: float) -> np.ndarray:
@@ -265,70 +317,105 @@ def _one_state(x: float, y, h: float) -> np.ndarray:
     return y
 
 
-def _stages(
-    t: ButcherTableau, f: RHSFunction, x, y: np.ndarray, h, known=()
-) -> np.ndarray:
-    """Stage derivatives of ``t`` in index order, taking ``known`` as the leading
-    stages without evaluating ``f`` (they must be shared: ``MethodPair.shared``).
+class _StageBuffer:
+    """Stage slots for one state, ``k`` of shape ``(M, d)``, or for rows, ``k`` of
+    shape ``(n, M, d)`` with each row's slots contiguous; ``slot`` holds one
+    view of ``k`` per slot (``(d,)`` or ``(n, d)``), and ``gather`` takes the
+    ``gather`` slots of one method, ``(gather, d)`` or ``(n, gather, d)``.
 
-    From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``; the
-    result is ``(m, d)``.  Over rows, ``x`` and ``h`` are ``(n,)`` columns,
-    ``y`` is ``(n, d)`` and ``f`` takes rows (``IVProblem.rowwise``); the
-    result is ``(m, n, d)``, a view of a contiguous ``(n, m, d)`` array.
-    Every operation on a stage argument is elementwise, each row's ``h``
-    scaling that row, so a row's stages are bit-identical to its state's alone.
-
-    The stage arguments come from ``t.stage_rows`` (a stage whose row has no
-    nonzero entry receives ``y`` itself).  Finiteness is checked once, over
-    the evaluated stages, after the loop: the stages after a non-finite one
-    are evaluated too.  The error names ``x`` and ``h`` as given and the first
-    non-finite stage; over rows, the earliest row with a non-finite stage,
-    that row's ``x`` and ``h`` and its first non-finite stage, so it reads as
-    that row's state alone would.  It checks no input; ``_one_state`` does.
+    A run allocates one and evaluates every attempt into it; what an
+    evaluation returns is never a view of it, so the next one may overwrite it.
     """
-    n = len(known)
-    if y.ndim == 1:
-        k, h_y = np.empty((t.m,) + y.shape, dtype=float), h
-    else:  # each row's stages lie contiguously, for its weighted sums
-        k, h_y = np.empty((len(y), t.m, y.shape[1])).swapaxes(0, 1), h[:, None]
-    if n:
-        k[:n] = known
-    rows = t.stage_rows
-    for p in range(n, t.m):
-        c_p, row = rows[p]
+
+    __slots__ = ("k", "slot", "gather")
+
+    def __init__(self, slots: int, shape: tuple[int, ...], gather: int = 0):
+        self.k = np.empty(shape[:-1] + (slots, shape[-1]))
+        self.slot = list(np.moveaxis(self.k, -2, 0))
+        self.gather = np.empty(shape[:-1] + (gather, shape[-1]))
+
+
+def _pair_buffer(pair: MethodPair, shape: tuple[int, ...]) -> _StageBuffer:
+    """A ``_StageBuffer`` for ``pair``'s plan from a state (or rows) of ``shape``."""
+    return _StageBuffer(len(pair.plan.rows), shape, pair.higher.m)
+
+
+def _stages(
+    plan: _StagePlan, f: RHSFunction, x, y: np.ndarray, h, buf: _StageBuffer
+) -> np.ndarray:
+    """Evaluate the stages of ``plan`` into the slots of ``buf`` and return ``buf.k``.
+
+    From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``.  Over
+    rows, ``x`` and ``h`` are ``(n,)`` columns, ``y`` is ``(n, d)`` and ``f``
+    takes rows (``IVProblem.rowwise``).  Every operation on a stage argument is
+    elementwise, each row's ``h`` scaling that row, so a row's stages are
+    bit-identical to its state's alone.  A coefficient of exactly 1 is applied
+    without a multiply, which gives the same bits.
+
+    The stage arguments come from ``plan.rows`` (a stage whose row has no
+    nonzero entry receives ``y`` itself).  Finiteness is checked once, over
+    every slot, after the loop: the stages after a non-finite one are evaluated
+    too.  The error names ``x`` and ``h`` and the first non-finite stage of the
+    first method in slot order that has one; over rows, that method's earliest
+    row with a non-finite stage, that row's ``x`` and ``h`` and its first
+    non-finite stage, so it reads as that row's state alone would.  A stage
+    that ``f`` makes complex raises ``ComplexStage`` while numpy's
+    ``ComplexWarning`` is an error, naming the earliest row with an imaginary
+    part.  It checks no input; ``_one_state`` does.
+    """
+    slot = buf.slot
+    h_y = h if y.ndim == 1 else h[:, None]
+    for p, (c_p, row) in enumerate(plan.rows):
         s = None
         for q, a in row:
-            term = a * k[q]
+            term = slot[q] if a == 1.0 else a * slot[q]
             s = term if s is None else s + term
-        k[p] = f(x + c_p * h, y if s is None else y + h_y * s)
-    finite = np.isfinite(k[n:])
-    if np.count_nonzero(finite) != finite.size:
-        # finiteness row by row (one state is one row), then stage by stage: the
-        # first False is the earliest bad row's first bad stage
-        ok = finite.reshape(t.m - n, -1, y.shape[-1]).all(axis=2).T
-        i, p = divmod(int(np.argmin(ok)), t.m - n)
-        x, h = (x.item(i), h.item(i)) if y.ndim > 1 else (x, h)
-        raise NonFiniteStage(f"{t.name}: stage {n + p + 1} is not finite at x={x}, h={h}")
+        v = f(x + c_p * h, y if s is None else y + h_y * s)
+        try:
+            slot[p][...] = v
+        except ComplexWarning:
+            imag = np.atleast_1d(np.imag(v)) != 0
+            i = 0 if y.ndim == 1 else int(np.argmax(np.any(imag, axis=-1)))
+            raise ComplexStage(_stage_message(plan, p, "complex", x, h, i)) from None
+    k = buf.k
+    if not np.isfinite(k).all():
+        finite = np.isfinite(k).reshape(-1, *k.shape[-2:]).all(axis=2)  # (rows, slots)
+        for _, start, end, _ in plan.methods:
+            ok = finite[:, start:end]
+            if not ok.all():
+                i, p = divmod(int(np.argmin(ok)), end - start)  # earliest row, then stage
+                raise NonFiniteStage(_stage_message(plan, start + p, "not finite", x, h, i))
     return k
 
 
+def _stage_message(plan: _StagePlan, slot: int, what: str, x, h, i: int) -> str:
+    """``"<method>: stage <p> is <what> at x=..., h=..."`` for ``slot`` of ``plan``,
+    with row ``i``'s ``x`` and ``h`` over rows."""
+    name, start, _, first = next(m for m in plan.methods if m[1] <= slot < m[2])
+    x, h = (x, h) if np.ndim(h) == 0 else (x.item(i), h.item(i))
+    return f"{name}: stage {first + slot - start} is {what} at x={x}, h={h}"
+
+
 def _pair_increments(
-    pair: MethodPair, f: RHSFunction, x, y: np.ndarray, h
+    pair: MethodPair, f: RHSFunction, x, y: np.ndarray, h, buf: _StageBuffer = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Increments ``(F_lower, F_higher)`` of both methods of ``pair`` from ``(x, y)``,
-    from one state or over rows as ``_stages`` takes them.
+    from one state or over rows as ``_stages`` takes them, evaluated into
+    ``buf`` (a ``_pair_buffer`` for ``y``'s shape; a new one if not given).
 
-    The ``pair.shared`` leading stages are evaluated once, by the lower
-    method, and handed to the higher one.  Each increment is bit-identical to
-    ``increment_function`` of its method, over rows from that row's state:
-    ``b @ k`` goes through BLAS on each row's contiguous ``(m, d)`` stages, as
-    on one state's (a sum in another order or layout moves bits).
+    ``pair.plan`` evaluates the ``pair.shared`` leading stages once.  Each
+    increment is bit-identical to ``increment_function`` of its method, over
+    rows from that row's state: ``b @ k`` goes through BLAS on each row's
+    contiguous ``(m, d)`` stages, as on one state's (a sum in another order or
+    layout moves bits), the lower method's a slice of the slots and the higher
+    method's gathered.
     """
-    k_lower = _stages(pair.lower, f, x, y, h)
-    k_higher = _stages(pair.higher, f, x, y, h, k_lower[:pair.shared])
-    if y.ndim > 1:
-        k_lower, k_higher = k_lower.swapaxes(0, 1), k_higher.swapaxes(0, 1)
-    return pair.lower.b @ k_lower, pair.higher.b @ k_higher
+    if buf is None:
+        buf = _pair_buffer(pair, y.shape)
+    k = _stages(pair.plan, f, x, y, h, buf)
+    # mode="clip" lets take write straight into out (the slots are in range)
+    higher = k.take(pair.higher_slots, -2, buf.gather, "clip")
+    return pair.lower.b @ k[..., :pair.lower.m, :], pair.higher.b @ higher
 
 
 def rk_step(

@@ -132,6 +132,15 @@ def test_each_integrator_failure_exits_4(error, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "rk-error-lab: integration failed: the run failed\n")
 
 
+def test_a_rhs_turning_complex_mid_run_exits_4(monkeypatch, capsys):
+    # real at (x0, y0), complex at every other x: the probe's second stage is refused
+    monkeypatch.setattr("rk_error_lab.cli.builtin", lambda name: IVProblem(
+        "c", lambda x, y: -y if x == 0.0 else -y + 1j * y, 0.0, [1.0], 1.0))
+    assert main(["--quiet"]) == 4
+    assert capsys.readouterr() == (
+        "", "rk-error-lab: integration failed: rk3: stage 2 is complex at x=0.0, h=0.01\n")
+
+
 def test_long_span_on_a_smooth_problem_completes():
     # the probe lands on h_min = 1e-7, where the estimate is 0; the growth cap
     # keeps the next step from jumping to h_max = 1e4

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rk_error_lab import controller, rk_core
 from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
 from rk_error_lab import (
     BetaTracker,
+    ComplexStage,
     ControllerConfig,
     IVProblem,
     MaxRejectsExceeded,
@@ -130,6 +132,24 @@ def test_attempt_step_shares_the_input_state(rk4_three_eighths):
         assert len(calls) == evals
         assert np.array_equal(w_lo, rk_step(pair.lower, f, 1.0, w_in, 0.05))
         assert np.array_equal(w_hi, rk_step(pair.higher, f, 1.0, w_in, 0.05))
+
+
+@pytest.mark.parametrize("nans, method", [({3, 4}, "rk3"), ({4}, "rk4")],
+                         ids=["both", "higher-only"])
+def test_one_state_the_lower_method_fails_before_the_higher_one(nans, method):
+    # one attempt evaluates all five stages of the pair's plan, rk3's three and
+    # then rk4's third and fourth, and checks them once: with rk3's third and
+    # rk4's third stage both NaN rk3's is named, alone rk4's
+    calls = []
+
+    def f(x, y):
+        calls.append(x)
+        return np.full_like(y, math.nan) if len(calls) in nans else -y
+
+    message = f"{method}: stage 3 is not finite at x=0.5, h=0.125"
+    with pytest.raises(NonFiniteStage, match=f"^{re.escape(message)}$"):
+        attempt_step(PAIR, f, 0.5, np.array([1.0, -2.0]), 0.125)
+    assert len(calls) == 5
 
 
 # --- config validation --------------------------------------------------------------
@@ -755,15 +775,15 @@ def test_oracle_over_rows_raises_the_earliest_failing_step(first, rowwise):
 
 
 @pytest.mark.parametrize("nans, method, stage, step, row_calls",
-                         [({3: 6, 4: 0}, "rk3", 3, 6, 3), ({4: 0}, "rk4", 3, 0, 5),
-                          ({1: 6, 3: 0}, "rk3", 3, 0, 3)],
+                         [({3: 6, 4: 0}, "rk3", 3, 6, 5), ({4: 0}, "rk4", 3, 0, 5),
+                          ({1: 6, 3: 0}, "rk3", 3, 0, 5)],
                          ids=["lower-later", "higher-only", "earliest-row"])
 def test_over_rows_the_lower_method_fails_before_the_higher_one(nans, method, stage, step,
                                                                 row_calls):
-    # over rows the oracle evaluates the lower method's stages for every step,
-    # then the higher method's, one call of f per stage: rk3's three, then
-    # rk4's third and fourth.  nans maps a call to the step (counted from j)
-    # whose row it makes NaN.  A NaN in rk3's third stage on step j + 6 is
+    # over rows the oracle evaluates the pair's plan for every step, one call
+    # of f per stage: rk3's three, then rk4's third and fourth, and checks the
+    # stages once, after all five.  nans maps a call to the step (counted from
+    # j) whose row it makes NaN.  A NaN in rk3's third stage on step j + 6 is
     # raised before one in rk4's third stage on step j, which one step at a
     # time would come first; alone, rk4's is raised.  Within a method the
     # earliest step is named, with its own first bad stage: step j's third,
@@ -843,6 +863,40 @@ def test_a_failed_run_raises_its_own_failure_and_measures_nothing(case, monkeypa
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         integrate(PAIR, p, cfg)
     assert calls["exact"] == 0 and shapes == {0}
+
+
+@pytest.mark.parametrize("h_init, h", [(None, 0.01), (0.0625, 0.0625)], ids=["probe", "attempt"])
+def test_a_rhs_turning_complex_mid_run_is_refused(h_init, h):
+    # the run turns numpy's ComplexWarning into an error however warnings are
+    # filtered outside it, names the first complex stage, rk3's second (at
+    # x + h / 2), and puts the filters back; the imaginary parts used to be
+    # dropped and the run to end normally after 51 steps.  f is real at
+    # (x0, y0), which the build checks, and complex at every other x
+    p = IVProblem("c", lambda x, y: -y if x == 0.0 else -y + 1j * y, 0.0, [1.0], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        filters = list(warnings.filters)
+        message = f"rk3: stage 2 is complex at x=0.0, h={h}"
+        with pytest.raises(ComplexStage, match=f"^{re.escape(message)}$"):
+            integrate(PAIR, p, ControllerConfig(h_init=h_init))
+        assert warnings.filters == filters
+
+
+def test_oracle_rows_turning_complex_name_the_earliest_complex_row():
+    # f is real on the controller's states and complex on the oracle's row of
+    # step j, from the exact state: the rows name that step's x and h
+    decay, j = builtin("decay"), 20
+    records = integrate(PAIR, dataclasses.replace(decay, exact=None), flagship_config()).records
+
+    def f(x, y):
+        if np.ndim(x) == 0:
+            return -y
+        out = -y.astype(complex)
+        out[j] += 1e-3j
+        return out
+    message = f"rk3: stage 1 is complex at x={records[j - 1].x}, h={records[j].h}"
+    with pytest.raises(ComplexStage, match=f"^{re.escape(message)}$"):
+        integrate(PAIR, dataclasses.replace(decay, f=f), flagship_config())
 
 
 def test_max_rejects_exceeded(monkeypatch):

@@ -13,12 +13,18 @@ from rk_error_lab import (
     MethodPair,
     NonFiniteStage,
     UnknownPair,
+    alpha_propagation_term,
     attempt_step,
+    builtin,
     builtin_pair,
     classic_rk4,
     increment_function,
+    inf_norm,
     kutta3,
+    local_error_exact,
     pair_names,
+    reference_solution,
+    rk_core,
     rk_step,
     validate_tableau,
 )
@@ -321,3 +327,96 @@ def test_stage_arguments_are_index_order_sums(rk4_three_eighths):
         for (x_got, y_got), (x_exp, y_exp) in zip(calls[:4], calls[4:]):
             assert x_got == x_exp and np.array_equal(y_got, y_exp)
         assert np.array_equal(inc, t.b @ np.array([k1, k2, k3, k4]))
+
+
+def test_a_pair_plan_points_each_coefficient_at_its_slot(rk4_three_eighths):
+    # the lower method's stages fill the first slots; the higher method's
+    # unshared stages follow, their coefficients pointing at the slot of the
+    # stage they weight
+    pair = builtin_pair("rk3_rk4")
+    assert pair.plan.rows == kutta3().stage_rows + ((0.5, ((1, 0.5),)), (1.0, ((3, 1.0),)))
+    assert pair.plan.methods == (("rk3", 0, 3, 1), ("rk4", 3, 5, 3))
+    assert pair.higher_slots.tolist() == [0, 1, 3, 4]
+    pair = MethodPair(lower=kutta3(), higher=rk4_three_eighths)
+    assert pair.plan.rows[3:] == ((1 / 3, ((0, 1 / 3),)), (2 / 3, ((0, -1 / 3), (3, 1.0))),
+                                  (1.0, ((0, 1.0), (3, -1.0), (4, 1.0))))
+    assert pair.higher_slots.tolist() == [0, 3, 4, 5]
+    assert kutta3().plan == (kutta3().stage_rows, (("rk3", 0, 3, 1),))
+
+
+def _quadratic(x, y):
+    # row-capable, and correctly rounded, so each row has its state's own bits
+    return (0.5 - np.asarray(x)[..., None]) * y - 0.3 * y * y
+
+
+_COEFFICIENT = st.sampled_from([0.0, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def explicit_pairs(draw):
+    """A random explicit pair and the number of leading stages its methods share:
+    each method has 1 to 7 stages, a strictly lower-triangular ``a`` (entries of
+    exactly 0 and 1 included), ``c`` its row sums and positive ``b`` normalised to
+    sum 1, and the two share a random number of leading rows."""
+    m_lower, m_higher = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = [draw(st.lists(_COEFFICIENT, min_size=p, max_size=p)) for p in range(7)]
+    share = draw(st.integers(0, min(m_lower, m_higher)))
+
+    def tableau(name, m, z):
+        a = np.zeros((m, m))
+        for p in range(m):
+            a[p, :p] = rows[p] if p < share else draw(
+                st.lists(_COEFFICIENT, min_size=p, max_size=p))
+        b = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m)))
+        return ButcherTableau(name=name, a=a, b=b / b.sum(), c=a.sum(axis=1), z=z)
+
+    lower, higher = tableau("lower", m_lower, 1), tableau("higher", m_higher, 2)
+    # rows past the drawn ones may be equal too; the first stage always is
+    equal = [np.array_equal(lower.a[p, :p], higher.a[p, :p])
+             for p in range(min(m_lower, m_higher))]
+    return MethodPair(lower=lower, higher=higher), (equal + [False]).index(False)
+
+
+def _same(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(drawn=explicit_pairs(), d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_random_explicit_pairs_keep_the_bits_of_each_method(drawn, d, seed):
+    # the pair's plan gives each method the bits of its own increment function,
+    # from one state and over rows, whatever the buffer held before; and on
+    # decay, one lower step from a perturbed exact state closes the recursion
+    pair, shared = drawn
+    assert pair.shared == shared
+    rng = np.random.default_rng(seed)
+    for n in (None, 1, 2, 17):
+        shape = (d,) if n is None else (n, d)
+        y, x = rng.uniform(-2.0, 2.0, shape), rng.uniform(-1.0, 1.0, shape[:-1])
+        h = rng.uniform(1e-3, 0.2, shape[:-1])
+        if n is None:
+            x, h = float(x), float(h)
+        fresh = rk_core._pair_increments(pair, _quadratic, x, y, h)
+        buf = rk_core._pair_buffer(pair, shape)
+        buf.k[...] = np.nan
+        buf.gather[...] = np.inf
+        for _ in range(2):
+            reused = rk_core._pair_increments(pair, _quadratic, x, y, h, buf)
+            assert all(map(_same, reused, fresh))
+        for i in [None] if n is None else range(n):
+            at = (x, y, h) if i is None else (x.item(i), y[i], h.item(i))
+            for t, inc in zip((pair.lower, pair.higher), fresh):
+                assert _same(increment_function(t, _quadratic, *at),
+                             inc if i is None else inc[i])
+    p = builtin("decay")
+    x, h = float(rng.uniform(0.0, 9.0)), float(rng.uniform(1e-3, 0.2))
+    y = reference_solution(p, x)
+    w = y * (1.0 + rng.uniform(-1e-3, 1e-3))
+    w_lower = w + h * rk_core._pair_increments(pair, p.f, x, w, h)[0]
+    gap = np.abs((w_lower - reference_solution(p, x + h))
+                 - (local_error_exact(pair.lower, p, x, h)
+                    + alpha_propagation_term(pair.lower, p.f, x, y, w, h))).max()
+    # w + h F(w) and y + h F(y) each round by half an ulp of their larger
+    # operand, and the products h F by less: 1.38 ulps at most over 8000
+    # offline draws with coefficients up to 2 and h up to 0.5
+    assert gap <= 2.0 * np.spacing(max(inf_norm(w), inf_norm(w_lower)))
