@@ -16,7 +16,6 @@ keeps the stepsize until a rejection forces it down.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -36,8 +35,8 @@ from .error_analysis import (
     sigma_bound,
 )
 from .problems import IVProblem
-from .rk_core import (ComplexWarning, MethodPair, RHSFunction, _is_integer, _one_state,
-                      _pair_buffer, _pair_increments, _positive_finite, _StageBuffer)
+from .rk_core import (MethodPair, RHSFunction, _is_integer, _one_state, _pair_buffer,
+                      _pair_increments, _positive_finite, _StageBuffer)
 
 __all__ = [
     "ControllerConfig",
@@ -231,21 +230,10 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     The oracle measures a finished run in one pass after the loop.  A failure
     of the loop ends the run at once: its own exception propagates, and no
     exact state is looked up.  Every attempt, the probe's included, is
-    evaluated into one stage buffer allocated for the run.
-
-    While the run lasts, numpy's ``ComplexWarning`` is an error, so a stage
-    that ``f`` makes complex (of an attempt, the probe or the oracle's rows)
-    raises ``ComplexStage`` instead of losing its imaginary part.  The filter
-    is set with ``warnings.catch_warnings`` and, like it, is process-global:
-    it holds in every thread until the run returns.
+    evaluated into one stage buffer allocated for the run.  A stage that ``f``
+    makes complex (of an attempt, the probe or the oracle's rows) raises
+    ``ComplexStage``, as in every evaluation of the stage loop.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ComplexWarning)
-        return _integrate(pair, p, cfg)
-
-
-def _integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
-    """``integrate``, under its numpy error state and warning filter."""
     buf = _pair_buffer(pair, p.y0.shape)
     h_work, h_min, h_max = _initial_stepsizes(pair, p, cfg, buf)
     # reject-only never grows a step, so it needs at least span / h_init steps;

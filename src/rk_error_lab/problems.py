@@ -36,11 +36,12 @@ class IVProblem:
     must agree with ``y0`` at ``x0``, in shape and to within ``1e-14``
     relative to ``y0``.  Right-hand sides must be pure
     functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite, and ``y0``
-    a scalar or a nonempty flat vector.  ``f(x0, y0)`` must be real, have one
-    value per component of ``y0`` and store as a state the way the stage loop
-    stores a stage (a shape such as ``(d, 1)`` for ``d > 1`` does not).  ``y0``
-    is copied into a read-only float array of at least one dimension when the
-    problem is built.
+    real and a scalar or a nonempty flat vector.  ``f(x0, y0)`` must be real,
+    have one value per component of ``y0`` and store as a state the way the
+    stage loop stores a stage (a shape such as ``(d, 1)`` for ``d > 1`` does
+    not); a value that turns complex later is refused where the stage loop
+    stores it (``rk_core.ComplexStage``).  ``y0`` is copied into a read-only
+    float array of at least one dimension when the problem is built.
 
     ``rowwise`` declares that ``f`` also takes many states at once:
     ``f(X, Y)`` with ``X`` of shape ``(n,)`` and ``Y`` of shape ``(n, d)``
@@ -61,7 +62,7 @@ class IVProblem:
     rowwise: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "y0", _readonly(self.y0, ndmin=1))
+        object.__setattr__(self, "y0", _readonly(f"{self.name}: y0", self.y0, ndmin=1))
         if not (math.isfinite(self.x0) and math.isfinite(self.x_end)):
             raise ValueError(f"{self.name}: x0={self.x0} and x_end={self.x_end} must be finite")
         if not self.x_end > self.x0:

@@ -55,6 +55,9 @@ RHSFunction = Callable[[float, np.ndarray], np.ndarray]
 #: tolerance on the weight sum and the row-sum convention
 CONSISTENCY_TOL = 1e-12
 
+#: the dtype a stage is stored as; a value of another dtype is checked for being complex
+_FLOAT = np.dtype(float)
+
 
 class ExplicitnessViolation(ValueError):
     """Stage matrix has a nonzero entry on or above the diagonal (implicit method)."""
@@ -73,12 +76,8 @@ class NonFiniteStage(ArithmeticError):
 
 
 class ComplexStage(ArithmeticError):
-    """A stage derivative turned complex while a run (``controller.integrate``)
-    turns numpy's ``ComplexWarning`` into an error."""
-
-
-# numpy >= 1.25 keeps its warning classes in numpy.exceptions
-ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+    """A stage derivative is complex: storing it as a real stage would drop its
+    imaginary part.  Every evaluation of the stage loop refuses one."""
 
 
 class UnknownPair(KeyError):
@@ -142,7 +141,7 @@ class ButcherTableau:
 
     def __post_init__(self):
         for key in ("a", "b", "c"):
-            object.__setattr__(self, key, _readonly(getattr(self, key)))
+            object.__setattr__(self, key, _readonly(f"{self.name}: {key}", getattr(self, key)))
         object.__setattr__(self, "m", self.b.size)
         validate_tableau(self)
         object.__setattr__(self, "stage_rows", tuple(
@@ -224,12 +223,9 @@ def validate_tableau(t: ButcherTableau) -> ButcherTableau:
     if t.m < 1 or not (_is_integer(t.z) and t.z >= 1):
         raise DimensionMismatch(f"{t.name}: stage count must be >= 1 and order an integer "
                                 f">= 1, got m={t.m}, z={t.z!r}")
-    if t.a.shape != (t.m, t.m):
-        raise DimensionMismatch(f"{t.name}: a has shape {t.a.shape}, expected {(t.m, t.m)}")
-    if t.b.shape != (t.m,):
-        raise DimensionMismatch(f"{t.name}: b has shape {t.b.shape}, expected {(t.m,)}")
-    if t.c.shape != (t.m,):
-        raise DimensionMismatch(f"{t.name}: c has shape {t.c.shape}, expected {(t.m,)}")
+    for key, values, shape in (("a", t.a, (t.m, t.m)), ("b", t.b, (t.m,)), ("c", t.c, (t.m,))):
+        if values.shape != shape:
+            raise DimensionMismatch(f"{t.name}: {key} has shape {values.shape}, expected {shape}")
 
     for key, values in (("a", t.a), ("b", t.b), ("c", t.c)):
         if not np.isfinite(values).all():
@@ -279,8 +275,14 @@ def _positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _readonly(values, ndmin: int = 0) -> np.ndarray:
-    """A float64 copy of ``values`` (at least ``ndmin``-dimensional) that cannot be written."""
+def _readonly(name: str, values, ndmin: int = 0) -> np.ndarray:
+    """A float64 copy of ``values`` (at least ``ndmin``-dimensional) that cannot be written.
+
+    Raises ``ValueError`` naming ``name`` if ``values`` is complex, whose
+    imaginary part the copy would drop.
+    """
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} = {np.asarray(values)} is complex")
     out = np.array(values, dtype=float, ndmin=ndmin)
     out.flags.writeable = False
     return out
@@ -297,7 +299,8 @@ def increment_function(
     Raises
     ------
     ValueError
-        If ``y`` is not a flat vector, ``x`` not finite or ``h`` not positive and finite.
+        If ``y`` is complex or not a flat vector, ``x`` not finite or ``h`` not
+        positive and finite.
     NonFiniteStage
         If any stage derivative contains NaN or infinity.
     """
@@ -306,8 +309,11 @@ def increment_function(
 
 
 def _one_state(x: float, y, h: float) -> np.ndarray:
-    """``y`` as a float array; raises ``ValueError`` naming a ``y`` that is not a
-    flat vector, a non-finite ``x`` or an ``h`` that is not positive and finite."""
+    """``y`` as a float array; raises ``ValueError`` naming a ``y`` that is complex
+    or not a flat vector, a non-finite ``x`` or an ``h`` that is not positive and
+    finite."""
+    if np.iscomplexobj(y):
+        raise ValueError(f"state must be real, got {np.asarray(y)}")
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"state must be a flat vector, got shape {y.shape}")
@@ -358,10 +364,10 @@ def _stages(
     too.  The error names ``x`` and ``h`` and the first non-finite stage of the
     first method in slot order that has one; over rows, that method's earliest
     row with a non-finite stage, that row's ``x`` and ``h`` and its first
-    non-finite stage, so it reads as that row's state alone would.  A stage
-    that ``f`` makes complex raises ``ComplexStage`` while numpy's
-    ``ComplexWarning`` is an error, naming the earliest row with an imaginary
-    part.  It checks no input; ``_one_state`` does.
+    non-finite stage, so it reads as that row's state alone would.  A complex
+    stage is refused before it is stored, with ``ComplexStage`` naming the
+    earliest row with an imaginary part; a float64 array skips that check
+    without a numpy call.  It checks no input; ``_one_state`` does.
     """
     slot = buf.slot
     h_y = h if y.ndim == 1 else h[:, None]
@@ -371,12 +377,11 @@ def _stages(
             term = slot[q] if a == 1.0 else a * slot[q]
             s = term if s is None else s + term
         v = f(x + c_p * h, y if s is None else y + h_y * s)
-        try:
-            slot[p][...] = v
-        except ComplexWarning:
+        if getattr(v, "dtype", None) is not _FLOAT and np.iscomplexobj(v):
             imag = np.atleast_1d(np.imag(v)) != 0
             i = 0 if y.ndim == 1 else int(np.argmax(np.any(imag, axis=-1)))
-            raise ComplexStage(_stage_message(plan, p, "complex", x, h, i)) from None
+            raise ComplexStage(_stage_message(plan, p, "complex", x, h, i))
+        slot[p][...] = v
     k = buf.k
     if not np.isfinite(k).all():
         finite = np.isfinite(k).reshape(-1, *k.shape[-2:]).all(axis=2)  # (rows, slots)
@@ -422,7 +427,7 @@ def rk_step(
     t: ButcherTableau, f: RHSFunction, x: float, y: np.ndarray, h: float
 ) -> np.ndarray:
     """Advance ``y`` by one step of size ``h``: ``y + h * increment_function(...)``."""
-    y = np.asarray(y, dtype=float)
+    y = _one_state(x, y, h)
     return y + h * increment_function(t, f, x, y, h)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -31,7 +32,9 @@ from rk_error_lab import (
     builtin,
     builtin_pair,
     condition_check,
+    empirical_order,
     find_crossing,
+    increment_function,
     inf_norm,
     integrate,
     kutta3,
@@ -867,10 +870,10 @@ def test_a_failed_run_raises_its_own_failure_and_measures_nothing(case, monkeypa
 
 @pytest.mark.parametrize("h_init, h", [(None, 0.01), (0.0625, 0.0625)], ids=["probe", "attempt"])
 def test_a_rhs_turning_complex_mid_run_is_refused(h_init, h):
-    # the run turns numpy's ComplexWarning into an error however warnings are
-    # filtered outside it, names the first complex stage, rk3's second (at
-    # x + h / 2), and puts the filters back; the imaginary parts used to be
-    # dropped and the run to end normally after 51 steps.  f is real at
+    # the stage loop refuses a complex stage before storing it, however
+    # warnings are filtered, names the first complex stage, rk3's second (at
+    # x + h / 2), and leaves the filters as they were; the imaginary parts used
+    # to be dropped and the run to end normally after 51 steps.  f is real at
     # (x0, y0), which the build checks, and complex at every other x
     p = IVProblem("c", lambda x, y: -y if x == 0.0 else -y + 1j * y, 0.0, [1.0], 1.0)
     with warnings.catch_warnings():
@@ -879,6 +882,85 @@ def test_a_rhs_turning_complex_mid_run_is_refused(h_init, h):
         message = f"rk3: stage 2 is complex at x=0.0, h={h}"
         with pytest.raises(ComplexStage, match=f"^{re.escape(message)}$"):
             integrate(PAIR, p, ControllerConfig(h_init=h_init))
+        assert warnings.filters == filters
+
+
+def _complex_off_x0(x, y):
+    """Real at ``x == 0``, where a build checks ``f``, and complex everywhere else."""
+    return -y if x == 0.0 else -y + 1j * y
+
+
+_COMPLEX_PROBLEM = IVProblem("c", _complex_off_x0, 0.0, [1.0], 1.0,
+                             exact=lambda x: np.array([math.exp(-x)]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: increment_function(kutta3(), _complex_off_x0, 0.0, np.array([1.0]), 0.1),
+    lambda: rk_step(kutta3(), _complex_off_x0, 0.0, np.array([1.0]), 0.1),
+    lambda: attempt_step(PAIR, _complex_off_x0, 0.0, np.array([1.0]), 0.1),
+    lambda: local_error_exact(kutta3(), _COMPLEX_PROBLEM, 0.0, 0.1),
+    lambda: empirical_order(kutta3(), _COMPLEX_PROBLEM, "local", [0.1, 0.05, 0.025, 0.0125]),
+], ids=["increment_function", "rk_step", "attempt_step", "local_error_exact",
+        "empirical_order"])
+def test_every_entry_point_refuses_a_complex_stage(call):
+    # outside a run the imaginary parts used to be dropped with a warning, and
+    # the real parts returned (empirical_order gave 3.99)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        filters = list(warnings.filters)
+        message = "rk3: stage 2 is complex at x=0.0, h=0.1"
+        with pytest.raises(ComplexStage, match=f"^{re.escape(message)}$"):
+            call()
+        assert warnings.filters == filters
+
+
+def test_a_python_complex_stage_is_refused():
+    # a complex scalar, not an array: storing it used to raise an unnamed TypeError
+    f = lambda x, y: -y if x == 0.0 else complex(-y[0], 0.5)
+    p = IVProblem("c", f, 0.0, [1.0], 1.0)
+    message = "rk3: stage 2 is complex at x=0.0, h=0.01"
+    with pytest.raises(ComplexStage, match=f"^{re.escape(message)}$"):
+        integrate(PAIR, p, ControllerConfig())
+
+
+def test_runs_overlapping_in_threads_leave_the_warning_filters_as_they_were():
+    # run a stops in its first call of f until run b has started, and b until a
+    # has returned; a run that set a process-global filter and put back the list
+    # it found on entry left b's filter installed for the whole process
+    a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+    armed = []  # the builds call f once each, before the runs
+
+    def f_a(x, y):
+        if armed:
+            a_in.set()
+            assert b_in.wait(10)
+        return -y
+
+    def f_b(x, y):
+        if armed:
+            b_in.set()
+            assert a_done.wait(10)
+        return -y
+
+    problems = {"a": IVProblem("a", f_a, 0.0, [1.0], 1.0),
+                "b": IVProblem("b", f_b, 0.0, [1.0], 1.0)}
+    armed.append(True)
+    final_x = {}
+
+    def run(name, after=None):
+        assert after is None or after.wait(10)
+        final_x[name] = integrate(PAIR, problems[name], ControllerConfig()).summary.final_x
+
+    with warnings.catch_warnings():
+        filters = list(warnings.filters)
+        a = threading.Thread(target=run, args=("a",))
+        b = threading.Thread(target=run, args=("b", a_in))
+        a.start()
+        b.start()
+        a.join(10)
+        a_done.set()
+        b.join(10)
+        assert final_x == {"a": 1.0, "b": 1.0}
         assert warnings.filters == filters
 
 

@@ -130,6 +130,8 @@ def test_complex_values_are_refused():
     # to end normally
     with pytest.raises(ValueError, match=re.escape("c: f(x0, y0) = [0.+1.j] is complex")):
         IVProblem(name="c", f=lambda x, y: 1j * y, x0=0.0, y0=[1.0], x_end=1.0)
+    with pytest.raises(ValueError, match=re.escape("c: y0 = [1.+1.j] is complex")):
+        IVProblem(name="c", f=lambda x, y: -y, x0=0.0, y0=np.array([1 + 1j]), x_end=1.0)
     with pytest.raises(ValueError, match=re.escape("c: exact solution at x=0.0 is complex")):
         IVProblem(name="c", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
                   exact=lambda x: np.array([complex(math.exp(-x))]))

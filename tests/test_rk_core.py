@@ -109,6 +109,12 @@ def test_dimension_mismatch():
             ButcherTableau(name="bad", a=[[0.0]], b=[1.0], c=[0.0], z=z)
 
 
+def test_complex_coefficients_are_refused():
+    # the imaginary part used to be dropped when the tableau was built
+    with pytest.raises(ValueError, match=re.escape("t: b = [1.+0.5j] is complex")):
+        ButcherTableau(name="t", a=[[0.0]], b=np.array([1 + 0.5j]), c=[0.0], z=1)
+
+
 @st.composite
 def tableau_inputs(draw):
     """Coefficients of 1 to 4 stages, in arrays of the right or a wrong length.
@@ -217,7 +223,11 @@ def test_nonfinite_stage_detected():
     (-math.inf, [1.0], 0.1, "x must be finite, got -inf"),
     (0.0, 1.0, 0.1, "state must be a flat vector, got shape ()"),
     (0.0, np.ones((2, 2)), 0.1, "state must be a flat vector, got shape (2, 2)"),
-], ids=["h_zero", "h_negative", "h_nan", "h_inf", "x_nan", "x_inf", "y_scalar", "y_matrix"])
+    # the imaginary part used to be dropped, and a list to raise an unnamed TypeError
+    (0.0, np.array([1 + 1j]), 0.1, "state must be real, got [1.+1.j]"),
+    (0.0, [1 + 1j], 0.1, "state must be real, got [1.+1.j]"),
+], ids=["h_zero", "h_negative", "h_nan", "h_inf", "x_nan", "x_inf", "y_scalar", "y_matrix",
+        "y_complex", "y_complex_list"])
 def test_rejects_nonpositive_stepsize(x, y, h, message):
     # one step's input is refused by name before f is called, by every public
     # entry point from one state
