@@ -37,9 +37,9 @@ from .rk_core import (
     ButcherTableau,
     MethodPair,
     RHSFunction,
-    _pair_buffer,
     _pair_increments,
     _positive_finite,
+    _real,
     increment_function,
     inf_norm,
     rk_step,
@@ -188,9 +188,10 @@ class BetaTracker:
     mean_abs: float = 0.0
 
     def pushed(self, sample: np.ndarray) -> "BetaTracker":
-        """Return a new tracker with one more sample folded into the mean."""
-        n = self.count + 1
-        return BetaTracker(count=n, mean_abs=_mean_pushed(self.mean_abs, inf_norm(sample), n))
+        """Return a new tracker with one more sample folded into the mean.  Raises
+        ``ValueError`` if ``sample`` is complex."""
+        n, v = self.count + 1, inf_norm(_real("sample", sample))
+        return BetaTracker(count=n, mean_abs=_mean_pushed(self.mean_abs, v, n))
 
 
 def _mean_pushed(mean: float, value: float, n: int) -> float:
@@ -227,11 +228,11 @@ def estimate_beta(w_lower, w_higher, h: float, z: int) -> np.ndarray:
 
     Both inputs must come from steps of the same size ``h`` started at the
     same state.  Callers that need a scalar take the max norm.  Raises
-    ``StepUnderflow`` if ``h**(z+1)`` underflows to zero and
-    ``StepsizeOutOfRange`` if it overflows.
+    ``ValueError`` if an input is complex, ``StepUnderflow`` if ``h**(z+1)``
+    underflows to zero and ``StepsizeOutOfRange`` if it overflows.
     """
     hp = _step_power(h, z + 1)
-    return (np.asarray(w_lower, dtype=float) - np.asarray(w_higher, dtype=float)) / hp
+    return (_real("w_lower", w_lower) - _real("w_higher", w_higher)) / hp
 
 
 def _step_power(h: float, n: int) -> float:
@@ -260,10 +261,10 @@ def alpha_propagation_term(
     increment ``F``.  By the mean-value construction this equals the
     propagation factor times the input error ``d``, the previous step's
     higher-order global error, without ever forming a derivative of ``F``.
-    The factor may exceed one, so the term can amplify ``d``.
+    The factor may exceed one, so the term can amplify ``d``.  Raises
+    ``ValueError`` if a state is complex.
     """
-    y_exact = np.asarray(y_exact, dtype=float)
-    w_higher = np.asarray(w_higher, dtype=float)
+    y_exact, w_higher = _real("y_exact", y_exact), _real("w_higher", w_higher)
     inc_w = increment_function(t_lower, f, x, w_higher, h)
     return _alpha_term(y_exact, w_higher, inc_w, increment_function(t_lower, f, x, y_exact, h), h)
 
@@ -304,11 +305,11 @@ def condition_check(
     still dominated by the controlled local error.  ``m_ratio`` is
     ``lhs / (mean|beta_higher| * h**(z+2))``, so the check holds exactly
     while ``i < m_ratio``; with an empty mean the ratio is infinite and the
-    check holds by convention.  Raises ``StepUnderflow`` if ``h**(z+1)`` or
-    ``h**(z+2)`` underflows to zero and ``StepsizeOutOfRange`` if one
-    overflows.
+    check holds by convention.  Raises ``ValueError`` if ``beta_lower`` is
+    complex, ``StepUnderflow`` if ``h**(z+1)`` or ``h**(z+2)`` underflows to
+    zero and ``StepsizeOutOfRange`` if one overflows.
     """
-    lhs = inf_norm(beta_lower) * _step_power(h, z + 1)
+    lhs = inf_norm(_real("beta_lower", beta_lower)) * _step_power(h, z + 1)
     denom = tracker.mean_abs * _step_power(h, z + 2)
     rhs, holds = _condition(i, lhs, denom)
     m_ratio = lhs / denom if denom > 0.0 else math.inf
@@ -363,20 +364,9 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=1)
 
 
-def _exact_increments(pair: MethodPair, p: IVProblem, x: np.ndarray, y: np.ndarray,
-                      h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_pair_increments`` from each step's row of ``x``, ``y`` and ``h``, stacked
-    as ``(n, d)`` columns.  A ``rowwise`` problem is evaluated over rows only,
-    into one ``(n, M, d)`` buffer, and what its rows raise is raised: a
-    non-finite stage of the lower method names the earliest such step before
-    one of the higher method does.  Any other problem is evaluated one step at
-    a time, in step order, each into the same ``(M, d)`` buffer."""
-    if p.rowwise:
-        return _pair_increments(pair, p.f, x, y, h)
-    buf = _pair_buffer(pair, p.y0.shape)
-    lower, higher = zip(*(_pair_increments(pair, p.f, x_k, y_k, h_k, buf)
-                          for x_k, y_k, h_k in zip(x.tolist(), y, h.tolist())))
-    return np.array(lower), np.array(higher)
+def _row_by_row(f: RHSFunction) -> RHSFunction:
+    """``f``, which takes one state, applied to each row of ``(x, y)`` in turn."""
+    return lambda x, y: np.array([f(x_k, y_k) for x_k, y_k in zip(x.tolist(), y)]).reshape(y.shape)
 
 
 def _oracle_fields(pair: MethodPair, p: IVProblem,
@@ -386,9 +376,13 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
 
     It looks up ``y`` at ``x0`` and at every step's ``x_next``, in step order;
     then ``y(x + h)`` of the landing step, the last, where it misses ``x_end``
-    in the last bit (every other step's ``x_next`` is ``x + h``); then evaluates
-    the pair from each step's exact state ``y(x)`` (``_exact_increments``); then
-    forms the powers of ``h``, step by step.  The first failure met is raised.
+    in the last bit (every other step's ``x_next`` is ``x + h``); then refuses
+    the first of those states that is not finite with ``ValueError``.  It then
+    evaluates the pair from every step's exact state ``y(x)`` at once, over
+    rows: through ``f`` itself for a ``rowwise`` problem, and otherwise through
+    ``f`` applied to one row at a time; either way what the rows raise is
+    raised, in the order of the pass (``rk_core._stages``).  Last it forms the
+    powers of ``h``, step by step.  The first failure met is raised.
     The fields then follow over whole columns, with the formulas of
     ``local_error_exact``, ``alpha_propagation_term``, ``mean_beta_higher`` and
     ``condition_check``; elementwise arithmetic is correctly rounded, so every
@@ -404,7 +398,12 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     if x_last != xs.item(-1):
         y_xh = y_next.copy()
         y_xh[-1] = reference_solution(p, x_last)
-    exact_lower, exact_higher = _exact_increments(pair, p, xs[:-1], y_x, h)
+    k = _first(~np.isfinite(np.vstack((y, y_xh[-1:]))).all(axis=1))
+    if k is not None:
+        raise ValueError(f"{p.name}: exact solution at x={np.append(xs, x_last).item(k)} "
+                         "is not finite")
+    f = p.f if p.rowwise else _row_by_row(p.f)
+    exact_lower, exact_higher = _pair_increments(pair, f, xs[:-1], y_x, h)
     hp_higher, hp_cond = np.empty(n), np.empty(n)
     for k, h_k in enumerate(h.tolist()):
         hp_higher[k] = _step_power(h_k, pair.higher.z + 1)

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rk_core import RHSFunction, _readonly, inf_norm
+from .rk_core import RHSFunction, _readonly, _real, inf_norm
 
 __all__ = [
     "IVProblem",
@@ -46,11 +46,12 @@ class IVProblem:
     ``rowwise`` declares that ``f`` also takes many states at once:
     ``f(X, Y)`` with ``X`` of shape ``(n,)`` and ``Y`` of shape ``(n, d)``
     returns shape ``(n, d)``, and its row ``i`` equals ``f(X[i], Y[i])`` bit
-    for bit.  The oracle then calls ``f`` once per stage of its exact-state pair
-    over all accepted steps, and what those rows raise ends the run; without
-    the flag, once per step and stage.  Wrong rows that raise nothing go
-    undetected (``n == d`` lets a one-state ``f`` return some).  The controller
-    calls ``f`` on one state.
+    for bit.  The oracle evaluates its exact-state pair from all accepted steps
+    at once, as rows, stage by stage.  With the flag it calls ``f`` once per
+    stage, on all the rows; without it, once per row, on one state.  Either
+    way what the rows raise ends the run, in the same order.  Wrong rows that
+    raise nothing go undetected (``n == d`` lets a one-state ``f`` return
+    some).  The controller calls ``f`` on one state.
     """
 
     name: str
@@ -76,8 +77,7 @@ class IVProblem:
         if value.size != self.y0.size:
             raise ValueError(f"{self.name}: f(x0, y0) has {value.size} values, "
                              f"y0 has {self.y0.size} components")
-        if np.iscomplexobj(value):
-            raise ValueError(f"{self.name}: f(x0, y0) = {value} is complex")
+        _real(f"{self.name}: f(x0, y0)", value)
         try:
             np.empty(self.y0.shape)[...] = value  # as _stages stores a stage
         except ValueError as exc:

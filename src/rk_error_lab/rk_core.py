@@ -260,8 +260,12 @@ def validate_tableau(t: ButcherTableau) -> ButcherTableau:
 
 
 def inf_norm(v) -> float:
-    """Max-norm used for every scalar magnitude derived from a state vector."""
-    return float(np.abs(np.asarray(v, dtype=float)).max())
+    """Max-norm used for every scalar magnitude derived from a state vector.
+
+    Raises ``ValueError`` if ``v`` is complex, as ``_real`` does: the norm of
+    its real part alone would understate it.
+    """
+    return float(np.abs(_real("v", v)).max())
 
 
 def _is_integer(v) -> bool:
@@ -275,15 +279,18 @@ def _positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _readonly(name: str, values, ndmin: int = 0) -> np.ndarray:
-    """A float64 copy of ``values`` (at least ``ndmin``-dimensional) that cannot be written.
-
-    Raises ``ValueError`` naming ``name`` if ``values`` is complex, whose
-    imaginary part the copy would drop.
-    """
+def _real(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array.  Raises ``ValueError`` naming ``name`` if
+    ``values`` is complex, whose imaginary part the conversion would drop."""
     if np.iscomplexobj(values):
         raise ValueError(f"{name} = {np.asarray(values)} is complex")
-    out = np.array(values, dtype=float, ndmin=ndmin)
+    return np.asarray(values, dtype=float)
+
+
+def _readonly(name: str, values, ndmin: int = 0) -> np.ndarray:
+    """A float64 copy of ``values`` (at least ``ndmin``-dimensional) that cannot be
+    written; raises as ``_real`` does."""
+    out = np.array(_real(name, values), ndmin=ndmin)
     out.flags.writeable = False
     return out
 
@@ -353,9 +360,10 @@ def _stages(
 
     From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``.  Over
     rows, ``x`` and ``h`` are ``(n,)`` columns, ``y`` is ``(n, d)`` and ``f``
-    takes rows (``IVProblem.rowwise``).  Every operation on a stage argument is
-    elementwise, each row's ``h`` scaling that row, so a row's stages are
-    bit-identical to its state's alone.  A coefficient of exactly 1 is applied
+    takes rows (``IVProblem.rowwise``, or a one-state ``f`` applied row by
+    row).  Every operation on a stage argument is elementwise, each row's
+    ``h`` scaling that row, so a row's stages are bit-identical to its
+    state's alone.  A coefficient of exactly 1 is applied
     without a multiply, which gives the same bits.
 
     The stage arguments come from ``plan.rows`` (a stage whose row has no

@@ -442,6 +442,19 @@ def test_a_run_without_an_oracle_says_its_global_error_was_not_measured(capsys, 
     assert out.err == ""
 
 
+def test_a_non_finite_exact_solution_exits_2(tmp_path, capsys, monkeypatch):
+    # NaN at x_end only: the run used to exit 0 and write a bare NaN, which is
+    # not JSON, as final_delta_lower
+    decay = builtin("decay")
+    monkeypatch.setattr("rk_error_lab.cli.builtin", lambda name: dataclasses.replace(
+        decay, exact=lambda x: np.array([np.nan]) if x == decay.x_end else decay.exact(x)))
+    path = tmp_path / "summary.json"
+    assert main(["--problem", "decay", "--json", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "rk-error-lab: error: decay: exact solution at x=10.0 is not finite\n")
+    assert not path.exists()
+
+
 def test_a_figure_without_an_oracle_is_an_output_failure(tmp_path, capsys, monkeypatch):
     # the figure series are the oracle's measured errors: a run without them
     # exits 5, as any failure while the outputs are written, without a traceback

@@ -272,8 +272,8 @@ STATE_FIELDS = ("w_lower", "w_higher", "eps_lower", "beta_lower", "delta_lower",
 
 def _one_state_only(f):
     # a right-hand side without the row flag is only ever given one state, also
-    # by the oracle, which evaluates its pair one step at a time; given rows, it
-    # raises AssertionError
+    # by the oracle, which evaluates its pair over rows by giving f one row at a
+    # time; given rows, it raises AssertionError
     def checked(x, y):
         assert isinstance(x, float) and y.ndim == 1, (x, y)
         return f(x, y)
@@ -413,7 +413,7 @@ def test_a_flagged_rhs_whose_rows_raise_ends_the_run_with_that_failure():
     # the oscillator's f asserts that it is given one state; with the row flag
     # set the oracle gives it rows, and the run ends with f's own failure.  The
     # controller gives f one state, so without the oracle the flag changes no
-    # bit, and without the flag the oracle measures the run one step at a time
+    # bit, and without the flag the oracle gives f its rows one at a time
     flagless = _oscillator()
     flagged = dataclasses.replace(flagless, rowwise=True)
     with pytest.raises(AssertionError):
@@ -553,6 +553,12 @@ def test_linear_systems_keep_the_records_and_close_the_recursion(tmp_path, data,
     delta = 10.0 ** log_delta
     trace = integrate(PAIR, p, flagship_config(delta=delta, policy=policy))
     _assert_records_match_the_public_functions(p, trace, delta)
+    # the same f without the row flag is given one state at a time, by the
+    # oracle too, and the run keeps every bit
+    flagless = dataclasses.replace(p, f=_one_state_only(p.f), rowwise=False)
+    one_by_one = integrate(PAIR, flagless, flagship_config(delta=delta, policy=policy))
+    assert one_by_one.summary == trace.summary
+    assert all(_same_records(a, b) for a, b in zip(one_by_one.records, trace.records))
     path = str(tmp_path / "trace.csv")
     write_trace_csv(trace, path)
     parsed = read_trace_csv(path)
@@ -701,9 +707,10 @@ def test_oracle_failure_is_raised_at_its_own_step():
 
 
 def test_a_step_cap_ends_a_run_before_its_oracle_fails():
-    # y is right at x0 but NaN beyond x = 0.2, so the pair evaluated from the
-    # exact state of the first step starting past 0.2 is not finite; a cap
-    # reached before the end stops the run with no state looked up
+    # y is right at x0 but NaN beyond x = 0.2, so the oracle of the finished
+    # run refuses the first exact state past 0.2, before it evaluates the pair
+    # from it (which used to name a non-finite stage 1 instead); a cap reached
+    # before the end stops the run with no state looked up
     decay, lookups = builtin("decay"), []
 
     def exact(x):
@@ -717,8 +724,31 @@ def test_a_step_cap_ends_a_run_before_its_oracle_fails():
     with pytest.raises(MaxStepsExceeded, match="decay: 20 accepted steps before reaching x_end"):
         integrate(PAIR, p, flagship_config(max_steps=20))
     assert lookups == []
-    x, h = records[j].x, records[j + 1].h
-    with pytest.raises(NonFiniteStage, match=re.escape(f"stage 1 is not finite at x={x}, h={h}")):
+    message = f"decay: exact solution at x={records[j].x} is not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate(PAIR, p, flagship_config())
+
+
+@pytest.mark.parametrize("value, where", [(math.nan, "end"), (math.inf, "end"),
+                                          (-math.inf, "end"), (math.nan, "interior"),
+                                          (math.nan, "landing")],
+                         ids=["nan-end", "inf-end", "-inf-end", "nan-interior", "nan-landing"])
+def test_a_non_finite_exact_solution_is_refused_where_the_oracle_takes_it_in(value, where):
+    # an exact solution that is NaN or infinite at one x the oracle looks up is
+    # refused before the pair is evaluated, naming that x.  At x_end a NaN used
+    # to end the run as a success with final_delta_lower nan and an inf with a
+    # crossing at the last step; in the interior the pair from it named a
+    # non-finite stage.  The landing step's y(x + h) is looked up too where
+    # x + h misses x_end
+    base = _sine_across_zero() if where == "landing" else builtin("decay")
+    records = integrate(PAIR, dataclasses.replace(base, exact=None), flagship_config()).records
+    x_bad = {"end": base.x_end, "interior": records[5].x,
+             "landing": records[-2].x + records[-1].h}[where]
+    assert x_bad != base.x_end or where == "end"
+    p = dataclasses.replace(
+        base, exact=lambda x: np.array([value]) if x == x_bad else base.exact(x))
+    message = f"{base.name}: exact solution at x={x_bad} is not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         integrate(PAIR, p, flagship_config())
 
 
@@ -751,8 +781,8 @@ def test_oracle_over_rows_raises_the_earliest_failing_step(first, rowwise):
     # failing on step j + 3 (first == "stage") or on step j is raised before
     # any stage from an exact state, the non-finite ones of steps j and j + 6 or
     # of steps j + 3 and j + 6 included.  With every lookup passing, the
-    # earliest failing step's own stage is raised, over rows or one step at a
-    # time; without the row flag f sees no rows
+    # earliest failing step's own stage is raised, with or without the row
+    # flag; without it f is given its rows one at a time and sees no rows
     records = integrate(PAIR, dataclasses.replace(builtin("decay"), exact=None),
                         flagship_config()).records
     j = 20
@@ -777,36 +807,54 @@ def test_oracle_over_rows_raises_the_earliest_failing_step(first, rowwise):
     assert shapes == ({0, 1} if rowwise else {0})
 
 
-@pytest.mark.parametrize("nans, method, stage, step, row_calls",
-                         [({3: 6, 4: 0}, "rk3", 3, 6, 5), ({4: 0}, "rk4", 3, 0, 5),
-                          ({1: 6, 3: 0}, "rk3", 3, 0, 5)],
-                         ids=["lower-later", "higher-only", "earliest-row"])
+_NAN_CASES = {"lower-later": ({3: 6, 4: 0}, "rk3", 3, 6), "higher-only": ({4: 0}, "rk4", 3, 0),
+              "earliest-row": ({1: 6, 3: 0}, "rk3", 3, 0)}
+
+
+@pytest.mark.parametrize("nans, method, stage, step, rowwise",
+                         [(*case, rowwise) for rowwise in (True, False)
+                          for case in _NAN_CASES.values()],
+                         ids=[*_NAN_CASES, *(f"{name}-flagless" for name in _NAN_CASES)])
 def test_over_rows_the_lower_method_fails_before_the_higher_one(nans, method, stage, step,
-                                                                row_calls):
-    # over rows the oracle evaluates the pair's plan for every step, one call
-    # of f per stage: rk3's three, then rk4's third and fourth, and checks the
-    # stages once, after all five.  nans maps a call to the step (counted from
-    # j) whose row it makes NaN.  A NaN in rk3's third stage on step j + 6 is
-    # raised before one in rk4's third stage on step j, which one step at a
-    # time would come first; alone, rk4's is raised.  Within a method the
-    # earliest step is named, with its own first bad stage: step j's third,
-    # not step j + 6's first
+                                                                rowwise):
+    # the oracle evaluates the pair's plan over the rows of every step, stage by
+    # stage: rk3's three, then rk4's third and fourth, and checks the stages
+    # once, after all five.  nans maps a stage, counted in that order, to the
+    # step (counted from j) whose argument (x, y) of that stage f makes NaN.  A
+    # NaN in rk3's third stage on step j + 6 is raised before one in rk4's
+    # third stage on step j, which one step at a time would come first; alone,
+    # rk4's is raised.  Within a method the earliest step is named, with its
+    # own first bad stage: step j's third, not step j + 6's first.  Without the
+    # row flag f is given the same rows one at a time, and the same is raised
     decay = builtin("decay")
     records = integrate(PAIR, dataclasses.replace(decay, exact=None), flagship_config()).records
-    j, calls = 20, []
+    j, rows = 20, []
+
+    def listed(x, y):
+        if np.ndim(x) == 1:  # the oracle's rows
+            rows.append((x.tolist(), y.copy()))
+        return -y
+    integrate(PAIR, dataclasses.replace(decay, f=listed), flagship_config())
+    assert [len(x) for x, _ in rows] == [len(records)] * 5
+    bad = {(rows[p - 1][0][j + k], rows[p - 1][1][j + k].tobytes()) for p, k in nans.items()}
+    hits, ndims = [], set()
 
     def f(x, y):
+        ndims.add(np.ndim(x))
         out = -y
-        if np.ndim(x) == 1:  # the oracle's rows
-            calls.append(len(x))
-            if len(calls) in nans:
-                out[j + nans[len(calls)]] = math.nan
+        for i, (x_i, y_i) in enumerate(zip(np.atleast_1d(x).tolist(), np.atleast_2d(y))):
+            if (x_i, y_i.tobytes()) in bad:
+                hits.append((x_i, y_i.tobytes()))
+                out.reshape(-1, y.shape[-1])[i] = math.nan
         return out
     x, h = records[j + step - 1].x, records[j + step].h  # a step starts where the last ended
     message = f"{method}: stage {stage} is not finite at x={x}, h={h}"
     with pytest.raises(NonFiniteStage, match=f"^{re.escape(message)}$"):
-        integrate(PAIR, dataclasses.replace(decay, f=f), flagship_config())
-    assert calls == [len(records)] * row_calls
+        integrate(PAIR, dataclasses.replace(decay, f=f, rowwise=rowwise), flagship_config())
+    # each NaN lands once, on the oracle's stage it was meant for, and on no
+    # state of the controller's own
+    assert sorted(hits) == sorted(bad) and len(bad) == len(nans)
+    assert ndims == ({0, 1} if rowwise else {0})
 
 
 def _rough():

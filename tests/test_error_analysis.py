@@ -201,6 +201,25 @@ def test_condition_holds_iff_below_m_ratio():
         assert c.holds == (i < c.m_ratio)
 
 
+# --- complex input ----------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: inf_norm(np.array([3 + 4j])), "v = [3.+4.j] is complex"),
+    (lambda: estimate_beta(np.array([1 + 1j]), [0.0], 0.5, 3), "w_lower = [1.+1.j] is complex"),
+    (lambda: alpha_propagation_term(kutta3(), lambda x, y: -y, 0.0, np.array([1 + 1j]),
+                                    np.array([1.0]), 0.1), "y_exact = [1.+1.j] is complex"),
+    (lambda: condition_check(1, [1j], BetaTracker(), 0.1, 3), "beta_lower = [0.+1.j] is complex"),
+    (lambda: BetaTracker().pushed([2.0, 1 + 1j]), "sample = [2.+0.j 1.+1.j] is complex"),
+], ids=["inf_norm", "estimate_beta", "alpha_propagation_term", "condition_check",
+        "BetaTracker.pushed"])
+def test_complex_input_is_refused_by_name(call, message):
+    # the imaginary parts used to be dropped: inf_norm gave 3.0, estimate_beta
+    # [16.] and alpha_propagation_term [0.], and condition_check and the tracker
+    # measured the real part only
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # --- sigma_bound -----------------------------------------------------------------
 
 def test_sigma_bound_flagship_value():
