@@ -376,12 +376,13 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
 
     It looks up ``y`` at ``x0`` and at every step's ``x_next``, in step order;
     then ``y(x + h)`` of the landing step, the last, where it misses ``x_end``
-    in the last bit (every other step's ``x_next`` is ``x + h``); then refuses
-    the first of those states that is not finite with ``ValueError``.  It then
-    evaluates the pair from every step's exact state ``y(x)`` at once, over
-    rows: through ``f`` itself for a ``rowwise`` problem, and otherwise through
-    ``f`` applied to one row at a time; either way what the rows raise is
-    raised, in the order of the pass (``rk_core._stages``).  Last it forms the
+    in the last bit (every other step's ``x_next`` is ``x + h``).  Each lookup
+    is checked by ``reference_solution``, so the first state that is complex,
+    of another shape or not finite is refused.  It then evaluates the pair
+    from every step's exact state ``y(x)`` at once, over rows: through ``f``
+    itself for a ``rowwise`` problem, and otherwise through ``f`` applied to
+    one row at a time; either way what the rows raise is raised, in the order
+    of the pass (``rk_core._stages``).  Last it forms the
     powers of ``h``, step by step.  The first failure met is raised.
     The fields then follow over whole columns, with the formulas of
     ``local_error_exact``, ``alpha_propagation_term``, ``mean_beta_higher`` and
@@ -398,10 +399,6 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     if x_last != xs.item(-1):
         y_xh = y_next.copy()
         y_xh[-1] = reference_solution(p, x_last)
-    k = _first(~np.isfinite(np.vstack((y, y_xh[-1:]))).all(axis=1))
-    if k is not None:
-        raise ValueError(f"{p.name}: exact solution at x={np.append(xs, x_last).item(k)} "
-                         "is not finite")
     f = p.f if p.rowwise else _row_by_row(p.f)
     exact_lower, exact_higher = _pair_increments(pair, f, xs[:-1], y_x, h)
     hp_higher, hp_cond = np.empty(n), np.empty(n)

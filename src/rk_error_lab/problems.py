@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rk_core import RHSFunction, _readonly, _real, inf_norm
+from .rk_core import _FLOAT, RHSFunction, _readonly, inf_norm
 
 __all__ = [
     "IVProblem",
@@ -32,16 +32,16 @@ class UnknownProblem(KeyError):
 class IVProblem:
     """One initial-value problem ``y' = f(x, y)``, ``y(x0) = y0`` on ``[x0, x_end]``.
 
-    ``exact``, when given, maps an abscissa to the true solution vector and
-    must agree with ``y0`` at ``x0``, in shape and to within ``1e-14``
-    relative to ``y0``.  Right-hand sides must be pure
+    ``exact``, when given, maps an abscissa to the true solution vector, as
+    ``reference_solution`` checks it, and must agree with ``y0`` at ``x0`` to
+    within ``1e-14`` relative to ``y0``.  Right-hand sides must be pure
     functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite, and ``y0``
-    real and a scalar or a nonempty flat vector.  ``f(x0, y0)`` must be real,
-    have one value per component of ``y0`` and store as a state the way the
-    stage loop stores a stage (a shape such as ``(d, 1)`` for ``d > 1`` does
-    not); a value that turns complex later is refused where the stage loop
-    stores it (``rk_core.ComplexStage``).  ``y0`` is copied into a read-only
-    float array of at least one dimension when the problem is built.
+    real and a scalar or a nonempty flat vector.  The build does not call
+    ``f``: each of its values must be real, have one value per component of
+    ``y0`` and store as a state, and the stage loop refuses one that does not
+    where it stores it, from ``(x0, y0)`` on (``rk_core._stages``).  ``y0`` is
+    copied into a read-only float array of at least one dimension when the
+    problem is built.
 
     ``rowwise`` declares that ``f`` also takes many states at once:
     ``f(X, Y)`` with ``X`` of shape ``(n,)`` and ``Y`` of shape ``(n, d)``
@@ -49,9 +49,10 @@ class IVProblem:
     for bit.  The oracle evaluates its exact-state pair from all accepted steps
     at once, as rows, stage by stage.  With the flag it calls ``f`` once per
     stage, on all the rows; without it, once per row, on one state.  Either
-    way what the rows raise ends the run, in the same order.  Wrong rows that
-    raise nothing go undetected (``n == d`` lets a one-state ``f`` return
-    some).  The controller calls ``f`` on one state.
+    way what the rows raise ends the run, in the same order, and rows of
+    another shape are refused where they are stored.  Wrong rows of the right
+    shape go undetected (``n == d`` lets a one-state ``f`` return some).  The
+    controller calls ``f`` on one state.
     """
 
     name: str
@@ -73,22 +74,10 @@ class IVProblem:
                              f"got shape {self.y0.shape}")
         if not np.isfinite(self.y0).all():
             raise ValueError(f"{self.name}: y0={self.y0} must be finite")
-        value = np.asarray(self.f(self.x0, self.y0))
-        if value.size != self.y0.size:
-            raise ValueError(f"{self.name}: f(x0, y0) has {value.size} values, "
-                             f"y0 has {self.y0.size} components")
-        _real(f"{self.name}: f(x0, y0)", value)
-        try:
-            np.empty(self.y0.shape)[...] = value  # as _stages stores a stage
-        except ValueError as exc:
-            raise ValueError(f"{self.name}: f(x0, y0) does not fit the state: {exc}") from None
         if self.exact is not None:
             y_exact = reference_solution(self, self.x0)
-            if y_exact.shape != self.y0.shape:
-                raise ValueError(f"{self.name}: exact solution at x0={self.x0} has shape "
-                                 f"{y_exact.shape}, y0 has shape {self.y0.shape}")
             err = inf_norm(y_exact - self.y0)
-            if not err <= 1e-14 * (1.0 + inf_norm(self.y0)):  # a NaN exact(x0) fails too
+            if err > 1e-14 * (1.0 + inf_norm(self.y0)):
                 raise ValueError(f"{self.name}: exact solution at x0={self.x0} is {y_exact}, "
                                  f"which disagrees with y0 by {err}")
 
@@ -97,12 +86,17 @@ class IVProblem:
 
 
 def reference_solution(p: IVProblem, x: float) -> np.ndarray:
-    """True solution at ``x`` from the problem's registered exact function.
+    """True solution at ``x`` from the problem's registered exact function, as a
+    float array of ``y0``'s shape.
 
-    Raises ``ValueError`` if the problem has no exact solution, ``x`` lies
-    outside its interval or the solution there is complex, and
-    ``OverflowError`` naming the problem if the exact function overflows at
-    ``x`` (``math.exp`` raises rather than returning inf).
+    This is the one check of a value of ``exact``, at ``x0`` and at every
+    abscissa the oracle looks up.  Raises ``ValueError`` if the problem has no
+    exact solution, ``x`` lies outside its interval, or the solution there is
+    complex, of another shape than ``y0`` (after a scalar becomes a vector) or
+    not finite, naming the problem and ``x``; and ``OverflowError`` naming the
+    problem if the exact function overflows at ``x`` (``math.exp`` raises
+    rather than returning inf).  A float64 value of ``y0``'s shape is returned
+    as it is.
     """
     if p.exact is None:
         raise ValueError(f"{p.name}: no exact solution to take a reference from")
@@ -110,12 +104,19 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     if not (p.x0 - 1e-12 * span <= x <= p.x_end + 1e-12 * span):
         raise ValueError(f"x={x} outside [{p.x0}, {p.x_end}]")
     try:
-        y = np.asarray(p.exact(x))
+        y = p.exact(x)
     except OverflowError:
         raise OverflowError(f"{p.name}: exact solution overflows at x={x}") from None
-    if y.dtype.kind == "c":
-        raise ValueError(f"{p.name}: exact solution at x={x} is complex")
-    return np.atleast_1d(y.astype(float, copy=False))
+    if getattr(y, "dtype", None) is not _FLOAT or y.shape != p.y0.shape:
+        if np.iscomplexobj(y):
+            raise ValueError(f"{p.name}: exact solution at x={x} is complex")
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if y.shape != p.y0.shape:
+            raise ValueError(f"{p.name}: exact solution at x={x} has shape {y.shape}, "
+                             f"y0 has shape {p.y0.shape}")
+    if not all(map(math.isfinite, y.tolist())):
+        raise ValueError(f"{p.name}: exact solution at x={x} is not finite")
+    return y
 
 
 _PROBLEMS: dict[str, IVProblem] = {p.name: p for p in (

@@ -307,7 +307,9 @@ def increment_function(
     ------
     ValueError
         If ``y`` is complex or not a flat vector, ``x`` not finite or ``h`` not
-        positive and finite.
+        positive and finite, or a value of ``f`` does not store as ``y``.
+    ComplexStage
+        If a value of ``f`` is complex.
     NonFiniteStage
         If any stage derivative contains NaN or infinity.
     """
@@ -372,12 +374,16 @@ def _stages(
     too.  The error names ``x`` and ``h`` and the first non-finite stage of the
     first method in slot order that has one; over rows, that method's earliest
     row with a non-finite stage, that row's ``x`` and ``h`` and its first
-    non-finite stage, so it reads as that row's state alone would.  A complex
-    stage is refused before it is stored, with ``ComplexStage`` naming the
-    earliest row with an imaginary part; a float64 array skips that check
+    non-finite stage, so it reads as that row's state alone would.  Each value
+    of ``f`` is checked before it is stored: a complex one raises
+    ``ComplexStage`` naming the earliest row with an imaginary part, and one
+    with another number of values than ``y`` or a shape that does not store
+    as ``y`` (a ``(d, 1)`` column; a ``(1, d)`` row stores) raises
+    ``ValueError`` naming its shape and ``y``'s, over rows without any row's
+    ``x`` and ``h``.  A float64 value of ``y``'s size skips those checks
     without a numpy call.  It checks no input; ``_one_state`` does.
     """
-    slot = buf.slot
+    slot, size = buf.slot, y.size
     h_y = h if y.ndim == 1 else h[:, None]
     for p, (c_p, row) in enumerate(plan.rows):
         s = None
@@ -385,11 +391,18 @@ def _stages(
             term = slot[q] if a == 1.0 else a * slot[q]
             s = term if s is None else s + term
         v = f(x + c_p * h, y if s is None else y + h_y * s)
-        if getattr(v, "dtype", None) is not _FLOAT and np.iscomplexobj(v):
-            imag = np.atleast_1d(np.imag(v)) != 0
-            i = 0 if y.ndim == 1 else int(np.argmax(np.any(imag, axis=-1)))
-            raise ComplexStage(_stage_message(plan, p, "complex", x, h, i))
-        slot[p][...] = v
+        try:  # a value of another size would broadcast, so it is refused as a failed store
+            if getattr(v, "dtype", None) is not _FLOAT or v.size != size:
+                if np.iscomplexobj(v):
+                    imag = np.atleast_1d(np.imag(v)) != 0
+                    i = 0 if y.ndim == 1 else int(np.argmax(np.any(imag, axis=-1)))
+                    raise ComplexStage(_stage_message(plan, p, "complex", x, h, i))
+                if np.size(v) != size:
+                    raise ValueError
+            slot[p][...] = v
+        except ValueError:
+            what = f"of shape {np.shape(v)}, not {y.shape},"
+            raise ValueError(_stage_message(plan, p, what, x, h, None)) from None
     k = buf.k
     if not np.isfinite(k).all():
         finite = np.isfinite(k).reshape(-1, *k.shape[-2:]).all(axis=2)  # (rows, slots)
@@ -401,12 +414,13 @@ def _stages(
     return k
 
 
-def _stage_message(plan: _StagePlan, slot: int, what: str, x, h, i: int) -> str:
+def _stage_message(plan: _StagePlan, slot: int, what: str, x, h, i: int | None) -> str:
     """``"<method>: stage <p> is <what> at x=..., h=..."`` for ``slot`` of ``plan``,
-    with row ``i``'s ``x`` and ``h`` over rows."""
+    over rows with row ``i``'s ``x`` and ``h``, or ``"... over rows"`` if ``i`` is None."""
     name, start, _, first = next(m for m in plan.methods if m[1] <= slot < m[2])
-    x, h = (x, h) if np.ndim(h) == 0 else (x.item(i), h.item(i))
-    return f"{name}: stage {first + slot - start} is {what} at x={x}, h={h}"
+    at = (f"at x={x}, h={h}" if np.ndim(h) == 0 else "over rows" if i is None
+          else f"at x={x.item(i)}, h={h.item(i)}")
+    return f"{name}: stage {first + slot - start} is {what} {at}"
 
 
 def _pair_increments(

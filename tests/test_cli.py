@@ -141,6 +141,21 @@ def test_a_rhs_turning_complex_mid_run_exits_4(monkeypatch, capsys):
         "", "rk-error-lab: integration failed: rk3: stage 2 is complex at x=0.0, h=0.01\n")
 
 
+@pytest.mark.parametrize("f, code, message", [
+    (lambda x, y: np.array([y[1], -y[0]]) if x == 0.0 else y[1], 2,
+     "error: rk3: stage 2 is of shape (), not (2,), at x=0.0, h=0.01"),
+    (lambda x, y: 1j * y, 4, "integration failed: rk3: stage 1 is complex at x=0.0, h=0.01"),
+], ids=["one-value", "complex-at-x0"])
+def test_a_rhs_refused_where_its_stage_is_stored_exits_by_family(f, code, message, monkeypatch,
+                                                                  capsys):
+    # a value of another size is a ValueError (exit 2) and a complex one
+    # ComplexStage (exit 4), also at (x0, y0), which the build does not check
+    monkeypatch.setattr("rk_error_lab.cli.builtin",
+                        lambda name: IVProblem("c", f, 0.0, [1.0, 0.0], 1.0))
+    assert main(["--quiet"]) == code
+    assert capsys.readouterr() == ("", f"rk-error-lab: {message}\n")
+
+
 def test_long_span_on_a_smooth_problem_completes():
     # the probe lands on h_min = 1e-7, where the estimate is 0; the growth cap
     # keeps the next step from jumping to h_max = 1e4

@@ -427,6 +427,17 @@ def test_a_flagged_rhs_whose_rows_raise_ends_the_run_with_that_failure():
     assert all(rec.delta_lower is not None for rec in measured.records)
 
 
+def test_a_flagged_rhs_whose_rows_have_another_shape_is_refused_by_name():
+    # the oscillator's f without its check takes one state only: given the
+    # oracle's (n, 2) rows it returns rows 1 and 0, a (2, 2) block, which the
+    # stage loop refuses by its shape (numpy's broadcast error used to escape)
+    p = dataclasses.replace(_oscillator(), f=lambda x, y: np.array([y[1], -y[0]]), rowwise=True)
+    n = len(integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records)
+    message = f"rk3: stage 1 is of shape (2, 2), not ({n}, 2), over rows"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate(PAIR, p, flagship_config())
+
+
 @pytest.mark.parametrize("problem", [builtin("decay"), _oscillator()], ids=["decay", "oscillator"])
 def test_records_held_elsewhere_write_the_same_files(tmp_path, problem):
     # the writers gather a tuple of records, or the list read back from the CSV,
@@ -731,23 +742,31 @@ def test_a_step_cap_ends_a_run_before_its_oracle_fails():
 
 @pytest.mark.parametrize("value, where", [(math.nan, "end"), (math.inf, "end"),
                                           (-math.inf, "end"), (math.nan, "interior"),
-                                          (math.nan, "landing")],
-                         ids=["nan-end", "inf-end", "-inf-end", "nan-interior", "nan-landing"])
+                                          (math.nan, "landing"), (None, "one-value")],
+                         ids=["nan-end", "inf-end", "-inf-end", "nan-interior", "nan-landing",
+                              "one-value"])
 def test_a_non_finite_exact_solution_is_refused_where_the_oracle_takes_it_in(value, where):
     # an exact solution that is NaN or infinite at one x the oracle looks up is
     # refused before the pair is evaluated, naming that x.  At x_end a NaN used
     # to end the run as a success with final_delta_lower nan and an inf with a
     # crossing at the last step; in the interior the pair from it named a
     # non-finite stage.  The landing step's y(x + h) is looked up too where
-    # x + h misses x_end
-    base = _sine_across_zero() if where == "landing" else builtin("decay")
+    # x + h misses x_end.  An exact solution of one value, [cos x], for the
+    # two-component oscillator past x0 is refused by its shape; it used to fill
+    # both components and the run to end as a success, crossing at step 1
+    base = {"landing": _sine_across_zero(), "one-value": _oscillator()}.get(where, builtin("decay"))
     records = integrate(PAIR, dataclasses.replace(base, exact=None), flagship_config()).records
     x_bad = {"end": base.x_end, "interior": records[5].x,
-             "landing": records[-2].x + records[-1].h}[where]
+             "landing": records[-2].x + records[-1].h, "one-value": records[0].x}[where]
     assert x_bad != base.x_end or where == "end"
-    p = dataclasses.replace(
-        base, exact=lambda x: np.array([value]) if x == x_bad else base.exact(x))
-    message = f"{base.name}: exact solution at x={x_bad} is not finite"
+    if value is None:
+        p = dataclasses.replace(base, exact=lambda x: base.exact(x)[:1] if x > base.x0
+                                else base.exact(x))
+        message = f"{base.name}: exact solution at x={x_bad} has shape (1,), y0 has shape (2,)"
+    else:
+        p = dataclasses.replace(
+            base, exact=lambda x: np.array([value]) if x == x_bad else base.exact(x))
+        message = f"{base.name}: exact solution at x={x_bad} is not finite"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         integrate(PAIR, p, flagship_config())
 
@@ -908,7 +927,7 @@ def test_a_failed_run_raises_its_own_failure_and_measures_nothing(case, monkeypa
 
     p = dataclasses.replace(base, f=f, exact=exact)
     assert p.rowwise
-    calls.update(f=0, exact=0)  # the build called each once
+    calls.update(f=0, exact=0)  # the build looked up exact(x0)
     if case == "rejects":
         monkeypatch.setattr(controller, "MAX_REJECTS", 3)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -922,7 +941,7 @@ def test_a_rhs_turning_complex_mid_run_is_refused(h_init, h):
     # warnings are filtered, names the first complex stage, rk3's second (at
     # x + h / 2), and leaves the filters as they were; the imaginary parts used
     # to be dropped and the run to end normally after 51 steps.  f is real at
-    # (x0, y0), which the build checks, and complex at every other x
+    # (x0, y0), where the first stage is, and complex at every other x
     p = IVProblem("c", lambda x, y: -y if x == 0.0 else -y + 1j * y, 0.0, [1.0], 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -934,7 +953,7 @@ def test_a_rhs_turning_complex_mid_run_is_refused(h_init, h):
 
 
 def _complex_off_x0(x, y):
-    """Real at ``x == 0``, where a build checks ``f``, and complex everywhere else."""
+    """Real at ``x == 0``, where the first stage is, and complex everywhere else."""
     return -y if x == 0.0 else -y + 1j * y
 
 
@@ -962,6 +981,27 @@ def test_every_entry_point_refuses_a_complex_stage(call):
         assert warnings.filters == filters
 
 
+def _one_value_off_x0(x, y):
+    """One value per component of a two-component state at ``x == 0``, and a single
+    value everywhere else."""
+    return np.array([y[1], -y[0]]) if x == 0.0 else y[1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: increment_function(kutta3(), _one_value_off_x0, 0.0, np.array([1.0, 0.0]), 0.1),
+    lambda: rk_step(kutta3(), _one_value_off_x0, 0.0, np.array([1.0, 0.0]), 0.1),
+    lambda: attempt_step(PAIR, _one_value_off_x0, 0.0, np.array([1.0, 0.0]), 0.1),
+    lambda: integrate(PAIR, IVProblem("one", _one_value_off_x0, 0.0, [1.0, 0.0], 1.0),
+                      ControllerConfig(h_init=0.1)),
+], ids=["increment_function", "rk_step", "attempt_step", "integrate"])
+def test_every_entry_point_refuses_a_stage_of_another_size(call):
+    # one value used to fill both components: rk_step gave [1.1, 2.1] for an f
+    # of 1.0 from [1.0, 2.0], and integrate accepted 21 steps
+    message = "rk3: stage 2 is of shape (), not (2,), at x=0.0, h=0.1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_a_python_complex_stage_is_refused():
     # a complex scalar, not an array: storing it used to raise an unnamed TypeError
     f = lambda x, y: -y if x == 0.0 else complex(-y[0], 0.5)
@@ -971,28 +1011,44 @@ def test_a_python_complex_stage_is_refused():
         integrate(PAIR, p, ControllerConfig())
 
 
+@pytest.mark.parametrize("problem", [
+    builtin("decay"),
+    IVProblem("scalar", lambda x, y: -y[0], 0.0, [1.0], 1.0,
+              exact=lambda x: np.array([math.exp(-x)])),
+], ids=["decay", "numpy-scalar"])
+def test_a_float_stage_of_the_state_size_is_stored_without_a_numpy_call(problem, monkeypatch):
+    # the stage loop tests each value with one attribute read and one comparison;
+    # a float64 value of the state's size (a numpy float64 scalar for one
+    # component) is stored without the complex or the size check, in the
+    # attempts, the probe and the oracle's rows
+    expected = integrate(PAIR, problem, flagship_config())
+
+    def called(*args, **kwargs):
+        raise AssertionError("a stage of the state's size went through a numpy check")
+    monkeypatch.setattr(rk_core.np, "iscomplexobj", called)
+    monkeypatch.setattr(rk_core.np, "size", called)
+    trace = integrate(PAIR, problem, flagship_config())
+    assert trace.summary == expected.summary and trace.summary.final_delta_lower is not None
+
+
 def test_runs_overlapping_in_threads_leave_the_warning_filters_as_they_were():
     # run a stops in its first call of f until run b has started, and b until a
     # has returned; a run that set a process-global filter and put back the list
     # it found on entry left b's filter installed for the whole process
     a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
-    armed = []  # the builds call f once each, before the runs
 
     def f_a(x, y):
-        if armed:
-            a_in.set()
-            assert b_in.wait(10)
+        a_in.set()
+        assert b_in.wait(10)
         return -y
 
     def f_b(x, y):
-        if armed:
-            b_in.set()
-            assert a_done.wait(10)
+        b_in.set()
+        assert a_done.wait(10)
         return -y
 
     problems = {"a": IVProblem("a", f_a, 0.0, [1.0], 1.0),
                 "b": IVProblem("b", f_b, 0.0, [1.0], 1.0)}
-    armed.append(True)
     final_x = {}
 
     def run(name, after=None):

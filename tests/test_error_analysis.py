@@ -24,6 +24,7 @@ from rk_error_lab import (
     kutta3,
     local_error_exact,
     mean_beta_higher,
+    reference_solution,
     rk_step,
     sigma_bound,
 )
@@ -218,6 +219,33 @@ def test_complex_input_is_refused_by_name(call, message):
     # measured the real part only
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# --- exact values past x0 ------------------------------------------------------------
+
+_NAN_PAST_X0 = IVProblem(name="nan_past", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
+                         exact=lambda x: np.array([1.0 if x == 0.0 else math.nan]))
+# the two-component oscillator whose exact solution is one value, [cos x], past x0
+_ONE_VALUE_PAST_X0 = IVProblem(
+    name="one_value", f=lambda x, y: np.array([y[1], -y[0]]), x0=0.0, y0=[1.0, 0.0], x_end=1.0,
+    exact=lambda x: np.array([1.0, 0.0] if x == 0.0 else [math.cos(x)]))
+
+
+@pytest.mark.parametrize("p, what", [(_NAN_PAST_X0, "is not finite"),
+                                     (_ONE_VALUE_PAST_X0, "has shape (1,), y0 has shape (2,)")],
+                         ids=["nan", "one-value"])
+@pytest.mark.parametrize("call", [
+    lambda p: reference_solution(p, 0.1),
+    lambda p: local_error_exact(kutta3(), p, 0.0, 0.1),
+    lambda p: empirical_order(kutta3(), p, "local", [0.1, 0.2, 0.3, 0.4]),
+], ids=["reference_solution", "local_error_exact", "empirical_order"])
+def test_an_exact_value_past_x0_is_checked_by_every_reader(call, p, what):
+    # every lookup is checked, not the one at x0 alone: a NaN used to give [nan],
+    # [nan] and a slope of nan, and one value for two components was broadcast
+    # (local_error_exact gave [-4.2e-06, -1.09])
+    message = f"{p.name}: exact solution at x=0.1 {what}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(p)
 
 
 # --- sigma_bound -----------------------------------------------------------------

@@ -6,12 +6,18 @@ import pytest
 
 from rk_error_lab import (
     GROWTH_RATE,
+    ComplexStage,
+    ControllerConfig,
     IVProblem,
     UnknownProblem,
     builtin,
+    builtin_pair,
+    integrate,
     problem_names,
     reference_solution,
 )
+
+PAIR = builtin_pair("rk3_rk4")
 
 
 def test_registry_contents():
@@ -52,7 +58,7 @@ def test_inconsistent_exact_rejected():
 
 def test_exact_of_another_shape_is_refused():
     # the check at x0 used to broadcast a 2-component exact over a 1-component y0
-    with pytest.raises(ValueError, match=r"wide: exact solution at x0=0.0 has shape \(2,\), "
+    with pytest.raises(ValueError, match=r"wide: exact solution at x=0.0 has shape \(2,\), "
                                          r"y0 has shape \(1,\)"):
         IVProblem(name="wide", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
                   exact=lambda x: np.array([math.exp(-x)] * 2))
@@ -61,7 +67,7 @@ def test_exact_of_another_shape_is_refused():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_exact_not_finite_at_x0_is_refused(value):
     # a NaN exact(x0) used to pass the check and fail later in the method's stages
-    with pytest.raises(ValueError, match="nan_exact: exact solution at x0=0.0 is"):
+    with pytest.raises(ValueError, match="nan_exact: exact solution at x=0.0 is"):
         IVProblem(name="nan_exact", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
                   exact=lambda x: np.array([value]))
 
@@ -108,28 +114,36 @@ def test_state_must_be_a_nonempty_flat_vector(y0, shape):
                          ids=["one", "three"])
 def test_rhs_whose_value_cannot_fill_the_state_is_refused(f, n):
     # one value used to be broadcast into both components and the run to end
-    # normally; three failed inside numpy
-    with pytest.raises(ValueError, match=re.escape(f"pair: f(x0, y0) has {n} values, "
-                                                   "y0 has 2 components")):
-        IVProblem(name="pair", f=f, x0=0.0, y0=[1.0, 2.0], x_end=1.0)
+    # normally; three failed inside numpy.  The stage loop refuses either at the
+    # probe's first stage
+    p = IVProblem(name="pair", f=f, x0=0.0, y0=[1.0, 2.0], x_end=1.0)
+    shape = "()" if n == 1 else f"({n},)"
+    with pytest.raises(ValueError, match=re.escape(f"rk3: stage 1 is of shape {shape}, not (2,), "
+                                                   "at x=0.0, h=0.01")):
+        integrate(PAIR, p, ControllerConfig())
     # a scalar value fills a one-component state
-    assert IVProblem(name="scalar", f=lambda x, y: -y[0], x0=0.0, y0=[1.0], x_end=1.0).y0.size == 1
+    scalar = IVProblem(name="scalar", f=lambda x, y: -y[0], x0=0.0, y0=[1.0], x_end=1.0)
+    assert integrate(PAIR, scalar, ControllerConfig()).summary.final_x == 1.0
 
 
 def test_rhs_whose_value_cannot_be_stored_as_the_state_is_refused():
     # a (2, 1) value has two values, but the run used to fail on its first stage
-    # (the rest of the message is numpy's)
-    with pytest.raises(ValueError, match=re.escape("column: f(x0, y0) does not fit the state: ")):
-        IVProblem(name="column", f=lambda x, y: y[:, None], x0=0.0, y0=[1.0, 2.0], x_end=1.0)
+    # with numpy's message
+    p = IVProblem(name="column", f=lambda x, y: y[:, None], x0=0.0, y0=[1.0, 2.0], x_end=1.0)
+    with pytest.raises(ValueError, match=re.escape("rk3: stage 1 is of shape (2, 1), not (2,), "
+                                                   "at x=0.0, h=0.01")):
+        integrate(PAIR, p, ControllerConfig())
     # a stage is stored as numpy assigns, which drops a leading axis of length 1
-    IVProblem(name="row", f=lambda x, y: -y[None], x0=0.0, y0=[1.0, 2.0], x_end=1.0)
+    row = IVProblem(name="row", f=lambda x, y: -y[None], x0=0.0, y0=[1.0, 2.0], x_end=1.0)
+    assert integrate(PAIR, row, ControllerConfig()).summary.final_x == 1.0
 
 
 def test_complex_values_are_refused():
     # the imaginary parts used to be dropped with a ComplexWarning, and the run
     # to end normally
-    with pytest.raises(ValueError, match=re.escape("c: f(x0, y0) = [0.+1.j] is complex")):
-        IVProblem(name="c", f=lambda x, y: 1j * y, x0=0.0, y0=[1.0], x_end=1.0)
+    p = IVProblem(name="c", f=lambda x, y: 1j * y, x0=0.0, y0=[1.0], x_end=1.0)
+    with pytest.raises(ComplexStage, match=re.escape("rk3: stage 1 is complex at x=0.0, h=0.01")):
+        integrate(PAIR, p, ControllerConfig())
     with pytest.raises(ValueError, match=re.escape("c: y0 = [1.+1.j] is complex")):
         IVProblem(name="c", f=lambda x, y: -y, x0=0.0, y0=np.array([1 + 1j]), x_end=1.0)
     with pytest.raises(ValueError, match=re.escape("c: exact solution at x=0.0 is complex")):
