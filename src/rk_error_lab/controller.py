@@ -36,7 +36,7 @@ from .error_analysis import (
 )
 from .problems import IVProblem
 from .rk_core import (MethodPair, RHSFunction, _is_integer, _one_state, _pair_buffer,
-                      _pair_increments, _positive_finite, _StageBuffer)
+                      _pair_increments, _positive_finite)
 
 __all__ = [
     "ControllerConfig",
@@ -162,34 +162,35 @@ def attempt_step(
     return _attempt(pair, f, x, y, h, _pair_buffer(pair, y.shape))[1:4]
 
 
-def _attempt(
-    pair: MethodPair, f: RHSFunction, x: float, y: np.ndarray, h: float, buf: _StageBuffer
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """``attempt_step`` from the float array ``y``, evaluated into ``buf``, returning
-    first the lower increment, which the run's columns keep for the oracle's
-    propagated-error term, and last the max norm of ``beta`` and the estimate
-    ``|beta| * h**(z+1)``: ``(inc_lower, w_lower, w_higher, beta, beta_norm, est)``.
+def _attempt(pair: MethodPair, f: RHSFunction, x: float, y, h: float, buf):
+    """``attempt_step`` from the float array ``y``, evaluated into ``buf`` (a
+    ``_pair_buffer``), returning first the lower increment, which the run's
+    columns keep for the oracle's propagated-error term, and last the max norm
+    of ``beta`` and the estimate ``|beta| * h**(z+1)``: ``(inc_lower, w_lower,
+    w_higher, beta, beta_norm, est)``.  In the float lane ``y`` and every
+    value returned are Python floats.
 
     ``h**(z+1)`` is formed once, by ``_step_power``, so ``beta`` and ``est``
-    are those of ``estimate_beta`` and its raises are the same.
+    are those of ``estimate_beta`` and its raises are the same.  Float and
+    float64 arithmetic round alike, so both lanes give the same bits.
     """
     inc_lower, inc_higher = _pair_increments(pair, f, x, y, h, buf)
     w_lower = y + h * inc_lower
     w_higher = y + h * inc_higher
     hp = _step_power(h, pair.lower.z + 1)
     beta = (w_lower - w_higher) / hp
-    beta_norm = float(np.abs(beta).max())
+    beta_norm = abs(beta) if type(beta) is float else float(np.abs(beta).max())
     return inc_lower, w_lower, w_higher, beta, beta_norm, beta_norm * hp
 
 
 def _initial_stepsizes(
-    pair: MethodPair, p: IVProblem, cfg: ControllerConfig, buf: _StageBuffer
+    pair: MethodPair, p: IVProblem, y0, cfg: ControllerConfig, buf
 ) -> tuple[float, float, float]:
     """The run's ``(h_init, h_min, h_max)``, with the limits ``[1e-12, 1/10]`` times the span.
 
     Without a given ``h_init`` one is proposed from a probe step of
-    ``span / 100``, evaluated into the run's ``buf``, and clamped into the
-    limits.  Raises ``StepsizeOutOfRange`` naming ``x_end`` if ``h_min``
+    ``span / 100`` from ``y0`` (``p.y0`` as the run holds it), evaluated into
+    the run's ``buf``, and clamped into the limits.  Raises ``StepsizeOutOfRange`` naming ``x_end`` if ``h_min``
     underflows to 0 or ``h_max**(z+1)`` overflows for the higher method's
     order ``z`` (every step, the probe included, is at most ``h_max``), and for
     a given ``h_init`` outside them.
@@ -206,7 +207,7 @@ def _initial_stepsizes(
                                  f"[{h_min}, {h_max}]: h_min must exceed 0, h_max**{n} be finite")
     h_init = cfg.h_init
     if h_init is None:
-        beta_norm = _attempt(pair, p.f, p.x0, p.y0, span / 100.0, buf)[4]
+        beta_norm = _attempt(pair, p.f, p.x0, y0, span / 100.0, buf)[4]
         h_init = propose_stepsize(beta_norm, cfg, pair.lower.z, h_min, h_max)
     elif not h_min <= h_init <= h_max:
         raise StepsizeOutOfRange(f"h_init={h_init} outside [h_min={h_min}, h_max={h_max}]")
@@ -230,12 +231,15 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     The oracle measures a finished run in one pass after the loop.  A failure
     of the loop ends the run at once: its own exception propagates, and no
     exact state is looked up.  Every attempt, the probe's included, is
-    evaluated into one stage buffer allocated for the run.  A stage that ``f``
-    makes complex (of an attempt, the probe or the oracle's rows) raises
-    ``ComplexStage``, as in every evaluation of the stage loop.
+    evaluated into one stage buffer allocated for the run, of the float lane
+    for a problem flagged ``scalar`` (``IVProblem``): the loop then holds the
+    state and the estimate as Python floats, with the same bits.  A stage
+    that ``f`` makes complex (of an attempt, the probe or the oracle's rows)
+    raises ``ComplexStage``, as in every evaluation of the stage loop.
     """
-    buf = _pair_buffer(pair, p.y0.shape)
-    h_work, h_min, h_max = _initial_stepsizes(pair, p, cfg, buf)
+    buf = _pair_buffer(pair, p.y0.shape, p.scalar)
+    w = p.y0.item() if p.scalar else p.y0
+    h_work, h_min, h_max = _initial_stepsizes(pair, p, w, cfg, buf)
     # reject-only never grows a step, so it needs at least span / h_init steps;
     # the factor 2 covers the rounding of x + h (a float-int comparison cannot overflow)
     if cfg.policy == "reject-only" and (p.x_end - p.x0) / (2 * h_work) > cfg.max_steps:
@@ -246,7 +250,6 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     bound = sigma_bound(cfg.sigma, z, r, delta)
 
     x = p.x0
-    w = p.y0
     state = p.y0.shape
     cols = _Columns(("x", float), ("h", float), ("cond_lhs", float), ("w_lower", float, *state),
                     ("w_higher", float, *state), ("beta_lower", float, *state),

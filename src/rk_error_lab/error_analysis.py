@@ -38,6 +38,8 @@ from .rk_core import (
     MethodPair,
     RHSFunction,
     _pair_increments,
+    _Refusal,
+    _StageBuffer,
     _positive_finite,
     _real,
     increment_function,
@@ -365,8 +367,19 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _row_by_row(f: RHSFunction) -> RHSFunction:
-    """``f``, which takes one state, applied to each row of ``(x, y)`` in turn."""
-    return lambda x, y: np.array([f(x_k, y_k) for x_k, y_k in zip(x.tolist(), y)]).reshape(y.shape)
+    """``f``, which takes one state, applied to each row of ``(x, y)`` in turn.  Each
+    row's value is stored as the stage loop stores one state's, into a stage
+    buffer of one slot per row, and a refused value names its row."""
+    def rows(x, y):
+        out = _StageBuffer(len(y), y.shape[1:])
+        for k, x_k in enumerate(x.tolist()):
+            try:
+                out.store(k, f(x_k, y[k]))
+            except _Refusal as r:
+                r.row = k
+                raise
+        return out.k
+    return rows
 
 
 def _oracle_fields(pair: MethodPair, p: IVProblem,

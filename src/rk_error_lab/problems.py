@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rk_core import _FLOAT, RHSFunction, _readonly, inf_norm
+from .rk_core import _FLOAT, RHSFunction, _not_real, _readonly, _real_numbers, inf_norm
 
 __all__ = [
     "IVProblem",
@@ -37,9 +37,10 @@ class IVProblem:
     within ``1e-14`` relative to ``y0``.  Right-hand sides must be pure
     functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite, and ``y0``
     real and a scalar or a nonempty flat vector.  The build does not call
-    ``f``: each of its values must be real, have one value per component of
-    ``y0`` and store as a state, and the stage loop refuses one that does not
-    where it stores it, from ``(x0, y0)`` on (``rk_core._stages``).  ``y0`` is
+    ``f``: each of its values must be real numbers in the float range, have one
+    value per component of ``y0`` and store as a state, and the stage loop
+    refuses one that does not where it stores it, from ``(x0, y0)`` on
+    (``rk_core._stages``).  ``y0`` is
     copied into a read-only float array of at least one dimension when the
     problem is built.
 
@@ -50,9 +51,18 @@ class IVProblem:
     at once, as rows, stage by stage.  With the flag it calls ``f`` once per
     stage, on all the rows; without it, once per row, on one state.  Either
     way what the rows raise ends the run, in the same order, and rows of
-    another shape are refused where they are stored.  Wrong rows of the right
+    another shape are refused where they are stored (without the flag, each
+    row's value where it is stored, naming that row).  Wrong rows of the right
     shape go undetected (``n == d`` lets a one-state ``f`` return some).  The
     controller calls ``f`` on one state.
+
+    ``scalar`` declares that ``f`` also takes a Python float for a
+    one-component state and returns one; it is refused for a ``y0`` of more
+    than one component.  ``integrate`` then holds the state, the stages and
+    the estimate of its probe and every attempt as Python floats (the float
+    lane of ``rk_core._stages``), with the bits of the ``(1,)`` vectors it
+    holds without the flag.  The oracle still gives ``f`` rows, and the
+    one-step functions ``(1,)`` vectors.
     """
 
     name: str
@@ -62,6 +72,7 @@ class IVProblem:
     x_end: float
     exact: Optional[Callable[[float], np.ndarray]] = None
     rowwise: bool = False
+    scalar: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "y0", _readonly(f"{self.name}: y0", self.y0, ndmin=1))
@@ -74,6 +85,9 @@ class IVProblem:
                              f"got shape {self.y0.shape}")
         if not np.isfinite(self.y0).all():
             raise ValueError(f"{self.name}: y0={self.y0} must be finite")
+        if self.scalar and self.y0.size != 1:
+            raise ValueError(f"{self.name}: scalar is set, but y0 has shape {self.y0.shape}, "
+                             "not one component")
         if self.exact is not None:
             y_exact = reference_solution(self, self.x0)
             err = inf_norm(y_exact - self.y0)
@@ -95,8 +109,10 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     complex, of another shape than ``y0`` (after a scalar becomes a vector) or
     not finite, naming the problem and ``x``; and ``OverflowError`` naming the
     problem if the exact function overflows at ``x`` (``math.exp`` raises
-    rather than returning inf).  A float64 value of ``y0``'s shape is returned
-    as it is.
+    rather than returning inf).  A value that is not real numbers in the float
+    range (a ``dict``, a ``str``, ``None``, an integer no float holds) raises
+    ``ValueError`` naming its type.  A float64 value of ``y0``'s shape is
+    returned as it is.
     """
     if p.exact is None:
         raise ValueError(f"{p.name}: no exact solution to take a reference from")
@@ -110,7 +126,10 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     if getattr(y, "dtype", None) is not _FLOAT or y.shape != p.y0.shape:
         if np.iscomplexobj(y):
             raise ValueError(f"{p.name}: exact solution at x={x} is complex")
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        a = _real_numbers(y)
+        if a is None:
+            raise ValueError(f"{p.name}: exact solution at x={x} is {_not_real(y)}")
+        y = np.atleast_1d(a)
         if y.shape != p.y0.shape:
             raise ValueError(f"{p.name}: exact solution at x={x} has shape {y.shape}, "
                              f"y0 has shape {p.y0.shape}")
@@ -121,11 +140,12 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
 
 _PROBLEMS: dict[str, IVProblem] = {p.name: p for p in (
     IVProblem(name="paper_exponential", f=lambda x, y: GROWTH_RATE * y, x0=0.0, y0=[1.0],
-              x_end=100.0, exact=lambda x: np.array([math.exp(GROWTH_RATE * x)]), rowwise=True),
+              x_end=100.0, exact=lambda x: np.array([math.exp(GROWTH_RATE * x)]),
+              rowwise=True, scalar=True),
     IVProblem(name="decay", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=10.0,
-              exact=lambda x: np.array([math.exp(-x)]), rowwise=True),
+              exact=lambda x: np.array([math.exp(-x)]), rowwise=True, scalar=True),
     IVProblem(name="riccati_simple", f=lambda x, y: -y * y, x0=0.0, y0=[1.0], x_end=5.0,
-              exact=lambda x: np.array([1.0 / (1.0 + x)]), rowwise=True),
+              exact=lambda x: np.array([1.0 / (1.0 + x)]), rowwise=True, scalar=True),
 )}
 
 

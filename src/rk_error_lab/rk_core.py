@@ -20,6 +20,16 @@ methods as one stage plan (``MethodPair.plan``) into one buffer of stage
 slots, its shared stages once.  It can also be evaluated from many states at
 once, as rows, with the bits of each state's own evaluation
 (``_pair_increments``).
+
+There is one stage loop (``_stages``) and two lanes, which differ only in
+how a stage is stored.  The array lane stores each stage into a slot of a
+float64 buffer (``_StageBuffer``).  The float lane (``_FloatBuffer``), which
+``integrate`` runs for a problem flagged ``scalar``, holds a one-component
+state and its stages as Python floats, sparing numpy's per-call overhead;
+its weighted sums are ``b.dot`` on one float64 vector per method, the same
+BLAS call on the same kind of vector as the array lane's, so both lanes
+give the same bits on any BLAS kernel.  A value of ``f`` takes one fast
+test in either lane and otherwise the same checks, with the same failures.
 """
 
 from __future__ import annotations
@@ -314,7 +324,9 @@ def increment_function(
         If any stage derivative contains NaN or infinity.
     """
     y = _one_state(x, y, h)
-    return t.b @ _stages(t.plan, f, x, y, h, _StageBuffer(t.m, y.shape))
+    buf = _StageBuffer(t.m, y.shape)
+    _stages(t.plan, f, x, y, h, buf)
+    return t.b @ buf.k
 
 
 def _one_state(x: float, y, h: float) -> np.ndarray:
@@ -332,11 +344,60 @@ def _one_state(x: float, y, h: float) -> np.ndarray:
     return y
 
 
+class _Refusal(Exception):
+    """A value of ``f`` that a stage store refuses.  ``_stages`` raises ``error``
+    with ``what`` in its message, naming row ``row`` of rows (``None``: no row)."""
+
+    def __init__(self, error: type, what: str, row: int | None = None):
+        super().__init__(what)
+        self.error, self.what, self.row = error, what, row
+
+
+def _real_numbers(v) -> np.ndarray | None:
+    """``v``, a value of ``f`` or ``exact`` that is not complex, as a float64 array,
+    or ``None`` if it is not real numbers in the float range: a ``dict``, a
+    ``str``, ``None``, an integer that no float holds.  The slow path of every
+    store of such a value."""
+    a = np.asarray(v)
+    if a.dtype.kind == "O" and all(isinstance(e, numbers.Real) for e in a.flat):
+        try:
+            return a.astype(float)
+        except OverflowError:
+            return None
+    return a.astype(float, copy=False) if a.dtype.kind in "biuf" else None
+
+
+def _not_real(v) -> str:
+    """What is wrong with a value that ``_real_numbers`` refuses."""
+    return f"of type {type(v).__name__}, not real numbers in the float range"
+
+
+def _stage_value(v, shape: tuple[int, ...]) -> np.ndarray:
+    """The slow path of a stage store, shared by both lanes: ``v`` as a float64
+    array of as many values as a slot of ``shape`` holds.
+
+    Raises ``_Refusal``: for ``ComplexStage`` if ``v`` is complex, over rows
+    naming the earliest row with an imaginary part; for ``ValueError`` if it is
+    not real numbers in the float range or has another number of values.
+    """
+    if np.iscomplexobj(v):
+        imag = np.atleast_1d(np.imag(v)) != 0
+        raise _Refusal(ComplexStage, "complex",
+                       None if len(shape) == 1 else int(np.argmax(np.any(imag, axis=-1))))
+    a = _real_numbers(v)
+    if a is None:
+        raise _Refusal(ValueError, _not_real(v) + ",")
+    if a.size != math.prod(shape):
+        raise _Refusal(ValueError, f"of shape {a.shape}, not {shape},")
+    return a
+
+
 class _StageBuffer:
-    """Stage slots for one state, ``k`` of shape ``(M, d)``, or for rows, ``k`` of
-    shape ``(n, M, d)`` with each row's slots contiguous; ``slot`` holds one
-    view of ``k`` per slot (``(d,)`` or ``(n, d)``), and ``gather`` takes the
-    ``gather`` slots of one method, ``(gather, d)`` or ``(n, gather, d)``.
+    """Stage slots of the array lane, for one state, ``k`` of shape ``(M, d)``, or
+    for rows, ``k`` of shape ``(n, M, d)`` with each row's slots contiguous;
+    ``slot`` holds one view of ``k`` per slot (``(d,)`` or ``(n, d)``), and
+    ``gather`` takes the ``gather`` slots of one method, ``(gather, d)`` or
+    ``(n, gather, d)``.
 
     A run allocates one and evaluates every attempt into it; what an
     evaluation returns is never a view of it, so the next one may overwrite it.
@@ -349,24 +410,90 @@ class _StageBuffer:
         self.slot = list(np.moveaxis(self.k, -2, 0))
         self.gather = np.empty(shape[:-1] + (gather, shape[-1]))
 
+    def store(self, p: int, v) -> None:
+        """Store ``v`` into slot ``p``.  A float64 value of the slot's size skips
+        the checks of ``_stage_value`` without a numpy call; a shape that does
+        not store as the slot (a ``(d, 1)`` column; a ``(1, d)`` row stores)
+        raises ``_Refusal`` for ``ValueError``."""
+        dst = self.slot[p]
+        if getattr(v, "dtype", None) is not _FLOAT or v.size != dst.size:
+            v = _stage_value(v, dst.shape)
+        try:  # a value of another size would broadcast, so its size is checked before
+            dst[...] = v
+        except ValueError:
+            raise _Refusal(ValueError, f"of shape {v.shape}, not {dst.shape},") from None
 
-def _pair_buffer(pair: MethodPair, shape: tuple[int, ...]) -> _StageBuffer:
-    """A ``_StageBuffer`` for ``pair``'s plan from a state (or rows) of ``shape``."""
-    return _StageBuffer(len(pair.plan.rows), shape, pair.higher.m)
+    def finite(self) -> bool:
+        return np.isfinite(self.k).all()
+
+    def increments(self, pair: MethodPair) -> tuple[np.ndarray, np.ndarray]:
+        """``(F_lower, F_higher)`` of ``pair`` from its plan's slots: ``b @ k``
+        through BLAS on each row's contiguous ``(m, d)`` stages, the lower
+        method's a slice of the slots and the higher method's gathered."""
+        k = self.k
+        # mode="clip" lets take write straight into out (the slots are in range)
+        higher = k.take(pair.higher_slots, -2, self.gather, "clip")
+        return pair.lower.b @ k[..., :pair.lower.m, :], pair.higher.b @ higher
 
 
-def _stages(
-    plan: _StagePlan, f: RHSFunction, x, y: np.ndarray, h, buf: _StageBuffer
-) -> np.ndarray:
-    """Evaluate the stages of ``plan`` into the slots of ``buf`` and return ``buf.k``.
+class _FloatBuffer:
+    """Stage slots of the float lane, for one state of one component: ``slot``
+    holds one Python float per slot of ``pair``'s plan, and ``lower`` and
+    ``higher`` one float64 vector per method, each its own allocation.
 
-    From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``.  Over
-    rows, ``x`` and ``h`` are ``(n,)`` columns, ``y`` is ``(n, d)`` and ``f``
-    takes rows (``IVProblem.rowwise``, or a one-state ``f`` applied row by
-    row).  Every operation on a stage argument is elementwise, each row's
-    ``h`` scaling that row, so a row's stages are bit-identical to its
-    state's alone.  A coefficient of exactly 1 is applied
-    without a multiply, which gives the same bits.
+    An increment is ``float(b.dot(vector))``, the same ``ddot`` on the same
+    contiguous, separately allocated stages that the array lane's ``b @ k``
+    makes, so it has the array lane's bits on any BLAS kernel (a vector that
+    starts inside another allocation may take another path through the
+    kernel).
+    """
+
+    __slots__ = ("slot", "lower", "higher", "fill")
+
+    def __init__(self, pair: MethodPair):
+        self.slot = [0.0] * len(pair.plan.rows)
+        self.lower, self.higher = np.empty(pair.lower.m), np.empty(pair.higher.m)
+        self.fill = tuple((self.lower, i, i) for i in range(pair.lower.m)) + tuple(
+            (self.higher, i, s) for i, s in enumerate(pair.higher_slots.tolist()))
+
+    @property
+    def k(self) -> np.ndarray:
+        return np.array(self.slot)[:, None]
+
+    def store(self, p: int, v) -> None:
+        if type(v) is not float:
+            v = _stage_value(v, (1,)).item()
+        self.slot[p] = v
+
+    def finite(self) -> bool:
+        return all(map(math.isfinite, self.slot))
+
+    def increments(self, pair: MethodPair) -> tuple[float, float]:
+        slot = self.slot
+        for vector, i, s in self.fill:
+            vector[i] = slot[s]
+        return float(pair.lower.b.dot(self.lower)), float(pair.higher.b.dot(self.higher))
+
+
+def _pair_buffer(pair: MethodPair, shape: tuple[int, ...],
+                 scalar: bool = False) -> _StageBuffer | _FloatBuffer:
+    """A stage buffer for ``pair``'s plan from a state (or rows) of ``shape``: of
+    the float lane if ``scalar``, for one state held as a Python float."""
+    return _FloatBuffer(pair) if scalar else _StageBuffer(len(pair.plan.rows), shape,
+                                                          pair.higher.m)
+
+
+def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf) -> None:
+    """Evaluate the stages of ``plan`` into the slots of ``buf``.
+
+    From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``, or a
+    Python float in the float lane (``buf`` a ``_FloatBuffer``).  Over rows,
+    ``x`` and ``h`` are ``(n,)`` columns, ``y`` is ``(n, d)`` and ``f`` takes
+    rows (``IVProblem.rowwise``, or a one-state ``f`` applied row by row).
+    Every operation on a stage argument is elementwise, each row's ``h``
+    scaling that row, so a row's stages are bit-identical to its state's alone,
+    and a float's to its ``(1,)`` vector's.  A coefficient of exactly 1 is
+    applied without a multiply, which gives the same bits.
 
     The stage arguments come from ``plan.rows`` (a stage whose row has no
     nonzero entry receives ``y`` itself).  Finiteness is checked once, over
@@ -375,43 +502,34 @@ def _stages(
     first method in slot order that has one; over rows, that method's earliest
     row with a non-finite stage, that row's ``x`` and ``h`` and its first
     non-finite stage, so it reads as that row's state alone would.  Each value
-    of ``f`` is checked before it is stored: a complex one raises
-    ``ComplexStage`` naming the earliest row with an imaginary part, and one
-    with another number of values than ``y`` or a shape that does not store
-    as ``y`` (a ``(d, 1)`` column; a ``(1, d)`` row stores) raises
-    ``ValueError`` naming its shape and ``y``'s, over rows without any row's
-    ``x`` and ``h``.  A float64 value of ``y``'s size skips those checks
-    without a numpy call.  It checks no input; ``_one_state`` does.
+    of ``f`` is checked where ``buf.store`` stores it, the same way in both
+    lanes: a complex one raises ``ComplexStage`` naming the earliest row with
+    an imaginary part; one that is not real numbers in the float range, has
+    another number of values than ``y`` or a shape that does not store as
+    ``y`` raises ``ValueError`` naming its type or its shape and ``y``'s, over
+    rows without any row's ``x`` and ``h``.  A float64 value of ``y``'s size
+    (a Python float in the float lane) skips those checks without a numpy
+    call.  It checks no input; ``_one_state`` does.
     """
-    slot, size = buf.slot, y.size
-    h_y = h if y.ndim == 1 else h[:, None]
+    slot, store = buf.slot, buf.store
+    h_y = h[:, None] if getattr(y, "ndim", 1) == 2 else h
     for p, (c_p, row) in enumerate(plan.rows):
         s = None
         for q, a in row:
             term = slot[q] if a == 1.0 else a * slot[q]
             s = term if s is None else s + term
-        v = f(x + c_p * h, y if s is None else y + h_y * s)
-        try:  # a value of another size would broadcast, so it is refused as a failed store
-            if getattr(v, "dtype", None) is not _FLOAT or v.size != size:
-                if np.iscomplexobj(v):
-                    imag = np.atleast_1d(np.imag(v)) != 0
-                    i = 0 if y.ndim == 1 else int(np.argmax(np.any(imag, axis=-1)))
-                    raise ComplexStage(_stage_message(plan, p, "complex", x, h, i))
-                if np.size(v) != size:
-                    raise ValueError
-            slot[p][...] = v
-        except ValueError:
-            what = f"of shape {np.shape(v)}, not {y.shape},"
-            raise ValueError(_stage_message(plan, p, what, x, h, None)) from None
-    k = buf.k
-    if not np.isfinite(k).all():
+        try:  # f too: the one-row adapter (error_analysis._row_by_row) refuses within it
+            store(p, f(x + c_p * h, y if s is None else y + h_y * s))
+        except _Refusal as r:
+            raise r.error(_stage_message(plan, p, r.what, x, h, r.row)) from None
+    if not buf.finite():
+        k = buf.k
         finite = np.isfinite(k).reshape(-1, *k.shape[-2:]).all(axis=2)  # (rows, slots)
         for _, start, end, _ in plan.methods:
             ok = finite[:, start:end]
             if not ok.all():
                 i, p = divmod(int(np.argmin(ok)), end - start)  # earliest row, then stage
                 raise NonFiniteStage(_stage_message(plan, start + p, "not finite", x, h, i))
-    return k
 
 
 def _stage_message(plan: _StagePlan, slot: int, what: str, x, h, i: int | None) -> str:
@@ -423,26 +541,21 @@ def _stage_message(plan: _StagePlan, slot: int, what: str, x, h, i: int | None) 
     return f"{name}: stage {first + slot - start} is {what} {at}"
 
 
-def _pair_increments(
-    pair: MethodPair, f: RHSFunction, x, y: np.ndarray, h, buf: _StageBuffer = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _pair_increments(pair: MethodPair, f: RHSFunction, x, y, h, buf=None):
     """Increments ``(F_lower, F_higher)`` of both methods of ``pair`` from ``(x, y)``,
     from one state or over rows as ``_stages`` takes them, evaluated into
-    ``buf`` (a ``_pair_buffer`` for ``y``'s shape; a new one if not given).
+    ``buf`` (a ``_pair_buffer`` for ``y``; a new array-lane one if not given).
 
     ``pair.plan`` evaluates the ``pair.shared`` leading stages once.  Each
     increment is bit-identical to ``increment_function`` of its method, over
-    rows from that row's state: ``b @ k`` goes through BLAS on each row's
-    contiguous ``(m, d)`` stages, as on one state's (a sum in another order or
-    layout moves bits), the lower method's a slice of the slots and the higher
-    method's gathered.
+    rows from that row's state and in the float lane from its ``(1,)``
+    vector: ``b @ k`` goes through BLAS on each method's contiguous stages, as
+    on one state's (a sum in another order or layout moves bits).
     """
     if buf is None:
         buf = _pair_buffer(pair, y.shape)
-    k = _stages(pair.plan, f, x, y, h, buf)
-    # mode="clip" lets take write straight into out (the slots are in range)
-    higher = k.take(pair.higher_slots, -2, buf.gather, "clip")
-    return pair.lower.b @ k[..., :pair.lower.m, :], pair.higher.b @ higher
+    _stages(pair.plan, f, x, y, h, buf)
+    return buf.increments(pair)
 
 
 def rk_step(

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -537,9 +540,14 @@ def test_pair_over_rows_is_bit_identical_to_each_row_alone(name):
     assert p.rowwise and len(hs) > 1000
     assert name != "paper_exponential" or len(hs) == 10438
     lower, higher = rk_core._pair_increments(PAIR, p.f, xs, ys, hs)
+    floats = rk_core._pair_buffer(PAIR, p.y0.shape, True) if p.scalar else None
     for k, (x, y, h) in enumerate(zip(xs.tolist(), ys, hs.tolist())):
         lo, hi = rk_core._pair_increments(PAIR, p.f, x, y, h)
         assert lower[k].tobytes() == lo.tobytes() and higher[k].tobytes() == hi.tobytes(), k
+        if floats is not None:  # and the float lane's, from the state as a Python float
+            lo, hi = rk_core._pair_increments(PAIR, p.f, x, y.item(), h, floats)
+            assert type(lo) is float and np.array([lo, hi]).tobytes() == np.concatenate(
+                (lower[k], higher[k])).tobytes(), k
 
 
 _UNIT = st.floats(min_value=-1.0, max_value=1.0)
@@ -1011,16 +1019,130 @@ def test_a_python_complex_stage_is_refused():
         integrate(PAIR, p, ControllerConfig())
 
 
+def _lane_rhs(at, value):
+    """``-y``, except that the calls numbered in ``at`` (from 1) return ``value(y)``;
+    ``y`` is a Python float in the float lane and a ``(1,)`` vector otherwise."""
+    calls = []
+
+    def f(x, y):
+        calls.append(x)
+        return value(y) if len(calls) in at else -y
+    return f
+
+
+# one case per way a stage or the state fails: the calls of f that misbehave
+# (the probe's five stages are calls 1 to 5: rk3's three, then rk4's third and
+# fourth), what they return, y0, x_end, h_init, and the exception with its
+# message, which is the same in both lanes
+_PROBE = "at x=0.0, h=0.01"
+_NOT_REAL = "not real numbers in the float range"
+_LANE_CASES = {
+    "nan-lower": ({3, 4}, lambda y: y * math.nan, 1.0, 1.0, None, NonFiniteStage,
+                  f"rk3: stage 3 is not finite {_PROBE}"),
+    "nan-higher": ({4}, lambda y: y * math.nan, 1.0, 1.0, None, NonFiniteStage,
+                   f"rk4: stage 3 is not finite {_PROBE}"),
+    "python-complex": ({2}, lambda y: complex(0.0, 0.5), 1.0, 1.0, None, ComplexStage,
+                       f"rk3: stage 2 is complex {_PROBE}"),
+    "numpy-complex": ({2}, lambda y: np.complex128(0.5j), 1.0, 1.0, None, ComplexStage,
+                      f"rk3: stage 2 is complex {_PROBE}"),
+    "another-size": ({2}, lambda y: np.array([1.0, 2.0]), 1.0, 1.0, None, ValueError,
+                     f"rk3: stage 2 is of shape (2,), not (1,), {_PROBE}"),
+    "stage-overflow": ({1}, lambda y: -y * y, 1e200, 1.0, None, NonFiniteStage,
+                       f"rk3: stage 1 is not finite {_PROBE}"),
+    "state-overflow": (range(1, 6), lambda y: 1e308, 1e308, 10.0, 1.0, NonFiniteState,
+                       "lane: state not finite after step at x=0.0"),
+    "dict": ({2}, lambda y: {}, 1.0, 1.0, None, ValueError,
+             f"rk3: stage 2 is of type dict, {_NOT_REAL}, {_PROBE}"),
+    "str": ({2}, lambda y: "1.0", 1.0, 1.0, None, ValueError,
+            f"rk3: stage 2 is of type str, {_NOT_REAL}, {_PROBE}"),
+    "none": ({2}, lambda y: None, 1.0, 1.0, None, ValueError,
+             f"rk3: stage 2 is of type NoneType, {_NOT_REAL}, {_PROBE}"),
+    "huge-int": ({2}, lambda y: 10 ** 400, 1.0, 1.0, None, ValueError,
+                 f"rk3: stage 2 is of type int, {_NOT_REAL}, {_PROBE}"),
+}
+
+
+@pytest.mark.parametrize("scalar", [True, False], ids=["float-lane", "array-lane"])
+@pytest.mark.parametrize("case", _LANE_CASES)
+def test_both_lanes_refuse_a_stage_or_state_alike(case, scalar):
+    # the same one-component problem with and without the scalar flag: both
+    # lanes raise the same class with the same message.  A dict used to fail
+    # with numpy's bare TypeError, a str as "of shape ()" or as a parsed number,
+    # None as "not finite", and 10**400 with "int too large to convert to float"
+    at, value, y0, x_end, h_init, error, message = _LANE_CASES[case]
+    p = IVProblem("lane", _lane_rhs(at, value), 0.0, [y0], x_end, scalar=scalar)
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        integrate(PAIR, p, ControllerConfig(h_init=h_init))
+    assert type(caught.value) is error
+
+
+# in a child process, so that OPENBLAS_CORETYPE picks the BLAS kernel: each
+# built-in's run in the float lane and in the array lane, digested
+_LANES_CHILD = """
+import dataclasses, hashlib
+from rk_error_lab import ControllerConfig, POLICIES, builtin, builtin_pair, integrate, problem_names
+for name in problem_names():
+    for policy in POLICIES:
+        digests = set()
+        for scalar in (True, False):
+            p = dataclasses.replace(builtin(name), scalar=scalar)
+            trace = integrate(builtin_pair("rk3_rk4"), p, ControllerConfig(delta=1e-8, policy=policy))
+            h = hashlib.sha256(repr(trace.summary).encode())
+            for col in trace.records.columns.values():
+                h.update(b"-" if col is None else col.tobytes())
+            digests.add(h.hexdigest())
+        print(name, policy, len(digests))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_both_lanes_give_the_same_bits_on_other_blas_kernels(core):
+    # the float lane hands BLAS the same contiguous, separately allocated
+    # vectors as the array lane, so the two agree on every kernel; the kernels
+    # disagree with each other.  Where numpy's BLAS ignores the variable the
+    # test runs on the default kernel
+    src = os.path.dirname(os.path.dirname(rk_core.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _LANES_CHILD], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert done.stdout.split("\n")[:-1] == [f"{name} {policy} 1" for name in problem_names()
+                                           for policy in POLICIES]
+
+
+def test_a_flagless_rhs_of_another_size_at_an_exact_state_is_refused_by_name():
+    # the oracle gives a flagless f its rows one at a time, and each row's value
+    # is stored as a stage is.  This f returns one value at the exact states past
+    # x0, which only the oracle's rows visit, and is refused at the first such
+    # row (step 2's); the row adapter used to fail with numpy's "inhomogeneous
+    # shape" message
+    osc = _oscillator()
+
+    def f(x, y):
+        if x > 0.0 and np.array_equal(y, osc.exact(x)):
+            return y[1]
+        return np.array([y[1], -y[0]])
+    p = dataclasses.replace(osc, f=f)
+    assert not p.rowwise
+    records = integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records
+    message = f"rk3: stage 1 is of shape (), not (2,), at x={records[0].x}, h={records[1].h}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate(PAIR, p, flagship_config())
+
+
 @pytest.mark.parametrize("problem", [
     builtin("decay"),
     IVProblem("scalar", lambda x, y: -y[0], 0.0, [1.0], 1.0,
               exact=lambda x: np.array([math.exp(-x)])),
-], ids=["decay", "numpy-scalar"])
+    dataclasses.replace(builtin("decay"), scalar=False),
+], ids=["decay", "numpy-scalar", "decay-flagless"])
 def test_a_float_stage_of_the_state_size_is_stored_without_a_numpy_call(problem, monkeypatch):
     # the stage loop tests each value with one attribute read and one comparison;
     # a float64 value of the state's size (a numpy float64 scalar for one
     # component) is stored without the complex or the size check, in the
-    # attempts, the probe and the oracle's rows
+    # attempts, the probe and the oracle's rows.  In the float lane (the
+    # built-in decay, flagged) a Python float is stored after one type test
+    assert problem.scalar == (problem is builtin("decay"))
     expected = integrate(PAIR, problem, flagship_config())
 
     def called(*args, **kwargs):

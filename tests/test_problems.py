@@ -72,6 +72,32 @@ def test_exact_not_finite_at_x0_is_refused(value):
                   exact=lambda x: np.array([value]))
 
 
+@pytest.mark.parametrize("value", [{}, "1.0", None, 10 ** 400],
+                         ids=["dict", "str", "none", "huge-int"])
+def test_exact_that_is_not_real_numbers_is_refused_by_name(value):
+    # a dict used to fail with numpy's bare TypeError, a str with numpy's
+    # "could not convert" (or as the number it spells), None as "not finite"
+    # and 10**400 with "int too large to convert to float"
+    what = f"is of type {type(value).__name__}, not real numbers in the float range"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'odd: exact solution at x=0.0 {what}')}$"):
+        IVProblem(name="odd", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
+                  exact=lambda x: value)
+    # every lookup refuses one, not only the one at x0
+    p = IVProblem(name="odd", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
+                  exact=lambda x: np.array([math.exp(-x)]) if x == 0.0 else value)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'odd: exact solution at x=0.5 {what}')}$"):
+        reference_solution(p, 0.5)
+
+
+def test_scalar_flag_needs_a_one_component_state():
+    # the float lane holds the state as one Python float
+    message = "pair: scalar is set, but y0 has shape (2,), not one component"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IVProblem(name="pair", f=lambda x, y: -y, x0=0.0, y0=[1.0, 2.0], x_end=1.0, scalar=True)
+    assert IVProblem(name="one", f=lambda x, y: -y, x0=0.0, y0=2.0, x_end=1.0, scalar=True).scalar
+    assert all(builtin(name).scalar for name in problem_names())
+
+
 def test_problems_are_read_only_values():
     p = builtin("decay")
     assert builtin("decay") is p and p == p and hash(p) == hash(builtin("decay"))
