@@ -8,15 +8,17 @@ in-memory records bit for bit.
 
 Exit codes: 0 completed run, 2 usage error, 3 unknown problem or pair name,
 4 integrator failure (an ``ArithmeticError`` or ``RuntimeError`` of the run),
-5 output I/O failure.
+5 output I/O failure, which removes the outputs the run had already written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, get_type_hints
@@ -234,15 +236,21 @@ def run(spec: RunSpec) -> int:
         print(f"rk-error-lab: integration failed: {exc}", file=sys.stderr)
         return 4
 
+    written = []  # the outputs this run has written, which a failure removes
     try:
         if spec.csv_path is not None:
             write_trace_csv(trace, spec.csv_path)
+            written.append(spec.csv_path)
         if spec.json_path is not None:
             write_summary_json(trace, pair, spec.sigma, spec.json_path)
+            written.append(spec.json_path)
         if spec.figure_path is not None:
             figure1_export(trace, spec.figure_path)
     # ValueError: open() refuses a NUL in the path; MissingDiagnostics: --figure without an oracle
     except (OSError, ValueError, MissingDiagnostics) as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         print(f"rk-error-lab: output failed: {exc}", file=sys.stderr)
         return 5
 

@@ -235,7 +235,10 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     for a problem flagged ``scalar`` (``IVProblem``): the loop then holds the
     state and the estimate as Python floats, with the same bits.  A stage
     that ``f`` makes complex (of an attempt, the probe or the oracle's rows)
-    raises ``ComplexStage``, as in every evaluation of the stage loop.
+    raises ``ComplexStage``, as in every evaluation of the stage loop.  The
+    states handed to ``f`` are read-only: ``y0``, each accepted state and the
+    oracle's exact states, so an ``f`` that writes its argument raises numpy's
+    ``ValueError`` rather than changing the run.
     """
     buf = _pair_buffer(pair, p.y0.shape, p.scalar)
     w = p.y0.item() if p.scalar else p.y0
@@ -281,6 +284,8 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
 
         x_next = p.x_end if land else x + h_step
         cols.append(x_next, h_step, est, w_lo, w_hi, beta, inc_lo, rejects, clamped)
+        if not p.scalar:  # the next attempt hands f this state itself, which f must not write
+            w_hi.flags.writeable = False
         w = w_hi
         x = x_next
         if cfg.policy == "proportional":

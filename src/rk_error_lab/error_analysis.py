@@ -407,6 +407,7 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     y = np.empty((n + 1, *p.y0.shape))
     for k, x_k in enumerate(xs.tolist()):
         y[k] = reference_solution(p, x_k)
+    y.flags.writeable = False  # stage 1 hands f views of these exact states, made below
     y_x, y_next = y[:-1], y[1:]
     y_xh, x_last = y_next, xs.item(-2) + h.item(-1)
     if x_last != xs.item(-1):

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rk_core import _FLOAT, RHSFunction, _not_real, _readonly, _real_numbers, inf_norm
+from .rk_core import _FLOAT, RHSFunction, _readonly, _real_numbers, _Refusal, inf_norm
 
 __all__ = [
     "IVProblem",
@@ -35,14 +35,16 @@ class IVProblem:
     ``exact``, when given, maps an abscissa to the true solution vector, as
     ``reference_solution`` checks it, and must agree with ``y0`` at ``x0`` to
     within ``1e-14`` relative to ``y0``.  Right-hand sides must be pure
-    functions of ``(x, y)``.  ``x0``, ``x_end`` and ``y0`` must be finite, and ``y0``
-    real and a scalar or a nonempty flat vector.  The build does not call
-    ``f``: each of its values must be real numbers in the float range, have one
-    value per component of ``y0`` and store as a state, and the stage loop
-    refuses one that does not where it stores it, from ``(x0, y0)`` on
-    (``rk_core._stages``).  ``y0`` is
-    copied into a read-only float array of at least one dimension when the
-    problem is built.
+    functions of ``(x, y)``: the states ``integrate`` hands ``f`` are
+    read-only.  ``x0``, ``x_end`` and ``y0`` must be finite, and ``y0`` real
+    numbers in the float range and a scalar or a nonempty flat vector.  The
+    build does not call ``f``: each of its values must be real numbers in the
+    float range, have one value per component of ``y0`` and store as a state,
+    and the stage loop refuses one that does not where it stores it, from
+    ``(x0, y0)`` on (``rk_core._stages``).  ``y0``, each value of ``f`` and
+    each value of ``exact`` go through the one conversion,
+    ``rk_core._real_numbers``.  ``y0`` is copied into a read-only float array
+    of at least one dimension when the problem is built.
 
     ``rowwise`` declares that ``f`` also takes many states at once:
     ``f(X, Y)`` with ``X`` of shape ``(n,)`` and ``Y`` of shape ``(n, d)``
@@ -104,15 +106,15 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     float array of ``y0``'s shape.
 
     This is the one check of a value of ``exact``, at ``x0`` and at every
-    abscissa the oracle looks up.  Raises ``ValueError`` if the problem has no
-    exact solution, ``x`` lies outside its interval, or the solution there is
-    complex, of another shape than ``y0`` (after a scalar becomes a vector) or
-    not finite, naming the problem and ``x``; and ``OverflowError`` naming the
-    problem if the exact function overflows at ``x`` (``math.exp`` raises
-    rather than returning inf).  A value that is not real numbers in the float
-    range (a ``dict``, a ``str``, ``None``, an integer no float holds) raises
-    ``ValueError`` naming its type.  A float64 value of ``y0``'s shape is
-    returned as it is.
+    abscissa the oracle looks up.  A float64 value of ``y0``'s shape is
+    returned as it is; any other goes through the one conversion,
+    ``rk_core._real_numbers``.  Raises ``ValueError`` naming the problem and
+    ``x`` if the problem has no exact solution, ``x`` lies outside its
+    interval, or the solution there is complex, not real numbers in the float
+    range (naming its type), of another shape than ``y0`` (after a scalar
+    becomes a vector) or not finite; and ``OverflowError`` naming the problem
+    if the exact function overflows at ``x`` (``math.exp`` raises rather than
+    returning inf).
     """
     if p.exact is None:
         raise ValueError(f"{p.name}: no exact solution to take a reference from")
@@ -124,12 +126,10 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     except OverflowError:
         raise OverflowError(f"{p.name}: exact solution overflows at x={x}") from None
     if getattr(y, "dtype", None) is not _FLOAT or y.shape != p.y0.shape:
-        if np.iscomplexobj(y):
-            raise ValueError(f"{p.name}: exact solution at x={x} is complex")
-        a = _real_numbers(y)
-        if a is None:
-            raise ValueError(f"{p.name}: exact solution at x={x} is {_not_real(y)}")
-        y = np.atleast_1d(a)
+        try:
+            y = np.atleast_1d(_real_numbers(y))
+        except _Refusal as r:
+            raise ValueError(f"{p.name}: exact solution at x={x} is {r.what}") from None
         if y.shape != p.y0.shape:
             raise ValueError(f"{p.name}: exact solution at x={x} has shape {y.shape}, "
                              f"y0 has shape {p.y0.shape}")

@@ -65,7 +65,7 @@ RHSFunction = Callable[[float, np.ndarray], np.ndarray]
 #: tolerance on the weight sum and the row-sum convention
 CONSISTENCY_TOL = 1e-12
 
-#: the dtype a stage is stored as; a value of another dtype is checked for being complex
+#: the dtype a stage is stored as; a value of another dtype goes through ``_real_numbers``
 _FLOAT = np.dtype(float)
 
 
@@ -289,12 +289,52 @@ def _positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _real(name: str, values) -> np.ndarray:
-    """``values`` as a float64 array.  Raises ``ValueError`` naming ``name`` if
-    ``values`` is complex, whose imaginary part the conversion would drop."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"{name} = {np.asarray(values)} is complex")
-    return np.asarray(values, dtype=float)
+class _Refusal(Exception):
+    """A value that ``_real_numbers`` or a stage store refuses.  Its caller raises
+    ``error`` with ``what`` in its message; ``_stages`` names row ``row`` of
+    rows (``None``: no row)."""
+
+    def __init__(self, error: type, what: str, row: int | None = None):
+        super().__init__(what)
+        self.error, self.what, self.row = error, what, row
+
+
+def _real_numbers(v) -> np.ndarray:
+    """``v``, a value from outside the library, as a float64 array: the one
+    conversion of every state, stage, exact value, coefficient and argument.
+
+    It makes one ``np.asarray`` call and returns a numeric array without a
+    Python loop over its elements; an object array of real numbers is
+    converted.  Raises ``_Refusal``: for ``ComplexStage`` with ``"complex"``
+    if ``v`` is complex, whose imaginary part the conversion would drop,
+    naming the earliest row with one for ``_stages`` over rows; and for
+    ``ValueError`` with ``"of type T, not real numbers in the float range"``
+    if it is anything else: a ``dict``, a ``str``, ``None``, a ragged
+    sequence, an integer that no float holds.
+    """
+    try:
+        a = np.asarray(v)
+        if a.dtype.kind == "c":
+            raise _Refusal(ComplexStage, "complex",
+                           int(np.argmax(np.any(np.atleast_2d(a.imag) != 0, axis=-1))))
+        if a.dtype.kind in "biuf" or (
+                a.dtype.kind == "O" and all(isinstance(e, numbers.Real) for e in a.flat)):
+            return a.astype(float, copy=False)
+    except (ValueError, OverflowError):  # a ragged sequence; an integer beyond the float range
+        pass
+    raise _Refusal(ValueError, f"of type {type(v).__name__}, not real numbers in the float range")
+
+
+def _real(name: str, values, complex_message="{name} = {values} is complex") -> np.ndarray:
+    """``values`` as a float64 array, by ``_real_numbers``.  Raises ``ValueError``
+    naming ``name``: with ``complex_message`` if ``values`` is complex, whose
+    imaginary part the conversion would drop, and ``"<name> is of type T, not
+    real numbers in the float range"`` if it is not real numbers."""
+    try:
+        return _real_numbers(values)
+    except _Refusal as r:
+        raise ValueError(complex_message.format(name=name, values=np.asarray(values))
+                         if r.error is ComplexStage else f"{name} is {r.what}") from None
 
 
 def _readonly(name: str, values, ndmin: int = 0) -> np.ndarray:
@@ -330,12 +370,10 @@ def increment_function(
 
 
 def _one_state(x: float, y, h: float) -> np.ndarray:
-    """``y`` as a float array; raises ``ValueError`` naming a ``y`` that is complex
-    or not a flat vector, a non-finite ``x`` or an ``h`` that is not positive and
-    finite."""
-    if np.iscomplexobj(y):
-        raise ValueError(f"state must be real, got {np.asarray(y)}")
-    y = np.asarray(y, dtype=float)
+    """``y`` as a float array, by ``_real``; raises ``ValueError`` naming a ``y``
+    that is complex, not real numbers in the float range or not a flat vector,
+    a non-finite ``x`` or an ``h`` that is not positive and finite."""
+    y = _real("state", y, "state must be real, got {values}")
     if y.ndim != 1:
         raise ValueError(f"state must be a flat vector, got shape {y.shape}")
     if not math.isfinite(x):
@@ -344,51 +382,14 @@ def _one_state(x: float, y, h: float) -> np.ndarray:
     return y
 
 
-class _Refusal(Exception):
-    """A value of ``f`` that a stage store refuses.  ``_stages`` raises ``error``
-    with ``what`` in its message, naming row ``row`` of rows (``None``: no row)."""
-
-    def __init__(self, error: type, what: str, row: int | None = None):
-        super().__init__(what)
-        self.error, self.what, self.row = error, what, row
-
-
-def _real_numbers(v) -> np.ndarray | None:
-    """``v``, a value of ``f`` or ``exact`` that is not complex, as a float64 array,
-    or ``None`` if it is not real numbers in the float range: a ``dict``, a
-    ``str``, ``None``, an integer that no float holds.  The slow path of every
-    store of such a value."""
-    a = np.asarray(v)
-    if a.dtype.kind == "O" and all(isinstance(e, numbers.Real) for e in a.flat):
-        try:
-            return a.astype(float)
-        except OverflowError:
-            return None
-    return a.astype(float, copy=False) if a.dtype.kind in "biuf" else None
-
-
-def _not_real(v) -> str:
-    """What is wrong with a value that ``_real_numbers`` refuses."""
-    return f"of type {type(v).__name__}, not real numbers in the float range"
-
-
 def _stage_value(v, shape: tuple[int, ...]) -> np.ndarray:
     """The slow path of a stage store, shared by both lanes: ``v`` as a float64
-    array of as many values as a slot of ``shape`` holds.
-
-    Raises ``_Refusal``: for ``ComplexStage`` if ``v`` is complex, over rows
-    naming the earliest row with an imaginary part; for ``ValueError`` if it is
-    not real numbers in the float range or has another number of values.
-    """
-    if np.iscomplexobj(v):
-        imag = np.atleast_1d(np.imag(v)) != 0
-        raise _Refusal(ComplexStage, "complex",
-                       None if len(shape) == 1 else int(np.argmax(np.any(imag, axis=-1))))
+    array of as many values as a slot of ``shape`` holds.  Raises ``_Refusal``
+    as ``_real_numbers`` does, and for ``ValueError`` if ``v`` has another
+    number of values."""
     a = _real_numbers(v)
-    if a is None:
-        raise _Refusal(ValueError, _not_real(v) + ",")
     if a.size != math.prod(shape):
-        raise _Refusal(ValueError, f"of shape {a.shape}, not {shape},")
+        raise _Refusal(ValueError, f"of shape {a.shape}, not {shape}")
     return a
 
 
@@ -421,7 +422,7 @@ class _StageBuffer:
         try:  # a value of another size would broadcast, so its size is checked before
             dst[...] = v
         except ValueError:
-            raise _Refusal(ValueError, f"of shape {v.shape}, not {dst.shape},") from None
+            raise _Refusal(ValueError, f"of shape {v.shape}, not {dst.shape}") from None
 
     def finite(self) -> bool:
         return np.isfinite(self.k).all()
@@ -502,8 +503,8 @@ def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf) -> None:
     first method in slot order that has one; over rows, that method's earliest
     row with a non-finite stage, that row's ``x`` and ``h`` and its first
     non-finite stage, so it reads as that row's state alone would.  Each value
-    of ``f`` is checked where ``buf.store`` stores it, the same way in both
-    lanes: a complex one raises ``ComplexStage`` naming the earliest row with
+    of ``f`` is converted by ``_real_numbers`` and checked where ``buf.store``
+    stores it, the same way in both lanes: a complex one raises ``ComplexStage`` naming the earliest row with
     an imaginary part; one that is not real numbers in the float range, has
     another number of values than ``y`` or a shape that does not store as
     ``y`` raises ``ValueError`` naming its type or its shape and ``y``'s, over
@@ -521,7 +522,8 @@ def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf) -> None:
         try:  # f too: the one-row adapter (error_analysis._row_by_row) refuses within it
             store(p, f(x + c_p * h, y if s is None else y + h_y * s))
         except _Refusal as r:
-            raise r.error(_stage_message(plan, p, r.what, x, h, r.row)) from None
+            what = r.what + "," if r.error is ValueError else r.what  # "..., at x=..."
+            raise r.error(_stage_message(plan, p, what, x, h, r.row)) from None
     if not buf.finite():
         k = buf.k
         finite = np.isfinite(k).reshape(-1, *k.shape[-2:]).all(axis=2)  # (rows, slots)

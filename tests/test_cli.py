@@ -482,6 +482,23 @@ def test_a_figure_without_an_oracle_is_an_output_failure(tmp_path, capsys, monke
     assert out.out == "" and not path.exists()
 
 
+def test_an_output_failure_removes_the_outputs_the_run_wrote(tmp_path, capsys, monkeypatch):
+    # the trace used to stay behind when the summary's directory was missing
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "missing" / "s.json"
+    assert main(["--problem", "decay", "--csv", str(csv_path), "--json", str(json_path)]) == 5
+    assert "output failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # a figure without an oracle fails before it opens its path: the trace and
+    # summary written before it go, and a file already at the figure's path stays
+    monkeypatch.setattr("rk_error_lab.cli.builtin",
+                        lambda name: dataclasses.replace(builtin(name), exact=None))
+    figure = tmp_path / "figure.csv"
+    figure.write_text("kept\n")
+    assert main(["--problem", "decay", "--csv", str(csv_path), "--json", str(tmp_path / "s.json"),
+                 "--figure", str(figure)]) == 5
+    assert list(tmp_path.iterdir()) == [figure] and figure.read_text() == "kept\n"
+
+
 def test_x_end_override(tmp_path):
     json_path = tmp_path / "short.json"
     assert main(["--x-end", "50", "--json", str(json_path), "--quiet"]) == 0

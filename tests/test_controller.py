@@ -1076,6 +1076,28 @@ def test_both_lanes_refuse_a_stage_or_state_alike(case, scalar):
     assert type(caught.value) is error
 
 
+def test_f_cannot_write_the_states_it_is_handed():
+    # stage 1 hands f the run's accepted state itself, and the oracle's rows
+    # pass f the exact states themselves: an f that wrote y[0] = 5.0 once
+    # x > 0.5 used to end as a success from the state it wrote, and a rowwise
+    # f that halved its rows in place moved the run's crossing to step 1
+    def writer(x, y):
+        if x > 0.5:
+            y[0] = 5.0
+        return -y
+
+    def halver(x, y):
+        if np.ndim(y) == 2:
+            y /= 2.0
+        return -y
+
+    exact = lambda x: np.array([math.exp(-x)])
+    for p in (IVProblem("writer", writer, 0.0, [1.0], 1.0),
+              IVProblem("halver", halver, 0.0, [1.0], 1.0, exact=exact, rowwise=True)):
+        with pytest.raises(ValueError, match="read-only"):
+            integrate(PAIR, p, flagship_config())
+
+
 # in a child process, so that OPENBLAS_CORETYPE picks the BLAS kernel: each
 # built-in's run in the float lane and in the array lane, digested
 _LANES_CHILD = """

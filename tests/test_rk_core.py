@@ -7,9 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from rk_error_lab import (
     ButcherTableau,
+    ComplexStage,
     ConsistencyViolation,
+    ControllerConfig,
     DimensionMismatch,
     ExplicitnessViolation,
+    IVProblem,
     MethodPair,
     NonFiniteStage,
     UnknownPair,
@@ -18,8 +21,10 @@ from rk_error_lab import (
     builtin,
     builtin_pair,
     classic_rk4,
+    estimate_beta,
     increment_function,
     inf_norm,
+    integrate,
     kutta3,
     local_error_exact,
     pair_names,
@@ -430,3 +435,55 @@ def test_random_explicit_pairs_keep_the_bits_of_each_method(drawn, d, seed):
     # operand, and the products h F by less: 1.38 ulps at most over 8000
     # offline draws with coefficients up to 2 and h up to 0.5
     assert gap <= 2.0 * np.spacing(max(inf_norm(w), inf_norm(w_lower)))
+
+
+# each kind of value that is not real numbers: a dict used to raise numpy's
+# bare TypeError, a str to parse as a number, None to read as NaN, a ragged
+# sequence to raise numpy's unnamed "inhomogeneous shape" ValueError and
+# 10**400 a bare OverflowError, at every entry point below
+_NOT_REAL_VALUES = {"dict": {"a": 1}, "str": "1.0", "None": None,
+                    "ragged": [[1.0], [2.0, 3.0]], "huge-int": 10 ** 400, "complex": [1j]}
+
+
+def _run_f(value, scalar):
+    p = IVProblem("p", lambda x, y: value, 0.0, [1.0], 1.0, scalar=scalar)
+    return integrate(builtin_pair("rk3_rk4"), p, ControllerConfig(h_init=0.01))
+
+
+# per entry point: the call with the value, its message with "{}" for "of type
+# T, not real numbers in the float range", and its exception and message for
+# a complex value
+_ENTRY_POINTS = {
+    "IVProblem.y0": (lambda v: IVProblem("p", lambda x, y: -y, 0.0, v, 1.0), "p: y0 is {}",
+                     ValueError, "p: y0 = [0.+1.j] is complex"),
+    "ButcherTableau.b": (lambda v: ButcherTableau("t", [[0.0]], v, [0.0], 1), "t: b is {}",
+                         ValueError, "t: b = [0.+1.j] is complex"),
+    "rk_step-state": (lambda v: rk_step(kutta3(), lambda x, y: -y, 0.0, v, 0.1), "state is {}",
+                      ValueError, "state must be real, got [0.+1.j]"),
+    "f-float-lane": (lambda v: _run_f(v, True), "rk3: stage 1 is {}, at x=0.0, h=0.01",
+                     ComplexStage, "rk3: stage 1 is complex at x=0.0, h=0.01"),
+    "f-array-lane": (lambda v: _run_f(v, False), "rk3: stage 1 is {}, at x=0.0, h=0.01",
+                     ComplexStage, "rk3: stage 1 is complex at x=0.0, h=0.01"),
+    "exact": (lambda v: IVProblem("p", lambda x, y: -y, 0.0, [1.0], 1.0, exact=lambda x: v),
+              "p: exact solution at x=0.0 is {}",
+              ValueError, "p: exact solution at x=0.0 is complex"),
+    "inf_norm": (inf_norm, "v is {}", ValueError, "v = [0.+1.j] is complex"),
+    "estimate_beta": (lambda v: estimate_beta(v, [0.0], 0.5, 3), "w_lower is {}",
+                      ValueError, "w_lower = [0.+1.j] is complex"),
+}
+
+
+@pytest.mark.parametrize("kind", _NOT_REAL_VALUES)
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_every_entry_point_refuses_what_is_not_real_numbers_by_name(entry, kind):
+    # one conversion (rk_core._real_numbers) takes in every array, so each
+    # entry point refuses each kind alike, naming the argument, the problem
+    # and x, or the method and the stage
+    call, refused, complex_error, complex_message = _ENTRY_POINTS[entry]
+    value = _NOT_REAL_VALUES[kind]
+    error, message = (complex_error, complex_message) if kind == "complex" else (
+        ValueError,
+        refused.format(f"of type {type(value).__name__}, not real numbers in the float range"))
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        call(value)
+    assert type(caught.value) is error
