@@ -21,12 +21,12 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence, get_type_hints
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .controller import POLICIES, ControllerConfig, Trace, integrate
-from .error_analysis import StepRecord, _column, _Records, _row_norms, sigma_bound
+from .error_analysis import _HINTS, StepRecord, _column, _Records, _row_norms, sigma_bound
 from .problems import UnknownProblem, builtin, problem_names
 from .rk_core import MethodPair, UnknownPair, builtin_pair, pair_names
 
@@ -124,9 +124,8 @@ _CODECS = {int: (str, int), float: (repr, float),
            np.ndarray: (lambda v: ";".join(map(repr, v)), _parse_state)}
 _CODECS.update({Optional[t]: (fmt, _optional(parse)) for t, (fmt, parse) in _CODECS.items()})
 
-_FIELD_TYPES = get_type_hints(StepRecord)
-CSV_COLUMNS = list(_FIELD_TYPES)
-_FORMATS, _PARSERS = zip(*(_CODECS[t] for t in _FIELD_TYPES.values()))
+CSV_COLUMNS = list(_HINTS)
+_FORMATS, _PARSERS = zip(*(_CODECS[t] for t in _HINTS.values()))
 _BLOCK = 1024  # rows formatted at a time, which bounds the writers' transient memory
 
 

@@ -5,8 +5,9 @@ difference of the two results gives the lower-order error-coefficient
 estimate; a trial step is rejected when the implied local error
 ``|beta| * h**(z+1)`` reaches the tolerance, and the stepsize is reproposed
 from ``h = sigma * (delta / |beta|) ** (1 / (z+1))``.  On acceptance the
-*higher*-order result is propagated as the input of the next step, and a
-full diagnostic record is written into the run's columns.
+*higher*-order result is propagated as the input of the next step, and the
+step's values are appended to the run's columns, one typed array each, which
+become numpy columns once the loop ends.
 
 Two policies choose the stepsize after an accepted step: ``proportional``
 reproposes it from the step's own estimate (the default), ``reject-only``
@@ -25,7 +26,7 @@ import numpy as np
 from .error_analysis import (
     StepRecord,
     StepsizeOutOfRange,
-    _Columns,
+    _collector,
     _first,
     _oracle_fields,
     _Records,
@@ -123,7 +124,8 @@ class Trace:
     ``integrate`` stores the records as columns, in a read-only sequence
     (``error_analysis._Records``) that the trace writers read directly.  Any
     sequence of ``StepRecord`` will do, a tuple included; the writers gather
-    it into the same columns.
+    it into the same columns, of the same dtypes, and refuse a value that is
+    not of its column's type.
     """
 
     records: Sequence[StepRecord]
@@ -226,7 +228,9 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     those fields are ``None`` and only the controller's own estimate is
     recorded.  The last step is shortened so the final abscissa equals
     ``x_end`` exactly.  The records are stored as columns, and the summary
-    is read from them.
+    is read from them: each accepted step appends its values to one typed
+    array per column (``error_analysis._collector``), and after the loop each
+    array becomes its numpy column once.
 
     The oracle measures a finished run in one pass after the loop.  A failure
     of the loop ends the run at once: its own exception propagates, and no
@@ -252,21 +256,21 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     delta = cfg.delta
     bound = sigma_bound(cfg.sigma, z, r, delta)
 
-    x = p.x0
-    state = p.y0.shape
-    cols = _Columns(("x", float), ("h", float), ("cond_lhs", float), ("w_lower", float, *state),
-                    ("w_higher", float, *state), ("beta_lower", float, *state),
-                    ("inc_lower", float, *state), ("rejects", np.int32), ("clamped", bool))
+    x, n = p.x0, 0
+    cols = {name: _collector(name, p.scalar) for name in ("x", "h", "cond_lhs", "rejects",
+            "clamped", "w_lower", "w_higher", "beta_lower", "inc_lower")}
+    put = {name: append for name, (append, _) in cols.items()}  # values are put by column name
 
     while x < p.x_end:
-        if len(cols) >= cfg.max_steps:
+        if n >= cfg.max_steps:
             raise MaxStepsExceeded(f"{p.name}: {cfg.max_steps} accepted steps "
                                    "before reaching x_end")
         rejects = 0
         while True:
             land = (p.x_end - x) <= h_work
             h_step = p.x_end - x if land else h_work
-            clamped = land and h_step < h_work
+            # a Python bool even where x_end or h_work is a numpy float, for the bool column
+            clamped = bool(land and h_step < h_work)
             inc_lo, w_lo, w_hi, beta, beta_norm, est = _attempt(pair, p.f, x, w, h_step, buf)
             if est < delta:
                 break
@@ -283,7 +287,10 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
                                         f"h_min={h_min} at x={x}")
 
         x_next = p.x_end if land else x + h_step
-        cols.append(x_next, h_step, est, w_lo, w_hi, beta, inc_lo, rejects, clamped)
+        put["x"](x_next), put["h"](h_step), put["cond_lhs"](est), put["rejects"](rejects)
+        put["clamped"](clamped), put["w_lower"](w_lo), put["w_higher"](w_hi)
+        put["beta_lower"](beta), put["inc_lower"](inc_lo)
+        n += 1
         if not p.scalar:  # the next attempt hands f this state itself, which f must not write
             w_hi.flags.writeable = False
         w = w_hi
@@ -295,7 +302,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         # reject-only keeps h_work as is
 
     # IVProblem guarantees x_end > x0, so there is at least one record
-    c = cols.columns()
+    c = {name: end(n) for name, (_, end) in cols.items()}
     final_delta = crossing = violation = None
     if p.exact is not None:
         c.update(_oracle_fields(pair, p, c))
@@ -303,7 +310,6 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         final_delta = float(last[0]) if last.size == 1 else inf_norm(last)
         crossing = _first(_row_norms(c["delta_lower"]) > delta)
         violation = _first(~c["cond_holds"])
-    n = len(cols)
     summary = TraceSummary(
         accepted=n,
         rejected=int(c["rejects"].sum()),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, get_type_hints
@@ -40,8 +41,10 @@ from .rk_core import (
     _pair_increments,
     _Refusal,
     _StageBuffer,
+    _is_integer,
     _positive_finite,
     _real,
+    _real_numbers,
     increment_function,
     inf_norm,
     rk_step,
@@ -109,18 +112,31 @@ class StepRecord:
     clamped: bool                       # stepsize shortened to land on x_end
 
 
-# each field's column dtype; states and float scalars are float columns
-_DTYPES = {name: {int: int, bool: bool, Optional[bool]: bool}.get(t, float)
-           for name, t in get_type_hints(StepRecord).items()}
+_HINTS = get_type_hints(StepRecord)
+# each field's column dtype; states and float scalars are float columns, and an
+# int column is 64-bit on every platform
+_DTYPES = {name: {int: np.int64, bool: bool, Optional[bool]: bool}.get(t, float)
+           for name, t in _HINTS.items()}
+# the columns that are states, (n, d) where every other column is 1-D: the state
+# fields, and the lower increment that a run collects for the oracle
+_STATES = {name for name, t in _HINTS.items()
+           if t in (np.ndarray, Optional[np.ndarray])} | {"inc_lower"}
+# the array.array type code a run collects each column dtype in
+_TYPECODES = {float: "d", np.int64: "q", bool: "B"}
+# whether one value of a scalar column is of its type: a float is a scalar, which
+# _real_numbers then converts, and a bool is not an int
+_OF_TYPE = {float: lambda v: np.ndim(v) == 0, np.int64: _is_integer,
+            bool: lambda v: isinstance(v, (bool, np.bool_))}
 
 
 class _Records(Sequence):
     """Accepted steps stored as one column per ``StepRecord`` field, in ``columns``.
 
-    A state field is an ``(n, d)`` array and a scalar field a 1-D array; an
-    oracle field is ``None`` when no step carries it.  Every column is made
-    read-only.  An item is a ``StepRecord`` of read-only row views, built
-    when it is accessed and not cached; a slice is a tuple of them.
+    A state field is an ``(n, d)`` array and a scalar field a 1-D array, of
+    the field's dtype in ``_DTYPES``; an oracle field is ``None`` when no step
+    carries it.  Every column is made read-only.  An item is a ``StepRecord``
+    of read-only row views, built when it is accessed and not cached; a slice
+    is a tuple of them.
     """
 
     def __init__(self, columns: dict[str, Optional[np.ndarray]], n: int):
@@ -132,7 +148,8 @@ class _Records(Sequence):
     def of(cls, records: Sequence[StepRecord]) -> "_Records":
         """``records`` as columns: a run's own, or any other sequence gathered into
         the same.  Raises ``ValueError`` where ``_column`` does: for a field
-        that is ``None`` on some records and not on others."""
+        that is ``None`` on some records and not on others, or whose values
+        are not of its column's type."""
         if isinstance(records, cls):
             return records
         return cls({name: _column(name, [getattr(r, name) for r in records])
@@ -158,19 +175,36 @@ class _Records(Sequence):
 
 def _column(name: str, values: list) -> Optional[np.ndarray]:
     """The values of field ``name`` on every record as its column, ``None`` if
-    every value is ``None``.  Raises ``ValueError`` if only some are, or if the
-    values do not fit one column (states of different sizes, an integer
-    beyond 64 bits)."""
+    every value is ``None``; a float column goes through ``_real_numbers``.
+    Raises ``ValueError`` naming the field if only some are ``None``, for an
+    array in a scalar float column, a non-integer (a ``bool`` too) in an int
+    column or a non-bool in a bool one, and for values that do not fit one
+    column (complex, a string, states of different sizes, an integer beyond
+    64 bits)."""
     nones = sum(v is None for v in values)
     if nones == len(values):
         return None
     if nones:
         raise ValueError(f"records carry {name} on some steps and not on others")
+    dtype = _DTYPES[name]
+    if name not in _STATES and not all(map(_OF_TYPE[dtype], values)):
+        raise ValueError(f"records carry {name} values that are not all of type {np.dtype(dtype)}")
     try:
-        col = np.array(values, dtype=_DTYPES[name])
-    except (OverflowError, ValueError) as exc:
+        col = _real_numbers(values) if dtype is float else np.array(values, dtype)
+        return col.reshape((len(col), -1) if name in _STATES else len(col))
+    except (_Refusal, OverflowError, ValueError) as exc:
         raise ValueError(f"records carry {name} values that do not fit one column: {exc}") from None
-    return col.reshape(len(col), -1) if col.ndim > 1 else col
+
+
+def _collector(name: str, scalar: bool):
+    """``(put, end)`` for column ``name`` of a run: ``put`` appends one step's
+    value to an ``array.array`` of the column's dtype, a state's as a Python
+    float in the float lane (``scalar``) and as a ``(d,)`` array's bytes in the
+    other; ``end(n)`` makes the column of ``n`` steps, sharing the array."""
+    dtype = _DTYPES.get(name, float)
+    a = array(_TYPECODES[dtype])
+    put = a.append if scalar or name not in _STATES else lambda v: a.frombytes(v.tobytes())
+    return put, lambda n: np.frombuffer(a, dtype).reshape((n, -1) if name in _STATES else n)
 
 
 def _field_getter(col: Optional[np.ndarray]):
@@ -324,41 +358,6 @@ def _condition(i, lhs, denom):
     positive.  Elementwise, on whole columns as on floats."""
     rhs = i * denom
     return rhs, np.where(rhs > 0.0, lhs > rhs, True)
-
-
-class _Columns:
-    """Growable rows, one per accepted step, with one field per column.
-
-    Each field is given as ``(name, dtype, *row_shape)``: a state field
-    becomes an ``(n, d)`` column, a scalar field a 1-D one.  The rows live in
-    one structured buffer that doubles when full, so an append is one write
-    and costs amortised constant time.
-    """
-
-    def __init__(self, *specs):
-        self._dtype = np.dtype([(name, dtype, tuple(row)) for name, dtype, *row in specs],
-                               align=True)
-        self._buf = np.empty(128, self._dtype)
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def append(self, *row) -> None:
-        """Write one row, its values in the order of the fields."""
-        n = self._n
-        if n == len(self._buf):
-            # the new half stays unwritten, so its pages cost no memory until rows land there
-            full, self._buf = self._buf, np.empty(2 * n, self._dtype)
-            self._buf[:n] = full
-        self._buf[n] = row
-        self._n = n + 1
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """Each field's column, a view of the rows copied to exactly their number.
-        The buffer is released, so this ends the appends."""
-        rows, self._buf = self._buf[:self._n].copy(), None
-        return {name: rows[name] for name in self._dtype.names}
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

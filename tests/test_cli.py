@@ -410,6 +410,37 @@ def test_records_with_diagnostics_on_some_steps_only_are_refused(tmp_path):
         write_trace_csv(dataclasses.replace(trace, records=records), str(tmp_path / "t.csv"))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("w_lower", np.array([1j]), "records carry w_lower values that do not fit one column: "
+                                "complex"),
+    ("x", "0.5", "records carry x values that do not fit one column: .* not real numbers"),
+    ("rejects", 1.5, "records carry rejects values that are not all of type int64"),
+    ("clamped", "no", "records carry clamped values that are not all of type bool"),
+], ids=["complex_state", "string_float", "fractional_int", "string_bool"])
+def test_records_whose_values_are_not_of_their_column_type_are_refused(
+        tmp_path, field, value, message):
+    # a gathered record sequence goes through the one conversion of every value,
+    # so no value is written as something else: the complex state as its real part,
+    # the string as a float, the fraction truncated or a non-empty string as true
+    trace = integrate(PAIR, builtin("decay"), ControllerConfig(delta=1e-8))
+    records = list(trace.records)
+    records[1] = dataclasses.replace(records[1], **{field: value})
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=message):
+        write_trace_csv(dataclasses.replace(trace, records=records), str(path))
+    assert not path.exists()
+
+
+def test_records_with_an_array_in_a_scalar_field_are_refused(tmp_path):
+    # a (1,) array in h on every record is not flattened into the h column
+    trace = integrate(PAIR, builtin("decay"), ControllerConfig(delta=1e-8))
+    records = [dataclasses.replace(r, h=np.array([r.h])) for r in trace.records]
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="records carry h values that are not all of type float64"):
+        write_trace_csv(dataclasses.replace(trace, records=records), str(path))
+    assert not path.exists()
+
+
 def test_a_file_whose_columns_cannot_be_stored_is_refused(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(integrate(PAIR, builtin("decay"), ControllerConfig(delta=1e-8)), str(path))

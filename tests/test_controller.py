@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rk_error_lab import controller, rk_core
 from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
+from rk_error_lab.error_analysis import _Records
 from rk_error_lab import (
     BetaTracker,
     ComplexStage,
@@ -456,12 +457,53 @@ def test_records_held_elsewhere_write_the_same_files(tmp_path, problem):
             assert other.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no_oracle"])
-def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle):
-    # the run is stored as columns: about 0.11 KB per step with the oracle and
-    # 0.07 KB without at d = 1, where one StepRecord of seven arrays per step
-    # took 1.16 KB and 0.67 KB
+@pytest.mark.parametrize("problem", [
+    builtin("decay"), dataclasses.replace(builtin("decay"), scalar=False), _oscillator(),
+], ids=["float_lane", "array_lane", "d2"])
+def test_every_store_gives_a_column_one_dtype(tmp_path, problem):
+    # a run's columns, the columns gathered from its records and those parsed
+    # from its CSV have one dtype per field, read from StepRecord's annotations
+    trace = integrate(PAIR, problem, flagship_config())
+    path = tmp_path / "run.csv"
+    write_trace_csv(trace, str(path))
+    for other in (_Records.of(tuple(trace.records)), read_trace_csv(str(path))):
+        for name, col in trace.records.columns.items():
+            got = other.columns[name]
+            assert got.dtype == col.dtype and got.shape == col.shape, name
+            assert got.tobytes() == col.tobytes(), name
+
+
+@pytest.mark.parametrize("scalar", [True, False], ids=["float_lane", "array_lane"])
+def test_numpy_floats_in_the_config_or_problem_give_the_same_run(scalar):
+    # a delta from np.logspace or an x_end read from an array is a numpy float, so
+    # the run's own comparisons give numpy bools; the run stores them as bools
+    p = dataclasses.replace(builtin("decay"), scalar=scalar)
+    want = integrate(PAIR, p, flagship_config(h_init=0.01))
+    assert want.records.columns["clamped"].any()
+    f64 = np.float64
+    for q, cfg in [(p, flagship_config(delta=f64(1e-8), h_init=0.01)),
+                   (p, flagship_config(h_init=f64(0.01))),
+                   (dataclasses.replace(p, x0=f64(p.x0), x_end=f64(p.x_end)),
+                    flagship_config(h_init=0.01))]:
+        got = integrate(PAIR, q, cfg)
+        assert got.summary == want.summary
+        for name, col in want.records.columns.items():
+            other = got.records.columns[name]
+            assert other.dtype == col.dtype and other.tobytes() == col.tobytes(), name
+
+
+@pytest.mark.parametrize("oracle, lane", [
+    (True, "float"), (False, "float"), (True, "array"), (False, "array"),
+], ids=["oracle", "no_oracle", "array_oracle", "array_no_oracle"])
+def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle, lane):
+    # the run collects one typed array per column and makes its columns once,
+    # after the loop: about 0.11 KB per step retained with the oracle and 0.07 KB
+    # without at d = 1, where one StepRecord of seven arrays per step took 1.16 KB
+    # and 0.67 KB.  The peak bounds what the loop holds on the way: a list of row
+    # tuples, or of (d,) arrays, converted after the loop would exceed it
     p = builtin("paper_exponential")
+    if lane == "array":
+        p = dataclasses.replace(p, scalar=False)
     if not oracle:
         p = dataclasses.replace(p, exact=None)
     integrate(PAIR, p, flagship_config())  # caches filled on first use are not the run's
@@ -469,11 +511,12 @@ def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle):
     try:
         before = tracemalloc.get_traced_memory()[0]
         trace = integrate(PAIR, p, flagship_config(delta=1e-12))
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert trace.summary.accepted == 10438
     assert retained / trace.summary.accepted <= 256
+    assert peak / trace.summary.accepted <= 256
 
 
 @pytest.mark.parametrize("problem", [builtin("paper_exponential"), _sine_across_zero()])
