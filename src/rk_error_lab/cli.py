@@ -126,6 +126,8 @@ _CODECS.update({Optional[t]: (fmt, _optional(parse)) for t, (fmt, parse) in _COD
 
 CSV_COLUMNS = list(_HINTS)
 _FORMATS, _PARSERS = zip(*(_CODECS[t] for t in _HINTS.values()))
+# a run never counts rejections below 0, so a parsed rejects is checked for that too
+_CHECKS = [(lambda v: v >= 0) if name == "rejects" else None for name in CSV_COLUMNS]
 _BLOCK = 1024  # rows formatted at a time, which bounds the writers' transient memory
 
 
@@ -163,8 +165,9 @@ def read_trace_csv(path: str) -> Sequence[StepRecord]:
     value, so each parsed value is formatted again.  Raises ``ValueError``
     naming the line for a wrong header or a row with too few or too many
     cells, naming the line and the cell for the first cell that does not
-    parse or differs from its rebuilt form, and naming the column for an
-    oracle column empty on some rows and not on others.
+    parse, differs from its rebuilt form or holds a negative ``rejects``, and
+    naming the column for an oracle column empty on some rows and not on
+    others.
     """
     cols = [[] for _ in CSV_COLUMNS]
     with open(path, newline="", encoding="utf-8") as fh:
@@ -176,10 +179,11 @@ def read_trace_csv(path: str) -> Sequence[StepRecord]:
             where = f"{path}: line {reader.line_num}"
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{where}: {len(row)} cells, expected {len(CSV_COLUMNS)}")
-            for col, parse, fmt, cell in zip(cols, _PARSERS, _FORMATS, row):
+            for col, parse, fmt, check, cell in zip(cols, _PARSERS, _FORMATS, _CHECKS, row):
                 try:
                     v = parse(cell)
-                    if v is not None and cell != fmt(v):
+                    if (v is not None and cell != fmt(v)
+                            or check is not None and not check(v)):
                         raise ValueError
                 except ValueError:
                     raise ValueError(f"{where}: malformed cell {cell!r}") from None

@@ -37,7 +37,7 @@ from .error_analysis import (
 )
 from .problems import IVProblem
 from .rk_core import (MethodPair, RHSFunction, _is_integer, _one_state, _pair_buffer,
-                      _pair_increments, _positive_finite)
+                      _pair_increments, _positive_finite, _vector_rhs)
 
 __all__ = [
     "ControllerConfig",
@@ -186,16 +186,17 @@ def _attempt(pair: MethodPair, f: RHSFunction, x: float, y, h: float, buf):
 
 
 def _initial_stepsizes(
-    pair: MethodPair, p: IVProblem, y0, cfg: ControllerConfig, buf
+    pair: MethodPair, p: IVProblem, f: RHSFunction, y0, cfg: ControllerConfig, buf
 ) -> tuple[float, float, float]:
     """The run's ``(h_init, h_min, h_max)``, with the limits ``[1e-12, 1/10]`` times the span.
 
     Without a given ``h_init`` one is proposed from a probe step of
-    ``span / 100`` from ``y0`` (``p.y0`` as the run holds it), evaluated into
-    the run's ``buf``, and clamped into the limits.  Raises ``StepsizeOutOfRange`` naming ``x_end`` if ``h_min``
-    underflows to 0 or ``h_max**(z+1)`` overflows for the higher method's
-    order ``z`` (every step, the probe included, is at most ``h_max``), and for
-    a given ``h_init`` outside them.
+    ``span / 100`` from ``y0`` (``p.y0`` as the run holds it), evaluated with
+    the run's ``f`` into its ``buf``, and clamped into the limits.  Raises
+    ``StepsizeOutOfRange`` naming ``x_end`` if ``h_min`` underflows to 0 or
+    ``h_max**(z+1)`` overflows for the higher method's order ``z`` (every
+    step, the probe included, is at most ``h_max``), and for a given
+    ``h_init`` outside them.
     """
     span = p.x_end - p.x0
     h_min, h_max = 1e-12 * span, span / 10.0
@@ -209,7 +210,7 @@ def _initial_stepsizes(
                                  f"[{h_min}, {h_max}]: h_min must exceed 0, h_max**{n} be finite")
     h_init = cfg.h_init
     if h_init is None:
-        beta_norm = _attempt(pair, p.f, p.x0, y0, span / 100.0, buf)[4]
+        beta_norm = _attempt(pair, f, p.x0, y0, span / 100.0, buf)[4]
         h_init = propose_stepsize(beta_norm, cfg, pair.lower.z, h_min, h_max)
     elif not h_min <= h_init <= h_max:
         raise StepsizeOutOfRange(f"h_init={h_init} outside [h_min={h_min}, h_max={h_max}]")
@@ -236,17 +237,22 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     of the loop ends the run at once: its own exception propagates, and no
     exact state is looked up.  Every attempt, the probe's included, is
     evaluated into one stage buffer allocated for the run, of the float lane
-    for a problem flagged ``scalar`` (``IVProblem``): the loop then holds the
-    state and the estimate as Python floats, with the same bits.  A stage
+    for every problem whose ``y0`` has one component: the loop then holds the
+    state and the estimate as Python floats, with the bits of the array lane,
+    and hands ``f`` floats if the problem is flagged ``scalar`` (``IVProblem``)
+    and read-only ``(1,)`` vectors if not (``rk_core._vector_rhs``).  A stage
     that ``f`` makes complex (of an attempt, the probe or the oracle's rows)
     raises ``ComplexStage``, as in every evaluation of the stage loop.  The
-    states handed to ``f`` are read-only: ``y0``, each accepted state and the
-    oracle's exact states, so an ``f`` that writes its argument raises numpy's
-    ``ValueError`` rather than changing the run.
+    states handed to ``f`` are read-only: ``y0``, each accepted state, every
+    state of the float lane and the oracle's exact states, so an ``f`` that
+    writes its argument raises numpy's ``ValueError`` rather than changing the
+    run.
     """
-    buf = _pair_buffer(pair, p.y0.shape, p.scalar)
-    w = p.y0.item() if p.scalar else p.y0
-    h_work, h_min, h_max = _initial_stepsizes(pair, p, w, cfg, buf)
+    float_lane = p.y0.size == 1
+    f = _vector_rhs(p.f) if float_lane and not p.scalar else p.f
+    buf = _pair_buffer(pair, p.y0.shape, float_lane)
+    w = p.y0.item() if float_lane else p.y0
+    h_work, h_min, h_max = _initial_stepsizes(pair, p, f, w, cfg, buf)
     # reject-only never grows a step, so it needs at least span / h_init steps;
     # the factor 2 covers the rounding of x + h (a float-int comparison cannot overflow)
     if cfg.policy == "reject-only" and (p.x_end - p.x0) / (2 * h_work) > cfg.max_steps:
@@ -257,7 +263,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     bound = sigma_bound(cfg.sigma, z, r, delta)
 
     x, n = p.x0, 0
-    cols = {name: _collector(name, p.scalar) for name in ("x", "h", "cond_lhs", "rejects",
+    cols = {name: _collector(name, float_lane) for name in ("x", "h", "cond_lhs", "rejects",
             "clamped", "w_lower", "w_higher", "beta_lower", "inc_lower")}
     put = {name: append for name, (append, _) in cols.items()}  # values are put by column name
 
@@ -271,7 +277,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             h_step = p.x_end - x if land else h_work
             # a Python bool even where x_end or h_work is a numpy float, for the bool column
             clamped = bool(land and h_step < h_work)
-            inc_lo, w_lo, w_hi, beta, beta_norm, est = _attempt(pair, p.f, x, w, h_step, buf)
+            inc_lo, w_lo, w_hi, beta, beta_norm, est = _attempt(pair, f, x, w, h_step, buf)
             if est < delta:
                 break
             # an accepted state is finite: a NaN or inf in w_lo or w_hi makes est NaN or inf
@@ -291,7 +297,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         put["clamped"](clamped), put["w_lower"](w_lo), put["w_higher"](w_hi)
         put["beta_lower"](beta), put["inc_lower"](inc_lo)
         n += 1
-        if not p.scalar:  # the next attempt hands f this state itself, which f must not write
+        if not float_lane:  # the next attempt hands f this state itself, which f must not write
             w_hi.flags.writeable = False
         w = w_hi
         x = x_next

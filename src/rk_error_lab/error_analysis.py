@@ -196,14 +196,14 @@ def _column(name: str, values: list) -> Optional[np.ndarray]:
         raise ValueError(f"records carry {name} values that do not fit one column: {exc}") from None
 
 
-def _collector(name: str, scalar: bool):
+def _collector(name: str, float_lane: bool):
     """``(put, end)`` for column ``name`` of a run: ``put`` appends one step's
     value to an ``array.array`` of the column's dtype, a state's as a Python
-    float in the float lane (``scalar``) and as a ``(d,)`` array's bytes in the
-    other; ``end(n)`` makes the column of ``n`` steps, sharing the array."""
+    float in the float lane (``float_lane``) and as a ``(d,)`` array's bytes in
+    the array lane; ``end(n)`` makes the column of ``n`` steps, sharing the array."""
     dtype = _DTYPES.get(name, float)
     a = array(_TYPECODES[dtype])
-    put = a.append if scalar or name not in _STATES else lambda v: a.frombytes(v.tobytes())
+    put = a.append if float_lane or name not in _STATES else lambda v: a.frombytes(v.tobytes())
     return put, lambda n: np.frombuffer(a, dtype).reshape((n, -1) if name in _STATES else n)
 
 

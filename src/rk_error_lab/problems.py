@@ -58,13 +58,15 @@ class IVProblem:
     shape go undetected (``n == d`` lets a one-state ``f`` return some).  The
     controller calls ``f`` on one state.
 
-    ``scalar`` declares that ``f`` also takes a Python float for a
+    ``scalar`` declares only that ``f`` also takes a Python float for a
     one-component state and returns one; it is refused for a ``y0`` of more
-    than one component.  ``integrate`` then holds the state, the stages and
-    the estimate of its probe and every attempt as Python floats (the float
-    lane of ``rk_core._stages``), with the bits of the ``(1,)`` vectors it
-    holds without the flag.  The oracle still gives ``f`` rows, and the
-    one-step functions ``(1,)`` vectors.
+    than one component.  ``integrate`` holds the state, the stages and the
+    estimate of its probe and every attempt of any one-component problem as
+    Python floats (the float lane of ``rk_core._stages``), with the bits of
+    the array lane.  A flagged ``f`` is handed those floats; any other is
+    handed each as a new read-only ``(1,)`` vector, so the flag moves no bit
+    of a run.  The oracle still gives ``f`` rows, and the one-step functions
+    ``(1,)`` vectors.
     """
 
     name: str

@@ -24,18 +24,21 @@ once, as rows, with the bits of each state's own evaluation
 There is one stage loop (``_stages``) and two lanes, which differ only in
 how a stage is stored.  The array lane stores each stage into a slot of a
 float64 buffer (``_StageBuffer``).  The float lane (``_FloatBuffer``), which
-``integrate`` runs for a problem flagged ``scalar``, holds a one-component
-state and its stages as Python floats, sparing numpy's per-call overhead;
-its weighted sums are ``b.dot`` on one float64 vector per method, the same
-BLAS call on the same kind of vector as the array lane's, so both lanes
-give the same bits on any BLAS kernel.  A value of ``f`` takes one fast
-test in either lane and otherwise the same checks, with the same failures.
+``integrate`` runs for every problem whose ``y0`` has one component, holds
+the state and its stages as Python floats, sparing numpy's per-call
+overhead; its weighted sums are ``b.dot`` on one float64 vector per method,
+the same BLAS call on the same kind of vector as the array lane's, so both
+lanes give the same bits on any BLAS kernel.  An ``f`` flagged ``scalar``
+takes those floats; any other one-component ``f`` takes each as a read-only
+``(1,)`` vector (``_vector_rhs``).  A value of ``f`` takes one fast test in
+either lane and otherwise the same checks, with the same failures.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -476,12 +479,31 @@ class _FloatBuffer:
         return float(pair.lower.b.dot(self.lower)), float(pair.higher.b.dot(self.higher))
 
 
+_pack = struct.Struct("d").pack
+
+
+def _vector_rhs(f: RHSFunction) -> RHSFunction:
+    """``f`` of a one-component problem not flagged ``scalar``, for the float
+    lane: each call hands ``f`` the state, a Python float, as a fresh read-only
+    ``(1,)`` float64 vector, and returns a float64 value of size 1 as a Python
+    float, which the array lane stores into its ``(1,)`` slot whatever its
+    shape.  Any other value goes unchanged to ``_FloatBuffer.store``, which
+    refuses it as the array lane does.  Unlike the array lane, which hands
+    ``f`` a new writeable vector at every stage after the first, no stage
+    argument can be written."""
+    def one(x, y):
+        v = f(x, np.frombuffer(_pack(y)))
+        return v.item() if getattr(v, "dtype", None) is _FLOAT and v.size == 1 else v
+    return one
+
+
 def _pair_buffer(pair: MethodPair, shape: tuple[int, ...],
-                 scalar: bool = False) -> _StageBuffer | _FloatBuffer:
+                 float_lane: bool = False) -> _StageBuffer | _FloatBuffer:
     """A stage buffer for ``pair``'s plan from a state (or rows) of ``shape``: of
-    the float lane if ``scalar``, for one state held as a Python float."""
-    return _FloatBuffer(pair) if scalar else _StageBuffer(len(pair.plan.rows), shape,
-                                                          pair.higher.m)
+    the float lane if ``float_lane``, for one state of one component held as a
+    Python float."""
+    return _FloatBuffer(pair) if float_lane else _StageBuffer(len(pair.plan.rows), shape,
+                                                              pair.higher.m)
 
 
 def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf) -> None:

@@ -612,6 +612,19 @@ def test_malformed_rows_are_refused_with_their_line(tmp_path):
     assert len(read_trace_csv(str(path))) == len(lines) - 1
 
 
+def test_a_negative_rejects_is_refused_with_its_line(tmp_path):
+    # the cell is in its exact form, but a run never counts fewer than 0
+    # rejections: a rejects of -1 used to read back as a success
+    path = tmp_path / "trace.csv"
+    write_trace_csv(integrate(PAIR, builtin("decay"), ControllerConfig(delta=1e-8)), str(path))
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    row[CSV_COLUMNS.index("rejects")] = "-1"
+    path.write_text("\n".join(lines[:2] + [",".join(row)] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match=re.escape("line 3: malformed cell '-1'") + "$"):
+        read_trace_csv(str(path))
+
+
 def test_readme_lists_the_csv_columns():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("CSV trace columns", 1)[1].split("```")[1]

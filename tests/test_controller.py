@@ -459,7 +459,7 @@ def test_records_held_elsewhere_write_the_same_files(tmp_path, problem):
 
 @pytest.mark.parametrize("problem", [
     builtin("decay"), dataclasses.replace(builtin("decay"), scalar=False), _oscillator(),
-], ids=["float_lane", "array_lane", "d2"])
+], ids=["float_lane", "flagless", "d2"])
 def test_every_store_gives_a_column_one_dtype(tmp_path, problem):
     # a run's columns, the columns gathered from its records and those parsed
     # from its CSV have one dtype per field, read from StepRecord's annotations
@@ -473,7 +473,7 @@ def test_every_store_gives_a_column_one_dtype(tmp_path, problem):
             assert got.tobytes() == col.tobytes(), name
 
 
-@pytest.mark.parametrize("scalar", [True, False], ids=["float_lane", "array_lane"])
+@pytest.mark.parametrize("scalar", [True, False], ids=["float_lane", "flagless"])
 def test_numpy_floats_in_the_config_or_problem_give_the_same_run(scalar):
     # a delta from np.logspace or an x_end read from an array is a numpy float, so
     # the run's own comparisons give numpy bools; the run stores them as bools
@@ -492,18 +492,28 @@ def test_numpy_floats_in_the_config_or_problem_give_the_same_run(scalar):
             assert other.dtype == col.dtype and other.tobytes() == col.tobytes(), name
 
 
-@pytest.mark.parametrize("oracle, lane", [
-    (True, "float"), (False, "float"), (True, "array"), (False, "array"),
-], ids=["oracle", "no_oracle", "array_oracle", "array_no_oracle"])
-def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle, lane):
+def _paper_exponential_d2():
+    # paper_exponential with a second component that stays 0, so it runs the array lane
+    p = builtin("paper_exponential")
+    return dataclasses.replace(p, y0=[1.0, 0.0], scalar=False,
+                               exact=lambda x: np.append(p.exact(x), 0.0))
+
+
+@pytest.mark.parametrize("oracle, p", [
+    (True, builtin("paper_exponential")), (False, builtin("paper_exponential")),
+    (True, dataclasses.replace(builtin("paper_exponential"), scalar=False)),
+    (False, dataclasses.replace(builtin("paper_exponential"), scalar=False)),
+    (True, _paper_exponential_d2()), (False, _paper_exponential_d2()),
+], ids=["oracle", "no_oracle", "flagless_oracle", "flagless_no_oracle",
+        "array_oracle", "array_no_oracle"])
+def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle, p):
     # the run collects one typed array per column and makes its columns once,
     # after the loop: about 0.11 KB per step retained with the oracle and 0.07 KB
     # without at d = 1, where one StepRecord of seven arrays per step took 1.16 KB
-    # and 0.67 KB.  The peak bounds what the loop holds on the way: a list of row
-    # tuples, or of (d,) arrays, converted after the loop would exceed it
-    p = builtin("paper_exponential")
-    if lane == "array":
-        p = dataclasses.replace(p, scalar=False)
+    # and 0.67 KB, and 0.17 KB and 0.09 KB in the array lane at d = 2.  The peak
+    # bounds what the loop holds on the way: a list of row tuples, or of (d,)
+    # arrays, converted after the loop would exceed it.  The oracle's rows hold
+    # every step's stages at once, so its peak grows with d (0.34 KB at d = 2)
     if not oracle:
         p = dataclasses.replace(p, exact=None)
     integrate(PAIR, p, flagship_config())  # caches filled on first use are not the run's
@@ -514,9 +524,10 @@ def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle, lane
         retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert trace.summary.accepted == 10438
-    assert retained / trace.summary.accepted <= 256
-    assert peak / trace.summary.accepted <= 256
+    n = trace.summary.accepted
+    assert n == 10438 if p.y0.size == 1 else n > 10000
+    assert retained / n <= 256
+    assert peak / n <= 256 * p.y0.size
 
 
 @pytest.mark.parametrize("problem", [builtin("paper_exponential"), _sine_across_zero()])
@@ -583,14 +594,16 @@ def test_pair_over_rows_is_bit_identical_to_each_row_alone(name):
     assert p.rowwise and len(hs) > 1000
     assert name != "paper_exponential" or len(hs) == 10438
     lower, higher = rk_core._pair_increments(PAIR, p.f, xs, ys, hs)
-    floats = rk_core._pair_buffer(PAIR, p.y0.shape, True) if p.scalar else None
+    floats = rk_core._pair_buffer(PAIR, p.y0.shape, True) if p.y0.size == 1 else None
     for k, (x, y, h) in enumerate(zip(xs.tolist(), ys, hs.tolist())):
         lo, hi = rk_core._pair_increments(PAIR, p.f, x, y, h)
         assert lower[k].tobytes() == lo.tobytes() and higher[k].tobytes() == hi.tobytes(), k
-        if floats is not None:  # and the float lane's, from the state as a Python float
-            lo, hi = rk_core._pair_increments(PAIR, p.f, x, y.item(), h, floats)
-            assert type(lo) is float and np.array([lo, hi]).tobytes() == np.concatenate(
-                (lower[k], higher[k])).tobytes(), k
+        if floats is not None:  # and the float lane's, from the state as a Python float,
+            # with f handed floats as flagged and (1,) vectors as not
+            for f in (p.f, rk_core._vector_rhs(p.f)):
+                lo, hi = rk_core._pair_increments(PAIR, f, x, y.item(), h, floats)
+                assert type(lo) is float and np.array([lo, hi]).tobytes() == np.concatenate(
+                    (lower[k], higher[k])).tobytes(), k
 
 
 _UNIT = st.floats(min_value=-1.0, max_value=1.0)
@@ -1064,7 +1077,8 @@ def test_a_python_complex_stage_is_refused():
 
 def _lane_rhs(at, value):
     """``-y``, except that the calls numbered in ``at`` (from 1) return ``value(y)``;
-    ``y`` is a Python float in the float lane and a ``(1,)`` vector otherwise."""
+    ``y`` is a Python float if the problem is flagged ``scalar`` and a ``(1,)``
+    vector otherwise."""
     calls = []
 
     def f(x, y):
@@ -1105,25 +1119,70 @@ _LANE_CASES = {
 }
 
 
-@pytest.mark.parametrize("scalar", [True, False], ids=["float-lane", "array-lane"])
+@pytest.mark.parametrize("lane", ["float-lane", "flagless", "array-lane"])
 @pytest.mark.parametrize("case", _LANE_CASES)
-def test_both_lanes_refuse_a_stage_or_state_alike(case, scalar):
-    # the same one-component problem with and without the scalar flag: both
-    # lanes raise the same class with the same message.  A dict used to fail
-    # with numpy's bare TypeError, a str as "of shape ()" or as a parsed number,
-    # None as "not finite", and 10**400 with "int too large to convert to float"
+def test_both_lanes_refuse_a_stage_or_state_alike(case, lane):
+    # the same one-component problem run with and without the scalar flag, both
+    # in the float lane, and its first attempt (the probe's, if there is one)
+    # by attempt_step, in the array lane: all raise the same class with the
+    # same message, except that attempt_step returns the state that integrate
+    # refuses.  A dict used to fail with numpy's bare TypeError, a str as "of
+    # shape ()" or as a parsed number, None as "not finite", and 10**400 with
+    # "int too large to convert to float"
     at, value, y0, x_end, h_init, error, message = _LANE_CASES[case]
-    p = IVProblem("lane", _lane_rhs(at, value), 0.0, [y0], x_end, scalar=scalar)
+    f = _lane_rhs(at, value)
+    if lane == "array-lane":
+        def call():
+            with np.errstate(over="ignore", invalid="ignore"):  # as integrate runs
+                return attempt_step(PAIR, f, 0.0, np.array([y0]), h_init or x_end / 100.0)
+        if error is NonFiniteState:
+            assert not np.isfinite(call()[1]).all()
+            return
+    else:
+        p = IVProblem("lane", f, 0.0, [y0], x_end, scalar=lane == "float-lane")
+        call = lambda: integrate(PAIR, p, ControllerConfig(h_init=h_init))
     with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
-        integrate(PAIR, p, ControllerConfig(h_init=h_init))
+        call()
     assert type(caught.value) is error
+
+
+def _handed(y):
+    """What ``f`` is handed: ``float``, or an array's shape, dtype and writeability."""
+    return float if type(y) is float else (type(y), y.shape, y.dtype.name, y.flags.writeable)
+
+
+@pytest.mark.parametrize("problem, handed", [
+    (builtin("paper_exponential"), {float}),
+    (dataclasses.replace(builtin("paper_exponential"), scalar=False),
+     {(np.ndarray, (1,), "float64", False)}),
+    (_oscillator(), {(np.ndarray, (2,), "float64", False), (np.ndarray, (2,), "float64", True)}),
+], ids=["flagged", "flagless", "d2"])
+def test_f_is_handed_floats_if_flagged_and_vectors_if_not(problem, handed):
+    # in the probe, every attempt and every rejection: a flagged f takes Python
+    # floats, a flagless one-component f a read-only (1,) vector, new for each
+    # call, and a two-component f (2,) vectors, the run's read-only state at
+    # each attempt's first stage and a new stage argument at the others
+    seen = []
+
+    def f(x, y):
+        seen.append(y)  # kept, so that no two arrays handed can share an id
+        return problem.f(x, y)
+    p = dataclasses.replace(problem, f=f, exact=None)
+    s = integrate(PAIR, p, flagship_config(sigma=1.0)).summary  # no safety margin: rejections
+    assert s.rejected > 0 and len(seen) == 5 * (1 + s.accepted + s.rejected)
+    assert set(map(_handed, seen)) == handed
+    if problem.y0.size == 1 and not problem.scalar:
+        assert len(set(map(id, seen))) == len(seen)
 
 
 def test_f_cannot_write_the_states_it_is_handed():
     # stage 1 hands f the run's accepted state itself, and the oracle's rows
     # pass f the exact states themselves: an f that wrote y[0] = 5.0 once
     # x > 0.5 used to end as a success from the state it wrote, and a rowwise
-    # f that halved its rows in place moved the run's crossing to step 1
+    # f that halved its rows in place moved the run's crossing to step 1.  A
+    # flagless one-component run hands f a read-only vector at every stage, so
+    # an f that clamps a negative stage in place fails at its first clamp, where
+    # the array lane (d >= 2 and attempt_step) hands it a new writeable vector
     def writer(x, y):
         if x > 0.5:
             y[0] = 5.0
@@ -1134,45 +1193,69 @@ def test_f_cannot_write_the_states_it_is_handed():
             y /= 2.0
         return -y
 
+    clamped = []
+
+    def clamper(x, y):  # its accepted states stay above 0: a run of it ended as a success
+        if y[0] < 0.0:
+            y[0] = 0.0
+            clamped.append(x)
+        return -50.0 * (y - 0.5)
+
     exact = lambda x: np.array([math.exp(-x)])
-    for p in (IVProblem("writer", writer, 0.0, [1.0], 1.0),
-              IVProblem("halver", halver, 0.0, [1.0], 1.0, exact=exact, rowwise=True)):
+    for p, cfg in ((IVProblem("writer", writer, 0.0, [1.0], 1.0), flagship_config()),
+                   (IVProblem("halver", halver, 0.0, [1.0], 1.0, exact=exact, rowwise=True),
+                    flagship_config()),
+                   (IVProblem("clamper", clamper, 0.0, [1.0], 1.0), flagship_config(h_init=0.1))):
         with pytest.raises(ValueError, match="read-only"):
-            integrate(PAIR, p, flagship_config())
+            integrate(PAIR, p, cfg)
+    assert not clamped
+    assert np.isfinite(attempt_step(PAIR, clamper, 0.0, np.array([1.0]), 0.1)[1]).all()
+    assert clamped
 
 
 # in a child process, so that OPENBLAS_CORETYPE picks the BLAS kernel: each
-# built-in's run in the float lane and in the array lane, digested
+# built-in's run with and without the scalar flag, digested, and each accepted
+# step of the flagless run again by attempt_step, in the array lane, from the
+# recorded x, w_higher and h before it
 _LANES_CHILD = """
 import dataclasses, hashlib
-from rk_error_lab import ControllerConfig, POLICIES, builtin, builtin_pair, integrate, problem_names
+from rk_error_lab import (ControllerConfig, POLICIES, attempt_step, builtin, builtin_pair,
+                          integrate, problem_names)
+pair = builtin_pair("rk3_rk4")
 for name in problem_names():
     for policy in POLICIES:
         digests = set()
         for scalar in (True, False):
             p = dataclasses.replace(builtin(name), scalar=scalar)
-            trace = integrate(builtin_pair("rk3_rk4"), p, ControllerConfig(delta=1e-8, policy=policy))
+            trace = integrate(pair, p, ControllerConfig(delta=1e-8, policy=policy))
             h = hashlib.sha256(repr(trace.summary).encode())
             for col in trace.records.columns.values():
                 h.update(b"-" if col is None else col.tobytes())
             digests.add(h.hexdigest())
-        print(name, policy, len(digests))
+        c, x, w, same = trace.records.columns, p.x0, p.y0, 0
+        for i in range(trace.summary.accepted):
+            w_lower, w_higher, _ = attempt_step(pair, p.f, x, w, c["h"].item(i))
+            same += (w_lower.tobytes() == c["w_lower"][i].tobytes()
+                     and w_higher.tobytes() == c["w_higher"][i].tobytes())
+            x, w = c["x"].item(i), c["w_higher"][i]
+        print(name, policy, len(digests), same == trace.summary.accepted > 0)
 """
 
 
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 def test_both_lanes_give_the_same_bits_on_other_blas_kernels(core):
     # the float lane hands BLAS the same contiguous, separately allocated
-    # vectors as the array lane, so the two agree on every kernel; the kernels
-    # disagree with each other.  Where numpy's BLAS ignores the variable the
-    # test runs on the default kernel
+    # vectors as the array lane, so the two agree on every kernel, as do the
+    # float lane's runs with and without the flag; the kernels disagree with
+    # each other.  Where numpy's BLAS ignores the variable the test runs on
+    # the default kernel
     src = os.path.dirname(os.path.dirname(rk_core.__file__))
     env = dict(os.environ, OPENBLAS_CORETYPE=core,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _LANES_CHILD], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    assert done.stdout.split("\n")[:-1] == [f"{name} {policy} 1" for name in problem_names()
-                                           for policy in POLICIES]
+    assert done.stdout.split("\n")[:-1] == [f"{name} {policy} 1 True"
+                                           for name in problem_names() for policy in POLICIES]
 
 
 def test_a_flagless_rhs_of_another_size_at_an_exact_state_is_refused_by_name():
@@ -1200,13 +1283,16 @@ def test_a_flagless_rhs_of_another_size_at_an_exact_state_is_refused_by_name():
     IVProblem("scalar", lambda x, y: -y[0], 0.0, [1.0], 1.0,
               exact=lambda x: np.array([math.exp(-x)])),
     dataclasses.replace(builtin("decay"), scalar=False),
-], ids=["decay", "numpy-scalar", "decay-flagless"])
+    _paper_exponential_d2(),
+], ids=["decay", "numpy-scalar", "decay-flagless", "array-lane"])
 def test_a_float_stage_of_the_state_size_is_stored_without_a_numpy_call(problem, monkeypatch):
-    # the stage loop tests each value with one attribute read and one comparison;
     # a float64 value of the state's size (a numpy float64 scalar for one
     # component) is stored without the complex or the size check, in the
-    # attempts, the probe and the oracle's rows.  In the float lane (the
-    # built-in decay, flagged) a Python float is stored after one type test
+    # attempts, the probe and the oracle's rows.  The array lane (the oracle's
+    # rows, and every attempt at d = 2) tests each value with one attribute
+    # read and one comparison; the float lane, which runs every attempt at
+    # d = 1, stores a Python float after one type test, and a flagless f's
+    # value becomes one after that read and comparison
     assert problem.scalar == (problem is builtin("decay"))
     expected = integrate(PAIR, problem, flagship_config())
 

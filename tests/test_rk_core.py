@@ -462,7 +462,11 @@ _ENTRY_POINTS = {
                       ValueError, "state must be real, got [0.+1.j]"),
     "f-float-lane": (lambda v: _run_f(v, True), "rk3: stage 1 is {}, at x=0.0, h=0.01",
                      ComplexStage, "rk3: stage 1 is complex at x=0.0, h=0.01"),
-    "f-array-lane": (lambda v: _run_f(v, False), "rk3: stage 1 is {}, at x=0.0, h=0.01",
+    "f-flagless": (lambda v: _run_f(v, False), "rk3: stage 1 is {}, at x=0.0, h=0.01",
+                   ComplexStage, "rk3: stage 1 is complex at x=0.0, h=0.01"),
+    "f-array-lane": (lambda v: attempt_step(builtin_pair("rk3_rk4"), lambda x, y: v, 0.0,
+                                            np.array([1.0]), 0.01),
+                     "rk3: stage 1 is {}, at x=0.0, h=0.01",
                      ComplexStage, "rk3: stage 1 is complex at x=0.0, h=0.01"),
     "exact": (lambda v: IVProblem("p", lambda x, y: -y, 0.0, [1.0], 1.0, exact=lambda x: v),
               "p: exact solution at x=0.0 is {}",
