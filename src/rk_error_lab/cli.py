@@ -6,6 +6,12 @@ propagated-error term against the abscissa) ready for plotting.  Floats are
 serialized as shortest round-trip decimals so a parsed trace reproduces the
 in-memory records bit for bit.
 
+The CSV writers format a block of rows column by column, each column in one
+pass over its values, and write the block as one string.  A broadcast column
+(a run's ``bound``) is formatted once per block.  What a row costs is then
+its float ``repr``s: 11 per trace row of a one-component run with an oracle,
+whose twelfth float, ``bound``, is broadcast, and 3 per figure row.
+
 Exit codes: 0 completed run, 2 usage error, 3 unknown problem or pair name,
 4 integrator failure (an ``ArithmeticError`` or ``RuntimeError`` of the run),
 5 output I/O failure, which removes the outputs the run had already written.
@@ -17,6 +23,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -110,6 +117,14 @@ def _parse_state(cell: str) -> list[float]:
     return [float(c) for c in cell.split(";")]
 
 
+def _state_cells(components: list[list[float]]):
+    """The cells of states given component by component, as ``.T.tolist()`` of a
+    state column gives them: each component by ``repr``, joined by ";".  With
+    one component its formatted list is the cells, with no join."""
+    cells = [map(repr, c) for c in components]
+    return cells[0] if len(cells) == 1 else map(";".join, zip(*cells))
+
+
 def _optional(parse):
     """The parser of ``Optional[T]`` from that of ``T``: an empty cell is ``None``."""
     return lambda cell: None if cell == "" else parse(cell)
@@ -117,11 +132,12 @@ def _optional(parse):
 
 # (value formatter, cell parser) per StepRecord annotation.  A formatter takes a
 # value as ``.tolist()`` gives it: repr of a Python float is the shortest decimal
-# that round-trips, and a state is its components joined by ";".  A parsed cell
-# has the same form; ``None`` is an empty cell.
+# that round-trips, and a state is formatted by ``_state_cells``.  A parsed cell
+# has the same form; ``None`` is an empty cell.  The writers format a column at
+# a time, so a row costs its float reprs and little more.
 _CODECS = {int: (str, int), float: (repr, float),
            bool: (("false", "true").__getitem__, "true".__eq__),
-           np.ndarray: (lambda v: ";".join(map(repr, v)), _parse_state)}
+           np.ndarray: (lambda v: next(_state_cells([[c] for c in v])), _parse_state)}
 _CODECS.update({Optional[t]: (fmt, _optional(parse)) for t, (fmt, parse) in _CODECS.items()})
 
 CSV_COLUMNS = list(_HINTS)
@@ -131,9 +147,23 @@ _CHECKS = [(lambda v: v >= 0) if name == "rejects" else None for name in CSV_COL
 _BLOCK = 1024  # rows formatted at a time, which bounds the writers' transient memory
 
 
+def _cells(fmt, col: Optional[np.ndarray], lo: int, hi: int):
+    """The cells of rows ``lo:hi`` of ``col``, formatted by ``fmt`` as one column:
+    empty for an absent column, a state column by ``_state_cells``, and a
+    broadcast column (stride 0, as a run's ``bound``) formatted once."""
+    if col is None:
+        return itertools.repeat("")
+    if col.ndim == 2:
+        return _state_cells(col[lo:hi].T.tolist())
+    if col.strides == (0,):
+        return itertools.repeat(fmt(col[lo].item()), hi - lo)
+    return map(fmt, col[lo:hi].tolist())
+
+
 def _write_csv(path: str, header: list[str], n: int, cells) -> None:
     """``header``, then ``n`` rows whose cells ``cells(lo, hi)`` gives column by
-    column for rows ``lo:hi``, ``_BLOCK`` rows at a time.
+    column for rows ``lo:hi``, ``_BLOCK`` rows at a time, each block joined
+    into one string.
 
     No cell or header name holds a comma, a quote or a line break, so a row is
     written as ``csv.writer`` writes it: its cells joined by commas, ended by CRLF.
@@ -141,8 +171,8 @@ def _write_csv(path: str, header: list[str], n: int, cells) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, _BLOCK):
-            fh.writelines(",".join(row) + "\r\n"
-                          for row in zip(*cells(lo, min(lo + _BLOCK, n))))
+            rows = zip(*cells(lo, min(lo + _BLOCK, n)))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
@@ -153,8 +183,7 @@ def write_trace_csv(trace: Trace, path: str) -> None:
     """
     cols = _Records.of(trace.records).columns.values()
     _write_csv(path, CSV_COLUMNS, len(trace.records), lambda lo, hi: [
-        [""] * (hi - lo) if col is None else map(fmt, col[lo:hi].tolist())
-        for fmt, col in zip(_FORMATS, cols)])
+        _cells(fmt, col, lo, hi) for fmt, col in zip(_FORMATS, cols)])
 
 
 def read_trace_csv(path: str) -> Sequence[StepRecord]:
@@ -197,8 +226,7 @@ def write_summary_json(trace: Trace, pair: MethodPair, sigma: float, path: str) 
     payload = {**asdict(trace.summary),
                "bound_coefficient": sigma_bound(sigma, pair.lower.z, pair.r, 1.0)}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def figure1_export(trace: Trace, path: str) -> None:

@@ -36,7 +36,7 @@ from .error_analysis import (
     sigma_bound,
 )
 from .problems import IVProblem
-from .rk_core import (MethodPair, RHSFunction, _is_integer, _one_state, _pair_buffer,
+from .rk_core import (_QUIET, MethodPair, RHSFunction, _is_integer, _one_state, _pair_buffer,
                       _pair_increments, _positive_finite, _vector_rhs)
 
 __all__ = [
@@ -149,6 +149,7 @@ def propose_stepsize(
     return min(max(cfg.sigma * (cfg.delta / beta_norm) ** (1.0 / (z + 1)), h_min), h_max)
 
 
+@_QUIET
 def attempt_step(
     pair: MethodPair, f: RHSFunction, x: float, w_higher_in: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,8 +218,7 @@ def _initial_stepsizes(
     return h_init, h_min, h_max
 
 
-# a non-finite stage or state raises a named exception; numpy's warning is noise
-@np.errstate(over="ignore", invalid="ignore")
+@_QUIET
 def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     """Integrate ``p`` over its interval with local error control.
 

@@ -71,6 +71,11 @@ CONSISTENCY_TOL = 1e-12
 #: the dtype a stage is stored as; a value of another dtype goes through ``_real_numbers``
 _FLOAT = np.dtype(float)
 
+#: the floating-point state of every public stepping function and of ``integrate``:
+#: a non-finite stage or state is raised as a named exception or returned, so
+#: numpy's overflow and invalid-value warnings are noise
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
 
 class ExplicitnessViolation(ValueError):
     """Stage matrix has a nonzero entry on or above the diagonal (implicit method)."""
@@ -348,6 +353,7 @@ def _readonly(name: str, values, ndmin: int = 0) -> np.ndarray:
     return out
 
 
+@_QUIET
 def increment_function(
     t: ButcherTableau, f: RHSFunction, x: float, y: np.ndarray, h: float
 ) -> np.ndarray:
@@ -582,6 +588,7 @@ def _pair_increments(pair: MethodPair, f: RHSFunction, x, y, h, buf=None):
     return buf.increments(pair)
 
 
+@_QUIET
 def rk_step(
     t: ButcherTableau, f: RHSFunction, x: float, y: np.ndarray, h: float
 ) -> np.ndarray:

@@ -7,6 +7,7 @@ import json
 import re
 import runpy
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -14,14 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rk_error_lab import ControllerConfig, IVProblem, builtin, builtin_pair, integrate
 from rk_error_lab.controller import (POLICIES, MaxRejectsExceeded, MaxStepsExceeded,
-                                    NonFiniteState, StepsizeUnderflow)
-from rk_error_lab.error_analysis import StepRecord, StepUnderflow
+                                    NonFiniteState, StepsizeUnderflow, Trace)
+from rk_error_lab.error_analysis import StepRecord, StepUnderflow, _Records
 from rk_error_lab.problems import problem_names
-from rk_error_lab.rk_core import NonFiniteStage, pair_names
+from rk_error_lab.rk_core import NonFiniteStage, inf_norm, pair_names
 from rk_error_lab.cli import (
+    _FORMATS,
     CSV_COLUMNS,
     MissingDiagnostics,
     RunSpec,
@@ -385,6 +388,20 @@ def test_trace_writer_memory_is_bounded(tmp_path, long_trace):
     assert peak <= 2_000_000
 
 
+def test_figure_writer_memory_is_bounded(tmp_path, long_trace):
+    # a block of figure rows is joined into one string before it is written,
+    # which must stay as small as the trace writer's blocks
+    path = str(tmp_path / "figure.csv")
+    figure1_export(long_trace, path)  # caches filled on first use are not the writer's
+    tracemalloc.start()
+    try:
+        figure1_export(long_trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+
+
 def test_a_parsed_trace_retains_at_most_a_quarter_kilobyte_per_row(tmp_path, long_trace):
     # the parsed rows are stored as columns, as a run's are; one StepRecord of
     # seven arrays per row kept 1.21 KB per row
@@ -572,6 +589,75 @@ def test_csv_round_trip_bit_exact(tmp_path, oracle):
     for orig, back in zip(trace.records, parsed):
         moved = [n for n in names if not _same_bits(getattr(orig, n), getattr(back, n))]
         assert moved == [], f"step {orig.i}"
+
+
+# finite floats with the edge cases a formatter could get wrong: signed zeros,
+# subnormals, the normal boundary and the largest finite values
+_EDGE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308, 1e308])
+_STATE_FIELDS = ("w_lower", "w_higher", "beta_lower")
+_ORACLE_STATE_FIELDS = ("eps_lower", "delta_lower", "delta_higher", "alpha_term")
+
+
+@st.composite
+def run_records(draw):
+    """The records of a run as ``integrate`` stores them: columns of ``n`` steps
+    with ``d``-component states, the oracle's all present or all absent, and
+    ``bound`` one value broadcast over the steps."""
+    n = draw(st.integers(1, 8) | st.sampled_from([1023, 1024, 1025, 2048, 2049]))
+    d = draw(st.integers(1, 3))
+    floats = lambda shape: draw(hnp.arrays(np.float64, shape, elements=_EDGE_FLOATS))
+    cols = {"i": np.arange(1, n + 1),
+            "rejects": draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2 ** 63 - 1))),
+            "clamped": draw(hnp.arrays(bool, n)),
+            "bound": np.broadcast_to(draw(_EDGE_FLOATS), n)}
+    cols.update({name: floats(n) for name in ("x", "h", "cond_lhs")})
+    cols.update({name: floats((n, d)) for name in _STATE_FIELDS})
+    if draw(st.booleans()):
+        cols.update({name: floats((n, d)) for name in _ORACLE_STATE_FIELDS},
+                    cond_rhs=floats(n), cond_holds=draw(hnp.arrays(bool, n)))
+    return _Records(cols, n)
+
+
+def _reference_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``header`` and ``rows``, one cell at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(records=run_records())
+def test_the_writers_give_the_bytes_of_a_cell_by_cell_writer(records):
+    # the writers format whole columns at a time; the reference formats one cell
+    # at a time, a state by the formatter the reader rebuilds each cell with
+    gathered = tuple(records)
+    trace_rows = [["" if v is None else fmt(v.tolist() if isinstance(v, np.ndarray) else v)
+                   for fmt, v in zip(_FORMATS, map(r.__getattribute__, CSV_COLUMNS))]
+                  for r in gathered]
+    figure_rows = [[repr(r.x), repr(inf_norm(r.eps_lower)), repr(inf_norm(r.alpha_term))]
+                   for r in gathered if r.eps_lower is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {kind: Path(tmp) / f"{kind}.csv" for kind in ("run", "gathered", "figure")}
+        write_trace_csv(Trace(records, None), str(paths["run"]))
+        write_trace_csv(Trace(gathered, None), str(paths["gathered"]))
+        assert paths["run"].read_bytes() == _reference_bytes(CSV_COLUMNS, trace_rows)
+        # the run's bound is broadcast, the gathered one a column of copies
+        assert paths["gathered"].read_bytes() == paths["run"].read_bytes()
+        parsed = read_trace_csv(str(paths["run"]))
+        if figure_rows:
+            figure1_export(Trace(records, None), str(paths["figure"]))
+            assert paths["figure"].read_bytes() == _reference_bytes(
+                ["x", "abs_eps_lower", "abs_alpha_term"], figure_rows)
+    assert len(parsed) == len(records)
+    for name, col in records.columns.items():
+        back = parsed.columns[name]
+        assert (back is None if col is None else
+                back.dtype == col.dtype and back.shape == col.shape
+                and back.tobytes() == col.tobytes()), name
 
 
 def test_malformed_rows_are_refused_with_their_line(tmp_path):

@@ -159,6 +159,22 @@ def test_one_state_the_lower_method_fails_before_the_higher_one(nans, method):
     assert len(calls) == 5
 
 
+_HUGE = lambda x, y: np.full_like(y, 1e308)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: attempt_step(PAIR, _HUGE, 0.0, np.array([1e308]), 1.0),
+     [[math.inf], [math.inf], [math.nan]]),
+    (lambda: increment_function(PAIR.lower, _HUGE, 0.0, np.array([1e308]), 1.0), [1e308]),
+    (lambda: rk_step(PAIR.lower, _HUGE, 0.0, np.array([1e308]), 1.0), [math.inf]),
+], ids=["attempt_step", "increment_function", "rk_step"])
+def test_the_one_step_functions_keep_numpy_floating_point_warnings_off(call, expected):
+    # a stage argument and the step overflow, and the estimate is inf - inf: each
+    # is returned, as integrate would refuse it, without numpy's overflow and
+    # invalid-value warnings, which the suite turns into errors
+    assert np.array_equal(np.array(call()), expected, equal_nan=True)
+
+
 # --- config validation --------------------------------------------------------------
 
 def test_config_invariants():
@@ -1132,9 +1148,7 @@ def test_both_lanes_refuse_a_stage_or_state_alike(case, lane):
     at, value, y0, x_end, h_init, error, message = _LANE_CASES[case]
     f = _lane_rhs(at, value)
     if lane == "array-lane":
-        def call():
-            with np.errstate(over="ignore", invalid="ignore"):  # as integrate runs
-                return attempt_step(PAIR, f, 0.0, np.array([y0]), h_init or x_end / 100.0)
+        call = lambda: attempt_step(PAIR, f, 0.0, np.array([y0]), h_init or x_end / 100.0)
         if error is NonFiniteState:
             assert not np.isfinite(call()[1]).all()
             return
