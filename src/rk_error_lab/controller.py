@@ -37,7 +37,7 @@ from .error_analysis import (
 )
 from .problems import IVProblem
 from .rk_core import (_QUIET, MethodPair, RHSFunction, _is_integer, _one_state, _pair_buffer,
-                      _pair_increments, _positive_finite, _vector_rhs)
+                      _pair_increments, _positive_finite)
 
 __all__ = [
     "ControllerConfig",
@@ -162,22 +162,29 @@ def attempt_step(
     input as ``increment_function`` does.
     """
     y = _one_state(x, w_higher_in, h)
-    return _attempt(pair, f, x, y, h, _pair_buffer(pair, y.shape))[1:4]
+    return _attempt(pair, _array_lane(pair, f, y.shape), x, y, h)[1:4]
 
 
-def _attempt(pair: MethodPair, f: RHSFunction, x: float, y, h: float, buf):
-    """``attempt_step`` from the float array ``y``, evaluated into ``buf`` (a
-    ``_pair_buffer``), returning first the lower increment, which the run's
-    columns keep for the oracle's propagated-error term, and last the max norm
-    of ``beta`` and the estimate ``|beta| * h**(z+1)``: ``(inc_lower, w_lower,
-    w_higher, beta, beta_norm, est)``.  In the float lane ``y`` and every
-    value returned are Python floats.
+def _array_lane(pair: MethodPair, f: RHSFunction, shape: tuple[int, ...]):
+    """``increments(x, y, h)`` of ``pair`` in the array lane, from states of
+    ``shape``, each attempt evaluated into one stage buffer."""
+    buf = _pair_buffer(pair, shape)
+    return lambda x, y, h: _pair_increments(pair, f, x, y, h, buf)
+
+
+def _attempt(pair: MethodPair, increments, x: float, y, h: float):
+    """``attempt_step`` from the float array ``y``, its increments by the run's
+    ``increments(x, y, h)``, returning first the lower increment, which the
+    run's columns keep for the oracle's propagated-error term, and last the max
+    norm of ``beta`` and the estimate ``|beta| * h**(z+1)``: ``(inc_lower,
+    w_lower, w_higher, beta, beta_norm, est)``.  In the float lane ``y`` and
+    every value returned are Python floats.
 
     ``h**(z+1)`` is formed once, by ``_step_power``, so ``beta`` and ``est``
     are those of ``estimate_beta`` and its raises are the same.  Float and
     float64 arithmetic round alike, so both lanes give the same bits.
     """
-    inc_lower, inc_higher = _pair_increments(pair, f, x, y, h, buf)
+    inc_lower, inc_higher = increments(x, y, h)
     w_lower = y + h * inc_lower
     w_higher = y + h * inc_higher
     hp = _step_power(h, pair.lower.z + 1)
@@ -187,13 +194,13 @@ def _attempt(pair: MethodPair, f: RHSFunction, x: float, y, h: float, buf):
 
 
 def _initial_stepsizes(
-    pair: MethodPair, p: IVProblem, f: RHSFunction, y0, cfg: ControllerConfig, buf
+    pair: MethodPair, p: IVProblem, increments, y0, cfg: ControllerConfig
 ) -> tuple[float, float, float]:
     """The run's ``(h_init, h_min, h_max)``, with the limits ``[1e-12, 1/10]`` times the span.
 
     Without a given ``h_init`` one is proposed from a probe step of
     ``span / 100`` from ``y0`` (``p.y0`` as the run holds it), evaluated with
-    the run's ``f`` into its ``buf``, and clamped into the limits.  Raises
+    the run's ``increments``, and clamped into the limits.  Raises
     ``StepsizeOutOfRange`` naming ``x_end`` if ``h_min`` underflows to 0 or
     ``h_max**(z+1)`` overflows for the higher method's order ``z`` (every
     step, the probe included, is at most ``h_max``), and for a given
@@ -211,7 +218,7 @@ def _initial_stepsizes(
                                  f"[{h_min}, {h_max}]: h_min must exceed 0, h_max**{n} be finite")
     h_init = cfg.h_init
     if h_init is None:
-        beta_norm = _attempt(pair, f, p.x0, y0, span / 100.0, buf)[4]
+        beta_norm = _attempt(pair, increments, p.x0, y0, span / 100.0)[4]
         h_init = propose_stepsize(beta_norm, cfg, pair.lower.z, h_min, h_max)
     elif not h_min <= h_init <= h_max:
         raise StepsizeOutOfRange(f"h_init={h_init} outside [h_min={h_min}, h_max={h_max}]")
@@ -235,24 +242,22 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
 
     The oracle measures a finished run in one pass after the loop.  A failure
     of the loop ends the run at once: its own exception propagates, and no
-    exact state is looked up.  Every attempt, the probe's included, is
-    evaluated into one stage buffer allocated for the run, of the float lane
-    for every problem whose ``y0`` has one component: the loop then holds the
-    state and the estimate as Python floats, with the bits of the array lane,
-    and hands ``f`` floats if the problem is flagged ``scalar`` (``IVProblem``)
-    and read-only ``(1,)`` vectors if not (``rk_core._vector_rhs``).  A stage
-    that ``f`` makes complex (of an attempt, the probe or the oracle's rows)
-    raises ``ComplexStage``, as in every evaluation of the stage loop.  The
-    states handed to ``f`` are read-only: ``y0``, each accepted state, every
-    state of the float lane and the oracle's exact states, so an ``f`` that
-    writes its argument raises numpy's ``ValueError`` rather than changing the
-    run.
+    exact state is looked up.  Every attempt, the probe's included, runs in
+    the lane picked once for the run (the ``rk_core`` module docstring): the
+    float lane for every problem whose ``y0`` has one component, which holds
+    the state and the estimate as Python floats, and the array lane
+    otherwise.  A stage that ``f`` makes complex (of an attempt, the probe or
+    the oracle's rows) raises ``ComplexStage`` in either lane.  The states
+    handed to ``f`` are read-only: ``y0``, each accepted state, every state of
+    the float lane and the oracle's exact states, so an ``f`` that writes its
+    argument raises numpy's ``ValueError`` rather than changing the run.
     """
     float_lane = p.y0.size == 1
-    f = _vector_rhs(p.f) if float_lane and not p.scalar else p.f
-    buf = _pair_buffer(pair, p.y0.shape, float_lane)
-    w = p.y0.item() if float_lane else p.y0
-    h_work, h_min, h_max = _initial_stepsizes(pair, p, f, w, cfg, buf)
+    if float_lane:
+        increments, w = pair.float_lane[p.scalar](p.f), p.y0.item()
+    else:
+        increments, w = _array_lane(pair, p.f, p.y0.shape), p.y0
+    h_work, h_min, h_max = _initial_stepsizes(pair, p, increments, w, cfg)
     # reject-only never grows a step, so it needs at least span / h_init steps;
     # the factor 2 covers the rounding of x + h (a float-int comparison cannot overflow)
     if cfg.policy == "reject-only" and (p.x_end - p.x0) / (2 * h_work) > cfg.max_steps:
@@ -277,7 +282,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             h_step = p.x_end - x if land else h_work
             # a Python bool even where x_end or h_work is a numpy float, for the bool column
             clamped = bool(land and h_step < h_work)
-            inc_lo, w_lo, w_hi, beta, beta_norm, est = _attempt(pair, f, x, w, h_step, buf)
+            inc_lo, w_lo, w_hi, beta, beta_norm, est = _attempt(pair, increments, x, w, h_step)
             if est < delta:
                 break
             # an accepted state is finite: a NaN or inf in w_lo or w_hi makes est NaN or inf

@@ -40,7 +40,7 @@ class IVProblem:
     numbers in the float range and a scalar or a nonempty flat vector.  The
     build does not call ``f``: each of its values must be real numbers in the
     float range, have one value per component of ``y0`` and store as a state,
-    and the stage loop refuses one that does not where it stores it, from
+    and either lane refuses one that does not where it stores it, from
     ``(x0, y0)`` on (``rk_core._stages``).  ``y0``, each value of ``f`` and
     each value of ``exact`` go through the one conversion,
     ``rk_core._real_numbers``.  ``y0`` is copied into a read-only float array
@@ -60,13 +60,11 @@ class IVProblem:
 
     ``scalar`` declares only that ``f`` also takes a Python float for a
     one-component state and returns one; it is refused for a ``y0`` of more
-    than one component.  ``integrate`` holds the state, the stages and the
-    estimate of its probe and every attempt of any one-component problem as
-    Python floats (the float lane of ``rk_core._stages``), with the bits of
-    the array lane.  A flagged ``f`` is handed those floats; any other is
-    handed each as a new read-only ``(1,)`` vector, so the flag moves no bit
-    of a run.  The oracle still gives ``f`` rows, and the one-step functions
-    ``(1,)`` vectors.
+    than one component.  ``integrate`` runs every one-component problem in
+    the float lane (the ``rk_core`` module docstring), which hands a flagged
+    ``f`` Python floats and any other read-only ``(1,)`` vectors, so the flag
+    moves no bit of a run.  The oracle still gives ``f`` rows, and the
+    one-step functions ``(1,)`` vectors.
     """
 
     name: str

@@ -21,17 +21,23 @@ slots, its shared stages once.  It can also be evaluated from many states at
 once, as rows, with the bits of each state's own evaluation
 (``_pair_increments``).
 
-There is one stage loop (``_stages``) and two lanes, which differ only in
-how a stage is stored.  The array lane stores each stage into a slot of a
-float64 buffer (``_StageBuffer``).  The float lane (``_FloatBuffer``), which
-``integrate`` runs for every problem whose ``y0`` has one component, holds
-the state and its stages as Python floats, sparing numpy's per-call
-overhead; its weighted sums are ``b.dot`` on one float64 vector per method,
-the same BLAS call on the same kind of vector as the array lane's, so both
-lanes give the same bits on any BLAS kernel.  An ``f`` flagged ``scalar``
-takes those floats; any other one-component ``f`` takes each as a read-only
-``(1,)`` vector (``_vector_rhs``).  A value of ``f`` takes one fast test in
-either lane and otherwise the same checks, with the same failures.
+There are two lanes.  The array lane, the stage loop ``_stages``, stores
+each stage into a slot of a float64 buffer (``_StageBuffer``); it runs every
+problem of two or more components, the oracle's rows and the one-step
+functions.  The float lane runs every attempt of ``integrate`` on a problem
+whose ``y0`` has one component, the probe's included.  Each pair compiles
+its plan into straight-line functions (``MethodPair.float_source``) that
+hold the state and each stage as a Python float, sparing numpy's per-call
+overhead, and form each stage argument as ``_stages`` does.  An ``f``
+flagged ``scalar`` is handed those floats; any other is handed each as a
+new read-only ``(1,)`` vector, and a float64 value of size 1 comes back as a
+float.  A value of ``f`` takes one fast test in either lane and otherwise the
+same checks (``_stage_value``), with the same failures naming the same
+stage.  One test of the stages' sum sends a non-finite stage to the array
+lane's report (``_check_finite``), without calling ``f`` again.  The float
+lane's weighted sums are ``b.dot`` on one separately allocated float64
+vector per method, the BLAS call the array lane's ``b @ k`` makes, so both
+lanes give the same bits on any BLAS kernel.
 """
 
 from __future__ import annotations
@@ -186,6 +192,11 @@ class MethodPair:
     slot of stage ``q``.  ``higher_slots`` lists the slot of each of the higher
     method's stages, in index order; the lower method's are its first
     ``lower.m``.
+
+    ``float_source`` is the source of the pair's float lane (see the module
+    docstring), generated from ``plan``, and ``float_lane`` the two functions
+    compiled from it, ``(flagless, flagged)``: ``float_lane[scalar](f)``
+    returns a run's ``increments(x, y, h)``.
     """
 
     lower: ButcherTableau
@@ -193,6 +204,8 @@ class MethodPair:
     shared: int = field(init=False)
     plan: _StagePlan = field(init=False, repr=False)
     higher_slots: np.ndarray = field(init=False, repr=False)
+    float_source: str = field(init=False, repr=False)
+    float_lane: tuple[Callable, Callable] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.higher.z <= self.lower.z:
@@ -216,6 +229,9 @@ class MethodPair:
                 for c_p, row in self.higher.stage_rows[n:]),
             ((self.lower.name, 0, m, 1), (self.higher.name, m, end, n + 1)),
         ))
+        source, functions = _float_lane(self)
+        object.__setattr__(self, "float_source", source)
+        object.__setattr__(self, "float_lane", functions)
 
     @property
     def r(self) -> int:
@@ -433,9 +449,6 @@ class _StageBuffer:
         except ValueError:
             raise _Refusal(ValueError, f"of shape {v.shape}, not {dst.shape}") from None
 
-    def finite(self) -> bool:
-        return np.isfinite(self.k).all()
-
     def increments(self, pair: MethodPair) -> tuple[np.ndarray, np.ndarray]:
         """``(F_lower, F_higher)`` of ``pair`` from its plan's slots: ``b @ k``
         through BLAS on each row's contiguous ``(m, d)`` stages, the lower
@@ -446,102 +459,36 @@ class _StageBuffer:
         return pair.lower.b @ k[..., :pair.lower.m, :], pair.higher.b @ higher
 
 
-class _FloatBuffer:
-    """Stage slots of the float lane, for one state of one component: ``slot``
-    holds one Python float per slot of ``pair``'s plan, and ``lower`` and
-    ``higher`` one float64 vector per method, each its own allocation.
-
-    An increment is ``float(b.dot(vector))``, the same ``ddot`` on the same
-    contiguous, separately allocated stages that the array lane's ``b @ k``
-    makes, so it has the array lane's bits on any BLAS kernel (a vector that
-    starts inside another allocation may take another path through the
-    kernel).
-    """
-
-    __slots__ = ("slot", "lower", "higher", "fill")
-
-    def __init__(self, pair: MethodPair):
-        self.slot = [0.0] * len(pair.plan.rows)
-        self.lower, self.higher = np.empty(pair.lower.m), np.empty(pair.higher.m)
-        self.fill = tuple((self.lower, i, i) for i in range(pair.lower.m)) + tuple(
-            (self.higher, i, s) for i, s in enumerate(pair.higher_slots.tolist()))
-
-    @property
-    def k(self) -> np.ndarray:
-        return np.array(self.slot)[:, None]
-
-    def store(self, p: int, v) -> None:
-        if type(v) is not float:
-            v = _stage_value(v, (1,)).item()
-        self.slot[p] = v
-
-    def finite(self) -> bool:
-        return all(map(math.isfinite, self.slot))
-
-    def increments(self, pair: MethodPair) -> tuple[float, float]:
-        slot = self.slot
-        for vector, i, s in self.fill:
-            vector[i] = slot[s]
-        return float(pair.lower.b.dot(self.lower)), float(pair.higher.b.dot(self.higher))
+def _pair_buffer(pair: MethodPair, shape: tuple[int, ...]) -> _StageBuffer:
+    """An array-lane stage buffer for ``pair``'s plan from a state (or rows) of ``shape``."""
+    return _StageBuffer(len(pair.plan.rows), shape, pair.higher.m)
 
 
-_pack = struct.Struct("d").pack
+def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf: _StageBuffer) -> None:
+    """Evaluate the stages of ``plan`` into the slots of ``buf``, in the array lane.
 
+    From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``.  Over
+    rows, ``x`` and ``h`` are ``(n,)`` columns, ``y`` is ``(n, d)`` and ``f``
+    takes rows (``IVProblem.rowwise``, or a one-state ``f`` applied row by
+    row).  Every operation on a stage argument is elementwise, each row's
+    ``h`` scaling that row, so a row's stages are bit-identical to its state's
+    alone.  A coefficient of exactly 1 is applied without a multiply, which
+    gives the same bits.  The stage arguments come from ``plan.rows`` (a stage
+    whose row has no nonzero entry receives ``y`` itself).
 
-def _vector_rhs(f: RHSFunction) -> RHSFunction:
-    """``f`` of a one-component problem not flagged ``scalar``, for the float
-    lane: each call hands ``f`` the state, a Python float, as a fresh read-only
-    ``(1,)`` float64 vector, and returns a float64 value of size 1 as a Python
-    float, which the array lane stores into its ``(1,)`` slot whatever its
-    shape.  Any other value goes unchanged to ``_FloatBuffer.store``, which
-    refuses it as the array lane does.  Unlike the array lane, which hands
-    ``f`` a new writeable vector at every stage after the first, no stage
-    argument can be written."""
-    def one(x, y):
-        v = f(x, np.frombuffer(_pack(y)))
-        return v.item() if getattr(v, "dtype", None) is _FLOAT and v.size == 1 else v
-    return one
-
-
-def _pair_buffer(pair: MethodPair, shape: tuple[int, ...],
-                 float_lane: bool = False) -> _StageBuffer | _FloatBuffer:
-    """A stage buffer for ``pair``'s plan from a state (or rows) of ``shape``: of
-    the float lane if ``float_lane``, for one state of one component held as a
-    Python float."""
-    return _FloatBuffer(pair) if float_lane else _StageBuffer(len(pair.plan.rows), shape,
-                                                              pair.higher.m)
-
-
-def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf) -> None:
-    """Evaluate the stages of ``plan`` into the slots of ``buf``.
-
-    From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``, or a
-    Python float in the float lane (``buf`` a ``_FloatBuffer``).  Over rows,
-    ``x`` and ``h`` are ``(n,)`` columns, ``y`` is ``(n, d)`` and ``f`` takes
-    rows (``IVProblem.rowwise``, or a one-state ``f`` applied row by row).
-    Every operation on a stage argument is elementwise, each row's ``h``
-    scaling that row, so a row's stages are bit-identical to its state's alone,
-    and a float's to its ``(1,)`` vector's.  A coefficient of exactly 1 is
-    applied without a multiply, which gives the same bits.
-
-    The stage arguments come from ``plan.rows`` (a stage whose row has no
-    nonzero entry receives ``y`` itself).  Finiteness is checked once, over
-    every slot, after the loop: the stages after a non-finite one are evaluated
-    too.  The error names ``x`` and ``h`` and the first non-finite stage of the
-    first method in slot order that has one; over rows, that method's earliest
-    row with a non-finite stage, that row's ``x`` and ``h`` and its first
-    non-finite stage, so it reads as that row's state alone would.  Each value
-    of ``f`` is converted by ``_real_numbers`` and checked where ``buf.store``
-    stores it, the same way in both lanes: a complex one raises ``ComplexStage`` naming the earliest row with
-    an imaginary part; one that is not real numbers in the float range, has
-    another number of values than ``y`` or a shape that does not store as
-    ``y`` raises ``ValueError`` naming its type or its shape and ``y``'s, over
-    rows without any row's ``x`` and ``h``.  A float64 value of ``y``'s size
-    (a Python float in the float lane) skips those checks without a numpy
-    call.  It checks no input; ``_one_state`` does.
+    Each value of ``f`` is converted by ``_real_numbers`` and checked where
+    ``buf.store`` stores it: a complex one raises ``ComplexStage`` naming the
+    earliest row with an imaginary part; one that is not real numbers in the
+    float range, has another number of values than ``y`` or a shape that does
+    not store as ``y`` raises ``ValueError`` naming its type or its shape and
+    ``y``'s, over rows without any row's ``x`` and ``h``.  A float64 value of
+    ``y``'s size skips those checks without a numpy call.  Finiteness is
+    checked once, after the loop, by ``_check_finite``: the stages after a
+    non-finite one are evaluated too.  It checks no input; ``_one_state``
+    does.
     """
     slot, store = buf.slot, buf.store
-    h_y = h[:, None] if getattr(y, "ndim", 1) == 2 else h
+    h_y = h[:, None] if y.ndim == 2 else h
     for p, (c_p, row) in enumerate(plan.rows):
         s = None
         for q, a in row:
@@ -550,16 +497,36 @@ def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf) -> None:
         try:  # f too: the one-row adapter (error_analysis._row_by_row) refuses within it
             store(p, f(x + c_p * h, y if s is None else y + h_y * s))
         except _Refusal as r:
-            what = r.what + "," if r.error is ValueError else r.what  # "..., at x=..."
-            raise r.error(_stage_message(plan, p, what, x, h, r.row)) from None
-    if not buf.finite():
-        k = buf.k
-        finite = np.isfinite(k).reshape(-1, *k.shape[-2:]).all(axis=2)  # (rows, slots)
-        for _, start, end, _ in plan.methods:
-            ok = finite[:, start:end]
-            if not ok.all():
-                i, p = divmod(int(np.argmin(ok)), end - start)  # earliest row, then stage
-                raise NonFiniteStage(_stage_message(plan, start + p, "not finite", x, h, i))
+            raise _refused(plan, p, r, x, h) from None
+    _check_finite(plan, buf.k, x, h)
+
+
+def _refused(plan: _StagePlan, slot: int, r: _Refusal, x, h) -> Exception:
+    """The error of a value of ``f`` refused for ``slot`` of ``plan``: ``r.error``
+    naming the method, the stage, what was refused, and ``x`` and ``h``."""
+    what = r.what + "," if r.error is ValueError else r.what  # "..., at x=..."
+    return r.error(_stage_message(plan, slot, what, x, h, r.row))
+
+
+def _check_finite(plan: _StagePlan, k, x, h) -> None:
+    """Raise ``NonFiniteStage`` if a stage in ``k`` is NaN or infinite.
+
+    ``k`` holds the slots of ``plan``, ``(slots, d)`` from one state and
+    ``(n, slots, d)`` over rows, as an array or as nested lists.  The error
+    names ``x`` and ``h`` and the first non-finite stage of the first method in
+    slot order that has one; over rows, that method's earliest row with a
+    non-finite stage, that row's ``x`` and ``h`` and its first non-finite
+    stage, so it reads as that row's state alone would.
+    """
+    finite = np.isfinite(k)
+    if finite.all():
+        return
+    finite = finite.reshape(-1, *finite.shape[-2:]).all(axis=2)  # (rows, slots)
+    for _, start, end, _ in plan.methods:
+        ok = finite[:, start:end]
+        if not ok.all():
+            i, p = divmod(int(np.argmin(ok)), end - start)  # earliest row, then stage
+            raise NonFiniteStage(_stage_message(plan, start + p, "not finite", x, h, i))
 
 
 def _stage_message(plan: _StagePlan, slot: int, what: str, x, h, i: int | None) -> str:
@@ -578,14 +545,72 @@ def _pair_increments(pair: MethodPair, f: RHSFunction, x, y, h, buf=None):
 
     ``pair.plan`` evaluates the ``pair.shared`` leading stages once.  Each
     increment is bit-identical to ``increment_function`` of its method, over
-    rows from that row's state and in the float lane from its ``(1,)``
-    vector: ``b @ k`` goes through BLAS on each method's contiguous stages, as
-    on one state's (a sum in another order or layout moves bits).
+    rows from that row's state: ``b @ k`` goes through BLAS on each method's
+    contiguous stages, as on one state's (a sum in another order or layout
+    moves bits).
     """
     if buf is None:
         buf = _pair_buffer(pair, y.shape)
     _stages(pair.plan, f, x, y, h, buf)
     return buf.increments(pair)
+
+
+def _float_stage(plan: _StagePlan, slot: int, v, x: float, h: float) -> float:
+    """The slow path of a float-lane stage: ``v``, a value of ``f`` for ``slot``
+    of ``plan`` that is not a Python float, as one by ``_stage_value``; raises
+    what ``_stages`` raises for it."""
+    try:
+        return _stage_value(v, (1,)).item()
+    except _Refusal as r:
+        raise _refused(plan, slot, r, x, h) from None
+
+
+def _float_lane(pair: MethodPair) -> tuple[str, tuple[Callable, Callable]]:
+    """The float lane of ``pair``: the source of its two functions, generated from
+    ``pair.plan``, and the functions compiled from it, ``(flagless, flagged)``.
+
+    Each takes ``f`` and returns a run's ``increments(x, y, h)``, with the two
+    float64 vectors that run fills.  The stage arguments are written out as
+    ``_stages`` forms them, each stage ``p`` the local ``k<p>``.
+    """
+    ks = [f"k{p}" for p in range(len(pair.plan.rows))]
+    lower, higher = ks[:pair.lower.m], [ks[s] for s in pair.higher_slots.tolist()]
+
+    def function(form: str) -> str:
+        lines = [f"def {form}(f):",
+                 f"    lower, higher = empty({len(lower)}), empty({len(higher)})",
+                 "",
+                 "    def increments(x, y, h):"]
+        for p, (c_p, row) in enumerate(pair.plan.rows):
+            terms = " + ".join(ks[q] if a == 1.0 else f"{a!r} * {ks[q]}" for q, a in row)
+            arg, k = f"y + h * ({terms})" if row else "y", ks[p]
+            if form == "flagless":
+                lines += [f"        {k} = f(x + {c_p!r} * h, frombuffer(pack({arg})))",
+                          f'        if getattr({k}, "dtype", None) is FLOAT and {k}.size == 1:',
+                          f"            {k} = {k}.item()",
+                          f"        elif type({k}) is not float:"]
+            else:
+                lines += [f"        {k} = f(x + {c_p!r} * h, {arg})",
+                          f"        if type({k}) is not float:"]
+            lines.append(f"            {k} = stage_value(plan, {p}, {k}, x, h)")
+        return "\n".join(lines + [
+            f"        if not isfinite({' + '.join(ks)}):",
+            f"            check_finite(plan, [{', '.join(f'[{k}]' for k in ks)}], x, h)",
+            f"        {', '.join(f'lower[{i}]' for i in range(len(lower)))} = {', '.join(lower)}",
+            f"        {', '.join(f'higher[{i}]' for i in range(len(higher)))} = {', '.join(higher)}",
+            "        return float(lower_dot(lower)), float(higher_dot(higher))",
+            "",
+            "    return increments",
+            ""])
+
+    source = "\n\n".join(map(function, ("flagless", "flagged")))
+    namespace = {"empty": np.empty, "frombuffer": np.frombuffer, "pack": struct.Struct("d").pack,
+                 "FLOAT": _FLOAT, "isfinite": math.isfinite, "plan": pair.plan,
+                 "stage_value": _float_stage, "check_finite": _check_finite,
+                 "lower_dot": pair.lower.b.dot, "higher_dot": pair.higher.b.dot}
+    exec(compile(source, f"<float lane of {pair.lower.name}, {pair.higher.name}>", "exec"),
+         namespace)
+    return source, (namespace["flagless"], namespace["flagged"])
 
 
 @_QUIET

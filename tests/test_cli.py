@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
 import runpy
 import sys
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pins import LONG_RUN_STEPS
 from rk_error_lab import ControllerConfig, IVProblem, builtin, builtin_pair, integrate
 from rk_error_lab.controller import (POLICIES, MaxRejectsExceeded, MaxStepsExceeded,
                                     NonFiniteState, StepsizeUnderflow, Trace)
@@ -25,6 +27,7 @@ from rk_error_lab.problems import problem_names
 from rk_error_lab.rk_core import NonFiniteStage, inf_norm, pair_names
 from rk_error_lab.cli import (
     _FORMATS,
+    _rewritten,
     CSV_COLUMNS,
     MissingDiagnostics,
     RunSpec,
@@ -363,7 +366,7 @@ def test_figure_bytes_are_pinned(tmp_path):
 @pytest.fixture(scope="module")
 def long_trace():
     trace = integrate(PAIR, builtin("paper_exponential"), ControllerConfig(delta=1e-12))
-    assert trace.summary.accepted == 10438
+    assert trace.summary.accepted == LONG_RUN_STEPS
     return trace
 
 
@@ -415,7 +418,7 @@ def test_a_parsed_trace_retains_at_most_a_quarter_kilobyte_per_row(tmp_path, lon
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(parsed) == 10438
+    assert len(parsed) == LONG_RUN_STEPS
     assert retained / len(parsed) <= 256
 
 
@@ -545,6 +548,43 @@ def test_an_output_failure_removes_the_outputs_the_run_wrote(tmp_path, capsys, m
     assert main(["--problem", "decay", "--csv", str(csv_path), "--json", str(tmp_path / "s.json"),
                  "--figure", str(figure)]) == 5
     assert list(tmp_path.iterdir()) == [figure] and figure.read_text() == "kept\n"
+
+
+def test_outputs_are_rewritten_in_place_to_exactly_the_new_bytes(tmp_path):
+    # each output is written over the file at its path, which is then cut at
+    # the end of what was written: a longer file left there keeps none of its
+    # tail, a symlink is written through and the file keeps its mode
+    argv = ["--problem", "decay", "--quiet"]
+    fresh = [tmp_path / name for name in ("t.csv", "s.json", "f.csv")]
+    assert main(argv + [arg for flag, path in zip(("--csv", "--json", "--figure"), fresh)
+                        for arg in (flag, str(path))]) == 0
+    old = [tmp_path / name for name in ("old_t.csv", "old_s.json", "old_f.csv")]
+    for path in old:
+        path.write_text("z" * 200_000)
+        path.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(old[1])
+    assert main(argv + ["--csv", str(old[0]), "--json", str(link),
+                        "--figure", str(old[2])]) == 0
+    assert [p.read_bytes() for p in old] == [p.read_bytes() for p in fresh]
+    assert link.is_symlink() and all(p.stat().st_mode & 0o777 == 0o640 for p in old)
+
+
+def test_outputs_to_a_device_are_written_without_a_cut():
+    # only a regular file is cut: ftruncate on /dev/null fails with EINVAL
+    for flag in ("--csv", "--json", "--figure"):
+        assert main(["--problem", "decay", "--quiet", flag, os.devnull]) == 0
+
+
+def test_a_failed_write_leaves_what_was_written_before_it(tmp_path):
+    # the file is cut where the writer stopped, as a truncating open would leave it
+    path = tmp_path / "out.csv"
+    path.write_text("old," * 10_000)
+    with pytest.raises(RuntimeError, match="stop"):
+        with _rewritten(str(path)) as fh:
+            fh.write("new\n")
+            raise RuntimeError("stop")
+    assert path.read_bytes() == b"new\n"
 
 
 def test_x_end_override(tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from pins import LONG_RUN_STEPS
 from rk_error_lab import controller, rk_core
 from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
 from rk_error_lab.error_analysis import _Records
@@ -541,7 +542,7 @@ def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle, p):
     finally:
         tracemalloc.stop()
     n = trace.summary.accepted
-    assert n == 10438 if p.y0.size == 1 else n > 10000
+    assert n == LONG_RUN_STEPS if p.y0.size == 1 else n > 10000
     assert retained / n <= 256
     assert peak / n <= 256 * p.y0.size
 
@@ -608,18 +609,18 @@ def test_pair_over_rows_is_bit_identical_to_each_row_alone(name):
     else:
         ys = np.array([reference_solution(p, x) for x in xs.tolist()])
     assert p.rowwise and len(hs) > 1000
-    assert name != "paper_exponential" or len(hs) == 10438
+    assert name != "paper_exponential" or len(hs) == LONG_RUN_STEPS
     lower, higher = rk_core._pair_increments(PAIR, p.f, xs, ys, hs)
-    floats = rk_core._pair_buffer(PAIR, p.y0.shape, True) if p.y0.size == 1 else None
+    # and the float lane's, from the state as a Python float, with f handed
+    # floats as flagged and (1,) vectors as not
+    lanes = [lane(p.f) for lane in PAIR.float_lane] if p.y0.size == 1 else []
     for k, (x, y, h) in enumerate(zip(xs.tolist(), ys, hs.tolist())):
         lo, hi = rk_core._pair_increments(PAIR, p.f, x, y, h)
         assert lower[k].tobytes() == lo.tobytes() and higher[k].tobytes() == hi.tobytes(), k
-        if floats is not None:  # and the float lane's, from the state as a Python float,
-            # with f handed floats as flagged and (1,) vectors as not
-            for f in (p.f, rk_core._vector_rhs(p.f)):
-                lo, hi = rk_core._pair_increments(PAIR, f, x, y.item(), h, floats)
-                assert type(lo) is float and np.array([lo, hi]).tobytes() == np.concatenate(
-                    (lower[k], higher[k])).tobytes(), k
+        for increments in lanes:
+            lo, hi = increments(x, y.item(), h)
+            assert type(lo) is float and np.array([lo, hi]).tobytes() == np.concatenate(
+                (lower[k], higher[k])).tobytes(), k
 
 
 _UNIT = st.floats(min_value=-1.0, max_value=1.0)
@@ -1312,8 +1313,7 @@ def test_a_float_stage_of_the_state_size_is_stored_without_a_numpy_call(problem,
 
     def called(*args, **kwargs):
         raise AssertionError("a stage of the state's size went through a numpy check")
-    monkeypatch.setattr(rk_core.np, "iscomplexobj", called)
-    monkeypatch.setattr(rk_core.np, "size", called)
+    monkeypatch.setattr(rk_core, "_stage_value", called)  # the checks of either lane
     trace = integrate(PAIR, problem, flagship_config())
     assert trace.summary == expected.summary and trace.summary.final_delta_lower is not None
 

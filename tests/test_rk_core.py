@@ -437,6 +437,130 @@ def test_random_explicit_pairs_keep_the_bits_of_each_method(drawn, d, seed):
     assert gap <= 2.0 * np.spacing(max(inf_norm(w), inf_norm(w_lower)))
 
 
+# what f returns at the call where a fault is injected; a finite overflow
+# lasts from that call on, so that the stages' sum overflows
+_FAULTS = {"nan": math.nan, "inf": -math.inf, "complex": 0.5j, "shape": np.array([1.0, 2.0]),
+           "str": "1.0", "overflow": 1.7e308}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(drawn=explicit_pairs(), fault=st.sampled_from([None, *_FAULTS]), at=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_random_explicit_pairs_keep_the_bits_and_failures_in_the_float_lane(drawn, fault, at,
+                                                                              seed):
+    # each generated form of the float lane, flagless and flagged, gives the
+    # stage loop's bits from the state's (1,) vector, calls f with the same
+    # arguments in the same order, and raises the same class with the same
+    # message for a fault injected at a drawn call (one call per stage).  A
+    # state far smaller than h f lets the order of a stage's sum show in the
+    # arguments of f
+    pair, _ = drawn
+    at %= len(pair.plan.rows)
+    rng = np.random.default_rng(seed)
+    x, h = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(1e-3, 0.5))
+    y = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.3))
+
+    def outcome(increments, y):
+        calls = []
+
+        def f(x_k, y_k):
+            calls.append((x_k, np.asarray(y_k).tobytes()))
+            if fault is not None and (len(calls) - 1 == at
+                                      or fault == "overflow" and len(calls) - 1 > at):
+                return _FAULTS[fault]
+            return _affine(x_k, y_k)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # as in integrate
+                got = increments(f)(x, y, h)
+        except (ValueError, ArithmeticError) as e:
+            return calls, (type(e), str(e))
+        return calls, b"".join(np.asarray(inc, dtype=float).tobytes() for inc in got)
+
+    array_lane = lambda f: lambda x, y, h: rk_core._pair_increments(pair, f, x, y, h)
+    want = outcome(array_lane, np.array([y]))
+    for form in pair.float_lane:
+        assert outcome(form, y) == want
+        if isinstance(want[1], bytes):
+            assert all(type(inc) is float for inc in form(_affine)(x, y, h))
+
+
+def _affine(x, y):
+    return 1.0 + (0.5 - x) * y - 0.3 * y * y
+
+
+def test_the_float_lane_of_rk3_rk4_is_pinned_as_text():
+    # the generated source stays readable, and a change to the generator shows as a diff
+    assert builtin_pair("rk3_rk4").float_source == RK3_RK4_FLOAT_SOURCE
+
+
+RK3_RK4_FLOAT_SOURCE = '''\
+def flagless(f):
+    lower, higher = empty(3), empty(4)
+
+    def increments(x, y, h):
+        k0 = f(x + 0.0 * h, frombuffer(pack(y)))
+        if getattr(k0, "dtype", None) is FLOAT and k0.size == 1:
+            k0 = k0.item()
+        elif type(k0) is not float:
+            k0 = stage_value(plan, 0, k0, x, h)
+        k1 = f(x + 0.5 * h, frombuffer(pack(y + h * (0.5 * k0))))
+        if getattr(k1, "dtype", None) is FLOAT and k1.size == 1:
+            k1 = k1.item()
+        elif type(k1) is not float:
+            k1 = stage_value(plan, 1, k1, x, h)
+        k2 = f(x + 1.0 * h, frombuffer(pack(y + h * (-1.0 * k0 + 2.0 * k1))))
+        if getattr(k2, "dtype", None) is FLOAT and k2.size == 1:
+            k2 = k2.item()
+        elif type(k2) is not float:
+            k2 = stage_value(plan, 2, k2, x, h)
+        k3 = f(x + 0.5 * h, frombuffer(pack(y + h * (0.5 * k1))))
+        if getattr(k3, "dtype", None) is FLOAT and k3.size == 1:
+            k3 = k3.item()
+        elif type(k3) is not float:
+            k3 = stage_value(plan, 3, k3, x, h)
+        k4 = f(x + 1.0 * h, frombuffer(pack(y + h * (k3))))
+        if getattr(k4, "dtype", None) is FLOAT and k4.size == 1:
+            k4 = k4.item()
+        elif type(k4) is not float:
+            k4 = stage_value(plan, 4, k4, x, h)
+        if not isfinite(k0 + k1 + k2 + k3 + k4):
+            check_finite(plan, [[k0], [k1], [k2], [k3], [k4]], x, h)
+        lower[0], lower[1], lower[2] = k0, k1, k2
+        higher[0], higher[1], higher[2], higher[3] = k0, k1, k3, k4
+        return float(lower_dot(lower)), float(higher_dot(higher))
+
+    return increments
+
+
+def flagged(f):
+    lower, higher = empty(3), empty(4)
+
+    def increments(x, y, h):
+        k0 = f(x + 0.0 * h, y)
+        if type(k0) is not float:
+            k0 = stage_value(plan, 0, k0, x, h)
+        k1 = f(x + 0.5 * h, y + h * (0.5 * k0))
+        if type(k1) is not float:
+            k1 = stage_value(plan, 1, k1, x, h)
+        k2 = f(x + 1.0 * h, y + h * (-1.0 * k0 + 2.0 * k1))
+        if type(k2) is not float:
+            k2 = stage_value(plan, 2, k2, x, h)
+        k3 = f(x + 0.5 * h, y + h * (0.5 * k1))
+        if type(k3) is not float:
+            k3 = stage_value(plan, 3, k3, x, h)
+        k4 = f(x + 1.0 * h, y + h * (k3))
+        if type(k4) is not float:
+            k4 = stage_value(plan, 4, k4, x, h)
+        if not isfinite(k0 + k1 + k2 + k3 + k4):
+            check_finite(plan, [[k0], [k1], [k2], [k3], [k4]], x, h)
+        lower[0], lower[1], lower[2] = k0, k1, k2
+        higher[0], higher[1], higher[2], higher[3] = k0, k1, k3, k4
+        return float(lower_dot(lower)), float(higher_dot(higher))
+
+    return increments
+'''
+
+
 # each kind of value that is not real numbers: a dict used to raise numpy's
 # bare TypeError, a str to parse as a number, None to read as NaN, a ragged
 # sequence to raise numpy's unnamed "inhomogeneous shape" ValueError and
