@@ -4,17 +4,12 @@ The per-step trace is written as CSV with one row per accepted step, the run
 totals as a JSON summary, and optionally a two-series file (local error and
 propagated-error term against the abscissa) ready for plotting.  Floats are
 serialized as shortest round-trip decimals so a parsed trace reproduces the
-in-memory records bit for bit.
+in-memory records bit for bit.  The writers format a block of rows column
+by column, so a row costs its float ``repr``s and little more.
 
-The CSV writers format a block of rows column by column, each column in one
-pass over its values, and write the block as one string.  A broadcast column
-(a run's ``bound``) is formatted once per block.  What a row costs is then
-its float ``repr``s: 11 per trace row of a one-component run with an oracle,
-whose twelfth float, ``bound``, is broadcast, and 3 per figure row.
-
-Exit codes: 0 completed run, 2 usage error, 3 unknown problem or pair name,
-4 integrator failure (an ``ArithmeticError`` or ``RuntimeError`` of the run),
-5 output I/O failure, which removes the outputs the run had already written.
+The exit codes are those of the README's failure table: 0 completed run, 2
+usage error, 3 unknown problem or pair name, 4 integrator failure, 5 output
+failure.
 """
 
 from __future__ import annotations
@@ -217,11 +212,8 @@ def read_trace_csv(path: str) -> Sequence[StepRecord]:
 
     A cell is accepted only in the form ``write_trace_csv`` gives its parsed
     value, so each parsed value is formatted again.  Raises ``ValueError``
-    naming the line for a wrong header or a row with too few or too many
-    cells, naming the line and the cell for the first cell that does not
-    parse, differs from its rebuilt form or holds a negative ``rejects``, and
-    naming the column for an oracle column empty on some rows and not on
-    others.
+    naming the line, and the cell where one is refused (the README's failure
+    table).
     """
     cols = [[] for _ in CSV_COLUMNS]
     with open(path, newline="", encoding="utf-8") as fh:

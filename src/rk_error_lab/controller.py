@@ -31,13 +31,14 @@ from .error_analysis import (
     _oracle_fields,
     _Records,
     _row_norms,
+    _safety_factor,
     _step_power,
     inf_norm,
     sigma_bound,
 )
 from .problems import IVProblem
-from .rk_core import (_QUIET, MethodPair, RHSFunction, _is_integer, _one_state, _pair_buffer,
-                      _pair_increments, _positive_finite)
+from .rk_core import (_QUIET, MethodPair, RHSFunction, _is_integer, _number, _one_state,
+                      _pair_buffer, _pair_increments, _positive_finite)
 
 __all__ = [
     "ControllerConfig",
@@ -83,8 +84,9 @@ class ControllerConfig:
     """Tolerance, safety factor, initial stepsize, policy and step cap for one integration.
 
     ``h_init`` may be left ``None``; it is then proposed from a probe step at
-    the start of the run.  The stepsize limits are not settings: every run
-    keeps its steps within ``[1e-12, 1/10]`` times the interval length, and
+    the start of the run.  Each setting is checked when the config is built
+    (the README's failure table).  The stepsize limits are not settings: every
+    run keeps its steps within ``[1e-12, 1/10]`` times the interval length, and
     no step is longer than ``MAX_GROWTH`` times the accepted step before it.
     """
 
@@ -96,8 +98,7 @@ class ControllerConfig:
 
     def __post_init__(self):
         _positive_finite("delta", self.delta)
-        if not 0.0 < self.sigma <= 1.0:
-            raise ValueError(f"sigma must be in (0, 1], got {self.sigma}")
+        _safety_factor(self.sigma)
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if not (_is_integer(self.max_steps) and self.max_steps >= 1):
@@ -121,11 +122,9 @@ class TraceSummary:
 class Trace:
     """Ordered accepted-step records plus run totals.
 
-    ``integrate`` stores the records as columns, in a read-only sequence
-    (``error_analysis._Records``) that the trace writers read directly.  Any
-    sequence of ``StepRecord`` will do, a tuple included; the writers gather
-    it into the same columns, of the same dtypes, and refuse a value that is
-    not of its column's type.
+    ``integrate`` stores the records as columns (``error_analysis._Records``),
+    which the trace writers read directly.  Any sequence of ``StepRecord``
+    will do; the writers gather it into the same columns first.
     """
 
     records: Sequence[StepRecord]
@@ -142,8 +141,8 @@ def propose_stepsize(
     It is the only place an estimate becomes a stepsize: after the probe, a
     rejection or an accepted step.
     """
-    if not beta_norm >= 0.0:
-        raise ValueError(f"beta_norm must be nonnegative, got {beta_norm}")
+    if not (type(beta_norm) is float and beta_norm >= 0.0):  # the loop's floats skip the call
+        _number("beta_norm", beta_norm, "nonnegative", lambda v: v >= 0.0)
     if beta_norm == 0.0:
         return h_max
     return min(max(cfg.sigma * (cfg.delta / beta_norm) ** (1.0 / (z + 1)), h_min), h_max)
@@ -153,13 +152,12 @@ def propose_stepsize(
 def attempt_step(
     pair: MethodPair, f: RHSFunction, x: float, w_higher_in: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run both methods of the pair one step from the same input state.
+    """Run both methods of the pair one step from the same input state, their
+    ``pair.shared`` leading stages once.
 
-    The ``pair.shared`` leading stages are evaluated once, by the lower
-    method, and reused by the higher one.  Returns ``(w_lower, w_higher,
-    beta)`` where ``beta`` is the componentwise estimate ``(w_lower -
-    w_higher) / h**(z+1)`` for the lower method's order ``z``.  It checks its
-    input as ``increment_function`` does.
+    Returns ``(w_lower, w_higher, beta)`` where ``beta`` is the componentwise
+    estimate ``(w_lower - w_higher) / h**(z+1)`` for the lower method's order
+    ``z``.  It checks its input and raises as ``increment_function`` does.
     """
     y = _one_state(x, w_higher_in, h)
     return _attempt(pair, _array_lane(pair, f, y.shape), x, y, h)[1:4]
@@ -173,16 +171,13 @@ def _array_lane(pair: MethodPair, f: RHSFunction, shape: tuple[int, ...]):
 
 
 def _attempt(pair: MethodPair, increments, x: float, y, h: float):
-    """``attempt_step`` from the float array ``y``, its increments by the run's
-    ``increments(x, y, h)``, returning first the lower increment, which the
-    run's columns keep for the oracle's propagated-error term, and last the max
-    norm of ``beta`` and the estimate ``|beta| * h**(z+1)``: ``(inc_lower,
-    w_lower, w_higher, beta, beta_norm, est)``.  In the float lane ``y`` and
-    every value returned are Python floats.
-
-    ``h**(z+1)`` is formed once, by ``_step_power``, so ``beta`` and ``est``
-    are those of ``estimate_beta`` and its raises are the same.  Float and
-    float64 arithmetic round alike, so both lanes give the same bits.
+    """``attempt_step`` from the float array ``y`` (a Python float in the float
+    lane, and so is every value returned), its increments by the run's
+    ``increments(x, y, h)``.  Returns ``(inc_lower, w_lower, w_higher, beta,
+    beta_norm, est)``: the lower increment, which the run keeps for the
+    oracle, and the max norm of ``beta`` and the estimate ``beta_norm *
+    h**(z+1)``.  ``h**(z+1)`` is formed once, by ``_step_power``, so the values
+    and raises are those of ``estimate_beta``.
     """
     inc_lower, inc_higher = increments(x, y, h)
     w_lower = y + h * inc_lower
@@ -199,12 +194,9 @@ def _initial_stepsizes(
     """The run's ``(h_init, h_min, h_max)``, with the limits ``[1e-12, 1/10]`` times the span.
 
     Without a given ``h_init`` one is proposed from a probe step of
-    ``span / 100`` from ``y0`` (``p.y0`` as the run holds it), evaluated with
-    the run's ``increments``, and clamped into the limits.  Raises
-    ``StepsizeOutOfRange`` naming ``x_end`` if ``h_min`` underflows to 0 or
-    ``h_max**(z+1)`` overflows for the higher method's order ``z`` (every
-    step, the probe included, is at most ``h_max``), and for a given
-    ``h_init`` outside them.
+    ``span / 100`` from ``y0`` with the run's ``increments``.  Raises
+    ``StepsizeOutOfRange`` for limits that leave no usable stepsize and for a
+    given ``h_init`` outside them.
     """
     span = p.x_end - p.x0
     h_min, h_max = 1e-12 * span, span / 10.0
@@ -229,28 +221,16 @@ def _initial_stepsizes(
 def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     """Integrate ``p`` over its interval with local error control.
 
-    The propagated state is always the higher-order result of the accepted
-    step.  When the problem has an exact solution, every record carries the
-    oracle diagnostics (measured local and global errors, the propagated
-    term of the error recursion, and the accumulation condition); otherwise
-    those fields are ``None`` and only the controller's own estimate is
-    recorded.  The last step is shortened so the final abscissa equals
-    ``x_end`` exactly.  The records are stored as columns, and the summary
-    is read from them: each accepted step appends its values to one typed
-    array per column (``error_analysis._collector``), and after the loop each
-    array becomes its numpy column once.
-
-    The oracle measures a finished run in one pass after the loop.  A failure
-    of the loop ends the run at once: its own exception propagates, and no
-    exact state is looked up.  Every attempt, the probe's included, runs in
-    the lane picked once for the run (the ``rk_core`` module docstring): the
-    float lane for every problem whose ``y0`` has one component, which holds
-    the state and the estimate as Python floats, and the array lane
-    otherwise.  A stage that ``f`` makes complex (of an attempt, the probe or
-    the oracle's rows) raises ``ComplexStage`` in either lane.  The states
-    handed to ``f`` are read-only: ``y0``, each accepted state, every state of
-    the float lane and the oracle's exact states, so an ``f`` that writes its
-    argument raises numpy's ``ValueError`` rather than changing the run.
+    The propagated state is the higher-order result of each accepted step, and
+    the last step is shortened so the final abscissa equals ``x_end`` exactly.
+    Returns the ``Trace`` of the accepted steps, stored as columns: each step
+    appends its values to one typed array per column
+    (``error_analysis._collector``), which becomes its numpy column after the
+    loop.  With an exact solution the oracle then measures the finished run;
+    without one its fields are ``None``.  Every attempt runs in the lane that
+    the ``rk_core`` lane rule picks, under its read-only rule.  A failure of
+    the loop ends the run at once with its own exception; the exceptions are
+    those of the README's failure table.
     """
     float_lane = p.y0.size == 1
     if float_lane:

@@ -42,6 +42,7 @@ from .rk_core import (
     _Refusal,
     _StageBuffer,
     _is_integer,
+    _number,
     _positive_finite,
     _real,
     _real_numbers,
@@ -176,11 +177,9 @@ class _Records(Sequence):
 def _column(name: str, values: list) -> Optional[np.ndarray]:
     """The values of field ``name`` on every record as its column, ``None`` if
     every value is ``None``; a float column goes through ``_real_numbers``.
-    Raises ``ValueError`` naming the field if only some are ``None``, for an
-    array in a scalar float column, a non-integer (a ``bool`` too) in an int
-    column or a non-bool in a bool one, and for values that do not fit one
-    column (complex, a string, states of different sizes, an integer beyond
-    64 bits)."""
+    Raises ``ValueError`` naming the field if only some are ``None`` or a value
+    is not of the column's type.
+    """
     nones = sum(v is None for v in values)
     if nones == len(values):
         return None
@@ -386,20 +385,15 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     """The oracle's columns, keyed as in ``StepRecord``, for the steps in the
     columns ``c`` of a finished run.
 
-    It looks up ``y`` at ``x0`` and at every step's ``x_next``, in step order;
-    then ``y(x + h)`` of the landing step, the last, where it misses ``x_end``
-    in the last bit (every other step's ``x_next`` is ``x + h``).  Each lookup
-    is checked by ``reference_solution``, so the first state that is complex,
-    of another shape or not finite is refused.  It then evaluates the pair
-    from every step's exact state ``y(x)`` at once, over rows: through ``f``
-    itself for a ``rowwise`` problem, and otherwise through ``f`` applied to
-    one row at a time; either way what the rows raise is raised, in the order
-    of the pass (``rk_core._stages``).  Last it forms the
-    powers of ``h``, step by step.  The first failure met is raised.
-    The fields then follow over whole columns, with the formulas of
+    It makes three passes and raises the first failure it meets.  First the
+    exact state at ``x0`` and at every step's end, in step order, each checked
+    by ``reference_solution``, and ``y(x + h)`` of the landing step where it
+    misses ``x_end`` in the last bit.  Then the pair from every step's exact
+    state at once, over rows: through ``f`` itself for a ``rowwise`` problem,
+    else one row at a time.  Last the powers of ``h``, step by step.  The
+    fields follow over whole columns with the formulas of
     ``local_error_exact``, ``alpha_propagation_term``, ``mean_beta_higher`` and
-    ``condition_check``; elementwise arithmetic is correctly rounded, so every
-    field is bit-identical to theirs.
+    ``condition_check``, bit for bit.
     """
     h, n = c["h"], len(c["h"])
     xs = np.concatenate(((p.x0,), c["x"]))  # each step's start, then x_end
@@ -432,6 +426,10 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
             "cond_rhs": cond_rhs, "cond_holds": cond_holds}
 
 
+def _safety_factor(sigma) -> None:
+    _number("sigma", sigma, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+
+
 def sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:
     """Tolerance-relative ceiling ``(sigma**(z+1) + sigma**(z+r+1)) * delta``.
 
@@ -439,8 +437,7 @@ def sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:
     as long as the accumulation condition holds; its coefficient drops below
     1 only for small enough safety factors and high enough orders.
     """
-    if not 0.0 < sigma <= 1.0:
-        raise ValueError(f"sigma must be in (0, 1], got {sigma}")
+    _safety_factor(sigma)
     _positive_finite("delta", delta)
     if z < 1 or r < 1:
         raise ValueError(f"orders must satisfy z >= 1, r >= 1, got z={z}, r={r}")

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .rk_core import _FLOAT, RHSFunction, _readonly, _real_numbers, _Refusal, inf_norm
+from .rk_core import _FLOAT, RHSFunction, _number, _readonly, _real_numbers, _Refusal, inf_norm
 
 __all__ = [
     "IVProblem",
@@ -32,39 +32,22 @@ class UnknownProblem(KeyError):
 class IVProblem:
     """One initial-value problem ``y' = f(x, y)``, ``y(x0) = y0`` on ``[x0, x_end]``.
 
-    ``exact``, when given, maps an abscissa to the true solution vector, as
-    ``reference_solution`` checks it, and must agree with ``y0`` at ``x0`` to
-    within ``1e-14`` relative to ``y0``.  Right-hand sides must be pure
-    functions of ``(x, y)``: the states ``integrate`` hands ``f`` are
-    read-only.  ``x0``, ``x_end`` and ``y0`` must be finite, and ``y0`` real
-    numbers in the float range and a scalar or a nonempty flat vector.  The
-    build does not call ``f``: each of its values must be real numbers in the
-    float range, have one value per component of ``y0`` and store as a state,
-    and either lane refuses one that does not where it stores it, from
-    ``(x0, y0)`` on (``rk_core._stages``).  ``y0``, each value of ``f`` and
-    each value of ``exact`` go through the one conversion,
-    ``rk_core._real_numbers``.  ``y0`` is copied into a read-only float array
-    of at least one dimension when the problem is built.
+    ``y0`` is copied into a read-only float array of at least one dimension
+    through the one conversion, ``rk_core._real_numbers``.  ``exact``, when
+    given, maps an abscissa to the true solution, as ``reference_solution``
+    checks it, and must agree with ``y0`` at ``x0`` to within ``1e-14``
+    relative to ``y0``.  The build does not call ``f``: each value of ``f`` is
+    checked where a lane stores it, under the ``rk_core`` lane and read-only
+    rules.  What the build refuses is in the README's failure table.
 
     ``rowwise`` declares that ``f`` also takes many states at once:
     ``f(X, Y)`` with ``X`` of shape ``(n,)`` and ``Y`` of shape ``(n, d)``
     returns shape ``(n, d)``, and its row ``i`` equals ``f(X[i], Y[i])`` bit
-    for bit.  The oracle evaluates its exact-state pair from all accepted steps
-    at once, as rows, stage by stage.  With the flag it calls ``f`` once per
-    stage, on all the rows; without it, once per row, on one state.  Either
-    way what the rows raise ends the run, in the same order, and rows of
-    another shape are refused where they are stored (without the flag, each
-    row's value where it is stored, naming that row).  Wrong rows of the right
-    shape go undetected (``n == d`` lets a one-state ``f`` return some).  The
-    controller calls ``f`` on one state.
-
-    ``scalar`` declares only that ``f`` also takes a Python float for a
-    one-component state and returns one; it is refused for a ``y0`` of more
-    than one component.  ``integrate`` runs every one-component problem in
-    the float lane (the ``rk_core`` module docstring), which hands a flagged
-    ``f`` Python floats and any other read-only ``(1,)`` vectors, so the flag
-    moves no bit of a run.  The oracle still gives ``f`` rows, and the
-    one-step functions ``(1,)`` vectors.
+    for bit.  The oracle then calls ``f`` once per stage on all its rows, and
+    otherwise once per row; the controller always calls ``f`` on one state.
+    The promise is not checked.  ``scalar`` declares only that ``f`` also takes
+    and returns a Python float for a one-component state; it moves no bit of a
+    run.
     """
 
     name: str
@@ -78,8 +61,8 @@ class IVProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "y0", _readonly(f"{self.name}: y0", self.y0, ndmin=1))
-        if not (math.isfinite(self.x0) and math.isfinite(self.x_end)):
-            raise ValueError(f"{self.name}: x0={self.x0} and x_end={self.x_end} must be finite")
+        for key in ("x0", "x_end"):
+            _number(f"{self.name}: {key}", getattr(self, key), "finite", math.isfinite)
         if not self.x_end > self.x0:
             raise ValueError(f"{self.name}: x_end={self.x_end} must exceed x0={self.x0}")
         if self.y0.ndim != 1 or self.y0.size == 0:
@@ -106,15 +89,11 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     float array of ``y0``'s shape.
 
     This is the one check of a value of ``exact``, at ``x0`` and at every
-    abscissa the oracle looks up.  A float64 value of ``y0``'s shape is
-    returned as it is; any other goes through the one conversion,
-    ``rk_core._real_numbers``.  Raises ``ValueError`` naming the problem and
-    ``x`` if the problem has no exact solution, ``x`` lies outside its
-    interval, or the solution there is complex, not real numbers in the float
-    range (naming its type), of another shape than ``y0`` (after a scalar
-    becomes a vector) or not finite; and ``OverflowError`` naming the problem
-    if the exact function overflows at ``x`` (``math.exp`` raises rather than
-    returning inf).
+    lookup.  A float64 value of ``y0``'s shape is returned as it is; any other
+    goes through the one conversion, ``rk_core._real_numbers``.  Raises
+    ``ValueError`` naming the problem and ``x`` if the problem has no exact
+    solution, ``x`` lies outside its interval or the value is refused, and
+    ``OverflowError`` naming the problem if the exact function overflows.
     """
     if p.exact is None:
         raise ValueError(f"{p.name}: no exact solution to take a reference from")

@@ -1,43 +1,43 @@
 """Explicit Runge-Kutta methods as Butcher tableaus, plus single-step evaluation.
 
-A method is described by its stage matrix ``a``, weights ``b``, abscissae
-``c`` and classical order ``z``; the stage count ``m`` is the length of
-``b``.  One step of the method applied to ``y' = f(x, y)`` is
+A method is its stage matrix ``a``, weights ``b``, abscissae ``c`` and
+classical order ``z``; the stage count ``m`` is the length of ``b``.  One
+step of the method applied to ``y' = f(x, y)`` is
 
     k_p = f(x + c_p h, y + h * sum_{q < p} a_pq k_q)       p = 1..m
     y_next = y + h * sum_p b_p k_p
 
 Only explicit methods are supported: ``a`` must be strictly lower
-triangular, so the stages can be evaluated in index order.  A tableau is
-checked once, when it is built, and its arrays are read-only afterwards.
-States are flat float64 vectors; scalar problems use length-1 vectors.
+triangular, so the stages can be evaluated in index order.  States are flat
+float64 vectors; scalar problems use length-1 vectors.
 
 Each stage argument ``y + h * (a_p1 k_1 + a_p2 k_2 + ...)`` is summed in
 index order over the nonzero coefficients of its row only
 (``ButcherTableau.stage_rows``), so it does not depend on the BLAS in use.
 Only the weighted sum ``b @ k`` goes through BLAS.  A pair evaluates both
-methods as one stage plan (``MethodPair.plan``) into one buffer of stage
-slots, its shared stages once.  It can also be evaluated from many states at
-once, as rows, with the bits of each state's own evaluation
-(``_pair_increments``).
+methods as one stage plan (``MethodPair.plan``), its shared stages once,
+from one state or from many states at once, as rows, with the bits of each
+state's own evaluation (``_pair_increments``).
 
-There are two lanes.  The array lane, the stage loop ``_stages``, stores
-each stage into a slot of a float64 buffer (``_StageBuffer``); it runs every
-problem of two or more components, the oracle's rows and the one-step
-functions.  The float lane runs every attempt of ``integrate`` on a problem
-whose ``y0`` has one component, the probe's included.  Each pair compiles
-its plan into straight-line functions (``MethodPair.float_source``) that
-hold the state and each stage as a Python float, sparing numpy's per-call
-overhead, and form each stage argument as ``_stages`` does.  An ``f``
-flagged ``scalar`` is handed those floats; any other is handed each as a
-new read-only ``(1,)`` vector, and a float64 value of size 1 comes back as a
-float.  A value of ``f`` takes one fast test in either lane and otherwise the
-same checks (``_stage_value``), with the same failures naming the same
-stage.  One test of the stages' sum sends a non-finite stage to the array
-lane's report (``_check_finite``), without calling ``f`` again.  The float
-lane's weighted sums are ``b.dot`` on one separately allocated float64
-vector per method, the BLAS call the array lane's ``b @ k`` makes, so both
-lanes give the same bits on any BLAS kernel.
+The lane rule.  ``integrate`` runs every problem whose ``y0`` has one
+component in the float lane, the probe included, and every other problem
+in the array lane.  The array lane, the stage loop ``_stages``, stores each
+stage into a slot of a float64 buffer (``_StageBuffer``); the oracle's rows
+and the one-step functions run in it too.  The float lane is a
+straight-line function that each pair compiles from its plan
+(``MethodPair.float_source``).  It holds the state and each stage as a
+Python float, forms each stage argument as ``_stages`` does, refuses a
+value of ``f`` with the same checks (``_stage_value``, ``_check_finite``)
+and the same message, and sums the stages with ``b.dot`` on float64
+vectors, the BLAS call of the array lane, so both lanes give the same bits
+on any BLAS kernel.
+
+The read-only rule.  ``f`` must be a pure function of ``(x, y)``.  The
+states ``integrate`` hands it are read-only: ``y0``, each accepted state,
+each ``(1,)`` vector of a one-component run whose ``f`` is not flagged
+``scalar`` (a flagged one is handed Python floats) and the oracle's exact
+states.  In the array lane each stage after the first is a new writeable
+vector.
 """
 
 from __future__ import annotations
@@ -125,32 +125,14 @@ class _StagePlan(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ButcherTableau:
-    """Coefficients of one explicit Runge-Kutta method.
+    """Coefficients of one explicit Runge-Kutta method: ``a`` of shape
+    ``(m, m)``, ``b`` and ``c`` of shape ``(m,)``, classical order ``z``.
 
     ``a``, ``b`` and ``c`` are copied into read-only float arrays and checked
-    by ``validate_tableau`` when the tableau is built.
-
-    Attributes
-    ----------
-    name : str
-        Label used in registries and traces.
-    a : ndarray, shape (m, m)
-        Stage matrix; strictly lower triangular for explicit methods.
-    b : ndarray, shape (m,)
-        Quadrature weights; must sum to 1.
-    c : ndarray, shape (m,)
-        Abscissae; by convention each equals the corresponding row sum of ``a``.
-    z : int
-        Classical order of the method.
-    m : int
-        Number of stages, derived from ``b``.
-    stage_rows : tuple
-        ``(c_p, ((q, a_pq), ...))`` for each stage ``p``, as Python floats,
-        listing only the nonzero ``a_pq`` in index order; derived, and read by
-        ``MethodPair``.
-    plan : _StagePlan
-        The stage loop's plan of the method alone: its ``stage_rows``, stage
-        ``p`` in slot ``p``; derived.
+    by ``validate_tableau`` when the tableau is built.  Derived from them: the
+    stage count ``m``; ``stage_rows``, ``(c_p, ((q, a_pq), ...))`` for each
+    stage ``p`` as Python floats, with only the nonzero ``a_pq`` in index order;
+    and ``plan``, the stage plan of the method alone, stage ``p`` in slot ``p``.
     """
 
     name: str
@@ -180,23 +162,16 @@ class ButcherTableau:
 class MethodPair:
     """A lower-order and a higher-order tableau used together for local extrapolation.
 
-    The order gap ``r = higher.z - lower.z`` must be at least 1.  ``shared``
-    is the number of leading stages the two methods evaluate identically
-    (equal ``stage_rows``: same abscissa and same nonzero stage-matrix
-    entries); it is derived from the tableaus, and a pair attempt evaluates
-    those stages once.
-
-    ``plan`` is the derived stage plan of both methods: the lower method's
-    stages in slots ``0 .. lower.m - 1``, then the higher method's stages after
-    ``shared`` in the slots that follow, each ``(q, a_pq)`` pointing at the
-    slot of stage ``q``.  ``higher_slots`` lists the slot of each of the higher
-    method's stages, in index order; the lower method's are its first
-    ``lower.m``.
-
-    ``float_source`` is the source of the pair's float lane (see the module
-    docstring), generated from ``plan``, and ``float_lane`` the two functions
-    compiled from it, ``(flagless, flagged)``: ``float_lane[scalar](f)``
-    returns a run's ``increments(x, y, h)``.
+    The order gap ``r = higher.z - lower.z`` must be at least 1.  Derived:
+    ``shared``, the number of leading stages the two methods evaluate
+    identically (equal ``stage_rows``), which an attempt evaluates once;
+    ``plan``, the lower method's stages in slots ``0 .. lower.m - 1``, then the
+    higher method's after ``shared`` in the slots that follow;
+    ``higher_slots``, the slot of each of the higher method's stages; and the
+    float lane (the ``rk_core`` module docstring), whose source is
+    ``float_source`` and whose two compiled functions are ``float_lane``,
+    ``(flagless, flagged)``: ``float_lane[scalar](f)`` returns a run's
+    ``increments(x, y, h)``.
     """
 
     lower: ButcherTableau
@@ -307,10 +282,15 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _number(name: str, value, rule: str, holds) -> None:
+    """The one check of a scalar setting: raise ``ValueError`` "<name> must be
+    <rule>" unless ``value`` is a real number, not a ``bool``, that ``holds``."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and holds(value)):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def _positive_finite(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and finite."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    _number(name, value, "positive and finite", lambda v: 0.0 < v < math.inf)
 
 
 class _Refusal(Exception):
@@ -375,20 +355,16 @@ def increment_function(
 ) -> np.ndarray:
     """Weighted stage sum ``sum_p b_p k_p`` for one step of size ``h`` from ``(x, y)``.
 
-    Stages are evaluated strictly in ascending index order.  The result has
-    the shape of ``y``; the step itself is ``y + h * increment``.
-
-    Raises
-    ------
-    ValueError
-        If ``y`` is complex or not a flat vector, ``x`` not finite or ``h`` not
-        positive and finite, or a value of ``f`` does not store as ``y``.
-    ComplexStage
-        If a value of ``f`` is complex.
-    NonFiniteStage
-        If any stage derivative contains NaN or infinity.
+    The step itself is ``y + h * increment``; the result has the shape of ``y``.
+    Raises ``ValueError`` for an input that ``_one_state`` refuses or a value of
+    ``f`` that does not store as ``y``, ``ComplexStage`` and ``NonFiniteStage``
+    (the README's failure table).
     """
-    y = _one_state(x, y, h)
+    return _increment(t, f, x, _one_state(x, y, h), h)
+
+
+def _increment(t: ButcherTableau, f: RHSFunction, x: float, y: np.ndarray, h: float):
+    """``increment_function`` of the checked state ``y``."""
     buf = _StageBuffer(t.m, y.shape)
     _stages(t.plan, f, x, y, h, buf)
     return t.b @ buf.k
@@ -401,8 +377,7 @@ def _one_state(x: float, y, h: float) -> np.ndarray:
     y = _real("state", y, "state must be real, got {values}")
     if y.ndim != 1:
         raise ValueError(f"state must be a flat vector, got shape {y.shape}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
+    _number("x", x, "finite", math.isfinite)
     _positive_finite("stepsize", h)
     return y
 
@@ -419,14 +394,11 @@ def _stage_value(v, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class _StageBuffer:
-    """Stage slots of the array lane, for one state, ``k`` of shape ``(M, d)``, or
-    for rows, ``k`` of shape ``(n, M, d)`` with each row's slots contiguous;
-    ``slot`` holds one view of ``k`` per slot (``(d,)`` or ``(n, d)``), and
-    ``gather`` takes the ``gather`` slots of one method, ``(gather, d)`` or
-    ``(n, gather, d)``.
-
-    A run allocates one and evaluates every attempt into it; what an
-    evaluation returns is never a view of it, so the next one may overwrite it.
+    """Stage slots of the array lane, ``k`` of shape ``(M, d)`` for one state or
+    ``(n, M, d)`` for rows, each row's slots contiguous; ``slot`` holds one view
+    of ``k`` per slot, and ``gather`` room for one method's slots.  A run
+    evaluates every attempt into one buffer, and no evaluation returns a view
+    of it.
     """
 
     __slots__ = ("k", "slot", "gather")
@@ -465,27 +437,16 @@ def _pair_buffer(pair: MethodPair, shape: tuple[int, ...]) -> _StageBuffer:
 
 
 def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf: _StageBuffer) -> None:
-    """Evaluate the stages of ``plan`` into the slots of ``buf``, in the array lane.
+    """Evaluate the stages of ``plan`` into the slots of ``buf``: the array lane.
 
-    From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``.  Over
-    rows, ``x`` and ``h`` are ``(n,)`` columns, ``y`` is ``(n, d)`` and ``f``
-    takes rows (``IVProblem.rowwise``, or a one-state ``f`` applied row by
-    row).  Every operation on a stage argument is elementwise, each row's
-    ``h`` scaling that row, so a row's stages are bit-identical to its state's
-    alone.  A coefficient of exactly 1 is applied without a multiply, which
-    gives the same bits.  The stage arguments come from ``plan.rows`` (a stage
-    whose row has no nonzero entry receives ``y`` itself).
-
-    Each value of ``f`` is converted by ``_real_numbers`` and checked where
-    ``buf.store`` stores it: a complex one raises ``ComplexStage`` naming the
-    earliest row with an imaginary part; one that is not real numbers in the
-    float range, has another number of values than ``y`` or a shape that does
-    not store as ``y`` raises ``ValueError`` naming its type or its shape and
-    ``y``'s, over rows without any row's ``x`` and ``h``.  A float64 value of
-    ``y``'s size skips those checks without a numpy call.  Finiteness is
-    checked once, after the loop, by ``_check_finite``: the stages after a
-    non-finite one are evaluated too.  It checks no input; ``_one_state``
-    does.
+    From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``; over rows
+    they are ``(n,)`` columns, ``y`` is ``(n, d)`` and ``f`` takes rows.  Every
+    operation on a stage argument is elementwise, each row's ``h`` scaling that
+    row, so a row's stages are bit-identical to its state's alone; a
+    coefficient of exactly 1 is applied without a multiply, which gives the
+    same bits.  Each value of ``f`` is checked where ``buf.store`` stores it,
+    and finiteness once, after the loop, by ``_check_finite``.  It checks no
+    input; ``_one_state`` does.
     """
     slot, store = buf.slot, buf.store
     h_y = h[:, None] if y.ndim == 2 else h
@@ -509,14 +470,10 @@ def _refused(plan: _StagePlan, slot: int, r: _Refusal, x, h) -> Exception:
 
 
 def _check_finite(plan: _StagePlan, k, x, h) -> None:
-    """Raise ``NonFiniteStage`` if a stage in ``k`` is NaN or infinite.
-
-    ``k`` holds the slots of ``plan``, ``(slots, d)`` from one state and
-    ``(n, slots, d)`` over rows, as an array or as nested lists.  The error
-    names ``x`` and ``h`` and the first non-finite stage of the first method in
-    slot order that has one; over rows, that method's earliest row with a
-    non-finite stage, that row's ``x`` and ``h`` and its first non-finite
-    stage, so it reads as that row's state alone would.
+    """Raise ``NonFiniteStage`` if a stage in ``k``, the slots of ``plan`` as an
+    array or nested lists, is NaN or infinite.  It names the first such stage of
+    the first method in slot order that has one, and over rows that method's
+    earliest row with one, with that row's ``x`` and ``h``, as the row alone would.
     """
     finite = np.isfinite(k)
     if finite.all():
@@ -540,14 +497,9 @@ def _stage_message(plan: _StagePlan, slot: int, what: str, x, h, i: int | None) 
 
 def _pair_increments(pair: MethodPair, f: RHSFunction, x, y, h, buf=None):
     """Increments ``(F_lower, F_higher)`` of both methods of ``pair`` from ``(x, y)``,
-    from one state or over rows as ``_stages`` takes them, evaluated into
-    ``buf`` (a ``_pair_buffer`` for ``y``; a new array-lane one if not given).
-
-    ``pair.plan`` evaluates the ``pair.shared`` leading stages once.  Each
-    increment is bit-identical to ``increment_function`` of its method, over
-    rows from that row's state: ``b @ k`` goes through BLAS on each method's
-    contiguous stages, as on one state's (a sum in another order or layout
-    moves bits).
+    one state or rows as ``_stages`` takes them, evaluated into ``buf`` (a new
+    ``_pair_buffer`` if not given).  Each is bit-identical to
+    ``increment_function`` of its method, over rows to that row's state's.
     """
     if buf is None:
         buf = _pair_buffer(pair, y.shape)
@@ -567,11 +519,9 @@ def _float_stage(plan: _StagePlan, slot: int, v, x: float, h: float) -> float:
 
 def _float_lane(pair: MethodPair) -> tuple[str, tuple[Callable, Callable]]:
     """The float lane of ``pair``: the source of its two functions, generated from
-    ``pair.plan``, and the functions compiled from it, ``(flagless, flagged)``.
-
-    Each takes ``f`` and returns a run's ``increments(x, y, h)``, with the two
-    float64 vectors that run fills.  The stage arguments are written out as
-    ``_stages`` forms them, each stage ``p`` the local ``k<p>``.
+    ``pair.plan`` with stage ``p`` in the local ``k<p>``, and the functions
+    compiled from it, ``(flagless, flagged)``.  Each takes ``f`` and returns a
+    run's ``increments(x, y, h)``.
     """
     ks = [f"k{p}" for p in range(len(pair.plan.rows))]
     lower, higher = ks[:pair.lower.m], [ks[s] for s in pair.higher_slots.tolist()]
@@ -619,7 +569,7 @@ def rk_step(
 ) -> np.ndarray:
     """Advance ``y`` by one step of size ``h``: ``y + h * increment_function(...)``."""
     y = _one_state(x, y, h)
-    return y + h * increment_function(t, f, x, y, h)
+    return y + h * _increment(t, f, x, y, h)
 
 
 def kutta3() -> ButcherTableau:

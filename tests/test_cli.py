@@ -1,30 +1,37 @@
+import builtins
+import codecs
 import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import re
 import runpy
+import shlex
 import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pins import LONG_RUN_STEPS
-from rk_error_lab import ControllerConfig, IVProblem, builtin, builtin_pair, integrate
-from rk_error_lab.controller import (POLICIES, MaxRejectsExceeded, MaxStepsExceeded,
-                                    NonFiniteState, StepsizeUnderflow, Trace)
-from rk_error_lab.error_analysis import StepRecord, StepUnderflow, _Records
+from pins import (FIGURE_SHA256, FLAGSHIP, LONG_RUN_SHA256, LONG_RUN_STEPS, OUTPUT_SHA256,
+                  same_bits)
+import rk_error_lab
+from rk_error_lab import ControllerConfig, IVProblem, builtin, builtin_pair, cli, integrate
+from rk_error_lab.controller import POLICIES, Trace
+from rk_error_lab.error_analysis import StepRecord, _Records
 from rk_error_lab.problems import problem_names
-from rk_error_lab.rk_core import NonFiniteStage, inf_norm, pair_names
+from rk_error_lab.rk_core import inf_norm, pair_names
 from rk_error_lab.cli import (
     _FORMATS,
     _rewritten,
@@ -80,62 +87,110 @@ def test_parse_args_gives_a_fresh_spec_per_call(capsys):
     assert "--figure" in capsys.readouterr().out
 
 
-def test_invalid_values_exit_2(capsys):
-    assert main(["--delta", "-1"]) == 2
-    assert main(["--sigma", "0"]) == 2
-    assert main(["--max-steps", "0"]) == 2
-    assert main(["--not-a-flag"]) == 2
-    # non-finite and out-of-range values are refused where they enter
-    assert main(["--x-end", "-1"]) == 2
-    assert main(["--delta", "inf"]) == 2
-    assert main(["--delta", "nan"]) == 2
-    assert main(["--x-end", "inf"]) == 2
-    assert main(["--h-init", "nan"]) == 2
-    # outside the limits resolved from the problem, [1e-10, 10] by default
-    assert main(["--h-init", "1000"]) == 2
-    assert main(["--h-init", "1e-300"]) == 2
-    assert main(["--problem", "decay", "--x-end", "1e100"]) == 2
-    capsys.readouterr()
-    # a span so long that h_max**5 overflows a float, or so short that
-    # h_min = 1e-12 * span underflows to zero; the message names x_end
-    for x_end in ("1e100", "1e105", "5e-324", "1e-323", "1e-315"):
-        assert main(["--x-end", x_end]) == 2
-        assert f"x_end={float(x_end)!r}" in capsys.readouterr().err
+README = Path(__file__).parents[1] / "README.md"
+# what run prints before a failure's message, by exit code
+_PREFIX = {2: "error: ", 3: "", 4: "integration failed: ", 5: "output failed: "}
 
 
-def test_unknown_registry_names_exit_3(capsys):
-    assert main(["--problem", "vanderpol"]) == 3
-    assert main(["--pair", "rk5_rk6"]) == 3
-    err = capsys.readouterr().err
-    assert "unknown" in err
+class FailureRow(NamedTuple):
+    trigger: str
+    argvs: list[list[str]]
+    fragments: list[str]  # the message fragment of each argv
+    phase: str  # parse, run, output or library
+    error: Optional[type]  # None for a known gap that raises nothing
+    code: Optional[int]  # None for a gap that no run reaches
 
 
-def test_integrator_failure_exits_4(capsys):
-    # tolerance so tight that the required stepsize underflows h_min
-    assert main(["--problem", "decay", "--delta", "1e-60", "--quiet"]) == 4
-    assert "failed" in capsys.readouterr().err
-    # accepted-step cap hit before x_end
-    assert main(["--max-steps", "5", "--quiet"]) == 4
-    # a huge span whose h_max**5 still fits: the probed stepsize is below h_min
-    assert main(["--x-end", "1e60", "--quiet"]) == 4
-    # a span so small that h**5 underflows to zero
-    assert main(["--x-end", "1e-70", "--quiet"]) == 4
-    # a tolerance so loose that the steps pass x = 10275, where exp(x ln(1000)/100) overflows
-    assert main(["--x-end", "2e4", "--delta", "1e100", "--quiet"]) == 4
-    # a span whose probe step overflows the Riccati right-hand side -y*y
-    assert main(["--problem", "riccati_simple", "--x-end", "1e40", "--quiet"]) == 4
-    capsys.readouterr()
+def _spans(cell: str) -> list[str]:
+    return re.findall(r"`([^`]*)`", cell)
 
 
-@pytest.mark.parametrize("error", [StepsizeUnderflow, MaxStepsExceeded, MaxRejectsExceeded,
-                                   NonFiniteState, StepUnderflow, NonFiniteStage, OverflowError])
-def test_each_integrator_failure_exits_4(error, monkeypatch, capsys):
-    # exit 4 is chosen by family: each failure is an ArithmeticError or a RuntimeError
-    def integrate(pair, problem, cfg):
-        raise error("the run failed")
-    monkeypatch.setattr("rk_error_lab.cli.integrate", integrate)
-    assert main(["--quiet"]) == 4
-    assert capsys.readouterr() == ("", "rk-error-lab: integration failed: the run failed\n")
+def _failure_table() -> list[FailureRow]:
+    """The rows of README's ``### Failures`` table.  An argv's backslash escapes
+    are decoded (``'a\\0b'`` is a path with a NUL byte); a row gives one message
+    fragment for all its argvs, or one per argv."""
+    lines = README.read_text(encoding="utf-8").split("\n### Failures\n", 1)[1].split("\n")
+    lines = lines[next(k for k, line in enumerate(lines) if line.startswith("|")):]
+    header, _, *table = itertools.takewhile(lambda line: line.startswith("|"), lines)
+    assert header == "| Trigger | CLI argv | Message | Phase | Exception | Exit |"
+    names = {**vars(builtins), **vars(cli), **vars(rk_error_lab)}
+    rows = []
+    for line in table:
+        trigger, argv, message, phase, error, code = (
+            c.strip() for c in line.strip("|").split("|"))
+        argvs = [[codecs.decode(a, "unicode_escape") for a in shlex.split(span)]
+                 for span in _spans(argv)]
+        fragments = _spans(message) or [""]
+        rows.append(FailureRow(trigger, argvs,
+                               fragments * len(argvs) if len(fragments) == 1 else fragments,
+                               phase, None if error == "none" else names[_spans(error)[0]],
+                               None if code == "—" else int(code)))
+    return rows
+
+
+FAILURES = _failure_table()
+
+
+@pytest.mark.parametrize("row", FAILURES,
+                         ids=[re.sub(r"\W+", "_", r.trigger)[:48].strip("_") for r in FAILURES])
+def test_the_failure_table(row, monkeypatch, capsys, tmp_path):
+    # each argv through main: the row's exit code, run's words for it and the message
+    assert len(row.fragments) == len(row.argvs)
+    for argv, fragment in zip(row.argvs, row.fragments):
+        assert main(argv) == row.code, argv
+        out, err = capsys.readouterr()
+        assert out == "" and f"rk-error-lab: {_PREFIX[row.code]}" in err and fragment in err, err
+    if row.error is None or row.phase == "parse":  # a gap that raises nothing; argparse's exit
+        return
+
+    # the row's exception raised inside run in its phase: by a writer in the output
+    # phase, and by integrate in the run phase, where a library row's family is judged
+    def fail(*args):
+        raise row.error("the run failed")
+    spec = RunSpec(quiet=True)
+    if row.phase == "output":
+        monkeypatch.setattr("rk_error_lab.cli.write_trace_csv", fail)
+        spec = dataclasses.replace(spec, csv_path=str(tmp_path / "t.csv"))
+    else:
+        monkeypatch.setattr("rk_error_lab.cli.integrate", fail)
+    assert run(spec) == row.code
+    assert capsys.readouterr() == ("", f"rk-error-lab: {_PREFIX[row.code]}the run failed\n")
+
+
+def test_the_failure_table_covers_every_exception():
+    # a new exception class cannot skip the contract; every phase and exit is a
+    # documented one, and only a gap that no run reaches has no exit
+    exported = {v for v in map(vars(rk_error_lab).get, rk_error_lab.__all__)
+                if isinstance(v, type) and issubclass(v, BaseException)}
+    missing = (exported | {MissingDiagnostics}) - {row.error for row in FAILURES}
+    assert sorted(c.__name__ for c in missing) == []
+    for row in FAILURES:
+        assert row.phase in {"parse", "run", "output", "library"}
+        assert row.code in {0, 2, 3, 4, 5} or (row.code, row.error, row.argvs) == (None, None, [])
+        assert row.phase != "library" or row.argvs == []
+
+
+def test_a_rowwise_f_with_wrong_rows_of_the_right_shape_goes_undetected(monkeypatch):
+    # a known gap in the failure table: y[::-1] swaps a state's two components but
+    # reverses the order of rows, so the oracle's rows are wrong and the run exits 0
+    swap = IVProblem("swap", lambda x, y: y[::-1], 0.0, [1.0, 2.0], 1.0, rowwise=True,
+                     exact=lambda x: np.array([1.5 * math.exp(x) - 0.5 * math.exp(-x),
+                                               1.5 * math.exp(x) + 0.5 * math.exp(-x)]))
+    monkeypatch.setattr("rk_error_lab.cli.builtin", lambda name: swap)
+    assert run(RunSpec(quiet=True)) == 0
+    eps = [integrate(PAIR, p, ControllerConfig()).records.columns["eps_lower"]
+           for p in (swap, dataclasses.replace(swap, rowwise=False))]
+    assert not np.array_equal(*eps)
+
+
+def test_read_trace_csv_does_not_check_the_i_sequence(tmp_path):
+    # a known gap in the failure table: an i cell of 7 on the second row parses
+    path = tmp_path / "trace.csv"
+    write_trace_csv(integrate(PAIR, builtin("decay"), ControllerConfig(delta=1e-8)), str(path))
+    lines = path.read_text().splitlines()
+    lines[2] = "7" + lines[2][lines[2].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    assert read_trace_csv(str(path))[1].i == 7
 
 
 def test_a_rhs_turning_complex_mid_run_exits_4(monkeypatch, capsys):
@@ -209,16 +264,6 @@ def test_no_argv_ends_in_a_traceback(argv):
         assert main(argv) in {0, 2, 3, 4, 5}
 
 
-def test_io_failure_exits_5(capsys, tmp_path):
-    missing = tmp_path / "no" / "such" / "dir" / "t.csv"
-    assert main(["--problem", "decay", "--csv", str(missing), "--quiet"]) == 5
-    # an empty path is a path open() refuses, not an output left out
-    for flag in ("--csv", "--json", "--figure"):
-        assert main(["--problem", "decay", flag, "", "--quiet"]) == 5
-    assert main(["--problem", "decay", "--csv", "a\0b", "--quiet"]) == 5
-    assert "output failed" in capsys.readouterr().err
-
-
 def test_full_run_writes_all_outputs(tmp_path, capsys):
     csv_path = tmp_path / "trace.csv"
     json_path = tmp_path / "summary.json"
@@ -257,54 +302,10 @@ def test_policy_sensitivity_regression_anchors(tmp_path):
         json_path = tmp_path / f"{policy}.json"
         assert main(["--policy", policy, "--json", str(json_path), "--quiet"]) == 0
         out[policy] = json.loads(json_path.read_text())
-    assert out["proportional"]["crossing_index"] == 155
-    assert out["proportional"]["crossing_x"] == 30.371983519643603
-    assert out["reject-only"]["crossing_index"] == 44
-    assert out["reject-only"]["crossing_x"] == 11.278686635103092
+    for policy, summary in out.items():
+        for name in ("crossing_index", "crossing_x"):
+            assert same_bits(summary[name], FLAGSHIP[policy][name]), (policy, name)
     assert out["reject-only"]["crossing_x"] != out["proportional"]["crossing_x"]
-
-
-# SHA-256 of the write_trace_csv and write_summary_json bytes at delta=1e-8, by
-# (problem, policy, with exact solution); a change that moves any bit of a
-# trace or a summary moves its digest
-OUTPUT_SHA256 = {
-    ("paper_exponential", "proportional", True): (
-        "cc7107a2a7c447fbe4e6c91c01f3edabe6281e540bcce9bc7fb9f2cf90578283",
-        "aeca180154f531b2fe596f5a9109f1df9f40153bca7907bb6402a21e13a45c4e"),
-    ("paper_exponential", "proportional", False): (
-        "9ecd8cc7efbd07a030954f1dea42c48b85aba72a72a31650e07b1c4ed83c5f68",
-        "aa8fbd768b973bdcce434a63cc833eea3a806cefe01523913879382ba0842572"),
-    ("paper_exponential", "reject-only", True): (
-        "ff915aa8352aa1be64d1644f1bac07409ad677529fd37ac65df790aac11ed45f",
-        "ad2d76dc27522a253971cb0ad3162f19502397f0564429de198fae4065c1ae45"),
-    ("paper_exponential", "reject-only", False): (
-        "b1718e6c6be4877d28b00db4492b7fad79e0dd541a2db8de0d4906203149856e",
-        "beecba612bcd9e78b7d4a80e5f2d1eb081d002ce89e5ba815f8336c73439fe40"),
-    ("decay", "proportional", True): (
-        "88282a9b39568cc67e17aa695912960f002bf3dae4ca76405a0530309b40615c",
-        "b77d97dc5bece019db85fc3da326d7a3a1edc88c9c1bb8263ae6cec1578f87f4"),
-    ("decay", "proportional", False): (
-        "3ea9aa3a97237c2533ba2a4ed5505b3714ef34c189574a877090bf8880c019cf",
-        "aaf270497dae0040510de906b770bf96e0ddabac020d7b63556d46dfc9524ee4"),
-    ("decay", "reject-only", True): (
-        "086625b3162f1031d569c3edff4d8d51031045ce3da5f001cf5f37a20f418b4a",
-        "183742f130c1d50d577e0f50fd2ff742bd0ebac750f981ad754aeb76e9643828"),
-    ("decay", "reject-only", False): (
-        "2557babb64423e68fab7b2fe892c25a766526d63f0a9035eaad80336ac68bdbd",
-        "ff182c41f3824dd14212965fd068d55b142edee0d717d189a3e2302c98923ddc"),
-    ("riccati_simple", "proportional", True): (
-        "dc35f7f56a14ee204fdc141c3977de37b56ad93c38d61a0ad75c1a854d2ad934",
-        "69a6749b3455e5cc128b9763dc50ca669a2c59920523b242b588a52439152306"),
-    ("riccati_simple", "proportional", False): (
-        "d1fcb63dd119606a5e31960eeb08fbf7b8f3f28fea0b81ce682bb9492b7420d4",
-        "60b362f5af9e5153197eaa3428b54dac161bbb6d3544b52809e1a76ffdb9f225"),
-    ("riccati_simple", "reject-only", True): (
-        "bc1e207e88b3b6d7ba9563240313c8f8b430788855d454e8db76460a5570817a",
-        "9e52f11485b91be84071b90f8b4d296658d887c508463620bbd0f52f5bfde18f"),
-    ("riccati_simple", "reject-only", False): (
-        "c24a4eb7cd61344f5e2f20a6033f643c23ffab65ad514e20e96b85be8ca32829",
-        "9f2f8a489c78906b07a4fe8041013a2ed078b8e3e89f2d547bd2a7a07e301ad3"),
-}
 
 
 def test_trace_bytes_are_pinned(tmp_path):
@@ -322,30 +323,6 @@ def test_trace_bytes_are_pinned(tmp_path):
             if hashlib.sha256(path.read_bytes()).hexdigest() != digest:
                 moved.append((name, policy, with_exact, kind))
     assert moved == []
-
-
-# SHA-256 of the figure1_export bytes at delta=1e-8, by (problem, policy)
-FIGURE_SHA256 = {
-    ("paper_exponential", "proportional"):
-        "96c9c09931470a2b925c852a648b5f8791cd011b93b71f4af9f4f12b800ab2bf",
-    ("paper_exponential", "reject-only"):
-        "0f0283a3dc9259d44c4b160940ffe16a2d80ef00eb1e54a6f19c5c453820c676",
-    ("decay", "proportional"):
-        "4daafe5eafd8671dbd5587fc7489378d005835db791bae891d8257a607d0b3c3",
-    ("decay", "reject-only"):
-        "2951684d23570ae73d2044eda0d5882bf3fa99d1a881f5f9053e466f42249208",
-    ("riccati_simple", "proportional"):
-        "125b90e35b8d8b6f00f59bdee868b8dbaf6c303d30c1f4029b0c77528e22c9fb",
-    ("riccati_simple", "reject-only"):
-        "ec175ddd33e38c41f723f29f72940fcc4c9025bf7c04deb4be7fcb1c41c0eee6",
-}
-
-# SHA-256 of the trace and figure bytes of paper_exponential at delta=1e-12 on
-# the full interval: 10 438 rows, so the writers cross many block boundaries
-LONG_RUN_SHA256 = (
-    "c27e33b10a82a36398b7e9a06dd5f63713fd717f2020aa4d5173af076a39bf96",
-    "ffe7855b72db24ef75342a08302f5af83e4b61da084ca39869177209c0e71dfa",
-)
 
 
 def _sha256(path) -> str:
@@ -509,8 +486,7 @@ def test_a_run_without_an_oracle_says_its_global_error_was_not_measured(capsys, 
 
 
 def test_a_non_finite_exact_solution_exits_2(tmp_path, capsys, monkeypatch):
-    # NaN at x_end only: the run used to exit 0 and write a bare NaN, which is
-    # not JSON, as final_delta_lower
+    # NaN at x_end only, which final_delta_lower would carry into the JSON summary
     decay = builtin("decay")
     monkeypatch.setattr("rk_error_lab.cli.builtin", lambda name: dataclasses.replace(
         decay, exact=lambda x: np.array([np.nan]) if x == decay.x_end else decay.exact(x)))
@@ -603,16 +579,6 @@ def test_quiet_suppresses_verdict(capsys, monkeypatch):
     assert done.value.code == 0 and capsys.readouterr().out == ""
 
 
-def _same_bits(a, b) -> bool:
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and a.shape == b.shape and a.tobytes() == b.tobytes()
-    if isinstance(a, float):
-        return isinstance(b, float) and a.hex() == b.hex()
-    if a is None or isinstance(a, bool):
-        return a is b
-    return type(a) is type(b) and a == b
-
-
 @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no_oracle"])
 def test_csv_round_trip_bit_exact(tmp_path, oracle):
     p = builtin("decay")
@@ -627,7 +593,7 @@ def test_csv_round_trip_bit_exact(tmp_path, oracle):
     names = [f.name for f in dataclasses.fields(StepRecord)]
     assert CSV_COLUMNS == names
     for orig, back in zip(trace.records, parsed):
-        moved = [n for n in names if not _same_bits(getattr(orig, n), getattr(back, n))]
+        moved = [n for n in names if not same_bits(getattr(orig, n), getattr(back, n))]
         assert moved == [], f"step {orig.i}"
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pins import LONG_RUN_STEPS
+from pins import FLAGSHIP, LONG_RUN_STEPS, same_bits
 from rk_error_lab import controller, rk_core
 from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
 from rk_error_lab.error_analysis import _Records
@@ -199,6 +199,43 @@ def test_config_invariants():
             ControllerConfig(max_steps=bad)
 
 
+# each public scalar setting, by (name in its message, a call that takes it)
+_SCALAR_SETTINGS = {
+    "ControllerConfig.delta": ("delta", lambda v: ControllerConfig(delta=v)),
+    "ControllerConfig.sigma": ("sigma", lambda v: ControllerConfig(sigma=v)),
+    "ControllerConfig.h_init": ("h_init", lambda v: ControllerConfig(h_init=v)),
+    "IVProblem.x0": ("p: x0", lambda v: IVProblem("p", lambda x, y: -y, v, [1.0], 1.0)),
+    "IVProblem.x_end": ("p: x_end", lambda v: IVProblem("p", lambda x, y: -y, 0.0, [1.0], v)),
+    "propose_stepsize": ("beta_norm",
+                         lambda v: propose_stepsize(v, ControllerConfig(), 3, 1e-12, 1.0)),
+    "find_crossing": ("delta", lambda v: find_crossing(
+        integrate(PAIR, builtin("decay"), flagship_config()).records, v)),
+    "sigma_bound": ("sigma", lambda v: sigma_bound(v, 3, 1, 1e-8)),
+}
+
+
+@pytest.mark.parametrize("setting, value", [
+    (setting, value) for setting in _SCALAR_SETTINGS for value in ("1e-8", None, True, 1j)
+    if (setting, value) != ("ControllerConfig.h_init", None)])  # None asks for the probe
+def test_a_scalar_setting_that_is_not_a_real_number_is_refused_by_name(setting, value):
+    # a str, None, a bool or a complex value is refused by name, not taken as a number
+    name, call = _SCALAR_SETTINGS[setting]
+    message = f"^{re.escape(name)} must be .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+def test_a_numpy_float_setting_is_a_real_number():
+    v = np.float64
+    cfg = ControllerConfig(delta=v(1e-8), sigma=v(0.8), h_init=v(0.01))
+    assert cfg == ControllerConfig(delta=1e-8, sigma=0.8, h_init=0.01)
+    p = IVProblem("p", lambda x, y: -y, v(0.0), [1.0], v(1.0))
+    assert integrate(PAIR, p, cfg).summary.final_x == 1.0
+    assert propose_stepsize(v(1.0), cfg, 3, 1e-12, 1.0) == propose_stepsize(1.0, cfg, 3, 1e-12, 1.0)
+    assert find_crossing(integrate(PAIR, builtin("decay"), cfg).records, v(1e-8)) is None
+    assert sigma_bound(v(0.8), 3, 1, v(1e-8)) == sigma_bound(0.8, 3, 1, 1e-8)
+
+
 # --- integrate: basic behavior ------------------------------------------------------
 
 def test_integrate_zero_field():
@@ -272,18 +309,8 @@ def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
 
 
-def _same_bits(a, b) -> bool:
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and a.shape == b.shape and a.tobytes() == b.tobytes()
-    if isinstance(a, float):
-        return isinstance(b, float) and a.hex() == b.hex()
-    if a is None or isinstance(a, bool):
-        return a is b
-    return type(a) is type(b) and a == b
-
-
 def _same_records(a, b) -> bool:
-    return all(_same_bits(getattr(a, f.name), getattr(b, f.name))
+    return all(same_bits(getattr(a, f.name), getattr(b, f.name))
                for f in dataclasses.fields(StepRecord))
 
 
@@ -717,25 +744,19 @@ def test_reject_only_run_needing_just_under_the_cap_completes():
 
 # --- integrate: flagship regression anchors ------------------------------------------
 
-def test_flagship_run_regression_anchor():
+def _assert_anchor(policy):
     # frozen values from this implementation's deterministic run
-    s = integrate(PAIR, builtin("paper_exponential"), flagship_config()).summary
-    assert s.accepted == 1042
-    assert s.rejected == 0
-    assert s.crossing_index == 155
-    assert s.crossing_x == 30.371983519643603
-    assert s.final_delta_lower == -8.279915846287622e-07
-    assert s.condition_violation_index is None
+    s = integrate(PAIR, builtin("paper_exponential"), flagship_config(policy=policy)).summary
+    for name, value in FLAGSHIP[policy].items():
+        assert same_bits(getattr(s, name), value), name
+
+
+def test_flagship_run_regression_anchor():
+    _assert_anchor("proportional")
 
 
 def test_flagship_reject_only_regression_anchor():
-    s = integrate(PAIR, builtin("paper_exponential"),
-                  flagship_config(policy="reject-only")).summary
-    assert s.accepted == 938
-    assert s.rejected == 7
-    assert s.crossing_index == 44
-    assert s.crossing_x == 11.278686635103092
-    assert s.final_delta_lower == -1.227496113642701e-06
+    _assert_anchor("reject-only")
 
 
 def test_stepsize_growth_is_capped():

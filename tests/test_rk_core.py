@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pins import same_bits
+
 from rk_error_lab import (
     ButcherTableau,
     ComplexStage,
@@ -226,13 +228,15 @@ def test_nonfinite_stage_detected():
     (0.0, [1.0], math.inf, "stepsize must be positive and finite, got inf"),
     (math.nan, [1.0], 0.1, "x must be finite, got nan"),
     (-math.inf, [1.0], 0.1, "x must be finite, got -inf"),
+    ("0", [1.0], 0.1, "x must be finite, got '0'"),
+    (0.0, [1.0], True, "stepsize must be positive and finite, got True"),
     (0.0, 1.0, 0.1, "state must be a flat vector, got shape ()"),
     (0.0, np.ones((2, 2)), 0.1, "state must be a flat vector, got shape (2, 2)"),
     # the imaginary part used to be dropped, and a list to raise an unnamed TypeError
     (0.0, np.array([1 + 1j]), 0.1, "state must be real, got [1.+1.j]"),
     (0.0, [1 + 1j], 0.1, "state must be real, got [1.+1.j]"),
-], ids=["h_zero", "h_negative", "h_nan", "h_inf", "x_nan", "x_inf", "y_scalar", "y_matrix",
-        "y_complex", "y_complex_list"])
+], ids=["h_zero", "h_negative", "h_nan", "h_inf", "x_nan", "x_inf", "x_str", "h_bool",
+        "y_scalar", "y_matrix", "y_complex", "y_complex_list"])
 def test_rejects_nonpositive_stepsize(x, y, h, message):
     # one step's input is refused by name before f is called, by every public
     # entry point from one state
@@ -244,6 +248,17 @@ def test_rejects_nonpositive_stepsize(x, y, h, message):
                  lambda: attempt_step(pair, f, x, y, h)):
         with pytest.raises(ValueError, match=re.escape(message)):
             step()
+
+
+def test_rk_step_checks_its_input_once(monkeypatch):
+    # the checked state goes straight to the stage loop, with the bits of
+    # y + h * increment_function
+    calls, check = [], rk_core._one_state
+    monkeypatch.setattr(rk_core, "_one_state", lambda *args: calls.append(args) or check(*args))
+    f, y = (lambda x, y: -y * y), np.array([0.7])
+    step = rk_step(classic_rk4(), f, 0.0, y, 0.1)
+    assert len(calls) == 1
+    assert step.tobytes() == (y + 0.1 * increment_function(classic_rk4(), f, 0.0, y, 0.1)).tobytes()
 
 
 def test_affine_step_consistency():
@@ -392,10 +407,6 @@ def explicit_pairs(draw):
     return MethodPair(lower=lower, higher=higher), (equal + [False]).index(False)
 
 
-def _same(a, b) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @settings(max_examples=60, deadline=None, database=None)
 @given(drawn=explicit_pairs(), d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_random_explicit_pairs_keep_the_bits_of_each_method(drawn, d, seed):
@@ -417,11 +428,11 @@ def test_random_explicit_pairs_keep_the_bits_of_each_method(drawn, d, seed):
         buf.gather[...] = np.inf
         for _ in range(2):
             reused = rk_core._pair_increments(pair, _quadratic, x, y, h, buf)
-            assert all(map(_same, reused, fresh))
+            assert all(map(same_bits, reused, fresh))
         for i in [None] if n is None else range(n):
             at = (x, y, h) if i is None else (x.item(i), y[i], h.item(i))
             for t, inc in zip((pair.lower, pair.higher), fresh):
-                assert _same(increment_function(t, _quadratic, *at),
+                assert same_bits(increment_function(t, _quadratic, *at),
                              inc if i is None else inc[i])
     p = builtin("decay")
     x, h = float(rng.uniform(0.0, 9.0)), float(rng.uniform(1e-3, 0.2))
