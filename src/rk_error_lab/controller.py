@@ -37,8 +37,8 @@ from .error_analysis import (
     sigma_bound,
 )
 from .problems import IVProblem
-from .rk_core import (_QUIET, MethodPair, RHSFunction, _is_integer, _number, _one_state,
-                      _pair_buffer, _pair_increments, _positive_finite)
+from .rk_core import (_QUIET, MethodPair, RHSFunction, _array_lane, _count, _number, _one_state,
+                      _positive_finite)
 
 __all__ = [
     "ControllerConfig",
@@ -101,8 +101,7 @@ class ControllerConfig:
         _safety_factor(self.sigma)
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if not (_is_integer(self.max_steps) and self.max_steps >= 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        _count("max_steps", self.max_steps)
         if self.h_init is not None:
             _positive_finite("h_init", self.h_init)
 
@@ -124,7 +123,7 @@ class Trace:
 
     ``integrate`` stores the records as columns (``error_analysis._Records``),
     which the trace writers read directly.  Any sequence of ``StepRecord``
-    will do; the writers gather it into the same columns first.
+    will do; the writers collect it into the same columns first.
     """
 
     records: Sequence[StepRecord]
@@ -161,13 +160,6 @@ def attempt_step(
     """
     y = _one_state(x, w_higher_in, h)
     return _attempt(pair, _array_lane(pair, f, y.shape), x, y, h)[1:4]
-
-
-def _array_lane(pair: MethodPair, f: RHSFunction, shape: tuple[int, ...]):
-    """``increments(x, y, h)`` of ``pair`` in the array lane, from states of
-    ``shape``, each attempt evaluated into one stage buffer."""
-    buf = _pair_buffer(pair, shape)
-    return lambda x, y, h: _pair_increments(pair, f, x, y, h, buf)
 
 
 def _attempt(pair: MethodPair, increments, x: float, y, h: float):

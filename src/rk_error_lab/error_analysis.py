@@ -38,9 +38,10 @@ from .rk_core import (
     ButcherTableau,
     MethodPair,
     RHSFunction,
-    _pair_increments,
+    _array_lane,
+    _count,
     _Refusal,
-    _StageBuffer,
+    _row_by_row,
     _is_integer,
     _number,
     _positive_finite,
@@ -147,8 +148,8 @@ class _Records(Sequence):
 
     @classmethod
     def of(cls, records: Sequence[StepRecord]) -> "_Records":
-        """``records`` as columns: a run's own, or any other sequence gathered into
-        the same.  Raises ``ValueError`` where ``_column`` does: for a field
+        """``records`` as columns: a run's own, or any other sequence collected
+        into the same.  Raises ``ValueError`` where ``_column`` does: for a field
         that is ``None`` on some records and not on others, or whose values
         are not of its column's type."""
         if isinstance(records, cls):
@@ -266,6 +267,8 @@ def estimate_beta(w_lower, w_higher, h: float, z: int) -> np.ndarray:
     ``ValueError`` if an input is complex, ``StepUnderflow`` if ``h**(z+1)``
     underflows to zero and ``StepsizeOutOfRange`` if it overflows.
     """
+    _positive_finite("h", h)
+    _count("z", z)
     hp = _step_power(h, z + 1)
     return (_real("w_lower", w_lower) - _real("w_higher", w_higher)) / hp
 
@@ -344,11 +347,13 @@ def condition_check(
     complex, ``StepUnderflow`` if ``h**(z+1)`` or ``h**(z+2)`` underflows to
     zero and ``StepsizeOutOfRange`` if one overflows.
     """
+    _count("i", i)
+    _positive_finite("h", h)
+    _count("z", z)
     lhs = inf_norm(_real("beta_lower", beta_lower)) * _step_power(h, z + 1)
     denom = tracker.mean_abs * _step_power(h, z + 2)
     rhs, holds = _condition(i, lhs, denom)
-    m_ratio = lhs / denom if denom > 0.0 else math.inf
-    return ConditionCheck(lhs=lhs, rhs=rhs, holds=bool(holds), m_ratio=m_ratio)
+    return ConditionCheck(lhs, rhs, bool(holds), lhs / denom if denom > 0.0 else math.inf)
 
 
 def _condition(i, lhs, denom):
@@ -362,22 +367,6 @@ def _condition(i, lhs, denom):
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """``inf_norm`` of every row of the state column ``a``."""
     return np.abs(a).max(axis=1)
-
-
-def _row_by_row(f: RHSFunction) -> RHSFunction:
-    """``f``, which takes one state, applied to each row of ``(x, y)`` in turn.  Each
-    row's value is stored as the stage loop stores one state's, into a stage
-    buffer of one slot per row, and a refused value names its row."""
-    def rows(x, y):
-        out = _StageBuffer(len(y), y.shape[1:])
-        for k, x_k in enumerate(x.tolist()):
-            try:
-                out.store(k, f(x_k, y[k]))
-            except _Refusal as r:
-                r.row = k
-                raise
-        return out.k
-    return rows
 
 
 def _oracle_fields(pair: MethodPair, p: IVProblem,
@@ -407,7 +396,7 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
         y_xh = y_next.copy()
         y_xh[-1] = reference_solution(p, x_last)
     f = p.f if p.rowwise else _row_by_row(p.f)
-    exact_lower, exact_higher = _pair_increments(pair, f, xs[:-1], y_x, h)
+    exact_lower, exact_higher = _array_lane(pair, f, y_x.shape)(xs[:-1], y_x, h)
     hp_higher, hp_cond = np.empty(n), np.empty(n)
     for k, h_k in enumerate(h.tolist()):
         hp_higher[k] = _step_power(h_k, pair.higher.z + 1)
@@ -439,8 +428,8 @@ def sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:
     """
     _safety_factor(sigma)
     _positive_finite("delta", delta)
-    if z < 1 or r < 1:
-        raise ValueError(f"orders must satisfy z >= 1, r >= 1, got z={z}, r={r}")
+    _count("z", z)
+    _count("r", r)
     return (sigma ** (z + 1) + sigma ** (z + r + 1)) * delta
 
 
@@ -488,8 +477,8 @@ def empirical_order(
     """
     if mode not in ("local", "global"):
         raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
-    hs = [float(h) for h in h_set]
-    if len(hs) < 4 or len(set(hs)) != len(hs) or not all(0.0 < h < math.inf for h in hs):
+    hs = [float(_positive_finite(f"h_set[{k}]", h)) for k, h in enumerate(h_set)]
+    if len(hs) < 4 or len(set(hs)) != len(hs):
         raise ValueError(f"h_set needs at least 4 distinct positive finite stepsizes, got {hs}")
 
     log_h, log_err = [], []

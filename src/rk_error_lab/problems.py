@@ -97,6 +97,8 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     """
     if p.exact is None:
         raise ValueError(f"{p.name}: no exact solution to take a reference from")
+    if type(x) is not float:  # the oracle's floats skip the call
+        _number("x", x, "a real number", lambda v: True)
     span = p.x_end - p.x0
     if not (p.x0 - 1e-12 * span <= x <= p.x_end + 1e-12 * span):
         raise ValueError(f"x={x} outside [{p.x0}, {p.x_end}]")

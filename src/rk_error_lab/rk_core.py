@@ -15,22 +15,23 @@ Each stage argument ``y + h * (a_p1 k_1 + a_p2 k_2 + ...)`` is summed in
 index order over the nonzero coefficients of its row only
 (``ButcherTableau.stage_rows``), so it does not depend on the BLAS in use.
 Only the weighted sum ``b @ k`` goes through BLAS.  A pair evaluates both
-methods as one stage plan (``MethodPair.plan``), its shared stages once,
-from one state or from many states at once, as rows, with the bits of each
-state's own evaluation (``_pair_increments``).
+methods as one stage plan (``MethodPair.plan``), its shared stages once.
 
 The lane rule.  ``integrate`` runs every problem whose ``y0`` has one
 component in the float lane, the probe included, and every other problem
-in the array lane.  The array lane, the stage loop ``_stages``, stores each
-stage into a slot of a float64 buffer (``_StageBuffer``); the oracle's rows
-and the one-step functions run in it too.  The float lane is a
-straight-line function that each pair compiles from its plan
-(``MethodPair.float_source``).  It holds the state and each stage as a
-Python float, forms each stage argument as ``_stages`` does, refuses a
-value of ``f`` with the same checks (``_stage_value``, ``_check_finite``)
-and the same message, and sums the stages with ``b.dot`` on float64
-vectors, the BLAS call of the array lane, so both lanes give the same bits
-on any BLAS kernel.
+in the array lane.  Each lane is a function ``increments(x, y, h)``,
+returning ``(F_lower, F_higher)``, that is built from the pair's plan for a
+run's ``f``.  The array lane (``_array_lane``) runs the stage loop
+``_stages`` into one stage buffer, from one state or from many states at
+once, as rows, with the bits of each state's own evaluation; the oracle's
+rows run in it, and the one-step functions in its stage loop.  The float
+lane (``MethodPair.float_lane``) is a straight-line function that each pair
+compiles from its plan (``MethodPair.float_source``).  It holds the state
+and each stage as a Python float, forms each stage argument as ``_stages``
+does, refuses a value of ``f`` with the same checks (``_stage_value``,
+``_check_finite``) and the same message, and sums the stages with ``b.dot``
+on float64 vectors, the BLAS call of the array lane, so both lanes give the
+same bits on any BLAS kernel.
 
 The read-only rule.  ``f`` must be a pure function of ``(x, y)``.  The
 states ``integrate`` hands it are read-only: ``y0``, each accepted state,
@@ -188,11 +189,8 @@ class MethodPair:
                 f"higher-order method must outrank the lower one: "
                 f"got z={self.lower.z} and z={self.higher.z}"
             )
-        n = 0
-        for lo, hi in zip(self.lower.stage_rows, self.higher.stage_rows):
-            if lo != hi:
-                break
-            n += 1
+        rows = list(zip(self.lower.stage_rows, self.higher.stage_rows))
+        n = next((q for q, (lo, hi) in enumerate(rows) if lo != hi), len(rows))
         object.__setattr__(self, "shared", n)
         m, end = self.lower.m, self.lower.m + self.higher.m - n
         slots = np.array(tuple(range(n)) + tuple(range(m, end)), dtype=np.intp)
@@ -282,15 +280,22 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _number(name: str, value, rule: str, holds) -> None:
-    """The one check of a scalar setting: raise ``ValueError`` "<name> must be
-    <rule>" unless ``value`` is a real number, not a ``bool``, that ``holds``."""
+def _number(name: str, value, rule: str, holds):
+    """The one check of a scalar setting: ``value``, unless it is not a real
+    number, or is a ``bool``, or does not satisfy ``holds``; then raise
+    ``ValueError`` "<name> must be <rule>"."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and holds(value)):
         raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
 
 
-def _positive_finite(name: str, value) -> None:
-    _number(name, value, "positive and finite", lambda v: 0.0 < v < math.inf)
+def _positive_finite(name: str, value):
+    return _number(name, value, "positive and finite", lambda v: 0.0 < v < math.inf)
+
+
+def _count(name: str, value):
+    """The one check of an order or a count: an integer >= 1, not a ``bool``."""
+    return _number(name, value, "an integer >= 1", lambda v: _is_integer(v) and v >= 1)
 
 
 class _Refusal(Exception):
@@ -396,17 +401,15 @@ def _stage_value(v, shape: tuple[int, ...]) -> np.ndarray:
 class _StageBuffer:
     """Stage slots of the array lane, ``k`` of shape ``(M, d)`` for one state or
     ``(n, M, d)`` for rows, each row's slots contiguous; ``slot`` holds one view
-    of ``k`` per slot, and ``gather`` room for one method's slots.  A run
-    evaluates every attempt into one buffer, and no evaluation returns a view
-    of it.
+    of ``k`` per slot.  A run evaluates every attempt into one buffer, and no
+    evaluation returns a view of it.
     """
 
-    __slots__ = ("k", "slot", "gather")
+    __slots__ = ("k", "slot")
 
-    def __init__(self, slots: int, shape: tuple[int, ...], gather: int = 0):
+    def __init__(self, slots: int, shape: tuple[int, ...]):
         self.k = np.empty(shape[:-1] + (slots, shape[-1]))
         self.slot = list(np.moveaxis(self.k, -2, 0))
-        self.gather = np.empty(shape[:-1] + (gather, shape[-1]))
 
     def store(self, p: int, v) -> None:
         """Store ``v`` into slot ``p``.  A float64 value of the slot's size skips
@@ -421,19 +424,41 @@ class _StageBuffer:
         except ValueError:
             raise _Refusal(ValueError, f"of shape {v.shape}, not {dst.shape}") from None
 
-    def increments(self, pair: MethodPair) -> tuple[np.ndarray, np.ndarray]:
-        """``(F_lower, F_higher)`` of ``pair`` from its plan's slots: ``b @ k``
-        through BLAS on each row's contiguous ``(m, d)`` stages, the lower
-        method's a slice of the slots and the higher method's gathered."""
-        k = self.k
+
+def _row_by_row(f: RHSFunction) -> RHSFunction:
+    """``f``, which takes one state, applied to each row of ``(x, y)`` in turn.  Each
+    row's value is stored as the stage loop stores one state's, into a stage
+    buffer of one slot per row, and a refused value names its row."""
+    def rows(x, y):
+        out = _StageBuffer(len(y), y.shape[1:])
+        for k, x_k in enumerate(x.tolist()):
+            try:
+                out.store(k, f(x_k, y[k]))
+            except _Refusal as r:
+                r.row = k
+                raise
+        return out.k
+    return rows
+
+
+def _array_lane(pair: MethodPair, f: RHSFunction, shape: tuple[int, ...]):
+    """The array lane of ``pair``: ``increments(x, y, h)``, the increments
+    ``(F_lower, F_higher)`` of both methods from one state, or from rows, of
+    ``shape``, as ``_stages`` takes them.  Every call evaluates into one stage
+    buffer and sums ``b @ k`` through BLAS on each row's contiguous ``(m, d)``
+    stages, the lower method's a slice of the slots and the higher method's
+    gathered.  Each increment is bit-identical to ``increment_function`` of its
+    method, over rows to that row's state's.
+    """
+    buf = _StageBuffer(len(pair.plan.rows), shape)
+    gathered = np.empty(shape[:-1] + (pair.higher.m, shape[-1]))
+
+    def increments(x, y, h):
+        _stages(pair.plan, f, x, y, h, buf)
         # mode="clip" lets take write straight into out (the slots are in range)
-        higher = k.take(pair.higher_slots, -2, self.gather, "clip")
-        return pair.lower.b @ k[..., :pair.lower.m, :], pair.higher.b @ higher
-
-
-def _pair_buffer(pair: MethodPair, shape: tuple[int, ...]) -> _StageBuffer:
-    """An array-lane stage buffer for ``pair``'s plan from a state (or rows) of ``shape``."""
-    return _StageBuffer(len(pair.plan.rows), shape, pair.higher.m)
+        higher = buf.k.take(pair.higher_slots, -2, gathered, "clip")
+        return pair.lower.b @ buf.k[..., :pair.lower.m, :], pair.higher.b @ higher
+    return increments
 
 
 def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf: _StageBuffer) -> None:
@@ -455,7 +480,7 @@ def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf: _StageBuffer) -> Non
         for q, a in row:
             term = slot[q] if a == 1.0 else a * slot[q]
             s = term if s is None else s + term
-        try:  # f too: the one-row adapter (error_analysis._row_by_row) refuses within it
+        try:  # f too: the one-row adapter (_row_by_row) refuses within it
             store(p, f(x + c_p * h, y if s is None else y + h_y * s))
         except _Refusal as r:
             raise _refused(plan, p, r, x, h) from None
@@ -493,18 +518,6 @@ def _stage_message(plan: _StagePlan, slot: int, what: str, x, h, i: int | None) 
     at = (f"at x={x}, h={h}" if np.ndim(h) == 0 else "over rows" if i is None
           else f"at x={x.item(i)}, h={h.item(i)}")
     return f"{name}: stage {first + slot - start} is {what} {at}"
-
-
-def _pair_increments(pair: MethodPair, f: RHSFunction, x, y, h, buf=None):
-    """Increments ``(F_lower, F_higher)`` of both methods of ``pair`` from ``(x, y)``,
-    one state or rows as ``_stages`` takes them, evaluated into ``buf`` (a new
-    ``_pair_buffer`` if not given).  Each is bit-identical to
-    ``increment_function`` of its method, over rows to that row's state's.
-    """
-    if buf is None:
-        buf = _pair_buffer(pair, y.shape)
-    _stages(pair.plan, f, x, y, h, buf)
-    return buf.increments(pair)
 
 
 def _float_stage(plan: _StagePlan, slot: int, v, x: float, h: float) -> float:

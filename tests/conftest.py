@@ -1,6 +1,11 @@
 import pytest
 
+from pins import PINNED_CORE, blas_core
 from rk_error_lab import ButcherTableau
+
+
+def pytest_report_header():
+    return f"OpenBLAS core: {blas_core()} (tests/pins.py was taken under {PINNED_CORE})"
 
 
 @pytest.fixture

@@ -1,11 +1,16 @@
 """Bit-level values that the tests assert, each in one place, and the bit-equality
 test they are compared with.
 
-They hold where OpenBLAS picks its SkylakeX kernel; another kernel sums the
-weighted stages in another order and moves them.
+They hold where OpenBLAS picks its SkylakeX kernel (``PINNED_CORE``); another
+kernel sums the weighted stages in another order and moves them.
 """
 
+import ctypes
+
 import numpy as np
+
+#: the OpenBLAS core under which every value here was taken
+PINNED_CORE = "SkylakeX"
 
 #: accepted steps of ``paper_exponential`` at ``delta=1e-12``, otherwise the
 #: default ``ControllerConfig``
@@ -100,3 +105,19 @@ def same_bits(a, b) -> bool:
     if a is None or isinstance(a, bool):
         return a is b
     return type(a) is type(b) and a == b
+
+
+def blas_core() -> str:
+    """The name of the OpenBLAS core that numpy's BLAS runs on in this process,
+    as numpy's bundled OpenBLAS reports it, or ``"unknown"`` where numpy's
+    extension module reaches no ``scipy_openblas_get_corename64_``."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy before 2.0, which bundled no scipy_openblas
+        return "unknown"
+    corename = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                       "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()

@@ -342,12 +342,11 @@ def test_figure_bytes_are_pinned(tmp_path):
 
 @pytest.fixture(scope="module")
 def long_trace():
-    trace = integrate(PAIR, builtin("paper_exponential"), ControllerConfig(delta=1e-12))
-    assert trace.summary.accepted == LONG_RUN_STEPS
-    return trace
+    return integrate(PAIR, builtin("paper_exponential"), ControllerConfig(delta=1e-12))
 
 
 def test_long_run_bytes_are_pinned(tmp_path, long_trace):
+    assert long_trace.summary.accepted == LONG_RUN_STEPS
     trace_path, figure_path = tmp_path / "trace.csv", tmp_path / "figure.csv"
     write_trace_csv(long_trace, str(trace_path))
     figure1_export(long_trace, str(figure_path))
@@ -395,7 +394,7 @@ def test_a_parsed_trace_retains_at_most_a_quarter_kilobyte_per_row(tmp_path, lon
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(parsed) == LONG_RUN_STEPS
+    assert len(parsed) == long_trace.summary.accepted > 10000
     assert retained / len(parsed) <= 256
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pins import FLAGSHIP, LONG_RUN_STEPS, same_bits
+from pins import FLAGSHIP, same_bits
 from rk_error_lab import controller, rk_core
 from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
 from rk_error_lab.error_analysis import _Records
@@ -38,6 +38,7 @@ from rk_error_lab import (
     builtin_pair,
     condition_check,
     empirical_order,
+    estimate_beta,
     find_crossing,
     increment_function,
     inf_norm,
@@ -211,6 +212,19 @@ _SCALAR_SETTINGS = {
     "find_crossing": ("delta", lambda v: find_crossing(
         integrate(PAIR, builtin("decay"), flagship_config()).records, v)),
     "sigma_bound": ("sigma", lambda v: sigma_bound(v, 3, 1, 1e-8)),
+    "sigma_bound.z": ("z", lambda v: sigma_bound(0.8, v, 1, 1e-8)),
+    "sigma_bound.r": ("r", lambda v: sigma_bound(0.8, 3, v, 1e-8)),
+    "condition_check.i": ("i", lambda v: condition_check(v, [1.0], BetaTracker(), 0.1, 3)),
+    "condition_check.h": ("h", lambda v: condition_check(1, [1.0], BetaTracker(), v, 3)),
+    "condition_check.z": ("z", lambda v: condition_check(1, [1.0], BetaTracker(), 0.1, v)),
+    "estimate_beta.h": ("h", lambda v: estimate_beta([1.0], [0.0], v, 3)),
+    "estimate_beta.z": ("z", lambda v: estimate_beta([1.0], [0.0], 0.5, v)),
+    "empirical_order.h_set": ("h_set[3]", lambda v: empirical_order(
+        kutta3(), builtin("decay"), "local", [0.1, 0.05, 0.025, v])),
+    "reference_solution.x": ("x", lambda v: reference_solution(builtin("decay"), v)),
+    "local_error_exact.x": ("x", lambda v: local_error_exact(kutta3(), builtin("decay"), v, 0.1)),
+    "local_error_exact.h": ("stepsize",
+                            lambda v: local_error_exact(kutta3(), builtin("decay"), 0.0, v)),
 }
 
 
@@ -234,6 +248,34 @@ def test_a_numpy_float_setting_is_a_real_number():
     assert propose_stepsize(v(1.0), cfg, 3, 1e-12, 1.0) == propose_stepsize(1.0, cfg, 3, 1e-12, 1.0)
     assert find_crossing(integrate(PAIR, builtin("decay"), cfg).records, v(1e-8)) is None
     assert sigma_bound(v(0.8), 3, 1, v(1e-8)) == sigma_bound(0.8, 3, 1, 1e-8)
+    # and a numpy integer is an order or a count
+    i = np.int64
+    assert ControllerConfig(max_steps=i(10)) == ControllerConfig(max_steps=10)
+    assert sigma_bound(0.8, i(3), i(1), 1e-8) == sigma_bound(0.8, 3, 1, 1e-8)
+    assert condition_check(i(2), [1.0], BetaTracker(1, 1.0), v(0.1), i(3)) == condition_check(
+        2, [1.0], BetaTracker(1, 1.0), 0.1, 3)
+    assert same_bits(estimate_beta([1.0], [0.0], v(0.5), i(3)),
+                     estimate_beta([1.0], [0.0], 0.5, 3))
+    decay, rk3 = builtin("decay"), kutta3()
+    assert same_bits(reference_solution(decay, v(0.5)), reference_solution(decay, 0.5))
+    assert same_bits(local_error_exact(rk3, decay, v(0.5), v(0.1)),
+                     local_error_exact(rk3, decay, 0.5, 0.1))
+    hs = [0.1, 0.05, 0.025, 0.0125]
+    assert empirical_order(rk3, decay, "local", list(map(v, hs))) == empirical_order(
+        rk3, decay, "local", hs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: sigma_bound(0.8, v, 1, 1e-8), lambda v: sigma_bound(0.8, 3, v, 1e-8),
+    lambda v: condition_check(v, [1.0], BetaTracker(), 0.1, 3),
+    lambda v: condition_check(1, [1.0], BetaTracker(), 0.1, v),
+    lambda v: estimate_beta([1.0], [0.0], 0.5, v),
+], ids=["sigma_bound.z", "sigma_bound.r", "condition_check.i", "condition_check.z",
+        "estimate_beta.z"])
+@pytest.mark.parametrize("value", [0, -1, 2.5, 3.0, np.float64(3.0), math.inf, math.nan])
+def test_an_order_or_count_must_be_an_integer_of_at_least_one(call, value):
+    with pytest.raises(ValueError, match=r"^[a-z] must be an integer >= 1, got "):
+        call(value)
 
 
 # --- integrate: basic behavior ------------------------------------------------------
@@ -569,7 +611,7 @@ def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle, p):
     finally:
         tracemalloc.stop()
     n = trace.summary.accepted
-    assert n == LONG_RUN_STEPS if p.y0.size == 1 else n > 10000
+    assert n > 10000
     assert retained / n <= 256
     assert peak / n <= 256 * p.y0.size
 
@@ -620,7 +662,7 @@ def test_oracle_evaluation_counts(problem):
 @pytest.mark.parametrize("name", problem_names() + ["linear"])
 def test_pair_over_rows_is_bit_identical_to_each_row_alone(name):
     # the pair evaluated over the rows of a delta = 1e-12 run gives each row
-    # the bits of _pair_increments from that row's state alone, for both
+    # the bits of the array lane from that row's state alone, for both
     # methods; the layout of the weighted sums decides this.  The rows are the
     # oracle's, from the exact states, or the run's own states for the
     # 2-component system
@@ -636,13 +678,14 @@ def test_pair_over_rows_is_bit_identical_to_each_row_alone(name):
     else:
         ys = np.array([reference_solution(p, x) for x in xs.tolist()])
     assert p.rowwise and len(hs) > 1000
-    assert name != "paper_exponential" or len(hs) == LONG_RUN_STEPS
-    lower, higher = rk_core._pair_increments(PAIR, p.f, xs, ys, hs)
+    assert name != "paper_exponential" or len(hs) > 10000
+    lower, higher = rk_core._array_lane(PAIR, p.f, ys.shape)(xs, ys, hs)
+    one = rk_core._array_lane(PAIR, p.f, p.y0.shape)
     # and the float lane's, from the state as a Python float, with f handed
     # floats as flagged and (1,) vectors as not
     lanes = [lane(p.f) for lane in PAIR.float_lane] if p.y0.size == 1 else []
     for k, (x, y, h) in enumerate(zip(xs.tolist(), ys, hs.tolist())):
-        lo, hi = rk_core._pair_increments(PAIR, p.f, x, y, h)
+        lo, hi = one(x, y, h)
         assert lower[k].tobytes() == lo.tobytes() and higher[k].tobytes() == hi.tobytes(), k
         for increments in lanes:
             lo, hi = increments(x, y.item(), h)
@@ -1249,14 +1292,16 @@ def test_f_cannot_write_the_states_it_is_handed():
     assert clamped
 
 
-# in a child process, so that OPENBLAS_CORETYPE picks the BLAS kernel: each
-# built-in's run with and without the scalar flag, digested, and each accepted
-# step of the flagless run again by attempt_step, in the array lane, from the
-# recorded x, w_higher and h before it
+# in a child process, so that OPENBLAS_CORETYPE picks the BLAS kernel: the
+# core it runs on, then each built-in's run with and without the scalar flag,
+# digested, and each accepted step of the flagless run again by attempt_step, in
+# the array lane, from the recorded x, w_higher and h before it
 _LANES_CHILD = """
 import dataclasses, hashlib
+from pins import blas_core
 from rk_error_lab import (ControllerConfig, POLICIES, attempt_step, builtin, builtin_pair,
                           integrate, problem_names)
+print(blas_core())
 pair = builtin_pair("rk3_rk4")
 for name in problem_names():
     for policy in POLICIES:
@@ -1278,20 +1323,21 @@ for name in problem_names():
 """
 
 
-@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
-def test_both_lanes_give_the_same_bits_on_other_blas_kernels(core):
+@pytest.mark.parametrize("core, reported", [("Haswell", "Haswell"), ("Prescott", "Katmai")],
+                         ids=["Haswell", "Prescott"])
+def test_both_lanes_give_the_same_bits_on_other_blas_kernels(core, reported):
     # the float lane hands BLAS the same contiguous, separately allocated
     # vectors as the array lane, so the two agree on every kernel, as do the
     # float lane's runs with and without the flag; the kernels disagree with
-    # each other.  Where numpy's BLAS ignores the variable the test runs on
-    # the default kernel
+    # each other.  The child must run on the core it asks for: OpenBLAS
+    # reports its Prescott kernels under their first alias, Katmai
     src = os.path.dirname(os.path.dirname(rk_core.__file__))
-    env = dict(os.environ, OPENBLAS_CORETYPE=core,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run([sys.executable, "-c", _LANES_CHILD], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    assert done.stdout.split("\n")[:-1] == [f"{name} {policy} 1 True"
-                                           for name in problem_names() for policy in POLICIES]
+    assert done.stdout.split("\n")[:-1] == [reported] + [
+        f"{name} {policy} 1 True" for name in problem_names() for policy in POLICIES]
 
 
 def test_a_flagless_rhs_of_another_size_at_an_exact_state_is_refused_by_name():

@@ -361,9 +361,11 @@ def test_empirical_order_argument_checks():
         empirical_order(classic_rk4(), p, "local", [0.1, 0.05, 0.025])
     with pytest.raises(ValueError):
         empirical_order(classic_rk4(), p, "local", [0.1, 0.05, 0.05, 0.025])
-    for bad in (math.inf, math.nan):
+    # each entry is checked as a stepsize, by its index
+    for bad in (math.inf, math.nan, 0.0, -0.1):
         for mode in ("local", "global"):
-            with pytest.raises(ValueError, match="h_set needs"):
+            with pytest.raises(ValueError, match=rf"^h_set\[3\] must be positive and finite, "
+                                                 rf"got {bad!r}$"):
                 empirical_order(kutta3(), p, mode, [0.1, 0.05, 0.025, bad])
 
 

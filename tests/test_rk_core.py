@@ -422,13 +422,15 @@ def test_random_explicit_pairs_keep_the_bits_of_each_method(drawn, d, seed):
         h = rng.uniform(1e-3, 0.2, shape[:-1])
         if n is None:
             x, h = float(x), float(h)
-        fresh = rk_core._pair_increments(pair, _quadratic, x, y, h)
-        buf = rk_core._pair_buffer(pair, shape)
-        buf.k[...] = np.nan
-        buf.gather[...] = np.inf
+        fresh = rk_core._array_lane(pair, _quadratic, shape)(x, y, h)
+        # one lane after calls that left another state's stages and gathered
+        # higher stages in its buffer, then non-finite stages
+        lane = rk_core._array_lane(pair, _quadratic, shape)
+        lane(x + 0.5, 1.0 - y, 2.0 * h)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteStage):
+            lane(x, np.full(shape, np.inf), h)
         for _ in range(2):
-            reused = rk_core._pair_increments(pair, _quadratic, x, y, h, buf)
-            assert all(map(same_bits, reused, fresh))
+            assert all(map(same_bits, lane(x, y, h), fresh))
         for i in [None] if n is None else range(n):
             at = (x, y, h) if i is None else (x.item(i), y[i], h.item(i))
             for t, inc in zip((pair.lower, pair.higher), fresh):
@@ -438,7 +440,7 @@ def test_random_explicit_pairs_keep_the_bits_of_each_method(drawn, d, seed):
     x, h = float(rng.uniform(0.0, 9.0)), float(rng.uniform(1e-3, 0.2))
     y = reference_solution(p, x)
     w = y * (1.0 + rng.uniform(-1e-3, 1e-3))
-    w_lower = w + h * rk_core._pair_increments(pair, p.f, x, w, h)[0]
+    w_lower = w + h * rk_core._array_lane(pair, p.f, w.shape)(x, w, h)[0]
     gap = np.abs((w_lower - reference_solution(p, x + h))
                  - (local_error_exact(pair.lower, p, x, h)
                     + alpha_propagation_term(pair.lower, p.f, x, y, w, h))).max()
@@ -487,7 +489,7 @@ def test_random_explicit_pairs_keep_the_bits_and_failures_in_the_float_lane(draw
             return calls, (type(e), str(e))
         return calls, b"".join(np.asarray(inc, dtype=float).tobytes() for inc in got)
 
-    array_lane = lambda f: lambda x, y, h: rk_core._pair_increments(pair, f, x, y, h)
+    array_lane = lambda f: rk_core._array_lane(pair, f, (1,))
     want = outcome(array_lane, np.array([y]))
     for form in pair.float_lane:
         assert outcome(form, y) == want
