@@ -198,8 +198,9 @@ def _write_csv(path: str, header: list[str], n: int, cells) -> None:
 def write_trace_csv(trace: Trace, path: str) -> None:
     """One header row plus one row per accepted step, in ``CSV_COLUMNS`` order.
 
-    Raises ``ValueError`` if the records carry an oracle field on some steps
-    and not on others.
+    Raises ``ValueError``, before the file is opened, if the records carry an
+    oracle field on some steps and not on others, a field that is not
+    ``Optional`` on no step, or a value not of its column's type.
     """
     cols = _Records.of(trace.records).columns.values()
     _write_csv(path, CSV_COLUMNS, len(trace.records), lambda lo, hi: [
@@ -217,7 +218,8 @@ def read_trace_csv(path: str) -> Sequence[StepRecord]:
     """
     cols = [[] for _ in CSV_COLUMNS]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        # the writer never quotes: a quote stays in its cell, which is then refused
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
         header = next(reader, None)
         if header != CSV_COLUMNS:
             raise ValueError(f"{path}: line 1: unexpected CSV header {header}")
@@ -250,11 +252,11 @@ def figure1_export(trace: Trace, path: str) -> None:
     """Plot-ready series: abscissa, |local error| and |propagated term| per step.
 
     Raises ``MissingDiagnostics`` when the trace was produced without an
-    oracle (no measured errors to export).
+    oracle (no measured errors to export), before the file is opened.
     """
     cols = _Records.of(trace.records).columns
     x, eps, alpha = cols["x"], cols["eps_lower"], cols["alpha_term"]
-    if eps is None:
+    if eps is None or alpha is None:
         raise MissingDiagnostics("trace has no oracle diagnostics to export")
     _write_csv(path, ["x", "abs_eps_lower", "abs_alpha_term"], len(x), lambda lo, hi: [
         map(repr, x[lo:hi].tolist()),

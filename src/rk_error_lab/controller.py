@@ -137,11 +137,21 @@ def propose_stepsize(
 
     Returns ``clamp(sigma * (delta / beta_norm) ** (1 / (z+1)), h_min,
     h_max)``; a zero estimate proposes ``h_max`` and an infinite one ``h_min``.
-    It is the only place an estimate becomes a stepsize: after the probe, a
-    rejection or an accepted step.
+    Raises ``ValueError`` naming an argument that is not of its kind, and for
+    ``h_min`` above ``h_max``.
     """
-    if not (type(beta_norm) is float and beta_norm >= 0.0):  # the loop's floats skip the call
-        _number("beta_norm", beta_norm, "nonnegative", lambda v: v >= 0.0)
+    _number("beta_norm", beta_norm, "nonnegative", lambda v: v >= 0.0)
+    _count("z", z)
+    if _positive_finite("h_min", h_min) > _positive_finite("h_max", h_max):
+        raise ValueError(f"h_min={h_min!r} must not exceed h_max={h_max!r}")
+    return _proposal(beta_norm, cfg, z, h_min, h_max)
+
+
+def _proposal(beta_norm: float, cfg: ControllerConfig, z: int, h_min: float,
+              h_max: float) -> float:
+    """``propose_stepsize`` without its checks, which the run's own floats and ints
+    skip: the only place an estimate becomes a stepsize, after the probe, a
+    rejection or an accepted step."""
     if beta_norm == 0.0:
         return h_max
     return min(max(cfg.sigma * (cfg.delta / beta_norm) ** (1.0 / (z + 1)), h_min), h_max)
@@ -203,7 +213,7 @@ def _initial_stepsizes(
     h_init = cfg.h_init
     if h_init is None:
         beta_norm = _attempt(pair, increments, p.x0, y0, span / 100.0)[4]
-        h_init = propose_stepsize(beta_norm, cfg, pair.lower.z, h_min, h_max)
+        h_init = _proposal(beta_norm, cfg, pair.lower.z, h_min, h_max)
     elif not h_min <= h_init <= h_max:
         raise StepsizeOutOfRange(f"h_init={h_init} outside [h_min={h_min}, h_max={h_max}]")
     return h_init, h_min, h_max
@@ -264,7 +274,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
             if rejects > MAX_REJECTS:
                 raise MaxRejectsExceeded(f"{p.name}: {rejects} consecutive rejections "
                                          f"at x={x}")
-            h_work = propose_stepsize(beta_norm, cfg, z, h_min, h_max)
+            h_work = _proposal(beta_norm, cfg, z, h_min, h_max)
             if h_work == h_min:
                 raise StepsizeUnderflow(f"{p.name}: required stepsize at or below "
                                         f"h_min={h_min} at x={x}")
@@ -280,8 +290,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         x = x_next
         if cfg.policy == "proportional":
             h_cap = MAX_GROWTH * h_step
-            h_work = propose_stepsize(beta_norm, cfg, z, h_min,
-                                      h_cap if h_cap < h_max else h_max)
+            h_work = _proposal(beta_norm, cfg, z, h_min, h_cap if h_cap < h_max else h_max)
         # reject-only keeps h_work as is
 
     # IVProblem guarantees x_end > x0, so there is at least one record

@@ -29,7 +29,7 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, get_type_hints
+from typing import NamedTuple, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -150,8 +150,8 @@ class _Records(Sequence):
     def of(cls, records: Sequence[StepRecord]) -> "_Records":
         """``records`` as columns: a run's own, or any other sequence collected
         into the same.  Raises ``ValueError`` where ``_column`` does: for a field
-        that is ``None`` on some records and not on others, or whose values
-        are not of its column's type."""
+        that is ``None`` on some records and not on others, or on every record
+        but not ``Optional``, or whose values are not of its column's type."""
         if isinstance(records, cls):
             return records
         return cls({name: _column(name, [getattr(r, name) for r in records])
@@ -178,11 +178,14 @@ class _Records(Sequence):
 def _column(name: str, values: list) -> Optional[np.ndarray]:
     """The values of field ``name`` on every record as its column, ``None`` if
     every value is ``None``; a float column goes through ``_real_numbers``.
-    Raises ``ValueError`` naming the field if only some are ``None`` or a value
-    is not of the column's type.
+    Raises ``ValueError`` naming the field if only some are ``None``, if all
+    are (and there is at least one) for a field that is not ``Optional``, or if
+    a value is not of the column's type.
     """
     nones = sum(v is None for v in values)
     if nones == len(values):
+        if values and type(None) not in get_args(_HINTS[name]):
+            raise ValueError(f"records carry no {name}, which every step has")
         return None
     if nones:
         raise ValueError(f"records carry {name} on some steps and not on others")

@@ -455,7 +455,10 @@ def _array_lane(pair: MethodPair, f: RHSFunction, shape: tuple[int, ...]):
 
     def increments(x, y, h):
         _stages(pair.plan, f, x, y, h, buf)
-        # mode="clip" lets take write straight into out (the slots are in range)
+        # BLAS gives each row its own state's bits only where that row's (m, d)
+        # stages are one contiguous block, as in gathered; k[..., slots, :]
+        # would put the slot axis outermost.  mode="clip" lets take write
+        # straight into gathered (the slots are in range)
         higher = buf.k.take(pair.higher_slots, -2, gathered, "clip")
         return pair.lower.b @ buf.k[..., :pair.lower.m, :], pair.higher.b @ higher
     return increments

@@ -99,6 +99,11 @@ def test_proposal_rejects_bad_inputs():
         propose_stepsize(math.nan, cfg, 3, 1e-12, 1.0)
     # an infinite estimate proposes h_min, which integrate reports as StepsizeUnderflow
     assert propose_stepsize(math.inf, cfg, 3, 1e-12, 1.0) == 1e-12
+    # a NaN limit used to be returned or ignored, and h_min above h_max to give h_max
+    with pytest.raises(ValueError, match=r"^h_max must be positive and finite, got nan$"):
+        propose_stepsize(1.0, cfg, 3, 1e-12, math.nan)
+    with pytest.raises(ValueError, match=r"^h_min=2.0 must not exceed h_max=1.0$"):
+        propose_stepsize(1.0, cfg, 3, 2.0, 1.0)
 
 
 # --- attempt_step ----------------------------------------------------------------
@@ -209,6 +214,11 @@ _SCALAR_SETTINGS = {
     "IVProblem.x_end": ("p: x_end", lambda v: IVProblem("p", lambda x, y: -y, 0.0, [1.0], v)),
     "propose_stepsize": ("beta_norm",
                          lambda v: propose_stepsize(v, ControllerConfig(), 3, 1e-12, 1.0)),
+    "propose_stepsize.z": ("z", lambda v: propose_stepsize(1.0, ControllerConfig(), v, 1e-12, 1.0)),
+    "propose_stepsize.h_min": ("h_min",
+                               lambda v: propose_stepsize(1.0, ControllerConfig(), 3, v, 1.0)),
+    "propose_stepsize.h_max": ("h_max",
+                               lambda v: propose_stepsize(0.0, ControllerConfig(), 3, 1e-12, v)),
     "find_crossing": ("delta", lambda v: find_crossing(
         integrate(PAIR, builtin("decay"), flagship_config()).records, v)),
     "sigma_bound": ("sigma", lambda v: sigma_bound(v, 3, 1, 1e-8)),
@@ -245,12 +255,13 @@ def test_a_numpy_float_setting_is_a_real_number():
     assert cfg == ControllerConfig(delta=1e-8, sigma=0.8, h_init=0.01)
     p = IVProblem("p", lambda x, y: -y, v(0.0), [1.0], v(1.0))
     assert integrate(PAIR, p, cfg).summary.final_x == 1.0
-    assert propose_stepsize(v(1.0), cfg, 3, 1e-12, 1.0) == propose_stepsize(1.0, cfg, 3, 1e-12, 1.0)
     assert find_crossing(integrate(PAIR, builtin("decay"), cfg).records, v(1e-8)) is None
     assert sigma_bound(v(0.8), 3, 1, v(1e-8)) == sigma_bound(0.8, 3, 1, 1e-8)
     # and a numpy integer is an order or a count
     i = np.int64
     assert ControllerConfig(max_steps=i(10)) == ControllerConfig(max_steps=10)
+    assert propose_stepsize(v(1.0), cfg, i(3), v(1e-12), v(1.0)) == propose_stepsize(
+        1.0, cfg, 3, 1e-12, 1.0)
     assert sigma_bound(0.8, i(3), i(1), 1e-8) == sigma_bound(0.8, 3, 1, 1e-8)
     assert condition_check(i(2), [1.0], BetaTracker(1, 1.0), v(0.1), i(3)) == condition_check(
         2, [1.0], BetaTracker(1, 1.0), 0.1, 3)
@@ -270,8 +281,9 @@ def test_a_numpy_float_setting_is_a_real_number():
     lambda v: condition_check(v, [1.0], BetaTracker(), 0.1, 3),
     lambda v: condition_check(1, [1.0], BetaTracker(), 0.1, v),
     lambda v: estimate_beta([1.0], [0.0], 0.5, v),
+    lambda v: propose_stepsize(1.0, ControllerConfig(), v, 1e-12, 1.0),
 ], ids=["sigma_bound.z", "sigma_bound.r", "condition_check.i", "condition_check.z",
-        "estimate_beta.z"])
+        "estimate_beta.z", "propose_stepsize.z"])
 @pytest.mark.parametrize("value", [0, -1, 2.5, 3.0, np.float64(3.0), math.inf, math.nan])
 def test_an_order_or_count_must_be_an_integer_of_at_least_one(call, value):
     with pytest.raises(ValueError, match=r"^[a-z] must be an integer >= 1, got "):
@@ -747,21 +759,6 @@ def test_h_init_override_is_used():
             integrate(PAIR, builtin("decay"), flagship_config(h_init=h_init))
 
 
-def test_stepsize_whose_power_overflows_is_refused():
-    # h**5 overflows a float above about 4.5e61; h_max = span / 10 bounds every
-    # step, the probe's span / 100 included
-    huge = builtin("decay").with_x_end(1e100)
-    with pytest.raises(StepsizeOutOfRange, match=re.escape("x_end=1e+100")):
-        integrate(PAIR, huge, flagship_config())
-
-
-def test_span_whose_h_min_underflows_is_refused():
-    # h_min = 1e-12 * span underflows to 0 for a span below about 2.47e-312
-    for x_end in (1e-315, 5e-324):
-        with pytest.raises(StepsizeOutOfRange, match=re.escape(f"x_end={x_end!r}")):
-            integrate(PAIR, builtin("decay").with_x_end(x_end), flagship_config())
-
-
 def test_reject_only_policy_keeps_stepsize():
     trace = integrate(PAIR, builtin("paper_exponential"),
                       flagship_config(policy="reject-only"))
@@ -843,13 +840,6 @@ def test_bound_respected_while_condition_holds_on_contracting_problems():
 
 
 # --- integrate: failure modes ----------------------------------------------------------
-
-def test_stepsize_underflow():
-    # the required stepsize, about 2e-15, lies below decay's h_min of 1e-11
-    with pytest.raises(StepsizeUnderflow):
-        integrate(PAIR, builtin("decay"),
-                  ControllerConfig(delta=1e-60, sigma=0.8, h_init=0.5))
-
 
 def test_oracle_failure_is_raised_at_its_own_step():
     # h**5 underflows in the oracle of the finished 10-step run; a cap of one
@@ -1097,63 +1087,49 @@ def test_a_rhs_turning_complex_mid_run_is_refused(h_init, h):
         assert warnings.filters == filters
 
 
-def _complex_off_x0(x, y):
-    """Real at ``x == 0``, where the first stage is, and complex everywhere else."""
-    return -y if x == 0.0 else -y + 1j * y
+# each way a value of f fails where its stage is stored or checked: what f
+# gives, and the exception with its message after "rk3: stage 2 "
+_STAGE_FAULTS = {
+    "complex": (lambda y: 1j * y, ComplexStage, "is complex"),
+    "one-value": (lambda y: y[1], ValueError, "is of shape (), not (2,),"),
+    "three-values": (lambda y: np.array([1.0, 2.0, 3.0]), ValueError,
+                     "is of shape (3,), not (2,),"),
+    "nan": (lambda y: y * math.nan, NonFiniteStage, "is not finite"),
+}
+# each public function that evaluates stages, given the problem whose f it evaluates
+_STAGE_ENTRY_POINTS = {
+    "increment_function": lambda p: increment_function(kutta3(), p.f, 0.0, p.y0, 0.1),
+    "rk_step": lambda p: rk_step(kutta3(), p.f, 0.0, p.y0, 0.1),
+    "attempt_step": lambda p: attempt_step(PAIR, p.f, 0.0, p.y0, 0.1),
+    "local_error_exact": lambda p: local_error_exact(kutta3(), p, 0.0, 0.1),
+    "empirical_order": lambda p: empirical_order(kutta3(), p, "local",
+                                                 [0.1, 0.05, 0.025, 0.0125]),
+    "integrate": lambda p: integrate(PAIR, p, ControllerConfig(h_init=0.1)),
+}
 
 
-_COMPLEX_PROBLEM = IVProblem("c", _complex_off_x0, 0.0, [1.0], 1.0,
-                             exact=lambda x: np.array([math.exp(-x)]))
-
-
-@pytest.mark.parametrize("call", [
-    lambda: increment_function(kutta3(), _complex_off_x0, 0.0, np.array([1.0]), 0.1),
-    lambda: rk_step(kutta3(), _complex_off_x0, 0.0, np.array([1.0]), 0.1),
-    lambda: attempt_step(PAIR, _complex_off_x0, 0.0, np.array([1.0]), 0.1),
-    lambda: local_error_exact(kutta3(), _COMPLEX_PROBLEM, 0.0, 0.1),
-    lambda: empirical_order(kutta3(), _COMPLEX_PROBLEM, "local", [0.1, 0.05, 0.025, 0.0125]),
-], ids=["increment_function", "rk_step", "attempt_step", "local_error_exact",
-        "empirical_order"])
-def test_every_entry_point_refuses_a_complex_stage(call):
-    # outside a run the imaginary parts used to be dropped with a warning, and
-    # the real parts returned (empirical_order gave 3.99)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        filters = list(warnings.filters)
-        message = "rk3: stage 2 is complex at x=0.0, h=0.1"
-        with pytest.raises(ComplexStage, match=f"^{re.escape(message)}$"):
-            call()
-        assert warnings.filters == filters
-
-
-def _one_value_off_x0(x, y):
-    """One value per component of a two-component state at ``x == 0``, and a single
-    value everywhere else."""
-    return np.array([y[1], -y[0]]) if x == 0.0 else y[1]
-
-
-@pytest.mark.parametrize("call", [
-    lambda: increment_function(kutta3(), _one_value_off_x0, 0.0, np.array([1.0, 0.0]), 0.1),
-    lambda: rk_step(kutta3(), _one_value_off_x0, 0.0, np.array([1.0, 0.0]), 0.1),
-    lambda: attempt_step(PAIR, _one_value_off_x0, 0.0, np.array([1.0, 0.0]), 0.1),
-    lambda: integrate(PAIR, IVProblem("one", _one_value_off_x0, 0.0, [1.0, 0.0], 1.0),
-                      ControllerConfig(h_init=0.1)),
-], ids=["increment_function", "rk_step", "attempt_step", "integrate"])
-def test_every_entry_point_refuses_a_stage_of_another_size(call):
-    # one value used to fill both components: rk_step gave [1.1, 2.1] for an f
-    # of 1.0 from [1.0, 2.0], and integrate accepted 21 steps
-    message = "rk3: stage 2 is of shape (), not (2,), at x=0.0, h=0.1"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call()
-
-
-def test_a_python_complex_stage_is_refused():
-    # a complex scalar, not an array: storing it used to raise an unnamed TypeError
-    f = lambda x, y: -y if x == 0.0 else complex(-y[0], 0.5)
-    p = IVProblem("c", f, 0.0, [1.0], 1.0)
-    message = "rk3: stage 2 is complex at x=0.0, h=0.01"
-    with pytest.raises(ComplexStage, match=f"^{re.escape(message)}$"):
-        integrate(PAIR, p, ControllerConfig())
+@pytest.mark.parametrize("fault", _STAGE_FAULTS)
+@pytest.mark.parametrize("entry", _STAGE_ENTRY_POINTS)
+def test_every_entry_point_refuses_a_stage_by_its_fault(entry, fault):
+    # f is the oscillator's at x0, where the first stage is, and faulty at every
+    # other x, so rk3's second stage is named, also where later stages fail
+    # too.  Outside a run a complex value's imaginary parts used to be dropped
+    # with a warning (empirical_order gave 3.99); one value used to fill both
+    # components (rk_step gave [1.1, 2.1] for an f of 1.0 from [1.0, 2.0], and
+    # integrate accepted 21 steps), and three failed inside numpy.  The refusal
+    # is the same however warnings are filtered, and leaves the filters as
+    # they were
+    value, error, what = _STAGE_FAULTS[fault]
+    osc = _oscillator()
+    p = dataclasses.replace(osc, f=lambda x, y: osc.f(x, y) if x == 0.0 else value(y))
+    message = f"rk3: stage 2 {what} at x=0.0, h=0.1"
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            filters = list(warnings.filters)
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+                _STAGE_ENTRY_POINTS[entry](p)
+            assert warnings.filters == filters and type(caught.value) is error
 
 
 def _lane_rhs(at, value):
@@ -1187,6 +1163,8 @@ _LANE_CASES = {
                      f"rk3: stage 2 is of shape (2,), not (1,), {_PROBE}"),
     "stage-overflow": ({1}, lambda y: -y * y, 1e200, 1.0, None, NonFiniteStage,
                        f"rk3: stage 1 is not finite {_PROBE}"),
+    "inf-at-h-init": ({2}, lambda y: y * math.inf, 1.0, 1.0, 0.09, NonFiniteStage,
+                      "rk3: stage 2 is not finite at x=0.0, h=0.09"),
     "state-overflow": (range(1, 6), lambda y: 1e308, 1e308, 10.0, 1.0, NonFiniteState,
                        "lane: state not finite after step at x=0.0"),
     "dict": ({2}, lambda y: {}, 1.0, 1.0, None, ValueError,
@@ -1437,38 +1415,6 @@ def test_oracle_rows_turning_complex_name_the_earliest_complex_row():
     message = f"rk3: stage 1 is complex at x={records[j - 1].x}, h={records[j].h}"
     with pytest.raises(ComplexStage, match=f"^{re.escape(message)}$"):
         integrate(PAIR, dataclasses.replace(decay, f=f), flagship_config())
-
-
-def test_max_rejects_exceeded(monkeypatch):
-    # the rhs derivative is unbounded at x0, so the one-step error shrinks
-    # much slower than the proposal assumes and the first step keeps rejecting
-    f = lambda x, y: (1.0 + y) * (1.0 + x ** 0.1)
-    p = IVProblem(name="rough", f=f, x0=0.0, y0=[0.0], x_end=10.0)
-    monkeypatch.setattr(controller, "MAX_REJECTS", 3)
-    with pytest.raises(MaxRejectsExceeded, match="4 consecutive rejections"):
-        integrate(PAIR, p, ControllerConfig(delta=1e-12, sigma=0.8, h_init=1.0))
-
-
-def test_overflowing_state_raises_nonfinite_state_at_once():
-    # the stages stay finite but y + h * increment overflows: est is NaN, so the
-    # attempt is rejected, and the first rejection names the state
-    f = lambda x, y: np.full_like(y, 1e308)
-    p = IVProblem(name="overflow", f=f, x0=0.0, y0=[1e308], x_end=10.0)
-    with pytest.raises(NonFiniteState, match="x=0.0"):
-        integrate(PAIR, p, ControllerConfig(h_init=1.0))
-
-
-def test_overflowing_stage_raises_nonfinite_stage_without_a_numpy_warning():
-    # the probe step overflows -y*y; the suite turns any warning into an error
-    with pytest.raises(NonFiniteStage):
-        integrate(PAIR, builtin("riccati_simple").with_x_end(1e40), ControllerConfig())
-
-
-def test_nonfinite_stage_propagates():
-    f = lambda x, y: y if x < 0.04 else np.full_like(y, np.inf)
-    p = IVProblem(name="blowup", f=f, x0=0.0, y0=[1.0], x_end=1.0)
-    with pytest.raises(NonFiniteStage):
-        integrate(PAIR, p, flagship_config(h_init=0.09))
 
 
 # --- integrate: property --------------------------------------------------------------

@@ -205,18 +205,15 @@ def test_condition_holds_iff_below_m_ratio():
 # --- complex input ----------------------------------------------------------------
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: inf_norm(np.array([3 + 4j])), "v = [3.+4.j] is complex"),
-    (lambda: estimate_beta(np.array([1 + 1j]), [0.0], 0.5, 3), "w_lower = [1.+1.j] is complex"),
     (lambda: alpha_propagation_term(kutta3(), lambda x, y: -y, 0.0, np.array([1 + 1j]),
                                     np.array([1.0]), 0.1), "y_exact = [1.+1.j] is complex"),
     (lambda: condition_check(1, [1j], BetaTracker(), 0.1, 3), "beta_lower = [0.+1.j] is complex"),
     (lambda: BetaTracker().pushed([2.0, 1 + 1j]), "sample = [2.+0.j 1.+1.j] is complex"),
-], ids=["inf_norm", "estimate_beta", "alpha_propagation_term", "condition_check",
-        "BetaTracker.pushed"])
+], ids=["alpha_propagation_term", "condition_check", "BetaTracker.pushed"])
 def test_complex_input_is_refused_by_name(call, message):
-    # the imaginary parts used to be dropped: inf_norm gave 3.0, estimate_beta
-    # [16.] and alpha_propagation_term [0.], and condition_check and the tracker
-    # measured the real part only
+    # the imaginary parts used to be dropped: alpha_propagation_term gave [0.],
+    # and condition_check and the tracker measured the real part only (inf_norm
+    # and estimate_beta are among tests/test_rk_core.py's entry points)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
@@ -229,11 +226,15 @@ _NAN_PAST_X0 = IVProblem(name="nan_past", f=lambda x, y: -y, x0=0.0, y0=[1.0], x
 _ONE_VALUE_PAST_X0 = IVProblem(
     name="one_value", f=lambda x, y: np.array([y[1], -y[0]]), x0=0.0, y0=[1.0, 0.0], x_end=1.0,
     exact=lambda x: np.array([1.0, 0.0] if x == 0.0 else [math.cos(x)]))
+_COMPLEX_PAST_X0 = IVProblem(
+    name="complex_past", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0,
+    exact=lambda x: np.array([math.exp(-x) if x == 0.0 else complex(math.exp(-x))]))
 
 
 @pytest.mark.parametrize("p, what", [(_NAN_PAST_X0, "is not finite"),
-                                     (_ONE_VALUE_PAST_X0, "has shape (1,), y0 has shape (2,)")],
-                         ids=["nan", "one-value"])
+                                     (_ONE_VALUE_PAST_X0, "has shape (1,), y0 has shape (2,)"),
+                                     (_COMPLEX_PAST_X0, "is complex")],
+                         ids=["nan", "one-value", "complex"])
 @pytest.mark.parametrize("call", [
     lambda p: reference_solution(p, 0.1),
     lambda p: local_error_exact(kutta3(), p, 0.0, 0.1),
@@ -241,8 +242,9 @@ _ONE_VALUE_PAST_X0 = IVProblem(
 ], ids=["reference_solution", "local_error_exact", "empirical_order"])
 def test_an_exact_value_past_x0_is_checked_by_every_reader(call, p, what):
     # every lookup is checked, not the one at x0 alone: a NaN used to give [nan],
-    # [nan] and a slope of nan, and one value for two components was broadcast
-    # (local_error_exact gave [-4.2e-06, -1.09])
+    # [nan] and a slope of nan, one value for two components was broadcast
+    # (local_error_exact gave [-4.2e-06, -1.09]), and a complex value's
+    # imaginary part was dropped
     message = f"{p.name}: exact solution at x=0.1 {what}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(p)
