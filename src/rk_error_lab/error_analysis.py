@@ -41,8 +41,8 @@ from .rk_core import (
     _array_lane,
     _count,
     _Refusal,
-    _row_by_row,
     _is_integer,
+    _is_real,
     _number,
     _positive_finite,
     _real,
@@ -125,9 +125,9 @@ _STATES = {name for name, t in _HINTS.items()
            if t in (np.ndarray, Optional[np.ndarray])} | {"inc_lower"}
 # the array.array type code a run collects each column dtype in
 _TYPECODES = {float: "d", np.int64: "q", bool: "B"}
-# whether one value of a scalar column is of its type: a float is a scalar, which
-# _real_numbers then converts, and a bool is not an int
-_OF_TYPE = {float: lambda v: np.ndim(v) == 0, np.int64: _is_integer,
+# whether one value of a scalar column is of its type: a float is a real number,
+# which _real_numbers then converts, and a bool is neither a float nor an int
+_OF_TYPE = {float: _is_real, np.int64: _is_integer,
             bool: lambda v: isinstance(v, (bool, np.bool_))}
 
 
@@ -382,8 +382,8 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     by ``reference_solution``, and ``y(x + h)`` of the landing step where it
     misses ``x_end`` in the last bit.  Then the pair from every step's exact
     state at once, over rows: through ``f`` itself for a ``rowwise`` problem,
-    else one row at a time.  Last the powers of ``h``, step by step.  The
-    fields follow over whole columns with the formulas of
+    else one row at a time.  Last the powers of ``h`` and the running mean,
+    step by step.  The fields follow over whole columns with the formulas of
     ``local_error_exact``, ``alpha_propagation_term``, ``mean_beta_higher`` and
     ``condition_check``, bit for bit.
     """
@@ -398,18 +398,16 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     if x_last != xs.item(-1):
         y_xh = y_next.copy()
         y_xh[-1] = reference_solution(p, x_last)
-    f = p.f if p.rowwise else _row_by_row(p.f)
-    exact_lower, exact_higher = _array_lane(pair, f, y_x.shape)(xs[:-1], y_x, h)
-    hp_higher, hp_cond = np.empty(n), np.empty(n)
-    for k, h_k in enumerate(h.tolist()):
-        hp_higher[k] = _step_power(h_k, pair.higher.z + 1)
-        hp_cond[k] = _step_power(h_k, pair.lower.z + 2)
+    exact_lower, exact_higher = _array_lane(pair, p.f, y_x.shape, p.rowwise)(xs[:-1], y_x, h)
     w = np.concatenate((p.y0[None], c["w_higher"][:-1]))
     h = h[:, None]  # each row's stepsize scales that row's components
     eps_higher = _local_error(y_x, exact_higher, y_xh, h)
-    means, mean = np.empty(n), 0.0
-    for k, v in enumerate(_row_norms(eps_higher / hp_higher[:, None]).tolist()):
-        mean = means[k] = _mean_pushed(mean, v, k + 1)
+    # fl(max_i |e_i| / hp) is max_i fl(|e_i| / hp): division by hp > 0 is monotone
+    hp_cond, means, mean = np.empty(n), np.empty(n), 0.0
+    for k, v in enumerate(_row_norms(eps_higher).tolist()):
+        hp = _step_power(h.item(k), pair.higher.z + 1)
+        hp_cond[k] = _step_power(h.item(k), pair.lower.z + 2)
+        mean = means[k] = _mean_pushed(mean, v / hp, k + 1)
     i = np.arange(1, n + 1, dtype=float)
     cond_rhs, cond_holds = _condition(i, c["cond_lhs"], means * hp_cond)
     return {"eps_lower": _local_error(y_x, exact_lower, y_xh, h),

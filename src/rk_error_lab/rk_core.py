@@ -18,20 +18,21 @@ Only the weighted sum ``b @ k`` goes through BLAS.  A pair evaluates both
 methods as one stage plan (``MethodPair.plan``), its shared stages once.
 
 The lane rule.  ``integrate`` runs every problem whose ``y0`` has one
-component in the float lane, the probe included, and every other problem
-in the array lane.  Each lane is a function ``increments(x, y, h)``,
-returning ``(F_lower, F_higher)``, that is built from the pair's plan for a
-run's ``f``.  The array lane (``_array_lane``) runs the stage loop
-``_stages`` into one stage buffer, from one state or from many states at
-once, as rows, with the bits of each state's own evaluation; the oracle's
-rows run in it, and the one-step functions in its stage loop.  The float
-lane (``MethodPair.float_lane``) is a straight-line function that each pair
-compiles from its plan (``MethodPair.float_source``).  It holds the state
-and each stage as a Python float, forms each stage argument as ``_stages``
-does, refuses a value of ``f`` with the same checks (``_stage_value``,
-``_check_finite``) and the same message, and sums the stages with ``b.dot``
-on float64 vectors, the BLAS call of the array lane, so both lanes give the
-same bits on any BLAS kernel.
+component in the float lane, the probe included, and every other problem in
+the array lane.  Each lane is a function ``increments(x, y, h)``, returning
+``(F_lower, F_higher)``, that is built from the pair's plan for a run's
+``f``.  The array lane (``_array_lane``) runs the stage loop ``_stages``
+into one stage buffer, from one state or from many states at once, as rows,
+with the bits of each state's own evaluation; the oracle's rows run in it,
+and the one-step functions in its stage loop.  The two lanes alone call
+``f``.  The float lane (``MethodPair.float_lane``) is a straight-line
+function that each pair compiles from its plan
+(``MethodPair.float_source``).  It holds the state and each stage as a
+Python float, forms each stage argument as ``_stages`` does, refuses a value
+of ``f`` with the same checks (``_stage_value``, ``_check_finite``) and the
+same message, and sums the stages with ``b.dot`` on float64 vectors, the
+BLAS call of the array lane, so both lanes give the same bits on any BLAS
+kernel.
 
 The read-only rule.  ``f`` must be a pure function of ``(x, y)``.  The
 states ``integrate`` hands it are read-only: ``y0``, each accepted state,
@@ -280,11 +281,15 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    """Whether ``v`` is a real number; a ``bool`` is not one here."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _number(name: str, value, rule: str, holds):
-    """The one check of a scalar setting: ``value``, unless it is not a real
-    number, or is a ``bool``, or does not satisfy ``holds``; then raise
-    ``ValueError`` "<name> must be <rule>"."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and holds(value)):
+    """The one check of a scalar setting: ``value``, unless it is not ``_is_real``
+    or does not satisfy ``holds``; then raise ``ValueError`` "<name> must be <rule>"."""
+    if not (_is_real(value) and holds(value)):
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
 
@@ -334,15 +339,15 @@ def _real_numbers(v) -> np.ndarray:
     raise _Refusal(ValueError, f"of type {type(v).__name__}, not real numbers in the float range")
 
 
-def _real(name: str, values, complex_message="{name} = {values} is complex") -> np.ndarray:
+def _real(name: str, values) -> np.ndarray:
     """``values`` as a float64 array, by ``_real_numbers``.  Raises ``ValueError``
-    naming ``name``: with ``complex_message`` if ``values`` is complex, whose
-    imaginary part the conversion would drop, and ``"<name> is of type T, not
-    real numbers in the float range"`` if it is not real numbers."""
+    naming ``name``: ``"<name> = <values> is complex"`` if ``values`` is complex,
+    whose imaginary part the conversion would drop, and ``"<name> is of type T,
+    not real numbers in the float range"`` if it is not real numbers."""
     try:
         return _real_numbers(values)
     except _Refusal as r:
-        raise ValueError(complex_message.format(name=name, values=np.asarray(values))
+        raise ValueError(f"{name} = {np.asarray(values)} is complex"
                          if r.error is ComplexStage else f"{name} is {r.what}") from None
 
 
@@ -379,7 +384,7 @@ def _one_state(x: float, y, h: float) -> np.ndarray:
     """``y`` as a float array, by ``_real``; raises ``ValueError`` naming a ``y``
     that is complex, not real numbers in the float range or not a flat vector,
     a non-finite ``x`` or an ``h`` that is not positive and finite."""
-    y = _real("state", y, "state must be real, got {values}")
+    y = _real("state", y)
     if y.ndim != 1:
         raise ValueError(f"state must be a flat vector, got shape {y.shape}")
     _number("x", x, "finite", math.isfinite)
@@ -411,50 +416,38 @@ class _StageBuffer:
         self.k = np.empty(shape[:-1] + (slots, shape[-1]))
         self.slot = list(np.moveaxis(self.k, -2, 0))
 
-    def store(self, p: int, v) -> None:
-        """Store ``v`` into slot ``p``.  A float64 value of the slot's size skips
-        the checks of ``_stage_value`` without a numpy call; a shape that does
-        not store as the slot (a ``(d, 1)`` column; a ``(1, d)`` row stores)
-        raises ``_Refusal`` for ``ValueError``."""
-        dst = self.slot[p]
-        if getattr(v, "dtype", None) is not _FLOAT or v.size != dst.size:
-            v = _stage_value(v, dst.shape)
+    def store(self, p: int, v, i: int | None = None) -> None:
+        """Store ``v`` into slot ``p``, or into its row ``i``, which a refusal names.
+        A float64 value of the slot's size skips the checks of ``_stage_value``
+        without a numpy call; a shape that does not store as the slot (a ``(d, 1)``
+        column; a ``(1, d)`` row stores) raises ``_Refusal`` for ``ValueError``."""
+        dst = self.slot[p] if i is None else self.slot[p][i]
+        try:
+            if getattr(v, "dtype", None) is not _FLOAT or v.size != dst.size:
+                v = _stage_value(v, dst.shape)
+        except _Refusal as r:
+            r.row = r.row if i is None else i
+            raise
         try:  # a value of another size would broadcast, so its size is checked before
             dst[...] = v
         except ValueError:
-            raise _Refusal(ValueError, f"of shape {v.shape}, not {dst.shape}") from None
+            raise _Refusal(ValueError, f"of shape {v.shape}, not {dst.shape}", i) from None
 
 
-def _row_by_row(f: RHSFunction) -> RHSFunction:
-    """``f``, which takes one state, applied to each row of ``(x, y)`` in turn.  Each
-    row's value is stored as the stage loop stores one state's, into a stage
-    buffer of one slot per row, and a refused value names its row."""
-    def rows(x, y):
-        out = _StageBuffer(len(y), y.shape[1:])
-        for k, x_k in enumerate(x.tolist()):
-            try:
-                out.store(k, f(x_k, y[k]))
-            except _Refusal as r:
-                r.row = k
-                raise
-        return out.k
-    return rows
-
-
-def _array_lane(pair: MethodPair, f: RHSFunction, shape: tuple[int, ...]):
+def _array_lane(pair: MethodPair, f: RHSFunction, shape: tuple[int, ...], rowwise: bool = True):
     """The array lane of ``pair``: ``increments(x, y, h)``, the increments
     ``(F_lower, F_higher)`` of both methods from one state, or from rows, of
-    ``shape``, as ``_stages`` takes them.  Every call evaluates into one stage
-    buffer and sums ``b @ k`` through BLAS on each row's contiguous ``(m, d)``
-    stages, the lower method's a slice of the slots and the higher method's
-    gathered.  Each increment is bit-identical to ``increment_function`` of its
-    method, over rows to that row's state's.
+    ``shape``, evaluated by ``_stages`` with ``rowwise``.  Every call evaluates
+    into one stage buffer and sums ``b @ k`` through BLAS on each row's
+    contiguous ``(m, d)`` stages, the lower method's a slice of the slots and
+    the higher method's gathered.  Each increment is bit-identical to
+    ``increment_function`` of its method, over rows to that row's state's.
     """
     buf = _StageBuffer(len(pair.plan.rows), shape)
     gathered = np.empty(shape[:-1] + (pair.higher.m, shape[-1]))
 
     def increments(x, y, h):
-        _stages(pair.plan, f, x, y, h, buf)
+        _stages(pair.plan, f, x, y, h, buf, rowwise)
         # BLAS gives each row its own state's bits only where that row's (m, d)
         # stages are one contiguous block, as in gathered; k[..., slots, :]
         # would put the slot axis outermost.  mode="clip" lets take write
@@ -464,27 +457,35 @@ def _array_lane(pair: MethodPair, f: RHSFunction, shape: tuple[int, ...]):
     return increments
 
 
-def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf: _StageBuffer) -> None:
+def _stages(plan: _StagePlan, f: RHSFunction, x, y, h, buf: _StageBuffer,
+            rowwise: bool = True) -> None:
     """Evaluate the stages of ``plan`` into the slots of ``buf``: the array lane.
 
     From one state, ``x`` and ``h`` are floats and ``y`` is ``(d,)``; over rows
-    they are ``(n,)`` columns, ``y`` is ``(n, d)`` and ``f`` takes rows.  Every
-    operation on a stage argument is elementwise, each row's ``h`` scaling that
-    row, so a row's stages are bit-identical to its state's alone; a
-    coefficient of exactly 1 is applied without a multiply, which gives the
-    same bits.  Each value of ``f`` is checked where ``buf.store`` stores it,
-    and finiteness once, after the loop, by ``_check_finite``.  It checks no
-    input; ``_one_state`` does.
+    they are ``(n,)`` columns, ``y`` is ``(n, d)`` and ``f`` takes rows, or if
+    not ``rowwise`` each row in turn, into its row of the slot.  With the float
+    lane's, these are the only calls of ``f``.  Every operation on a stage
+    argument is elementwise, each row's ``h`` scaling that row, so a row's
+    stages are bit-identical to its state's alone; a coefficient of exactly 1
+    is applied without a multiply, which gives the same bits.  Each value of
+    ``f`` is checked where ``buf.store`` stores it, and finiteness once, after
+    the loop, by ``_check_finite``.  It checks no input; ``_one_state`` does.
     """
     slot, store = buf.slot, buf.store
     h_y = h[:, None] if y.ndim == 2 else h
+    by_row = y.ndim == 2 and not rowwise
     for p, (c_p, row) in enumerate(plan.rows):
         s = None
         for q, a in row:
             term = slot[q] if a == 1.0 else a * slot[q]
             s = term if s is None else s + term
-        try:  # f too: the one-row adapter (_row_by_row) refuses within it
-            store(p, f(x + c_p * h, y if s is None else y + h_y * s))
+        s = y if s is None else y + h_y * s  # the stage argument, freed before the next sum
+        try:
+            if by_row:
+                for i, x_i in enumerate((x + c_p * h).tolist()):
+                    store(p, f(x_i, s[i]), i)
+            else:
+                store(p, f(x + c_p * h, s))
         except _Refusal as r:
             raise _refused(plan, p, r, x, h) from None
     _check_finite(plan, buf.k, x, h)

@@ -400,8 +400,9 @@ _UNWRITABLE_RECORDS = {
     "complex_state": ("w_lower", np.array([1j]), False,
                       "records carry w_lower values that do not fit one column: complex"),
     "string_float": ("x", "0.5", False,
-                     "records carry x values that do not fit one column: of type list, "
-                     "not real numbers in the float range"),
+                     "records carry x values that are not all of type float64"),
+    "bool_in_float": ("h", True, False,
+                      "records carry h values that are not all of type float64"),
     "fractional_int": ("rejects", 1.5, False,
                        "records carry rejects values that are not all of type int64"),
     "string_bool": ("clamped", "no", False,
@@ -419,10 +420,10 @@ _UNWRITABLE_RECORDS = {
 def test_records_whose_values_are_not_of_their_column_type_are_refused(tmp_path, case):
     # a collected record sequence goes through the one conversion of every value,
     # so no value is written as something else: the complex state as its real part,
-    # the string as a float, the fraction truncated, a non-empty string as true,
-    # an array flattened into a scalar column or a field that every step has as
-    # an empty column, which the reader then refused.  The value is put on the
-    # second record, or on every record
+    # the string as a float, a bool as 1.0, the fraction truncated, a non-empty
+    # string as true, an array flattened into a scalar column or a field that every
+    # step has as an empty column, which the reader then refused.  The value is put
+    # on the second record, or on every record
     field, value, every, message = _UNWRITABLE_RECORDS[case]
     trace = integrate(PAIR, builtin("decay"), ControllerConfig(delta=1e-8))
     records = list(trace.records)

@@ -602,8 +602,10 @@ def _paper_exponential_d2():
     (True, dataclasses.replace(builtin("paper_exponential"), scalar=False)),
     (False, dataclasses.replace(builtin("paper_exponential"), scalar=False)),
     (True, _paper_exponential_d2()), (False, _paper_exponential_d2()),
+    (True, dataclasses.replace(builtin("paper_exponential"), scalar=False, rowwise=False)),
+    (True, dataclasses.replace(_paper_exponential_d2(), rowwise=False)),
 ], ids=["oracle", "no_oracle", "flagless_oracle", "flagless_no_oracle",
-        "array_oracle", "array_no_oracle"])
+        "array_oracle", "array_no_oracle", "one_state_oracle", "array_one_state_oracle"])
 def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle, p):
     # the run collects one typed array per column and makes its columns once,
     # after the loop: about 0.11 KB per step retained with the oracle and 0.07 KB
@@ -611,7 +613,9 @@ def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle, p):
     # and 0.67 KB, and 0.17 KB and 0.09 KB in the array lane at d = 2.  The peak
     # bounds what the loop holds on the way: a list of row tuples, or of (d,)
     # arrays, converted after the loop would exceed it.  The oracle's rows hold
-    # every step's stages at once, so its peak grows with d (0.34 KB at d = 2)
+    # every step's stages at once, so its peak grows with d (0.34 KB at d = 2).
+    # An f that takes one state at a time has its values stored straight into
+    # each row of the stage's slot, so its oracle peaks about as a rowwise f's does
     if not oracle:
         p = dataclasses.replace(p, exact=None)
     integrate(PAIR, p, flagship_config())  # caches filled on first use are not the run's
@@ -1322,8 +1326,7 @@ def test_a_flagless_rhs_of_another_size_at_an_exact_state_is_refused_by_name():
     # the oracle gives a flagless f its rows one at a time, and each row's value
     # is stored as a stage is.  This f returns one value at the exact states past
     # x0, which only the oracle's rows visit, and is refused at the first such
-    # row (step 2's); the row adapter used to fail with numpy's "inhomogeneous
-    # shape" message
+    # row (step 2's)
     osc = _oscillator()
 
     def f(x, y):
@@ -1335,6 +1338,27 @@ def test_a_flagless_rhs_of_another_size_at_an_exact_state_is_refused_by_name():
     records = integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records
     message = f"rk3: stage 1 is of shape (), not (2,), at x={records[0].x}, h={records[1].h}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate(PAIR, p, flagship_config())
+
+
+@pytest.mark.parametrize("value, error, what", [
+    (lambda y: y[:, None], ValueError, "is of shape (2, 1), not (2,),"),
+    (lambda y: 1j * y, ComplexStage, "is complex"),
+], ids=["column", "complex"])
+def test_a_flagless_rhs_refused_at_an_exact_state_names_its_row(value, error, what):
+    # as above, for the other refusals where a row of the oracle's stage slot
+    # stores a value: a shape that does not store as the row, and a complex
+    # value, whose own first row is not the oracle's row
+    osc = _oscillator()
+
+    def f(x, y):
+        if x > 0.0 and np.array_equal(y, osc.exact(x)):
+            return value(y)
+        return np.array([y[1], -y[0]])
+    p = dataclasses.replace(osc, f=f)
+    records = integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records
+    message = f"rk3: stage 1 {what} at x={records[0].x}, h={records[1].h}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         integrate(PAIR, p, flagship_config())
 
 
