@@ -4,8 +4,17 @@ The per-step trace is written as CSV with one row per accepted step, the run
 totals as a JSON summary, and optionally a two-series file (local error and
 propagated-error term against the abscissa) ready for plotting.  Floats are
 serialized as shortest round-trip decimals so a parsed trace reproduces the
-in-memory records bit for bit.  The writers format a block of rows column
-by column, so a row costs its float ``repr``s and little more.
+in-memory records bit for bit.  The trace and the figure are written in one
+pass over blocks of 1024 rows, which formats each column they need once per
+block, column by column, so a row costs its float ``repr``s and little more.
+A figure row formats nothing of its own: it takes the trace's ``x`` cell and,
+for each norm, the cell of the component of largest magnitude without its
+sign, which is the ``repr`` of the max norm bit for bit.  ``write_trace_csv``
+and ``figure1_export`` are that pass with one output.  Writing both outputs
+of a 10 438-row trace peaks at about 1.2 MB under ``tracemalloc`` (the
+tests bound it at 2 MB), since one block of each is held.  A run refuses two
+output flags that name one file, and a failed output removes every output
+the run opened.
 
 The exit codes are those of the README's failure table: 0 completed run, 2
 usage error, 3 unknown problem or pair name, 4 integrator failure, 5 output
@@ -29,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controller import POLICIES, ControllerConfig, Trace, integrate
-from .error_analysis import _HINTS, StepRecord, _column, _Records, _row_norms, sigma_bound
+from .error_analysis import _HINTS, StepRecord, _column, _Records, sigma_bound
 from .problems import UnknownProblem, builtin, problem_names
 from .rk_core import MethodPair, UnknownPair, builtin_pair, pair_names
 
@@ -113,14 +122,6 @@ def _parse_state(cell: str) -> list[float]:
     return [float(c) for c in cell.split(";")]
 
 
-def _state_cells(components: list[list[float]]):
-    """The cells of states given component by component, as ``.T.tolist()`` of a
-    state column gives them: each component by ``repr``, joined by ";".  With
-    one component its formatted list is the cells, with no join."""
-    cells = [map(repr, c) for c in components]
-    return cells[0] if len(cells) == 1 else map(";".join, zip(*cells))
-
-
 def _optional(parse):
     """The parser of ``Optional[T]`` from that of ``T``: an empty cell is ``None``."""
     return lambda cell: None if cell == "" else parse(cell)
@@ -128,12 +129,12 @@ def _optional(parse):
 
 # (value formatter, cell parser) per StepRecord annotation.  A formatter takes a
 # value as ``.tolist()`` gives it: repr of a Python float is the shortest decimal
-# that round-trips, and a state is formatted by ``_state_cells``.  A parsed cell
-# has the same form; ``None`` is an empty cell.  The writers format a column at
-# a time, so a row costs its float reprs and little more.
+# that round-trips, and a state is its components' reprs joined by ";".  A
+# parsed cell has the same form; ``None`` is an empty cell.  The writers format
+# a column at a time, so a row costs its float reprs and little more.
 _CODECS = {int: (str, int), float: (repr, float),
            bool: (("false", "true").__getitem__, "true".__eq__),
-           np.ndarray: (lambda v: next(_state_cells([[c] for c in v])), _parse_state)}
+           np.ndarray: (lambda v: ";".join(map(repr, v)), _parse_state)}
 _CODECS.update({Optional[t]: (fmt, _optional(parse)) for t, (fmt, parse) in _CODECS.items()})
 
 CSV_COLUMNS = list(_HINTS)
@@ -143,6 +144,28 @@ _CHECKS = [(lambda v: v >= 0) if name == "rejects" else None for name in CSV_COL
 _BLOCK = 1024  # rows formatted at a time, which bounds the writers' transient memory
 
 
+def _component_cells(block: np.ndarray) -> list:
+    """The reprs of the rows of a block of states, one iterator per component."""
+    return [map(repr, c) for c in block.T.tolist()]
+
+
+def _state_cells(components: list):
+    """The cells of states from the cells of their components: one component's
+    cells as they are, more joined by ";"."""
+    return components[0] if len(components) == 1 else map(";".join, zip(*components))
+
+
+def _norm_cells(block: np.ndarray, components: list):
+    """``repr`` of each row's max norm (``_row_norms``), taken from the cells of
+    the row's components and formatting no float: the cell of the component of
+    largest magnitude (the first on a tie, a NaN over any number) without its
+    sign.  Dropping the sign of a float's ``repr`` gives the ``repr`` of its
+    absolute value, ``-0.0``, ``-inf`` and NaN included."""
+    picked = components[0] if len(components) == 1 else map(
+        tuple.__getitem__, zip(*components), np.abs(block).argmax(axis=1).tolist())
+    return map(str.lstrip, picked, itertools.repeat("-"))
+
+
 def _cells(fmt, col: Optional[np.ndarray], lo: int, hi: int):
     """The cells of rows ``lo:hi`` of ``col``, formatted by ``fmt`` as one column:
     empty for an absent column, a state column by ``_state_cells``, and a
@@ -150,7 +173,7 @@ def _cells(fmt, col: Optional[np.ndarray], lo: int, hi: int):
     if col is None:
         return itertools.repeat("")
     if col.ndim == 2:
-        return _state_cells(col[lo:hi].T.tolist())
+        return _state_cells(_component_cells(col[lo:hi]))
     if col.strides == (0,):
         return itertools.repeat(fmt(col[lo].item()), hi - lo)
     return map(fmt, col[lo:hi].tolist())
@@ -180,19 +203,56 @@ def _rewritten(path: str, newline: Optional[str] = None):
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
-def _write_csv(path: str, header: list[str], n: int, cells) -> None:
-    """``header``, then ``n`` rows whose cells ``cells(lo, hi)`` gives column by
-    column for rows ``lo:hi``, ``_BLOCK`` rows at a time, each block joined
-    into one string.
+_FIGURE_HEADER = ["x", "abs_eps_lower", "abs_alpha_term"]
+_NORMED = ("eps_lower", "alpha_term")  # the state columns whose max norms the figure plots
 
-    No cell or header name holds a comma, a quote or a line break, so a row is
-    written as ``csv.writer`` writes it: its cells joined by commas, ended by CRLF.
+
+def _write_tables(trace: Trace, csv_path: Optional[str], figure_path: Optional[str],
+                  opened: list) -> None:
+    """Write the trace to ``csv_path`` and its figure series to ``figure_path``
+    (either may be ``None``) in one pass over blocks of ``_BLOCK`` rows.
+
+    Each column that an output needs is formatted once per block, column by
+    column, and each block of an output is joined into one string.  A figure
+    row takes the trace's ``x`` cell and ``_norm_cells`` of the two columns in
+    ``_NORMED``.  No cell or header name holds a comma, a quote or a line
+    break, so a row is written as ``csv.writer`` writes it: its cells joined
+    by commas, ended by CRLF.  Each path is appended to ``opened`` once it is
+    opened.  Raises ``ValueError`` (see ``write_trace_csv``) and
+    ``MissingDiagnostics`` (see ``figure1_export``) before a file is opened.
     """
-    with _rewritten(path, newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, n, _BLOCK):
-            rows = zip(*cells(lo, min(lo + _BLOCK, n)))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+    records = _Records.of(trace.records)
+    cols = records.columns
+    if figure_path is not None and any(cols[name] is None for name in _NORMED):
+        raise MissingDiagnostics("trace has no oracle diagnostics to export")
+    with contextlib.ExitStack() as stack:
+        outs = []
+        for path, header in ((csv_path, CSV_COLUMNS), (figure_path, _FIGURE_HEADER)):
+            fh = None
+            if path is not None:
+                fh = stack.enter_context(_rewritten(path, newline=""))
+                opened.append(path)
+                fh.write(",".join(header) + "\r\n")
+            outs.append(fh)
+        trace_fh, figure_fh = outs
+        for lo in range(0, len(records), _BLOCK):
+            hi = min(lo + _BLOCK, len(records))
+            x = list(map(repr, cols["x"][lo:hi].tolist()))
+            parts = {name: list(map(list, _component_cells(cols[name][lo:hi])))
+                     for name in (_NORMED if figure_fh is not None else ())}
+            if trace_fh is not None:
+                shared = {"x": x, **{name: _state_cells(c) for name, c in parts.items()}}
+                _write_rows(trace_fh, [
+                    shared[name] if name in shared else _cells(fmt, col, lo, hi)
+                    for name, fmt, col in zip(CSV_COLUMNS, _FORMATS, cols.values())])
+            if figure_fh is not None:
+                _write_rows(figure_fh, [x, *(_norm_cells(cols[name][lo:hi], c)
+                                             for name, c in parts.items())])
+
+
+def _write_rows(fh, cells) -> None:
+    """The rows whose cells ``cells`` gives column by column, as one string."""
+    fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
@@ -202,9 +262,7 @@ def write_trace_csv(trace: Trace, path: str) -> None:
     oracle field on some steps and not on others, a field that is not
     ``Optional`` on no step, or a value not of its column's type.
     """
-    cols = _Records.of(trace.records).columns.values()
-    _write_csv(path, CSV_COLUMNS, len(trace.records), lambda lo, hi: [
-        _cells(fmt, col, lo, hi) for fmt, col in zip(_FORMATS, cols)])
+    _write_tables(trace, path, None, [])
 
 
 def read_trace_csv(path: str) -> Sequence[StepRecord]:
@@ -249,18 +307,38 @@ def write_summary_json(trace: Trace, pair: MethodPair, sigma: float, path: str) 
 
 
 def figure1_export(trace: Trace, path: str) -> None:
-    """Plot-ready series: abscissa, |local error| and |propagated term| per step.
+    """Plot-ready series: abscissa, |local error| and |propagated term| per step,
+    the last two the max norms of ``eps_lower`` and ``alpha_term``.
 
     Raises ``MissingDiagnostics`` when the trace was produced without an
     oracle (no measured errors to export), before the file is opened.
     """
-    cols = _Records.of(trace.records).columns
-    x, eps, alpha = cols["x"], cols["eps_lower"], cols["alpha_term"]
-    if eps is None or alpha is None:
-        raise MissingDiagnostics("trace has no oracle diagnostics to export")
-    _write_csv(path, ["x", "abs_eps_lower", "abs_alpha_term"], len(x), lambda lo, hi: [
-        map(repr, x[lo:hi].tolist()),
-        *(map(repr, _row_norms(c[lo:hi]).tolist()) for c in (eps, alpha))])
+    _write_tables(trace, None, path, [])
+
+
+def _distinct_outputs(spec: RunSpec) -> None:
+    """Refuse two output flags that name one file: an existing regular file by
+    its device and inode (through a symlink or a hard link), a path not yet
+    there by its ``realpath``.  An existing path that is not a regular file,
+    such as ``/dev/null``, may be named more than once, and an empty path,
+    which no output can open, is left to the output phase.  An existing output
+    costs one ``stat``, where ``realpath`` makes one ``lstat`` per component."""
+    seen = {}
+    for flag, path in (("--csv", spec.csv_path), ("--json", spec.json_path),
+                       ("--figure", spec.figure_path)):
+        if not path or "\0" in path:  # open refuses a NUL, in the output phase
+            continue
+        try:
+            st = os.stat(path)
+        except OSError:
+            key = os.path.realpath(path)
+        else:
+            if not stat.S_ISREG(st.st_mode):
+                continue
+            key = (st.st_dev, st.st_ino)
+        if key in seen:
+            raise ValueError(f"{seen[key]} and {flag} name the same file {path}")
+        seen[key] = flag
 
 
 def run(spec: RunSpec) -> int:
@@ -271,6 +349,7 @@ def run(spec: RunSpec) -> int:
         if spec.x_end is not None:
             problem = problem.with_x_end(spec.x_end)
         pair = builtin_pair(spec.pair)
+        _distinct_outputs(spec)
         trace = integrate(pair, problem, cfg)
     except ValueError as exc:
         print(f"rk-error-lab: error: {exc}", file=sys.stderr)
@@ -286,19 +365,15 @@ def run(spec: RunSpec) -> int:
         print(f"rk-error-lab: integration failed: {exc}", file=sys.stderr)
         return 4
 
-    written = []  # the outputs this run has written, which a failure removes
+    opened = []  # the outputs this run has opened, which a failure removes
     try:
-        if spec.csv_path is not None:
-            write_trace_csv(trace, spec.csv_path)
-            written.append(spec.csv_path)
+        if spec.csv_path is not None or spec.figure_path is not None:
+            _write_tables(trace, spec.csv_path, spec.figure_path, opened)
         if spec.json_path is not None:
             write_summary_json(trace, pair, spec.sigma, spec.json_path)
-            written.append(spec.json_path)
-        if spec.figure_path is not None:
-            figure1_export(trace, spec.figure_path)
     # ValueError: open() refuses a NUL in the path; MissingDiagnostics: --figure without an oracle
     except (OSError, ValueError, MissingDiagnostics) as exc:
-        for path in written:
+        for path in opened:
             with contextlib.suppress(OSError):
                 os.remove(path)
         print(f"rk-error-lab: output failed: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from pins import (FIGURE_SHA256, FLAGSHIP, LONG_RUN_SHA256, LONG_RUN_STEPS, OUTP
 import rk_error_lab
 from rk_error_lab import ControllerConfig, IVProblem, builtin, builtin_pair, cli, integrate
 from rk_error_lab.controller import POLICIES, Trace
-from rk_error_lab.error_analysis import StepRecord, _Records
+from rk_error_lab.error_analysis import StepRecord, _Records, _row_norms
 from rk_error_lab.problems import problem_names
 from rk_error_lab.rk_core import inf_norm, pair_names
 from rk_error_lab.cli import (
@@ -144,22 +144,26 @@ def test_the_failure_table(row, monkeypatch, capsys, tmp_path):
         caught.append(sys.exc_info()[0])
         print(*args, **kwargs)
     monkeypatch.setattr(cli, "print", printed, raising=False)
+    # a relative output path lands in tmp_path, which a failed run leaves empty:
+    # every output it opened is removed
+    monkeypatch.chdir(tmp_path)
     assert len(row.fragments) == len(row.argvs)
     for argv, fragment in zip(row.argvs, row.fragments):
         assert main(argv) == row.code, argv
         out, err = capsys.readouterr()
         assert out == "" and f"rk-error-lab: {_PREFIX[row.code]}" in err and fragment in err, err
         assert row.phase == "parse" or row.error is None or issubclass(caught[-1], row.error)
+        assert list(tmp_path.iterdir()) == [], argv
     if row.error is None or row.phase == "parse":  # a gap that raises nothing; argparse's exit
         return
 
-    # the row's exception raised inside run in its phase: by a writer in the output
-    # phase, and by integrate in the run phase, where a library row's family is judged
+    # the row's exception raised inside run in its phase: by the writers' pass in the
+    # output phase, and by integrate in the run phase, where a library row's family is judged
     def fail(*args):
         raise row.error("the run failed")
     spec = RunSpec(quiet=True)
     if row.phase == "output":
-        monkeypatch.setattr("rk_error_lab.cli.write_trace_csv", fail)
+        monkeypatch.setattr("rk_error_lab.cli._write_tables", fail)
         spec = dataclasses.replace(spec, csv_path=str(tmp_path / "t.csv"))
     else:
         monkeypatch.setattr("rk_error_lab.cli.integrate", fail)
@@ -351,32 +355,40 @@ def test_long_run_bytes_are_pinned(tmp_path, long_trace):
     assert (_sha256(trace_path), _sha256(figure_path)) == LONG_RUN_SHA256
 
 
-def test_trace_writer_memory_is_bounded(tmp_path, long_trace):
+@pytest.mark.parametrize("outputs", [(True, False), (False, True), (True, True)],
+                         ids=["trace", "figure", "trace_and_figure"])
+def test_the_writers_memory_is_bounded(tmp_path, long_trace, outputs):
     # rows are formatted a block at a time: formatting all 10 438 rows at once
-    # took about 11 MB, about 1 KB per row
-    path = str(tmp_path / "trace.csv")
-    write_trace_csv(long_trace, path)  # caches filled on first use are not the writer's
+    # took about 11 MB, about 1 KB per row.  A block is joined into one string
+    # before it is written, and the trace and the figure written in one pass
+    # hold one block of each
+    paths = [str(tmp_path / name) if wanted else None
+             for name, wanted in zip(("trace.csv", "figure.csv"), outputs)]
+    cli._write_tables(long_trace, *paths, [])  # caches filled on first use are not the writers'
     tracemalloc.start()
     try:
-        write_trace_csv(long_trace, path)
+        cli._write_tables(long_trace, *paths, [])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2_000_000
 
 
-def test_figure_writer_memory_is_bounded(tmp_path, long_trace):
-    # a block of figure rows is joined into one string before it is written,
-    # which must stay as small as the trace writer's blocks
-    path = str(tmp_path / "figure.csv")
-    figure1_export(long_trace, path)  # caches filled on first use are not the writer's
-    tracemalloc.start()
-    try:
-        figure1_export(long_trace, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2_000_000
+# floats whose reprs and magnitudes a figure cell could get wrong: signed zeros
+# and infinities, NaN, subnormals, and values of one magnitude and either sign
+_NORM_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+     1.5, -1.5, 2.2250738585072009e-308, -1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 4).flatmap(lambda d: hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 40), st.just(d)), elements=_NORM_FLOATS)))
+def test_a_figure_cell_is_the_repr_of_its_row_norm(block):
+    # the figure takes each norm's cell from its components' cells: the largest
+    # magnitude's, the first on a tie and a NaN over any number, without its sign
+    cells = cli._norm_cells(block, list(map(list, cli._component_cells(block))))
+    assert list(cells) == list(map(repr, _row_norms(block).tolist()))
 
 
 def test_a_parsed_trace_retains_at_most_a_quarter_kilobyte_per_row(tmp_path, long_trace):
@@ -543,10 +555,61 @@ def test_outputs_are_rewritten_in_place_to_exactly_the_new_bytes(tmp_path):
     assert link.is_symlink() and all(p.stat().st_mode & 0o777 == 0o640 for p in old)
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", problem_names())
+def test_one_run_writes_the_bytes_of_the_writers_called_alone(tmp_path, name, policy):
+    # run writes the trace and the figure in one pass; each public writer is
+    # that pass with one output, and the summary is written on its own
+    outs = [tmp_path / f"run_{kind}" for kind in ("t.csv", "s.json", "f.csv")]
+    alone = [tmp_path / f"alone_{kind}" for kind in ("t.csv", "s.json", "f.csv")]
+    assert main(["--problem", name, "--policy", policy, "--quiet", "--csv", str(outs[0]),
+                 "--json", str(outs[1]), "--figure", str(outs[2])]) == 0
+    trace = integrate(PAIR, builtin(name), ControllerConfig(policy=policy))
+    write_trace_csv(trace, str(alone[0]))
+    write_summary_json(trace, PAIR, RunSpec.sigma, str(alone[1]))
+    figure1_export(trace, str(alone[2]))
+    assert [p.read_bytes() for p in outs] == [p.read_bytes() for p in alone]
+
+
+def test_an_output_that_cannot_be_opened_removes_the_outputs_opened_before_it(tmp_path,
+                                                                             capsys):
+    # the trace is opened before the figure: a trace file already at its path
+    # was rewritten by the run, so it goes too
+    trace = tmp_path / "t.csv"
+    trace.write_text("old\n")
+    assert main(["--problem", "decay", "--csv", str(trace),
+                 "--figure", str(tmp_path / "missing" / "f.csv")]) == 5
+    assert "No such file or directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_two_outputs_that_name_one_file_are_refused_before_the_run(tmp_path, capsys,
+                                                                    monkeypatch):
+    def no_run(*args):
+        raise AssertionError("integrate ran")
+    monkeypatch.setattr("rk_error_lab.cli.integrate", no_run)
+    kept, link, hard = (tmp_path / name for name in ("out.csv", "link.csv", "hard.csv"))
+    kept.write_text("kept\n")
+    link.symlink_to(kept)
+    os.link(kept, hard)
+    new, new_link = tmp_path / "new.csv", tmp_path / "new_link.csv"
+    new_link.symlink_to(new)  # dangling until the run would create new.csv
+    for csv_path, flag, other in ((kept, "--figure", kept), (kept, "--json", link),
+                                  (link, "--figure", tmp_path / "." / "out.csv"),
+                                  (hard, "--figure", kept), (new, "--json", new_link),
+                                  (new, "--figure", tmp_path / "." / "new.csv")):
+        assert main(["--problem", "decay", "--csv", str(csv_path), flag, str(other)]) == 2
+        assert capsys.readouterr().err == (
+            f"rk-error-lab: error: --csv and {flag} name the same file {other}\n")
+    assert kept.read_text() == "kept\n" and not new.exists()
+
+
 def test_outputs_to_a_device_are_written_without_a_cut():
-    # only a regular file is cut: ftruncate on /dev/null fails with EINVAL
-    for flag in ("--csv", "--json", "--figure"):
-        assert main(["--problem", "decay", "--quiet", flag, os.devnull]) == 0
+    # only a regular file is cut: ftruncate on /dev/null fails with EINVAL.  A
+    # device is not a file that two outputs could overwrite, so all may name it
+    for flags in (["--csv"], ["--json"], ["--figure"], ["--csv", "--json", "--figure"]):
+        assert main(["--problem", "decay", "--quiet",
+                     *(arg for flag in flags for arg in (flag, os.devnull))]) == 0
 
 
 def test_a_failed_write_leaves_what_was_written_before_it(tmp_path):

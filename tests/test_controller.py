@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pins import FLAGSHIP, same_bits
 from rk_error_lab import controller, rk_core
 from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
-from rk_error_lab.error_analysis import _Records
+from rk_error_lab.error_analysis import _Records, _row_norms
 from rk_error_lab import (
     BetaTracker,
     ComplexStage,
@@ -553,6 +553,21 @@ def test_records_held_elsewhere_write_the_same_files(tmp_path, problem):
             writer(trace, str(path))
             writer(copy, str(other))
             assert other.read_bytes() == path.read_bytes()
+
+
+def test_the_figure_of_a_two_component_run_is_its_row_norms(tmp_path):
+    # a figure cell is the cell of the component of largest magnitude, unsigned;
+    # the reference formats the max norm itself
+    trace = integrate(PAIR, _oscillator(), flagship_config())
+    cols = trace.records.columns
+    assert set(np.abs(cols["eps_lower"]).argmax(axis=1).tolist()) == {0, 1}
+    rows = zip(*(map(repr, c.tolist()) for c in (
+        cols["x"], _row_norms(cols["eps_lower"]), _row_norms(cols["alpha_term"]))))
+    path = tmp_path / "figure.csv"
+    figure1_export(trace, str(path))
+    assert path.read_bytes() == "".join(
+        ",".join(row) + "\r\n" for row in [("x", "abs_eps_lower", "abs_alpha_term"), *rows]
+    ).encode()
 
 
 @pytest.mark.parametrize("problem", [
