@@ -13,8 +13,8 @@ sign, which is the ``repr`` of the max norm bit for bit.  ``write_trace_csv``
 and ``figure1_export`` are that pass with one output.  Writing both outputs
 of a 10 438-row trace peaks at about 1.2 MB under ``tracemalloc`` (the
 tests bound it at 2 MB), since one block of each is held.  A run refuses two
-output flags that name one file, and a failed output removes every output
-the run opened.
+output flags that name one file.  What a failed output leaves is the rule of
+README's Failures paragraph, which ``_rewritten`` applies to every output.
 
 The exit codes are those of the README's failure table: 0 completed run, 2
 usage error, 3 unknown problem or pair name, 4 integrator failure, 5 output
@@ -184,23 +184,30 @@ def _rewritten(path: str, newline: Optional[str] = None):
     """``path`` opened for writing UTF-8 text without truncating it first.
 
     The file is written in place and, if it is a regular file, cut at the end
-    of what was written when the block ends, whether it returns or raises, so
-    it holds what a truncating ``open(path, "w")`` would leave.  A symlink is
-    written through and an existing file keeps its mode.  On ext4 mounted
-    with ``discard``, rewriting a 20 KB file cost about 70 ms after a
-    truncation to zero and about 7 us in place.
+    of what was written when the block returns, so it holds what a truncating
+    ``open(path, "w")`` would leave.  A symlink is written through and an
+    existing file keeps its mode.  What a block that raises leaves is the rule
+    of README's Failures paragraph.  On ext4 mounted with ``discard``,
+    rewriting a 20 KB file cost about 70 ms after a truncation to zero and
+    about 7 us in place.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     regular = stat.S_ISREG(os.fstat(fd).st_mode)  # ftruncate fails on /dev/null
-    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
-        try:
+    try:
+        # the fd outlives the text file, so nothing buffered is written after a cut
+        with open(fd, "w", encoding="utf-8", newline=newline, closefd=False) as fh:
             yield fh
-        finally:
-            try:
-                fh.flush()
-            finally:
-                if regular:
-                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        if regular:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except BaseException:
+        if regular:
+            with contextlib.suppress(OSError):
+                os.ftruncate(fd, 0)
+                if os.path.samestat(os.lstat(path), os.fstat(fd)):  # not a symlink to it
+                    os.remove(path)
+        raise
+    finally:
+        os.close(fd)
 
 
 _FIGURE_HEADER = ["x", "abs_eps_lower", "abs_alpha_term"]
@@ -208,7 +215,7 @@ _NORMED = ("eps_lower", "alpha_term")  # the state columns whose max norms the f
 
 
 def _write_tables(trace: Trace, csv_path: Optional[str], figure_path: Optional[str],
-                  opened: list) -> None:
+                  stack: Optional[contextlib.ExitStack] = None) -> None:
     """Write the trace to ``csv_path`` and its figure series to ``figure_path``
     (either may be ``None``) in one pass over blocks of ``_BLOCK`` rows.
 
@@ -217,24 +224,21 @@ def _write_tables(trace: Trace, csv_path: Optional[str], figure_path: Optional[s
     row takes the trace's ``x`` cell and ``_norm_cells`` of the two columns in
     ``_NORMED``.  No cell or header name holds a comma, a quote or a line
     break, so a row is written as ``csv.writer`` writes it: its cells joined
-    by commas, ended by CRLF.  Each path is appended to ``opened`` once it is
-    opened.  Raises ``ValueError`` (see ``write_trace_csv``) and
-    ``MissingDiagnostics`` (see ``figure1_export``) before a file is opened.
+    by commas, ended by CRLF.  The outputs are opened on ``stack``, which
+    ``run`` holds until its summary is written too, or on a stack of their own.
+    Raises ``ValueError`` (see ``write_trace_csv``) and ``MissingDiagnostics``
+    (see ``figure1_export``) before a file is opened.
     """
     records = _Records.of(trace.records)
     cols = records.columns
     if figure_path is not None and any(cols[name] is None for name in _NORMED):
         raise MissingDiagnostics("trace has no oracle diagnostics to export")
-    with contextlib.ExitStack() as stack:
-        outs = []
-        for path, header in ((csv_path, CSV_COLUMNS), (figure_path, _FIGURE_HEADER)):
-            fh = None
-            if path is not None:
-                fh = stack.enter_context(_rewritten(path, newline=""))
-                opened.append(path)
+    with contextlib.ExitStack() if stack is None else contextlib.nullcontext(stack) as stack:
+        trace_fh, figure_fh = [None if path is None else stack.enter_context(
+            _rewritten(path, newline="")) for path in (csv_path, figure_path)]
+        for fh, header in ((trace_fh, CSV_COLUMNS), (figure_fh, _FIGURE_HEADER)):
+            if fh is not None:
                 fh.write(",".join(header) + "\r\n")
-            outs.append(fh)
-        trace_fh, figure_fh = outs
         for lo in range(0, len(records), _BLOCK):
             hi = min(lo + _BLOCK, len(records))
             x = list(map(repr, cols["x"][lo:hi].tolist()))
@@ -262,7 +266,7 @@ def write_trace_csv(trace: Trace, path: str) -> None:
     oracle field on some steps and not on others, a field that is not
     ``Optional`` on no step, or a value not of its column's type.
     """
-    _write_tables(trace, path, None, [])
+    _write_tables(trace, path, None)
 
 
 def read_trace_csv(path: str) -> Sequence[StepRecord]:
@@ -275,7 +279,8 @@ def read_trace_csv(path: str) -> Sequence[StepRecord]:
     table).
     """
     cols = [[] for _ in CSV_COLUMNS]
-    with open(path, newline="", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 lands in its cell as a surrogate, which the cell's check refuses
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         # the writer never quotes: a quote stays in its cell, which is then refused
         reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
         header = next(reader, None)
@@ -300,10 +305,14 @@ def read_trace_csv(path: str) -> Sequence[StepRecord]:
 
 def write_summary_json(trace: Trace, pair: MethodPair, sigma: float, path: str) -> None:
     """The ``TraceSummary`` fields in order, then the bound coefficient."""
-    payload = {**asdict(trace.summary),
-               "bound_coefficient": sigma_bound(sigma, pair.lower.z, pair.r, 1.0)}
     with _rewritten(path) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(_summary(trace, pair, sigma))
+
+
+def _summary(trace: Trace, pair: MethodPair, sigma: float) -> str:
+    """The text of ``write_summary_json``, which ``run`` writes on its stack."""
+    return json.dumps({**asdict(trace.summary), "bound_coefficient": sigma_bound(
+        sigma, pair.lower.z, pair.r, 1.0)}, indent=2) + "\n"
 
 
 def figure1_export(trace: Trace, path: str) -> None:
@@ -313,7 +322,7 @@ def figure1_export(trace: Trace, path: str) -> None:
     Raises ``MissingDiagnostics`` when the trace was produced without an
     oracle (no measured errors to export), before the file is opened.
     """
-    _write_tables(trace, None, path, [])
+    _write_tables(trace, None, path)
 
 
 def _distinct_outputs(spec: RunSpec) -> None:
@@ -365,17 +374,16 @@ def run(spec: RunSpec) -> int:
         print(f"rk-error-lab: integration failed: {exc}", file=sys.stderr)
         return 4
 
-    opened = []  # the outputs this run has opened, which a failure removes
     try:
-        if spec.csv_path is not None or spec.figure_path is not None:
-            _write_tables(trace, spec.csv_path, spec.figure_path, opened)
-        if spec.json_path is not None:
-            write_summary_json(trace, pair, spec.sigma, spec.json_path)
+        # every output stays open until all are written, so a failure unwinds them all
+        with contextlib.ExitStack() as stack:
+            if spec.csv_path is not None or spec.figure_path is not None:
+                _write_tables(trace, spec.csv_path, spec.figure_path, stack)
+            if spec.json_path is not None:
+                summary = stack.enter_context(_rewritten(spec.json_path))
+                summary.write(_summary(trace, pair, spec.sigma))
     # ValueError: open() refuses a NUL in the path; MissingDiagnostics: --figure without an oracle
     except (OSError, ValueError, MissingDiagnostics) as exc:
-        for path in opened:
-            with contextlib.suppress(OSError):
-                os.remove(path)
         print(f"rk-error-lab: output failed: {exc}", file=sys.stderr)
         return 5
 

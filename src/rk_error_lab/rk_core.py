@@ -440,19 +440,16 @@ def _array_lane(pair: MethodPair, f: RHSFunction, shape: tuple[int, ...], rowwis
     ``shape``, evaluated by ``_stages`` with ``rowwise``.  Every call evaluates
     into one stage buffer and sums ``b @ k`` through BLAS on each row's
     contiguous ``(m, d)`` stages, the lower method's a slice of the slots and
-    the higher method's gathered.  Each increment is bit-identical to
+    the higher method's a ``take`` of them.  Each increment is bit-identical to
     ``increment_function`` of its method, over rows to that row's state's.
     """
     buf = _StageBuffer(len(pair.plan.rows), shape)
-    gathered = np.empty(shape[:-1] + (pair.higher.m, shape[-1]))
 
     def increments(x, y, h):
         _stages(pair.plan, f, x, y, h, buf, rowwise)
         # BLAS gives each row its own state's bits only where that row's (m, d)
-        # stages are one contiguous block, as in gathered; k[..., slots, :]
-        # would put the slot axis outermost.  mode="clip" lets take write
-        # straight into gathered (the slots are in range)
-        higher = buf.k.take(pair.higher_slots, -2, gathered, "clip")
+        # stages are one contiguous block, as take's C-ordered copy gives them
+        higher = buf.k.take(pair.higher_slots, -2)
         return pair.lower.b @ buf.k[..., :pair.lower.m, :], pair.higher.b @ higher
     return increments
 

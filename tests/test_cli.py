@@ -3,6 +3,7 @@ import codecs
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
@@ -12,6 +13,7 @@ import os
 import re
 import runpy
 import shlex
+import stat
 import sys
 import tempfile
 import time
@@ -364,10 +366,12 @@ def test_the_writers_memory_is_bounded(tmp_path, long_trace, outputs):
     # hold one block of each
     paths = [str(tmp_path / name) if wanted else None
              for name, wanted in zip(("trace.csv", "figure.csv"), outputs)]
-    cli._write_tables(long_trace, *paths, [])  # caches filled on first use are not the writers'
+    with contextlib.ExitStack() as stack:  # caches filled on first use are not the writers'
+        cli._write_tables(long_trace, *paths, stack)
     tracemalloc.start()
     try:
-        cli._write_tables(long_trace, *paths, [])
+        with contextlib.ExitStack() as stack:
+            cli._write_tables(long_trace, *paths, stack)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -612,15 +616,124 @@ def test_outputs_to_a_device_are_written_without_a_cut():
                      *(arg for flag in flags for arg in (flag, os.devnull))]) == 0
 
 
-def test_a_failed_write_leaves_what_was_written_before_it(tmp_path):
-    # the file is cut where the writer stopped, as a truncating open would leave it
-    path = tmp_path / "out.csv"
-    path.write_text("old," * 10_000)
-    with pytest.raises(RuntimeError, match="stop"):
-        with _rewritten(str(path)) as fh:
-            fh.write("new\n")
-            raise RuntimeError("stop")
-    assert path.read_bytes() == b"new\n"
+@pytest.fixture
+def removed(monkeypatch):
+    """The paths given to ``os.remove``, which still removes them."""
+    paths, remove = [], os.remove
+    monkeypatch.setattr(os, "remove", lambda path: (paths.append(path), remove(path)))
+    return paths
+
+
+def test_a_failed_write_removes_its_file_empties_a_linked_one_and_leaves_a_device(
+        tmp_path, removed):
+    # what was written before the failure may parse as a shorter trace, so no
+    # part of it stays: a regular file named by the path is removed, one reached
+    # through a symlink is cut to 0 bytes and the link kept, and a device is
+    # neither cut nor removed
+    path, target, link = (tmp_path / name for name in ("out.csv", "target.csv", "link.csv"))
+    for p in (path, target):
+        p.write_text("old," * 10_000)
+    link.symlink_to(target)
+    for out in (path, link, os.devnull):
+        with pytest.raises(RuntimeError, match="stop"):
+            with _rewritten(str(out)) as fh:
+                fh.write("new\n")
+                raise RuntimeError("stop")
+    assert removed == [str(path)] and sorted(tmp_path.iterdir()) == [link, target]
+    assert link.is_symlink() and target.read_bytes() == b""
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def _full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _failing_block(n):
+    """A ``_write_rows`` that writes ``n`` blocks and then finds the disk full."""
+    write_rows, calls = cli._write_rows, itertools.count()
+
+    def write(fh, cells):
+        if next(calls) == n:
+            _full()
+        write_rows(fh, cells)
+    return write
+
+
+@pytest.mark.parametrize("argv", [["--csv", os.devnull, "--figure", "/no/such/dir/f.csv"],
+                                  ["--figure", os.devnull, "--json", "/no/such/dir/s.json"]])
+def test_a_failed_run_leaves_a_device_alone(argv, monkeypatch, capsys):
+    # a run used to remove every output it had opened, /dev/null included, which
+    # as root deletes the device node: os.remove is a recorder here
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    assert main(["--problem", "decay", *argv]) == 5
+    assert "No such file or directory" in capsys.readouterr().err
+    assert removed == [] and stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_a_failed_run_keeps_a_symlinked_output_and_empties_its_target(tmp_path, capsys):
+    # a run used to remove the link and leave the target holding the trace's header
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n" * 100)
+    link.symlink_to(target)
+    assert main(["--problem", "decay", "--csv", str(link),
+                 "--figure", str(tmp_path / "missing" / "f.csv")]) == 5
+    assert "No such file or directory" in capsys.readouterr().err
+    assert link.is_symlink() and target.read_bytes() == b""
+
+
+def test_a_summary_that_fails_to_write_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # an empty summary used to stay behind once the trace was removed
+    monkeypatch.setattr(json, "dumps", _full)
+    assert main(["--problem", "decay", "--csv", str(tmp_path / "t.csv"),
+                 "--json", str(tmp_path / "s.json")]) == 5
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_trace_cut_short_by_a_full_disk_leaves_no_file(tmp_path, long_trace, monkeypatch):
+    # the first block of the delta=1e-12 run parses and holds no crossing, which
+    # comes later: such a file would say the global error stayed within delta
+    assert long_trace.summary.crossing_index > cli._BLOCK
+    monkeypatch.setattr(cli, "_write_rows", _failing_block(1))
+    with pytest.raises(OSError, match="No space left on device"):
+        write_trace_csv(long_trace, str(tmp_path / "trace.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["file", "symlink", "device"])
+@pytest.mark.parametrize("writer", ["write_trace_csv", "figure1_export", "write_summary_json"])
+def test_a_writer_called_alone_follows_the_failure_rule(tmp_path, monkeypatch, removed, writer,
+                                                        kind):
+    # a failure in the middle of the writing: the file is removed, a symlink
+    # kept and its target emptied, and a device left alone
+    trace = integrate(PAIR, builtin("decay"), ControllerConfig())
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    monkeypatch.setattr(cli, "_write_rows", _failing_block(0))
+    monkeypatch.setattr(json, "dumps", _full)
+    out = {"file": target, "symlink": link, "device": Path(os.devnull)}[kind]
+    args = (PAIR, RunSpec.sigma) if writer == "write_summary_json" else ()
+    with pytest.raises(OSError, match="No space left on device"):
+        getattr(cli, writer)(trace, *args, str(out))
+    assert removed == ([str(target)] if kind == "file" else [])
+    assert target.exists() == (kind != "file") and link.is_symlink()
+    assert kind == "file" or target.read_bytes() == (b"" if kind == "symlink" else b"old\n")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.parametrize("where", ["_write_rows", "dumps"])
+def test_an_interrupted_run_leaves_no_output(tmp_path, monkeypatch, where):
+    # Ctrl-C unwinds every output the run opened and goes on: the trace used to
+    # keep its header
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli if where == "_write_rows" else json, where, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["--problem", "decay", "--csv", str(tmp_path / "t.csv"),
+              "--json", str(tmp_path / "s.json"), "--figure", str(tmp_path / "f.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_x_end_override(tmp_path):
@@ -761,6 +874,16 @@ def test_malformed_rows_are_refused_with_their_line(tmp_path):
     path.write_text("\n".join(["x"] + lines[1:]) + "\n")
     with pytest.raises(ValueError, match="line 1: unexpected CSV header"):
         read_trace_csv(str(path))
+    # a byte that is not UTF-8 is refused as its cell, or as the header
+    undecodable = lines[3].split(",")
+    undecodable[x] = "\udcff" + undecodable[x][1:]
+    for bad, message in (([lines[0], lines[1], lines[2], ",".join(undecodable)],
+                          f"line 4: malformed cell {undecodable[x]!r}"),
+                         (["\udcff" + lines[0][1:]], "line 1: unexpected CSV header")):
+        path.write_bytes(("\n".join(bad + lines[len(bad):]) + "\n").encode(
+            "utf-8", "surrogateescape"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_trace_csv(str(path))
     path.write_text("\n".join(lines) + "\n")
     assert len(read_trace_csv(str(path))) == len(lines) - 1
 
