@@ -32,13 +32,13 @@ import json
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .controller import POLICIES, ControllerConfig, Trace, integrate
-from .error_analysis import _HINTS, StepRecord, _column, _Records, sigma_bound
+from .error_analysis import _HINTS, StepRecord, _column, _Records, _safety_factor, _sigma_bound
 from .problems import UnknownProblem, builtin, problem_names
 from .rk_core import MethodPair, UnknownPair, builtin_pair, pair_names
 
@@ -306,12 +306,14 @@ def read_trace_csv(path: str) -> Sequence[StepRecord]:
 def write_summary_json(trace: Trace, pair: MethodPair, sigma: float, path: str) -> None:
     """The ``TraceSummary`` fields in order, then the bound coefficient."""
     with _rewritten(path) as fh:
+        _safety_factor(sigma)
         fh.write(_summary(trace, pair, sigma))
 
 
 def _summary(trace: Trace, pair: MethodPair, sigma: float) -> str:
-    """The text of ``write_summary_json``, which ``run`` writes on its stack."""
-    return json.dumps({**asdict(trace.summary), "bound_coefficient": sigma_bound(
+    """The text of ``write_summary_json``, which ``run`` writes on its stack, for a
+    ``sigma`` already checked."""
+    return json.dumps({**vars(trace.summary), "bound_coefficient": _sigma_bound(
         sigma, pair.lower.z, pair.r, 1.0)}, indent=2) + "\n"
 
 

@@ -32,9 +32,9 @@ from .error_analysis import (
     _Records,
     _row_norms,
     _safety_factor,
+    _sigma_bound,
     _step_power,
     inf_norm,
-    sigma_bound,
 )
 from .problems import IVProblem
 from .rk_core import (_QUIET, MethodPair, RHSFunction, _array_lane, _count, _number, _one_state,
@@ -59,6 +59,10 @@ POLICIES = ("proportional", "reject-only")
 
 MAX_REJECTS = 20  # consecutive rejections allowed on one step
 MAX_GROWTH = 10.0  # largest factor by which a step may exceed the accepted step before it
+
+#: the columns the loop collects, in the order of its appends
+_LOOP_COLUMNS = ("x", "h", "cond_lhs", "rejects", "clamped", "w_lower", "w_higher",
+                 "beta_lower", "inc_lower")
 
 
 class StepsizeUnderflow(RuntimeError):
@@ -240,28 +244,27 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     else:
         increments, w = _array_lane(pair, p.f, p.y0.shape), p.y0
     h_work, h_min, h_max = _initial_stepsizes(pair, p, increments, w, cfg)
+    x_end, max_steps, proportional = p.x_end, cfg.max_steps, cfg.policy == "proportional"
     # reject-only never grows a step, so it needs at least span / h_init steps;
     # the factor 2 covers the rounding of x + h (a float-int comparison cannot overflow)
-    if cfg.policy == "reject-only" and (p.x_end - p.x0) / (2 * h_work) > cfg.max_steps:
+    if not proportional and (x_end - p.x0) / (2 * h_work) > max_steps:
         raise MaxStepsExceeded(f"{p.name}: reject-only at h_init={h_work} needs more than "
-                               f"max_steps={cfg.max_steps} steps to reach x_end={p.x_end}")
-    z, r = pair.lower.z, pair.r
-    delta = cfg.delta
-    bound = sigma_bound(cfg.sigma, z, r, delta)
+                               f"max_steps={max_steps} steps to reach x_end={x_end}")
+    z, delta = pair.lower.z, cfg.delta
 
     x, n = p.x0, 0
-    cols = {name: _collector(name, float_lane) for name in ("x", "h", "cond_lhs", "rejects",
-            "clamped", "w_lower", "w_higher", "beta_lower", "inc_lower")}
-    put = {name: append for name, (append, _) in cols.items()}  # values are put by column name
+    cols = {name: _collector(name, float_lane) for name in _LOOP_COLUMNS}
+    (put_x, put_h, put_est, put_rejects, put_clamped, put_w_lo, put_w_hi, put_beta,
+     put_inc) = [append for append, _ in cols.values()]
 
-    while x < p.x_end:
-        if n >= cfg.max_steps:
-            raise MaxStepsExceeded(f"{p.name}: {cfg.max_steps} accepted steps "
+    while x < x_end:
+        if n >= max_steps:
+            raise MaxStepsExceeded(f"{p.name}: {max_steps} accepted steps "
                                    "before reaching x_end")
         rejects = 0
         while True:
-            land = (p.x_end - x) <= h_work
-            h_step = p.x_end - x if land else h_work
+            land = (x_end - x) <= h_work
+            h_step = x_end - x if land else h_work
             # a Python bool even where x_end or h_work is a numpy float, for the bool column
             clamped = bool(land and h_step < h_work)
             inc_lo, w_lo, w_hi, beta, beta_norm, est = _attempt(pair, increments, x, w, h_step)
@@ -279,16 +282,15 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
                 raise StepsizeUnderflow(f"{p.name}: required stepsize at or below "
                                         f"h_min={h_min} at x={x}")
 
-        x_next = p.x_end if land else x + h_step
-        put["x"](x_next), put["h"](h_step), put["cond_lhs"](est), put["rejects"](rejects)
-        put["clamped"](clamped), put["w_lower"](w_lo), put["w_higher"](w_hi)
-        put["beta_lower"](beta), put["inc_lower"](inc_lo)
+        x_next = x_end if land else x + h_step
+        put_x(x_next), put_h(h_step), put_est(est), put_rejects(rejects), put_clamped(clamped)
+        put_w_lo(w_lo), put_w_hi(w_hi), put_beta(beta), put_inc(inc_lo)
         n += 1
         if not float_lane:  # the next attempt hands f this state itself, which f must not write
             w_hi.flags.writeable = False
         w = w_hi
         x = x_next
-        if cfg.policy == "proportional":
+        if proportional:
             h_cap = MAX_GROWTH * h_step
             h_work = _proposal(beta_norm, cfg, z, h_min, h_cap if h_cap < h_max else h_max)
         # reject-only keeps h_work as is
@@ -311,5 +313,7 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         crossing_x=None if crossing is None else c["x"].item(crossing),
         condition_violation_index=None if violation is None else violation + 1,
     )
-    c.update(i=np.arange(1, n + 1), bound=np.broadcast_to(bound, n))
+    # every step's bound is one float, a stride-0 column
+    bound = np.array([_sigma_bound(cfg.sigma, z, pair.r, delta)])
+    c.update(i=np.arange(1, n + 1), bound=np.ndarray(n, buffer=bound, strides=(0,)))
     return Trace(records=_Records(c, n), summary=summary)

@@ -29,11 +29,12 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .problems import IVProblem, reference_solution
+from .problems import _BLOCK, IVProblem, _exact_states, reference_solution
 from .rk_core import (
     ButcherTableau,
     MethodPair,
@@ -377,43 +378,67 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     """The oracle's columns, keyed as in ``StepRecord``, for the steps in the
     columns ``c`` of a finished run.
 
-    It makes three passes and raises the first failure it meets.  First the
-    exact state at ``x0`` and at every step's end, in step order, each checked
-    by ``reference_solution``, and ``y(x + h)`` of the landing step where it
-    misses ``x_end`` in the last bit.  Then the pair from every step's exact
-    state at once, over rows: through ``f`` itself for a ``rowwise`` problem,
-    else one row at a time.  Last the powers of ``h`` and the running mean,
-    step by step.  The fields follow over whole columns with the formulas of
-    ``local_error_exact``, ``alpha_propagation_term``, ``mean_beta_higher`` and
-    ``condition_check``, bit for bit.
+    It makes three passes and raises the first failure it meets.  First one
+    loop of lookups, in step order, by ``problems._exact_states``: the exact
+    state at ``x0`` and at every step's end, then ``y(x + h)`` of the landing
+    step where it misses ``x_end`` in the last bit.  Then the pair from every
+    step's exact state at once, over rows: through ``f`` itself for a
+    ``rowwise`` problem, else one row at a time.  Last the powers of ``h`` and
+    the running mean, in blocks of steps (``_step_powers``).  The fields
+    follow over whole columns with the formulas of ``local_error_exact``,
+    ``alpha_propagation_term``, ``mean_beta_higher`` and ``condition_check``,
+    bit for bit.
     """
     h, n = c["h"], len(c["h"])
     xs = np.concatenate(((p.x0,), c["x"]))  # each step's start, then x_end
-    y = np.empty((n + 1, *p.y0.shape))
-    for k, x_k in enumerate(xs.tolist()):
-        y[k] = reference_solution(p, x_k)
+    x_last = xs.item(-2) + h.item(-1)  # the landing step's x + h, looked up last if not x_end
+    y = _exact_states(p, xs.tolist() + ([x_last] if x_last != xs.item(-1) else []))
     y.flags.writeable = False  # stage 1 hands f views of these exact states, made below
-    y_x, y_next = y[:-1], y[1:]
-    y_xh, x_last = y_next, xs.item(-2) + h.item(-1)
-    if x_last != xs.item(-1):
-        y_xh = y_next.copy()
-        y_xh[-1] = reference_solution(p, x_last)
+    y_x, y_next = y[:n], y[1:n + 1]
     exact_lower, exact_higher = _array_lane(pair, p.f, y_x.shape, p.rowwise)(xs[:-1], y_x, h)
     w = np.concatenate((p.y0[None], c["w_higher"][:-1]))
-    h = h[:, None]  # each row's stepsize scales that row's components
-    eps_higher = _local_error(y_x, exact_higher, y_xh, h)
+    hs, h = h, h[:, None]  # each row's stepsize scales that row's components
+    eps_higher = _local_errors(y, exact_higher, h)
     # fl(max_i |e_i| / hp) is max_i fl(|e_i| / hp): division by hp > 0 is monotone
-    hp_cond, means, mean = np.empty(n), np.empty(n), 0.0
-    for k, v in enumerate(_row_norms(eps_higher).tolist()):
-        hp = _step_power(h.item(k), pair.higher.z + 1)
-        hp_cond[k] = _step_power(h.item(k), pair.lower.z + 2)
-        mean = means[k] = _mean_pushed(mean, v / hp, k + 1)
+    denom, mean, k = array("d"), 0.0, 0  # each step's mean|beta_higher| * h**(z+2)
+    for s in range(0, n, _BLOCK):
+        hp, hc = _step_powers(hs[s:s + _BLOCK].tolist(), pair.higher.z + 1, pair.lower.z + 2)
+        for v, hp_k, hc_k in zip(_row_norms(eps_higher[s:s + _BLOCK]).tolist(), hp, hc):
+            k += 1
+            mean += (v / hp_k - mean) / k  # _mean_pushed
+            denom.append(mean * hc_k)
     i = np.arange(1, n + 1, dtype=float)
-    cond_rhs, cond_holds = _condition(i, c["cond_lhs"], means * hp_cond)
-    return {"eps_lower": _local_error(y_x, exact_lower, y_xh, h),
+    cond_rhs, cond_holds = _condition(i, c["cond_lhs"], np.frombuffer(denom))
+    return {"eps_lower": _local_errors(y, exact_lower, h),
             "delta_lower": c["w_lower"] - y_next, "delta_higher": c["w_higher"] - y_next,
             "alpha_term": _alpha_term(y_x, w, c["inc_lower"], exact_lower, h),
             "cond_rhs": cond_rhs, "cond_holds": cond_holds}
+
+
+def _local_errors(y: np.ndarray, inc: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``_local_error`` of every step, over rows, from the exact states ``y`` of
+    ``_oracle_fields``: a step's ``y(x + h)`` is the next row, except that the
+    landing step's is the last row where it is a lookup of its own."""
+    n = len(inc)
+    eps = _local_error(y[:n], inc, y[1:n + 1], h)
+    if len(y) > n + 1:
+        eps[-1] = _local_error(y[n - 1], inc[-1], y[-1], h[-1])
+    return eps
+
+
+def _step_powers(hs: list[float], a: int, b: int) -> tuple[list[float], list[float]]:
+    """``h**a`` and ``h**b`` for every stepsize ``h`` of ``hs``, as two lists, one list
+    when ``a == b``.  Raises as ``_step_power`` does, at the earliest ``h`` whose
+    power fails, ``h**a`` before ``h**b``."""
+    try:
+        hp = list(map(pow, hs, repeat(a)))
+        hc = hp if b == a else list(map(pow, hs, repeat(b)))
+    except OverflowError:
+        hp = hc = [0.0]
+    if 0.0 in hp or 0.0 in hc:
+        for h in hs:  # raises at the earliest failing power
+            _step_power(h, a), _step_power(h, b)
+    return hp, hc
 
 
 def _safety_factor(sigma) -> None:
@@ -431,6 +456,11 @@ def sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:
     _positive_finite("delta", delta)
     _count("z", z)
     _count("r", r)
+    return _sigma_bound(sigma, z, r, delta)
+
+
+def _sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:
+    """``sigma_bound`` without its checks, which a run's checked settings and pair skip."""
     return (sigma ** (z + 1) + sigma ** (z + r + 1)) * delta
 
 

@@ -414,7 +414,7 @@ class _StageBuffer:
 
     def __init__(self, slots: int, shape: tuple[int, ...]):
         self.k = np.empty(shape[:-1] + (slots, shape[-1]))
-        self.slot = list(np.moveaxis(self.k, -2, 0))
+        self.slot = [self.k[..., p, :] for p in range(slots)]
 
     def store(self, p: int, v, i: int | None = None) -> None:
         """Store ``v`` into slot ``p``, or into its row ``i``, which a refusal names.

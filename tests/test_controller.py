@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pins import FLAGSHIP, same_bits
-from rk_error_lab import controller, rk_core
+from rk_error_lab import controller, problems, rk_core
 from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
 from rk_error_lab.error_analysis import _Records, _row_norms
 from rk_error_lab import (
@@ -628,7 +628,7 @@ def test_a_run_retains_at_most_a_quarter_kilobyte_per_accepted_step(oracle, p):
     # and 0.67 KB, and 0.17 KB and 0.09 KB in the array lane at d = 2.  The peak
     # bounds what the loop holds on the way: a list of row tuples, or of (d,)
     # arrays, converted after the loop would exceed it.  The oracle's rows hold
-    # every step's stages at once, so its peak grows with d (0.34 KB at d = 2).
+    # every step's stages at once, so its peak grows with d (0.32 KB at d = 2).
     # An f that takes one state at a time has its values stored straight into
     # each row of the stage's slot, so its oracle peaks about as a rowwise f's does
     if not oracle:
@@ -861,10 +861,13 @@ def test_bound_respected_while_condition_holds_on_contracting_problems():
 # --- integrate: failure modes ----------------------------------------------------------
 
 def test_oracle_failure_is_raised_at_its_own_step():
-    # h**5 underflows in the oracle of the finished 10-step run; a cap of one
-    # step ends the run first, with or without the oracle
+    # h**5 underflows at every step in the oracle of the finished 10-step run,
+    # and the powers taken over a block of steps name the first step's h; a cap
+    # of one step ends the run first, with or without the oracle
     p = builtin("decay").with_x_end(1e-68)
-    with pytest.raises(StepUnderflow, match=re.escape("h**5 underflowed")):
+    h = integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records[0].h
+    message = f"h**5 underflowed for h={h}"
+    with pytest.raises(StepUnderflow, match=f"^{re.escape(message)}$"):
         integrate(PAIR, p, flagship_config())
     for q in (p, dataclasses.replace(p, exact=None)):
         with pytest.raises(MaxStepsExceeded, match="1 accepted steps"):
@@ -923,6 +926,38 @@ def test_a_non_finite_exact_solution_is_refused_where_the_oracle_takes_it_in(val
         message = f"{base.name}: exact solution at x={x_bad} is not finite"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         integrate(PAIR, p, flagship_config())
+
+
+@pytest.mark.parametrize("block", [None, 4], ids=["one_block", "blocks_of_4"])
+@pytest.mark.parametrize("later", ["overflow", "shape"])
+def test_a_non_finite_exact_state_fails_before_a_later_lookup(monkeypatch, later, block):
+    # the lookups test finiteness once per block of rows; a NaN at the end of
+    # step j is still raised as its own failure when the lookup at the end of
+    # step j + 3 raises OverflowError or returns the wrong shape, in the same
+    # block of lookups (1024 rows) or in the next one (4 rows, by a patch)
+    if block is not None:
+        monkeypatch.setattr(problems, "_BLOCK", block)
+    decay = builtin("decay")
+    records = integrate(PAIR, dataclasses.replace(decay, exact=None), flagship_config()).records
+    x_nan, x_bad = records[5].x, records[8].x
+
+    def exact(x, nan=True):
+        if x == x_bad:
+            if later == "overflow":
+                raise OverflowError("math range error")
+            return np.array([1.0, 2.0])
+        return np.array([math.nan]) if nan and x == x_nan else decay.exact(x)
+    later_failure = {
+        "overflow": (OverflowError, f"decay: exact solution overflows at x={x_bad}"),
+        "shape": (ValueError, f"decay: exact solution at x={x_bad} has shape (2,), "
+                              "y0 has shape (1,)")}[later]
+    # without the NaN the later lookup fails; with it the NaN fails first
+    for nan, (error, message) in [(False, later_failure),
+                                  (True, (ValueError, f"decay: exact solution at x={x_nan} "
+                                                      "is not finite"))]:
+        p = dataclasses.replace(decay, exact=lambda x: exact(x, nan))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            integrate(PAIR, p, flagship_config())
 
 
 def _decay_failing_at(nan_at, raise_at, shapes):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from rk_error_lab import problems
 from rk_error_lab import (
     GROWTH_RATE,
     ControllerConfig,
@@ -86,6 +87,38 @@ def test_exact_that_is_not_real_numbers_is_refused_by_name(value):
                   exact=lambda x: np.array([math.exp(-x)]) if x == 0.0 else value)
     with pytest.raises(ValueError, match=f"^{re.escape(f'odd: exact solution at x=0.5 {what}')}$"):
         reference_solution(p, 0.5)
+
+
+_REFUSED_EXACT_VALUES = {"dict": {}, "str": "1.0", "none": None, "complex": np.array([1j]),
+                         "shape": np.array([1.0, 2.0]), "nan": np.array([math.nan]),
+                         "inf": np.array([math.inf]), "-inf": np.array([-math.inf]),
+                         "overflow": OverflowError("math range error")}
+
+
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("case", _REFUSED_EXACT_VALUES)
+def test_the_oracle_lookup_refuses_what_reference_solution_refuses(case, k):
+    # the oracle's lookups and reference_solution share one check of a value
+    # of exact: the same value is refused with the same class and message,
+    # at the first lookup of a block or later in it
+    xs = [0.1 * j for j in range(1, 9)]
+    value = _REFUSED_EXACT_VALUES[case]
+
+    def exact(x):
+        if x != xs[k]:
+            return np.array([math.exp(-x)])
+        if isinstance(value, Exception):
+            raise value
+        return value
+    p = IVProblem(name="odd", f=lambda x, y: -y, x0=0.0, y0=[1.0], x_end=1.0, exact=exact)
+    with pytest.raises((ValueError, OverflowError)) as alone:
+        reference_solution(p, xs[k])
+    with pytest.raises((ValueError, OverflowError)) as lookups:
+        problems._exact_states(p, xs)
+    assert type(lookups.value) is type(alone.value)
+    assert str(lookups.value) == str(alone.value)
+    assert str(alone.value).startswith("odd: exact solution ")
+    assert f"at x={xs[k]}" in str(alone.value)
 
 
 def test_scalar_flag_needs_a_one_component_state():
