@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controller import POLICIES, ControllerConfig, Trace, integrate
-from .error_analysis import _HINTS, StepRecord, _column, _Records, _safety_factor, _sigma_bound
+from .error_analysis import _HINTS, StepRecord, _column, _Records, sigma_bound
 from .problems import UnknownProblem, builtin, problem_names
 from .rk_core import MethodPair, UnknownPair, builtin_pair, pair_names
 
@@ -306,14 +306,13 @@ def read_trace_csv(path: str) -> Sequence[StepRecord]:
 def write_summary_json(trace: Trace, pair: MethodPair, sigma: float, path: str) -> None:
     """The ``TraceSummary`` fields in order, then the bound coefficient."""
     with _rewritten(path) as fh:
-        _safety_factor(sigma)
         fh.write(_summary(trace, pair, sigma))
 
 
 def _summary(trace: Trace, pair: MethodPair, sigma: float) -> str:
-    """The text of ``write_summary_json``, which ``run`` writes on its stack, for a
-    ``sigma`` already checked."""
-    return json.dumps({**vars(trace.summary), "bound_coefficient": _sigma_bound(
+    """The text of ``write_summary_json``, which ``run`` writes on its stack.  Raises
+    ``ValueError`` where ``sigma_bound`` does, for a ``sigma`` outside ``(0, 1]``."""
+    return json.dumps({**vars(trace.summary), "bound_coefficient": sigma_bound(
         sigma, pair.lower.z, pair.r, 1.0)}, indent=2) + "\n"
 
 

@@ -26,15 +26,16 @@ import numpy as np
 from .error_analysis import (
     StepRecord,
     StepsizeOutOfRange,
+    _MAX_STEPS,
     _collector,
     _first,
     _oracle_fields,
     _Records,
     _row_norms,
     _safety_factor,
-    _sigma_bound,
     _step_power,
     inf_norm,
+    sigma_bound,
 )
 from .problems import IVProblem
 from .rk_core import (_QUIET, MethodPair, RHSFunction, _array_lane, _count, _number, _one_state,
@@ -98,7 +99,7 @@ class ControllerConfig:
     sigma: float = 0.8
     h_init: Optional[float] = None
     policy: str = "proportional"
-    max_steps: int = 1_000_000
+    max_steps: int = _MAX_STEPS
 
     def __post_init__(self):
         _positive_finite("delta", self.delta)
@@ -314,6 +315,6 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
         condition_violation_index=None if violation is None else violation + 1,
     )
     # every step's bound is one float, a stride-0 column
-    bound = np.array([_sigma_bound(cfg.sigma, z, pair.r, delta)])
+    bound = np.array([sigma_bound(cfg.sigma, z, pair.r, delta)])
     c.update(i=np.arange(1, n + 1), bound=np.ndarray(n, buffer=bound, strides=(0,)))
     return Trace(records=_Records(c, n), summary=summary)

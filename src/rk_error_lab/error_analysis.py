@@ -29,12 +29,11 @@ import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple, Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .problems import _BLOCK, IVProblem, _exact_states, reference_solution
+from .problems import IVProblem, _exact_states, reference_solution
 from .rk_core import (
     ButcherTableau,
     MethodPair,
@@ -373,6 +372,11 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=1)
 
 
+#: steps per block of the oracle's mean loop, which holds one block's norms and
+#: stepsizes as Python floats at a time
+_BLOCK = 1024
+
+
 def _oracle_fields(pair: MethodPair, p: IVProblem,
                    c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The oracle's columns, keyed as in ``StepRecord``, for the steps in the
@@ -383,11 +387,11 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     state at ``x0`` and at every step's end, then ``y(x + h)`` of the landing
     step where it misses ``x_end`` in the last bit.  Then the pair from every
     step's exact state at once, over rows: through ``f`` itself for a
-    ``rowwise`` problem, else one row at a time.  Last the powers of ``h`` and
-    the running mean, in blocks of steps (``_step_powers``).  The fields
-    follow over whole columns with the formulas of ``local_error_exact``,
-    ``alpha_propagation_term``, ``mean_beta_higher`` and ``condition_check``,
-    bit for bit.
+    ``rowwise`` problem, else one row at a time.  Last one float loop, in blocks
+    of ``_BLOCK`` steps, takes each step's powers of ``h`` and the running mean;
+    a power that underflows raises at its step.  The fields follow over whole
+    columns with the formulas of ``local_error_exact``, ``alpha_propagation_term``,
+    ``mean_beta_higher`` and ``condition_check``, bit for bit.
     """
     h, n = c["h"], len(c["h"])
     xs = np.concatenate(((p.x0,), c["x"]))  # each step's start, then x_end
@@ -399,11 +403,17 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     w = np.concatenate((p.y0[None], c["w_higher"][:-1]))
     hs, h = h, h[:, None]  # each row's stepsize scales that row's components
     eps_higher = _local_errors(y, exact_higher, h)
+    a, b = pair.higher.z + 1, pair.lower.z + 2
     # fl(max_i |e_i| / hp) is max_i fl(|e_i| / hp): division by hp > 0 is monotone
     denom, mean, k = array("d"), 0.0, 0  # each step's mean|beta_higher| * h**(z+2)
     for s in range(0, n, _BLOCK):
-        hp, hc = _step_powers(hs[s:s + _BLOCK].tolist(), pair.higher.z + 1, pair.lower.z + 2)
-        for v, hp_k, hc_k in zip(_row_norms(eps_higher[s:s + _BLOCK]).tolist(), hp, hc):
+        block = slice(s, s + _BLOCK)
+        for v, h_k in zip(_row_norms(eps_higher[block]).tolist(), hs[block].tolist()):
+            # no power overflows: _initial_stepsizes refuses a span whose h_max**(higher.z + 1)
+            # does, every accepted h is at most h_max, and b = lower.z + 2 <= higher.z + 1
+            hp_k, hc_k = h_k ** a, h_k ** b
+            if hp_k == 0.0 or hc_k == 0.0:
+                _step_power(h_k, a), _step_power(h_k, b)  # raises, h**a first
             k += 1
             mean += (v / hp_k - mean) / k  # _mean_pushed
             denom.append(mean * hc_k)
@@ -426,21 +436,6 @@ def _local_errors(y: np.ndarray, inc: np.ndarray, h: np.ndarray) -> np.ndarray:
     return eps
 
 
-def _step_powers(hs: list[float], a: int, b: int) -> tuple[list[float], list[float]]:
-    """``h**a`` and ``h**b`` for every stepsize ``h`` of ``hs``, as two lists, one list
-    when ``a == b``.  Raises as ``_step_power`` does, at the earliest ``h`` whose
-    power fails, ``h**a`` before ``h**b``."""
-    try:
-        hp = list(map(pow, hs, repeat(a)))
-        hc = hp if b == a else list(map(pow, hs, repeat(b)))
-    except OverflowError:
-        hp = hc = [0.0]
-    if 0.0 in hp or 0.0 in hc:
-        for h in hs:  # raises at the earliest failing power
-            _step_power(h, a), _step_power(h, b)
-    return hp, hc
-
-
 def _safety_factor(sigma) -> None:
     _number("sigma", sigma, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
@@ -450,17 +445,14 @@ def sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:
 
     This is the level the propagated global error is expected to respect for
     as long as the accumulation condition holds; its coefficient drops below
-    1 only for small enough safety factors and high enough orders.
+    1 only for small enough safety factors and high enough orders.  Raises
+    ``ValueError`` for a ``sigma`` outside ``(0, 1]`` and as ``_count`` and
+    ``_positive_finite`` do.
     """
     _safety_factor(sigma)
     _positive_finite("delta", delta)
     _count("z", z)
     _count("r", r)
-    return _sigma_bound(sigma, z, r, delta)
-
-
-def _sigma_bound(sigma: float, z: int, r: int, delta: float) -> float:
-    """``sigma_bound`` without its checks, which a run's checked settings and pair skip."""
     return (sigma ** (z + 1) + sigma ** (z + r + 1)) * delta
 
 
@@ -487,6 +479,10 @@ def _first(mask: np.ndarray) -> Optional[int]:
     return k if mask[k] else None
 
 
+#: ``ControllerConfig``'s default ``max_steps``, and the cap of ``empirical_order``'s fixed steps
+_MAX_STEPS = 1_000_000
+
+
 def empirical_order(
     t: ButcherTableau,
     p: IVProblem,
@@ -502,6 +498,9 @@ def empirical_order(
 
     Raises
     ------
+    ValueError
+        If ``mode`` or ``h_set`` is malformed, or, in the global mode, before
+        the first sample, if an ``h`` needs more than ``_MAX_STEPS`` steps.
     DegenerateFit
         If any sampled error is within 100 ulp of the reference scale,
         i.e. the stepsizes are too small for a meaningful fit.
@@ -511,14 +510,20 @@ def empirical_order(
     hs = [float(_positive_finite(f"h_set[{k}]", h)) for k, h in enumerate(h_set)]
     if len(hs) < 4 or len(set(hs)) != len(hs):
         raise ValueError(f"h_set needs at least 4 distinct positive finite stepsizes, got {hs}")
+    span = p.x_end - p.x0
+    for k, h in enumerate(hs):
+        # round(span / h) > _MAX_STEPS, also where span / h overflows to inf
+        if mode == "global" and span / h > _MAX_STEPS + 0.5:
+            raise ValueError(f"h_set[{k}]={h!r} needs {span / h:.6g} fixed steps over "
+                             f"[{p.x0}, {p.x_end}], more than {_MAX_STEPS}")
 
     log_h, log_err = [], []
     for h in hs:
         if mode == "local":
             h_used, x, w = h, p.x0 + h, rk_step(t, p.f, p.x0, p.y0, h)
         else:
-            n = max(1, round((p.x_end - p.x0) / h))
-            h_used, x, w = (p.x_end - p.x0) / n, p.x_end, p.y0
+            n = max(1, round(span / h))
+            h_used, x, w = span / n, p.x_end, p.y0
             for j in range(n):
                 w = rk_step(t, p.f, p.x0 + j * h_used, w, h_used)
         y_ref = reference_solution(p, x)

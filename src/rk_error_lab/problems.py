@@ -88,20 +88,16 @@ def reference_solution(p: IVProblem, x: float) -> np.ndarray:
     """True solution at ``x`` from the problem's registered exact function, as a
     float array of ``y0``'s shape: the one-x case of ``_exact_states``.
 
-    Raises ``ValueError`` naming the problem if it has no exact solution, and
-    otherwise what ``_exact_states`` raises: ``ValueError`` naming the problem
-    and ``x`` if ``x`` lies outside its interval or the value is refused, and
+    Raises ``ValueError`` naming the problem if it has no exact solution,
+    ``ValueError`` if ``x`` is not a real number, and otherwise what
+    ``_exact_states`` raises: ``ValueError`` naming the problem and ``x`` if
+    ``x`` lies outside its interval or the value is refused, and
     ``OverflowError`` naming the problem if the exact function overflows.
     """
     if p.exact is None:
         raise ValueError(f"{p.name}: no exact solution to take a reference from")
-    if type(x) is not float:  # a float skips the call
-        _number("x", x, "a real number", lambda v: True)
+    _number("x", x, "a real number", lambda v: True)
     return _exact_states(p, [x])[0]
-
-
-#: lookups per block of ``_exact_states``, which tests their finiteness once per block
-_BLOCK = 1024
 
 
 def _exact_states(p: IVProblem, xs: list) -> np.ndarray:
@@ -111,32 +107,31 @@ def _exact_states(p: IVProblem, xs: list) -> np.ndarray:
 
     A float64 value of ``y0``'s shape is stored as it is; any other goes
     through the one conversion, ``rk_core._real_numbers``.  Finiteness is
-    tested once per block of ``_BLOCK`` rows, and before any failure of a
-    later lookup in the block, so the earliest failure is raised: a
-    ``ValueError`` naming the problem and ``x`` if ``x`` lies outside the
-    interval or the value is refused or not finite, and an ``OverflowError``
-    naming the problem if the exact function overflows.  Any other exception
-    of ``exact`` propagates as it is.
+    tested once, over all rows after the loop, and over the rows before a
+    lookup that fails, so the earliest failure is raised: a ``ValueError``
+    naming the problem and ``x`` if ``x`` lies outside the interval or the
+    value is refused or not finite, and an ``OverflowError`` naming the problem
+    if the exact function overflows.  Any other exception of ``exact``
+    propagates as it is.
     """
     exact, shape, span = p.exact, p.y0.shape, p.x_end - p.x0
     lo, hi = p.x0 - 1e-12 * span, p.x_end + 1e-12 * span
     y = np.empty((len(xs), *shape))
-    for s in range(0, len(xs), _BLOCK):
-        for k, x in enumerate(xs[s:s + _BLOCK], s):
+    for k, x in enumerate(xs):
+        try:
+            if not lo <= x <= hi:
+                raise ValueError(f"{p.name}: x={x} outside [{p.x0}, {p.x_end}]")
             try:
-                if not lo <= x <= hi:
-                    raise ValueError(f"x={x} outside [{p.x0}, {p.x_end}]")
-                try:
-                    v = exact(x)
-                except OverflowError:
-                    raise OverflowError(f"{p.name}: exact solution overflows at x={x}") from None
-                if getattr(v, "dtype", None) is not _FLOAT or v.shape != shape:
-                    v = _exact_value(p, x, v)
-            except Exception:
-                _finite(p, xs, y, s, k)  # a value before it that is not finite fails first
-                raise
-            y[k] = v
-        _finite(p, xs, y, s, k + 1)
+                v = exact(x)
+            except OverflowError:
+                raise OverflowError(f"{p.name}: exact solution overflows at x={x}") from None
+            if getattr(v, "dtype", None) is not _FLOAT or v.shape != shape:
+                v = _exact_value(p, x, v)
+        except Exception:
+            _finite(p, xs, y[:k])  # a value before it that is not finite fails first
+            raise
+        y[k] = v
+    _finite(p, xs, y)
     return y
 
 
@@ -154,12 +149,12 @@ def _exact_value(p: IVProblem, x, v) -> np.ndarray:
     return v
 
 
-def _finite(p: IVProblem, xs: list, y: np.ndarray, start: int, end: int) -> None:
-    """Raise ``ValueError`` naming the ``x`` of the first of rows ``start .. end - 1``
-    of ``y``, the lookups of ``xs``, that is not finite."""
-    finite = np.isfinite(y[start:end]).all(axis=1)
+def _finite(p: IVProblem, xs: list, rows: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the ``x`` of the first of ``rows``, the first
+    lookups of ``xs``, that is not finite."""
+    finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        x = xs[start + int(np.argmin(finite))]
+        x = xs[int(np.argmin(finite))]
         raise ValueError(f"{p.name}: exact solution at x={x} is not finite") from None
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pins import FLAGSHIP, same_bits
-from rk_error_lab import controller, problems, rk_core
+from rk_error_lab import controller, rk_core
 from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
 from rk_error_lab.error_analysis import _Records, _row_norms
 from rk_error_lab import (
@@ -862,7 +862,7 @@ def test_bound_respected_while_condition_holds_on_contracting_problems():
 
 def test_oracle_failure_is_raised_at_its_own_step():
     # h**5 underflows at every step in the oracle of the finished 10-step run,
-    # and the powers taken over a block of steps name the first step's h; a cap
+    # and the oracle's mean loop raises at the first step, naming its h; a cap
     # of one step ends the run first, with or without the oracle
     p = builtin("decay").with_x_end(1e-68)
     h = integrate(PAIR, dataclasses.replace(p, exact=None), flagship_config()).records[0].h
@@ -928,15 +928,12 @@ def test_a_non_finite_exact_solution_is_refused_where_the_oracle_takes_it_in(val
         integrate(PAIR, p, flagship_config())
 
 
-@pytest.mark.parametrize("block", [None, 4], ids=["one_block", "blocks_of_4"])
 @pytest.mark.parametrize("later", ["overflow", "shape"])
-def test_a_non_finite_exact_state_fails_before_a_later_lookup(monkeypatch, later, block):
-    # the lookups test finiteness once per block of rows; a NaN at the end of
-    # step j is still raised as its own failure when the lookup at the end of
-    # step j + 3 raises OverflowError or returns the wrong shape, in the same
-    # block of lookups (1024 rows) or in the next one (4 rows, by a patch)
-    if block is not None:
-        monkeypatch.setattr(problems, "_BLOCK", block)
+def test_a_non_finite_exact_state_fails_before_a_later_lookup(later):
+    # the lookups test finiteness after the loop, or over the rows before a
+    # lookup that fails; a NaN at the end of step j is still raised as its own
+    # failure when the lookup at the end of step j + 3 raises OverflowError or
+    # returns the wrong shape
     decay = builtin("decay")
     records = integrate(PAIR, dataclasses.replace(decay, exact=None), flagship_config()).records
     x_nan, x_bad = records[5].x, records[8].x

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -369,6 +370,20 @@ def test_empirical_order_argument_checks():
             with pytest.raises(ValueError, match=rf"^h_set\[3\] must be positive and finite, "
                                                  rf"got {bad!r}$"):
                 empirical_order(kutta3(), p, mode, [0.1, 0.05, 0.025, bad])
+
+
+@pytest.mark.parametrize("h, steps", [(1e-9, "1e+10"), (1e-300, "1e+301"), (5e-324, "inf")])
+def test_global_order_refuses_a_stepsize_past_the_step_cap(h, steps):
+    # a fixed-step run of more than 1_000_000 steps is refused before the first
+    # sample; 1e-9 on decay used to take 1e10 steps, 1e-300 never ended and
+    # 5e-324, whose step count overflows, raised OverflowError
+    calls = []
+    decay = builtin("decay")
+    p = dataclasses.replace(decay, f=lambda x, y: calls.append(x) or decay.f(x, y))
+    message = f"h_set[1]={h!r} needs {steps} fixed steps over [0.0, 10.0], more than 1000000"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        empirical_order(classic_rk4(), p, "global", [0.1, h, 0.2, 0.3])
+    assert calls == []
 
 
 # --- recursion closure and cancellation ------------------------------------------

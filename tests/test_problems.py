@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -13,6 +14,8 @@ from rk_error_lab import (
     builtin,
     builtin_pair,
     integrate,
+    kutta3,
+    local_error_exact,
     problem_names,
     reference_solution,
 )
@@ -100,7 +103,7 @@ _REFUSED_EXACT_VALUES = {"dict": {}, "str": "1.0", "none": None, "complex": np.a
 def test_the_oracle_lookup_refuses_what_reference_solution_refuses(case, k):
     # the oracle's lookups and reference_solution share one check of a value
     # of exact: the same value is refused with the same class and message,
-    # at the first lookup of a block or later in it
+    # at the first lookup or a later one
     xs = [0.1 * j for j in range(1, 9)]
     value = _REFUSED_EXACT_VALUES[case]
 
@@ -119,6 +122,22 @@ def test_the_oracle_lookup_refuses_what_reference_solution_refuses(case, k):
     assert str(lookups.value) == str(alone.value)
     assert str(alone.value).startswith("odd: exact solution ")
     assert f"at x={xs[k]}" in str(alone.value)
+
+
+@pytest.mark.parametrize("form", [float, lambda v: [v], lambda v: (v,), np.float64,
+                                  lambda v: np.array(v)],
+                         ids=["float", "list", "tuple", "float64", "0-d"])
+def test_an_exact_value_of_another_form_gives_the_same_run(form):
+    # a value of exact that is not a float64 array of y0's shape goes through the
+    # conversion; each form of decay's y(x) gives the built-in's columns bit for bit
+    decay = builtin("decay")
+    want = integrate(PAIR, decay, ControllerConfig())
+    got = integrate(PAIR, dataclasses.replace(
+        decay, exact=lambda x: form(math.exp(-x))), ControllerConfig())
+    assert got.summary == want.summary
+    for name, col in want.records.columns.items():
+        other = got.records.columns[name]
+        assert other.dtype == col.dtype and other.tobytes() == col.tobytes(), name
 
 
 def test_scalar_flag_needs_a_one_component_state():
@@ -206,9 +225,12 @@ def test_reference_requires_exact_solution():
 
 
 def test_reference_rejects_bad_arguments():
+    # an x outside the interval is refused with the problem's name, by every reader
     p = builtin("decay")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape('decay: x=11.0 outside [0.0, 10.0]')}$"):
         reference_solution(p, 11.0)
+    with pytest.raises(ValueError, match=f"^{re.escape('decay: x=10.4 outside [0.0, 10.0]')}$"):
+        local_error_exact(kutta3(), p, 9.9, 0.5)
     # math.exp raises instead of returning inf; the error names the problem
     p = builtin("paper_exponential").with_x_end(2e4)
     with pytest.raises(OverflowError, match="paper_exponential: exact solution overflows"):
