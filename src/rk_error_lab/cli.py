@@ -5,16 +5,9 @@ totals as a JSON summary, and optionally a two-series file (local error and
 propagated-error term against the abscissa) ready for plotting.  Floats are
 serialized as shortest round-trip decimals so a parsed trace reproduces the
 in-memory records bit for bit.  The trace and the figure are written in one
-pass over blocks of 1024 rows, which formats each column they need once per
-block, column by column, so a row costs its float ``repr``s and little more.
-A figure row formats nothing of its own: it takes the trace's ``x`` cell and,
-for each norm, the cell of the component of largest magnitude without its
-sign, which is the ``repr`` of the max norm bit for bit.  ``write_trace_csv``
-and ``figure1_export`` are that pass with one output.  Writing both outputs
-of a 10 438-row trace peaks at about 1.2 MB under ``tracemalloc`` (the
-tests bound it at 2 MB), since one block of each is held.  A run refuses two
-output flags that name one file.  What a failed output leaves is the rule of
-README's Failures paragraph, which ``_rewritten`` applies to every output.
+pass, by ``_write_tables``.  A run refuses two output flags that name one
+file.  What a failed output leaves is the rule of README's Failures
+paragraph, which ``_rewritten`` applies to every output.
 
 The exit codes are those of the README's failure table: 0 completed run, 2
 usage error, 3 unknown problem or pair name, 4 integrator failure, 5 output
@@ -144,26 +137,22 @@ _CHECKS = [(lambda v: v >= 0) if name == "rejects" else None for name in CSV_COL
 _BLOCK = 1024  # rows formatted at a time, which bounds the writers' transient memory
 
 
-def _component_cells(block: np.ndarray) -> list:
-    """The reprs of the rows of a block of states, one iterator per component."""
-    return [map(repr, c) for c in block.T.tolist()]
-
-
-def _state_cells(components: list):
-    """The cells of states from the cells of their components: one component's
-    cells as they are, more joined by ";"."""
+def _state_cells(block: np.ndarray):
+    """The cells of a block of states: each row's component reprs, joined by ";"."""
+    components = [map(repr, c) for c in block.T.tolist()]
     return components[0] if len(components) == 1 else map(";".join, zip(*components))
 
 
-def _norm_cells(block: np.ndarray, components: list):
-    """``repr`` of each row's max norm (``_row_norms``), taken from the cells of
-    the row's components and formatting no float: the cell of the component of
+def _norm_cells(block: np.ndarray, cells):
+    """``repr`` of each row's max norm (``_row_norms``), taken from the block's
+    state cells and formatting no float: the cell's part of the component of
     largest magnitude (the first on a tie, a NaN over any number) without its
     sign.  Dropping the sign of a float's ``repr`` gives the ``repr`` of its
     absolute value, ``-0.0``, ``-inf`` and NaN included."""
-    picked = components[0] if len(components) == 1 else map(
-        tuple.__getitem__, zip(*components), np.abs(block).argmax(axis=1).tolist())
-    return map(str.lstrip, picked, itertools.repeat("-"))
+    if block.shape[1] > 1:
+        cells = map(lambda cell, k: cell.split(";")[k], cells,
+                    np.abs(block).argmax(axis=1).tolist())
+    return map(str.lstrip, cells, itertools.repeat("-"))
 
 
 def _cells(fmt, col: Optional[np.ndarray], lo: int, hi: int):
@@ -173,7 +162,7 @@ def _cells(fmt, col: Optional[np.ndarray], lo: int, hi: int):
     if col is None:
         return itertools.repeat("")
     if col.ndim == 2:
-        return _state_cells(_component_cells(col[lo:hi]))
+        return _state_cells(col[lo:hi])
     if col.strides == (0,):
         return itertools.repeat(fmt(col[lo].item()), hi - lo)
     return map(fmt, col[lo:hi].tolist())
@@ -220,14 +209,15 @@ def _write_tables(trace: Trace, csv_path: Optional[str], figure_path: Optional[s
     (either may be ``None``) in one pass over blocks of ``_BLOCK`` rows.
 
     Each column that an output needs is formatted once per block, column by
-    column, and each block of an output is joined into one string.  A figure
-    row takes the trace's ``x`` cell and ``_norm_cells`` of the two columns in
-    ``_NORMED``.  No cell or header name holds a comma, a quote or a line
-    break, so a row is written as ``csv.writer`` writes it: its cells joined
-    by commas, ended by CRLF.  The outputs are opened on ``stack``, which
-    ``run`` holds until its summary is written too, or on a stack of their own.
-    Raises ``ValueError`` (see ``write_trace_csv``) and ``MissingDiagnostics``
-    (see ``figure1_export``) before a file is opened.
+    column, and each block of an output is joined into one string.  With the
+    figure, the cells of ``x`` and of the two columns in ``_NORMED`` are made
+    once per block for both outputs, and a figure row takes the ``x`` cell and
+    ``_norm_cells`` of the other two.  No cell or header name holds a comma, a
+    quote or a line break, so a row is written as ``csv.writer`` writes it:
+    its cells joined by commas, ended by CRLF.  The outputs are opened on
+    ``stack``, which ``run`` holds until its summary is written too, or on a
+    stack of their own.  Raises ``ValueError`` (see ``write_trace_csv``) and
+    ``MissingDiagnostics`` (see ``figure1_export``) before a file is opened.
     """
     records = _Records.of(trace.records)
     cols = records.columns
@@ -241,17 +231,16 @@ def _write_tables(trace: Trace, csv_path: Optional[str], figure_path: Optional[s
                 fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(records), _BLOCK):
             hi = min(lo + _BLOCK, len(records))
-            x = list(map(repr, cols["x"][lo:hi].tolist()))
-            parts = {name: list(map(list, _component_cells(cols[name][lo:hi])))
-                     for name in (_NORMED if figure_fh is not None else ())}
+            # x is a float column, whose format is repr
+            shared = {} if figure_fh is None else {
+                name: list(_cells(repr, cols[name], lo, hi)) for name in ("x", *_NORMED)}
             if trace_fh is not None:
-                shared = {"x": x, **{name: _state_cells(c) for name, c in parts.items()}}
                 _write_rows(trace_fh, [
                     shared[name] if name in shared else _cells(fmt, col, lo, hi)
                     for name, fmt, col in zip(CSV_COLUMNS, _FORMATS, cols.values())])
             if figure_fh is not None:
-                _write_rows(figure_fh, [x, *(_norm_cells(cols[name][lo:hi], c)
-                                             for name, c in parts.items())])
+                _write_rows(figure_fh, [shared["x"], *(
+                    _norm_cells(cols[name][lo:hi], shared[name]) for name in _NORMED)])
 
 
 def _write_rows(fh, cells) -> None:

@@ -144,7 +144,9 @@ class _Records(Sequence):
     def __init__(self, columns: dict[str, Optional[np.ndarray]], n: int):
         self._n = n
         self.columns = {name: columns.get(name) for name in _DTYPES}
-        self._getters = [_field_getter(col) for col in self.columns.values()]
+        for col in self.columns.values():
+            if col is not None:
+                col.flags.writeable = False
 
     @classmethod
     def of(cls, records: Sequence[StepRecord]) -> "_Records":
@@ -172,7 +174,8 @@ class _Records(Sequence):
         return map(self._record, range(self._n))
 
     def _record(self, k: int) -> StepRecord:
-        return StepRecord(*[get(k) for get in self._getters])
+        return StepRecord(*[None if col is None else col[k] if col.ndim > 1 else col.item(k)
+                            for col in self.columns.values()])
 
 
 def _column(name: str, values: list) -> Optional[np.ndarray]:
@@ -210,15 +213,6 @@ def _collector(name: str, float_lane: bool):
     return put, lambda n: np.frombuffer(a, dtype).reshape((n, -1) if name in _STATES else n)
 
 
-def _field_getter(col: Optional[np.ndarray]):
-    """The function from a row index to the field whose column ``col`` (``None``
-    for an oracle field without an oracle) it makes read-only."""
-    if col is None:
-        return lambda k: None
-    col.flags.writeable = False
-    return col.__getitem__ if col.ndim > 1 else col.item
-
-
 @dataclass(frozen=True, eq=False)
 class BetaTracker:
     """Running mean of the higher-order method's error-coefficient magnitudes."""
@@ -227,15 +221,11 @@ class BetaTracker:
     mean_abs: float = 0.0
 
     def pushed(self, sample: np.ndarray) -> "BetaTracker":
-        """Return a new tracker with one more sample folded into the mean.  Raises
-        ``ValueError`` if ``sample`` is complex."""
+        """Return a new tracker with the ``n``-th sample's max norm ``v`` folded into
+        the mean as ``mean + (v - mean) / n``, as the oracle's mean loop folds it.
+        Raises ``ValueError`` if ``sample`` is complex."""
         n, v = self.count + 1, inf_norm(_real("sample", sample))
-        return BetaTracker(count=n, mean_abs=_mean_pushed(self.mean_abs, v, n))
-
-
-def _mean_pushed(mean: float, value: float, n: int) -> float:
-    """The mean of ``n`` values from the mean of the first ``n - 1`` and the ``n``-th."""
-    return mean + (value - mean) / n
+        return BetaTracker(count=n, mean_abs=self.mean_abs + (v - self.mean_abs) / n)
 
 
 class ConditionCheck(NamedTuple):
@@ -372,11 +362,6 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=1)
 
 
-#: steps per block of the oracle's mean loop, which holds one block's norms and
-#: stepsizes as Python floats at a time
-_BLOCK = 1024
-
-
 def _oracle_fields(pair: MethodPair, p: IVProblem,
                    c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The oracle's columns, keyed as in ``StepRecord``, for the steps in the
@@ -387,9 +372,9 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     state at ``x0`` and at every step's end, then ``y(x + h)`` of the landing
     step where it misses ``x_end`` in the last bit.  Then the pair from every
     step's exact state at once, over rows: through ``f`` itself for a
-    ``rowwise`` problem, else one row at a time.  Last one float loop, in blocks
-    of ``_BLOCK`` steps, takes each step's powers of ``h`` and the running mean;
-    a power that underflows raises at its step.  The fields follow over whole
+    ``rowwise`` problem, else one row at a time.  Last one float loop over the
+    whole run takes each step's powers of ``h`` and the running mean; a power
+    that underflows raises at its step.  The fields follow over whole
     columns with the formulas of ``local_error_exact``, ``alpha_propagation_term``,
     ``mean_beta_higher`` and ``condition_check``, bit for bit.
     """
@@ -405,18 +390,16 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     eps_higher = _local_errors(y, exact_higher, h)
     a, b = pair.higher.z + 1, pair.lower.z + 2
     # fl(max_i |e_i| / hp) is max_i fl(|e_i| / hp): division by hp > 0 is monotone
-    denom, mean, k = array("d"), 0.0, 0  # each step's mean|beta_higher| * h**(z+2)
-    for s in range(0, n, _BLOCK):
-        block = slice(s, s + _BLOCK)
-        for v, h_k in zip(_row_norms(eps_higher[block]).tolist(), hs[block].tolist()):
-            # no power overflows: _initial_stepsizes refuses a span whose h_max**(higher.z + 1)
-            # does, every accepted h is at most h_max, and b = lower.z + 2 <= higher.z + 1
-            hp_k, hc_k = h_k ** a, h_k ** b
-            if hp_k == 0.0 or hc_k == 0.0:
-                _step_power(h_k, a), _step_power(h_k, b)  # raises, h**a first
-            k += 1
-            mean += (v / hp_k - mean) / k  # _mean_pushed
-            denom.append(mean * hc_k)
+    denom, mean = array("d"), 0.0  # each step's mean|beta_higher| * h**(z+2)
+    # a float64 memoryview yields Python floats, so h_k ** a is Python's power
+    for k, (v, h_k) in enumerate(zip(memoryview(_row_norms(eps_higher)), memoryview(hs)), 1):
+        # no power overflows: _initial_stepsizes refuses a span whose h_max**(higher.z + 1)
+        # does, every accepted h is at most h_max, and b = lower.z + 2 <= higher.z + 1
+        hp_k, hc_k = h_k ** a, h_k ** b
+        if hp_k == 0.0 or hc_k == 0.0:
+            _step_power(h_k, a), _step_power(h_k, b)  # raises, h**a first
+        mean += (v / hp_k - mean) / k  # BetaTracker.pushed
+        denom.append(mean * hc_k)
     i = np.arange(1, n + 1, dtype=float)
     cond_rhs, cond_holds = _condition(i, c["cond_lhs"], np.frombuffer(denom))
     return {"eps_lower": _local_errors(y, exact_lower, h),

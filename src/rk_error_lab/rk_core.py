@@ -422,14 +422,13 @@ class _StageBuffer:
         without a numpy call; a shape that does not store as the slot (a ``(d, 1)``
         column; a ``(1, d)`` row stores) raises ``_Refusal`` for ``ValueError``."""
         dst = self.slot[p] if i is None else self.slot[p][i]
-        try:
+        try:  # a value of another size would broadcast, so its size is checked first
             if getattr(v, "dtype", None) is not _FLOAT or v.size != dst.size:
                 v = _stage_value(v, dst.shape)
+            dst[...] = v
         except _Refusal as r:
             r.row = r.row if i is None else i
             raise
-        try:  # a value of another size would broadcast, so its size is checked before
-            dst[...] = v
         except ValueError:
             raise _Refusal(ValueError, f"of shape {v.shape}, not {dst.shape}", i) from None
 

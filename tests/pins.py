@@ -28,6 +28,15 @@ FLAGSHIP = {
                         final_delta_lower=-1.227496113642701e-06),
 }
 
+#: ``FLAGSHIP`` and ``LONG_RUN_STEPS`` as OpenBLAS's Haswell kernel gives them, a
+#: record of what another kernel moves: the proportional ``final_delta_lower``
+#: and the long run's step count; the crossings and the rest hold
+HASWELL_FLAGSHIP = {
+    "proportional": dict(FLAGSHIP["proportional"], final_delta_lower=-8.279946541733807e-07),
+    "reject-only": dict(FLAGSHIP["reject-only"], final_delta_lower=-1.227496113642701e-06),
+}
+HASWELL_LONG_RUN_STEPS = 10435
+
 # SHA-256 of the write_trace_csv and write_summary_json bytes at delta=1e-8, by
 # (problem, policy, with exact solution); a change that moves any bit of a
 # trace or a summary moves its digest

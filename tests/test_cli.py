@@ -389,9 +389,10 @@ _NORM_FLOATS = st.floats() | st.sampled_from(
 @given(st.integers(1, 4).flatmap(lambda d: hnp.arrays(
     np.float64, st.tuples(st.integers(1, 40), st.just(d)), elements=_NORM_FLOATS)))
 def test_a_figure_cell_is_the_repr_of_its_row_norm(block):
-    # the figure takes each norm's cell from its components' cells: the largest
-    # magnitude's, the first on a tie and a NaN over any number, without its sign
-    cells = cli._norm_cells(block, list(map(list, cli._component_cells(block))))
+    # the figure takes each norm's cell from the state's cell: the part of the
+    # component of largest magnitude, the first on a tie and a NaN over any
+    # number, without its sign
+    cells = cli._norm_cells(block, list(cli._state_cells(block)))
     assert list(cells) == list(map(repr, _row_norms(block).tolist()))
 
 

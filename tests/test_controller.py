@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pins import FLAGSHIP, same_bits
+from pins import FLAGSHIP, HASWELL_FLAGSHIP, HASWELL_LONG_RUN_STEPS, same_bits
 from rk_error_lab import controller, rk_core
 from rk_error_lab.cli import figure1_export, read_trace_csv, write_trace_csv
 from rk_error_lab.error_analysis import _Records, _row_norms
@@ -495,6 +496,12 @@ def test_records_are_a_read_only_sequence_built_on_access(tmp_path, source):
     copy = dataclasses.replace(trace, records=tuple(recs))
     assert isinstance(copy, Trace) and copy.summary is trace.summary
     assert all(_same_records(a, b) for a, b in zip(copy.records, listed))
+    # every column is read-only, i and a run's stride-0 bound included, as is
+    # every column of the same records gathered from a tuple
+    for columns in (recs.columns, _Records.of(copy.records).columns):
+        assert all(col is not None for col in columns.values())
+        assert not any(col.flags.writeable for col in columns.values())
+    assert (recs.columns["bound"].strides == (0,)) == (source == "run")
 
 
 def test_two_component_system(tmp_path):
@@ -1360,13 +1367,45 @@ def test_both_lanes_give_the_same_bits_on_other_blas_kernels(core, reported):
     # float lane's runs with and without the flag; the kernels disagree with
     # each other.  The child must run on the core it asks for: OpenBLAS
     # reports its Prescott kernels under their first alias, Katmai
+    assert _child_lines(_LANES_CHILD, core) == [reported] + [
+        f"{name} {policy} 1 True" for name in problem_names() for policy in POLICIES]
+
+
+def _child_lines(code: str, core: str) -> list[str]:
+    """The lines that a Python child running ``code`` prints, with this package
+    and ``pins`` importable, under OpenBLAS core ``core``."""
     src = os.path.dirname(os.path.dirname(rk_core.__file__))
     path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    done = subprocess.run([sys.executable, "-c", _LANES_CHILD], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    assert done.stdout.split("\n")[:-1] == [reported] + [
-        f"{name} {policy} 1 True" for name in problem_names() for policy in POLICIES]
+    return done.stdout.split("\n")[:-1]
+
+
+# the core, the flagship summaries by policy as JSON, and the long run's steps
+_PINS_CHILD = """
+import json
+from pins import blas_core
+from rk_error_lab import ControllerConfig, POLICIES, builtin, builtin_pair, integrate
+pair, p = builtin_pair("rk3_rk4"), builtin("paper_exponential")
+print(blas_core())
+print(json.dumps({policy: vars(integrate(pair, p, ControllerConfig(
+    delta=1e-8, sigma=0.8, policy=policy)).summary) for policy in POLICIES}))
+print(integrate(pair, p, ControllerConfig(delta=1e-12)).summary.accepted)
+"""
+
+
+def test_the_haswell_kernel_moves_the_pins_it_is_recorded_to_move():
+    # a record, not a skip: OpenBLAS's Haswell kernel sums the weighted stages
+    # in another order than the pinned core's, and the values it gives are kept
+    # beside the pinned ones.  JSON keeps each float's repr, so its bits
+    core, summaries, steps = _child_lines(_PINS_CHILD, "Haswell")
+    assert core == "Haswell"
+    summaries = json.loads(summaries)
+    for policy, pinned in HASWELL_FLAGSHIP.items():
+        for name, value in pinned.items():
+            assert same_bits(summaries[policy][name], value), (policy, name)
+    assert int(steps) == HASWELL_LONG_RUN_STEPS
 
 
 def test_a_flagless_rhs_of_another_size_at_an_exact_state_is_refused_by_name():
