@@ -28,13 +28,10 @@ from .error_analysis import (
     StepsizeOutOfRange,
     _MAX_STEPS,
     _collector,
-    _first,
     _oracle_fields,
     _Records,
-    _row_norms,
     _safety_factor,
     _step_power,
-    inf_norm,
     sigma_bound,
 )
 from .problems import IVProblem
@@ -113,13 +110,20 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class TraceSummary:
+    """Run totals, then the four fields the oracle measures
+    (``error_analysis._oracle_fields``), all ``None`` without an exact
+    solution: the last step's ``delta_lower``, signed for ``d = 1`` and its max
+    norm otherwise; the 1-based index and abscissa of the first step whose
+    ``delta_lower`` norm exceeds ``delta``; and the 1-based index of the first
+    step whose accumulation condition fails.  A step not found is ``None``."""
+
     accepted: int
     rejected: int
     final_x: float
-    final_delta_lower: Optional[float]
-    crossing_index: Optional[int]
-    crossing_x: Optional[float]
-    condition_violation_index: Optional[int]
+    final_delta_lower: Optional[float] = None
+    crossing_index: Optional[int] = None
+    crossing_x: Optional[float] = None
+    condition_violation_index: Optional[int] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,11 +237,12 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
     Returns the ``Trace`` of the accepted steps, stored as columns: each step
     appends its values to one typed array per column
     (``error_analysis._collector``), which becomes its numpy column after the
-    loop.  With an exact solution the oracle then measures the finished run;
-    without one its fields are ``None``.  Every attempt runs in the lane that
-    the ``rk_core`` lane rule picks, under its read-only rule.  A failure of
-    the loop ends the run at once with its own exception; the exceptions are
-    those of the README's failure table.
+    loop.  With an exact solution the oracle then measures the finished run:
+    it returns its columns and the summary's measured fields
+    (``error_analysis._oracle_fields``); without one these are ``None``.
+    Every attempt runs in the lane that the ``rk_core`` lane rule picks, under
+    its read-only rule.  A failure of the loop ends the run at once with its
+    own exception; the exceptions are those of the README's failure table.
     """
     float_lane = p.y0.size == 1
     if float_lane:
@@ -298,23 +303,13 @@ def integrate(pair: MethodPair, p: IVProblem, cfg: ControllerConfig) -> Trace:
 
     # IVProblem guarantees x_end > x0, so there is at least one record
     c = {name: end(n) for name, (_, end) in cols.items()}
-    final_delta = crossing = violation = None
+    c["i"] = np.arange(1, n + 1)
+    measured = {}
     if p.exact is not None:
-        c.update(_oracle_fields(pair, p, c))
-        last = c["delta_lower"][-1]
-        final_delta = float(last[0]) if last.size == 1 else inf_norm(last)
-        crossing = _first(_row_norms(c["delta_lower"]) > delta)
-        violation = _first(~c["cond_holds"])
-    summary = TraceSummary(
-        accepted=n,
-        rejected=int(c["rejects"].sum()),
-        final_x=x,
-        final_delta_lower=final_delta,
-        crossing_index=None if crossing is None else crossing + 1,
-        crossing_x=None if crossing is None else c["x"].item(crossing),
-        condition_violation_index=None if violation is None else violation + 1,
-    )
+        fields, measured = _oracle_fields(pair, p, c, delta)
+        c.update(fields)
+    summary = TraceSummary(accepted=n, rejected=int(c["rejects"].sum()), final_x=x, **measured)
     # every step's bound is one float, a stride-0 column
     bound = np.array([sigma_bound(cfg.sigma, z, pair.r, delta)])
-    c.update(i=np.arange(1, n + 1), bound=np.ndarray(n, buffer=bound, strides=(0,)))
+    c["bound"] = np.ndarray(n, buffer=bound, strides=(0,))
     return Trace(records=_Records(c, n), summary=summary)

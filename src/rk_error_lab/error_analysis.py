@@ -362,21 +362,24 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=1)
 
 
-def _oracle_fields(pair: MethodPair, p: IVProblem,
-                   c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The oracle's columns, keyed as in ``StepRecord``, for the steps in the
-    columns ``c`` of a finished run.
+def _oracle_fields(pair: MethodPair, p: IVProblem, c: dict[str, np.ndarray],
+                   delta: float) -> tuple[dict[str, np.ndarray], dict]:
+    """The oracle's measurement of the finished run with columns ``c`` and
+    tolerance ``delta``: its columns, keyed as in ``StepRecord``, and the four
+    measured ``TraceSummary`` fields, keyed as there.
 
     It makes three passes and raises the first failure it meets.  First one
     loop of lookups, in step order, by ``problems._exact_states``: the exact
     state at ``x0`` and at every step's end, then ``y(x + h)`` of the landing
-    step where it misses ``x_end`` in the last bit.  Then the pair from every
-    step's exact state at once, over rows: through ``f`` itself for a
-    ``rowwise`` problem, else one row at a time.  Last one float loop over the
-    whole run takes each step's powers of ``h`` and the running mean; a power
-    that underflows raises at its step.  The fields follow over whole
-    columns with the formulas of ``local_error_exact``, ``alpha_propagation_term``,
-    ``mean_beta_higher`` and ``condition_check``, bit for bit.
+    step where it misses ``x_end`` in the last bit.  So each step's ``y(x + h)``
+    is one column: the next exact state, or the landing step's own lookup.
+    Then the pair from every step's exact state at once, over rows: through
+    ``f`` itself for a ``rowwise`` problem, else one row at a time.  Last one
+    float loop over the whole run takes each step's powers of ``h`` and the
+    running mean; a power that underflows raises at its step.  The fields
+    follow over whole columns with the formulas of ``local_error_exact``,
+    ``alpha_propagation_term``, ``mean_beta_higher`` and ``condition_check``,
+    bit for bit, ``i`` and the indices from the run's column ``c["i"]``.
     """
     h, n = c["h"], len(c["h"])
     xs = np.concatenate(((p.x0,), c["x"]))  # each step's start, then x_end
@@ -384,15 +387,18 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
     y = _exact_states(p, xs.tolist() + ([x_last] if x_last != xs.item(-1) else []))
     y.flags.writeable = False  # stage 1 hands f views of these exact states, made below
     y_x, y_next = y[:n], y[1:n + 1]
+    y_xh = y_next if len(y) == n + 1 else np.concatenate((y[1:n], y[n + 1:]))
     exact_lower, exact_higher = _array_lane(pair, p.f, y_x.shape, p.rowwise)(xs[:-1], y_x, h)
     w = np.concatenate((p.y0[None], c["w_higher"][:-1]))
     hs, h = h, h[:, None]  # each row's stepsize scales that row's components
-    eps_higher = _local_errors(y, exact_higher, h)
+    eps_higher = _local_error(y_x, exact_higher, y_xh, h)
     a, b = pair.higher.z + 1, pair.lower.z + 2
     # fl(max_i |e_i| / hp) is max_i fl(|e_i| / hp): division by hp > 0 is monotone
     denom, mean = array("d"), 0.0  # each step's mean|beta_higher| * h**(z+2)
-    # a float64 memoryview yields Python floats, so h_k ** a is Python's power
-    for k, (v, h_k) in enumerate(zip(memoryview(_row_norms(eps_higher)), memoryview(hs)), 1):
+    # a float64 memoryview yields Python floats, so h_k ** a is Python's power; the
+    # row norms are taken in place, as nothing reads eps_higher after this loop
+    for k, (v, h_k) in enumerate(zip(memoryview(np.abs(eps_higher, out=eps_higher).max(axis=1)),
+                                     memoryview(hs)), 1):
         # no power overflows: _initial_stepsizes refuses a span whose h_max**(higher.z + 1)
         # does, every accepted h is at most h_max, and b = lower.z + 2 <= higher.z + 1
         hp_k, hc_k = h_k ** a, h_k ** b
@@ -400,23 +406,19 @@ def _oracle_fields(pair: MethodPair, p: IVProblem,
             _step_power(h_k, a), _step_power(h_k, b)  # raises, h**a first
         mean += (v / hp_k - mean) / k  # BetaTracker.pushed
         denom.append(mean * hc_k)
-    i = np.arange(1, n + 1, dtype=float)
+    i = c["i"]
     cond_rhs, cond_holds = _condition(i, c["cond_lhs"], np.frombuffer(denom))
-    return {"eps_lower": _local_errors(y, exact_lower, h),
-            "delta_lower": c["w_lower"] - y_next, "delta_higher": c["w_higher"] - y_next,
-            "alpha_term": _alpha_term(y_x, w, c["inc_lower"], exact_lower, h),
-            "cond_rhs": cond_rhs, "cond_holds": cond_holds}
-
-
-def _local_errors(y: np.ndarray, inc: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``_local_error`` of every step, over rows, from the exact states ``y`` of
-    ``_oracle_fields``: a step's ``y(x + h)`` is the next row, except that the
-    landing step's is the last row where it is a lookup of its own."""
-    n = len(inc)
-    eps = _local_error(y[:n], inc, y[1:n + 1], h)
-    if len(y) > n + 1:
-        eps[-1] = _local_error(y[n - 1], inc[-1], y[-1], h[-1])
-    return eps
+    fields = {"eps_lower": _local_error(y_x, exact_lower, y_xh, h),
+              "delta_lower": c["w_lower"] - y_next, "delta_higher": c["w_higher"] - y_next,
+              "alpha_term": _alpha_term(y_x, w, c["inc_lower"], exact_lower, h),
+              "cond_rhs": cond_rhs, "cond_holds": cond_holds}
+    last, norms = fields["delta_lower"][-1], _row_norms(fields["delta_lower"])
+    cross, fail = _first(norms > delta), _first(~cond_holds)
+    return fields, {
+        "final_delta_lower": last.item() if last.size == 1 else norms.item(-1),
+        "crossing_index": None if cross is None else i.item(cross),
+        "crossing_x": None if cross is None else c["x"].item(cross),
+        "condition_violation_index": None if fail is None else i.item(fail)}
 
 
 def _safety_factor(sigma) -> None:

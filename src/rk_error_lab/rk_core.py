@@ -278,12 +278,13 @@ def inf_norm(v) -> float:
 
 def _is_integer(v) -> bool:
     """Whether ``v`` is an integer; a ``bool`` is not one here."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _is_real(v) -> bool:
     """Whether ``v`` is a real number; a ``bool`` is not one here."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    return (type(v) is float or type(v) is int
+            or isinstance(v, numbers.Real) and not isinstance(v, bool))
 
 
 def _number(name: str, value, rule: str, holds):

@@ -392,6 +392,15 @@ def _sine_across_zero():
                      exact=lambda x: np.array([math.sin(x)]))
 
 
+def _sine_cosine_across_zero():
+    # the d = 2 case of _sine_across_zero: y = (sin x, cos x), whose landing
+    # step's x + h misses x_end as well
+    return IVProblem(name="sine_cosine_across_zero",
+                     f=_one_state_only(lambda x, y: np.array([math.cos(x), -math.sin(x)])),
+                     x0=-3.0, y0=[math.sin(-3.0), math.cos(-3.0)], x_end=1e-3,
+                     exact=lambda x: np.array([math.sin(x), math.cos(x)]))
+
+
 def _oscillator():
     # y'' = -y as the system (y, y'), with y = cos x
     return IVProblem(name="oscillator", f=_one_state_only(lambda x, y: np.array([y[1], -y[0]])),
@@ -452,16 +461,19 @@ def _assert_records_match_the_public_functions(p, trace, delta):
 
 
 @pytest.mark.parametrize("policy", ["proportional", "reject-only"])
-@pytest.mark.parametrize("name", problem_names() + ["sine_across_zero"])
+@pytest.mark.parametrize("name", problem_names() + ["sine_across_zero",
+                                                     "sine_cosine_across_zero"])
 def test_oracle_fields_match_the_public_reference_functions(name, policy):
     # integrate reuses the attempt's stages and the previous step's y(x), and
     # forms the oracle's fields over whole columns after the loop; every
     # field must still equal its public reference bit for bit
-    p = _sine_across_zero() if name == "sine_across_zero" else builtin(name)
+    misses = {"sine_across_zero": _sine_across_zero,
+              "sine_cosine_across_zero": _sine_cosine_across_zero}
+    p = misses[name]() if name in misses else builtin(name)
     trace = integrate(PAIR, p, flagship_config(policy=policy))
     _assert_records_match_the_public_functions(p, trace, 1e-8)
     landing = trace.records[-2].x + trace.records[-1].h
-    assert (landing != p.x_end) == (name == "sine_across_zero")
+    assert (landing != p.x_end) == (name in misses)
 
 
 @pytest.mark.parametrize("source", ["run", "file"])
